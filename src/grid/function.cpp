@@ -1,9 +1,14 @@
 #include "grid/function.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
+#include <cstring>
+#include <exception>
+#include <limits>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 
@@ -63,7 +68,113 @@ std::atomic<int>& time_slack_default() {
 // are not equal across ranks.
 constexpr int kGatherTag = 1 << 24;
 
+// Grid accepts 1-, 2- and 3-D shapes.
+constexpr std::size_t kMaxDims = 3;
+
+// Calls body(outer, r) for every innermost row r of the box with extents
+// `ext`, where `outer` holds the row's indices along all but the last
+// dimension; r counts rows in row-major order. With `parallel`, one
+// static OpenMP loop splits the rows across the team (not under TSan,
+// which cannot see libgomp's barriers — as in runtime/rowcopy.cpp), and
+// the first exception a body throws is rethrown after the loop.
+template <typename Body>
+void for_each_row(std::span<const std::int64_t> ext, bool parallel,
+                  const Body& body) {
+  if (std::any_of(ext.begin(), ext.end(),
+                  [](std::int64_t e) { return e <= 0; })) {
+    return;
+  }
+  const std::size_t outer_dims = ext.size() - 1;
+  const std::int64_t rows = std::accumulate(
+      ext.begin(), ext.end() - 1, std::int64_t{1}, std::multiplies<>());
+  const auto run = [&](std::int64_t r) {
+    std::array<std::int64_t, kMaxDims> outer{};
+    std::int64_t rest = r;
+    for (std::size_t d = outer_dims; d-- > 0;) {
+      outer[d] = rest % ext[d];
+      rest /= ext[d];
+    }
+    body(std::span<const std::int64_t>(outer.data(), outer_dims), r);
+  };
+#if defined(_OPENMP) && !defined(__SANITIZE_THREAD__)
+  if (parallel) {
+    std::exception_ptr error;
+#pragma omp parallel for schedule(static)
+    for (std::int64_t r = 0; r < rows; ++r) {
+      try {
+        run(r);
+      } catch (...) {
+#pragma omp critical(jitfd_for_each_row_error)
+        if (!error) {
+          error = std::current_exception();
+        }
+      }
+    }
+    if (error) {
+      std::rethrow_exception(error);
+    }
+    return;
+  }
+#else
+  (void)parallel;
+#endif
+  for (std::int64_t r = 0; r < rows; ++r) {
+    run(r);
+  }
+}
+
+// This rank's process coordinate along `d` (0 on serial grids).
+int my_coord(const Grid& grid, std::size_t d) {
+  return grid.distributed() ? grid.cart()->my_coords()[d] : 0;
+}
+
+// Data-region-relative local indices of global point `g`; false when
+// this rank does not own it.
+bool localize(const Grid& grid, std::span<const std::int64_t> g,
+              std::array<std::int64_t, kMaxDims>& local) {
+  assert(static_cast<int>(g.size()) == grid.ndims());
+  for (std::size_t d = 0; d < g.size(); ++d) {
+    local[d] = grid.decomposition(static_cast<int>(d))
+                   .global_to_local(my_coord(grid, d), g[d]);
+    if (local[d] < 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+float* AlignedAlloc::allocate(std::size_t n) {
+  // calloc has no aligned variant: over-allocate, round the start up, and
+  // keep the block's own address in the word below the aligned pointer.
+  constexpr std::size_t kSlack = kAlignment + sizeof(void*);
+  if (n > (std::numeric_limits<std::size_t>::max() - kSlack) / sizeof(float)) {
+    throw std::bad_alloc();
+  }
+  void* block = std::calloc(1, n * sizeof(float) + kSlack);
+  if (block == nullptr) {
+    throw std::bad_alloc();
+  }
+  const std::uintptr_t start =
+      reinterpret_cast<std::uintptr_t>(block) + sizeof(void*);
+  const std::uintptr_t aligned =
+      (start + kAlignment - 1) & ~std::uintptr_t{kAlignment - 1};
+  auto* p = reinterpret_cast<float*>(aligned);
+  std::memcpy(reinterpret_cast<char*>(p) - sizeof(void*), &block,
+              sizeof(void*));
+  return p;
+}
+
+void AlignedAlloc::operator()(float* p) const noexcept {
+  if (p == nullptr) {
+    return;
+  }
+  void* block = nullptr;
+  std::memcpy(&block, reinterpret_cast<const char*>(p) - sizeof(void*),
+              sizeof(void*));
+  std::free(block);
+}
 
 Function::Function(std::string name, const Grid& grid, int space_order,
                    int padding)
@@ -100,9 +211,9 @@ Function::Function(std::string name, const Grid& grid, int space_order,
     const auto ud = static_cast<std::size_t>(d);
     strides_[ud] = strides_[ud + 1] * padded_shape_[ud + 1];
   }
-  storage_.assign(static_cast<std::size_t>(buffer_points_) *
-                      static_cast<std::size_t>(buffers_),
-                  0.0F);
+  storage_size_ = static_cast<std::size_t>(buffer_points_) *
+                  static_cast<std::size_t>(buffers_);
+  storage_.reset(AlignedAlloc::allocate(storage_size_));
   {
     const std::lock_guard<std::mutex> lock(registry_mutex());
     registry().emplace(id_.id, this);
@@ -176,156 +287,156 @@ Function* lookup_field(int field_id) {
 
 float* Function::buffer(int t) {
   assert(t >= 0 && t < buffers_);
-  return storage_.data() + static_cast<std::size_t>(t) *
-                               static_cast<std::size_t>(buffer_points_);
+  return storage_.get() + static_cast<std::size_t>(t) *
+                              static_cast<std::size_t>(buffer_points_);
 }
 
 const float* Function::buffer(int t) const {
   assert(t >= 0 && t < buffers_);
-  return storage_.data() + static_cast<std::size_t>(t) *
-                               static_cast<std::size_t>(buffer_points_);
+  return storage_.get() + static_cast<std::size_t>(t) *
+                              static_cast<std::size_t>(buffer_points_);
 }
 
-std::int64_t Function::raw_linear(int t,
-                                  std::span<const std::int64_t> raw) const {
-  assert(static_cast<int>(raw.size()) == grid_->ndims());
-  std::int64_t idx = 0;
-  for (std::size_t d = 0; d < raw.size(); ++d) {
-    assert(raw[d] >= 0 && raw[d] < padded_shape_[d]);
-    idx += raw[d] * strides_[d];
+std::size_t Function::local_linear(int t,
+                                   std::span<const std::int64_t> idx) const {
+  assert(static_cast<int>(idx.size()) == grid_->ndims());
+  assert(t >= 0 && t < buffers_);
+  std::int64_t linear = static_cast<std::int64_t>(t) * buffer_points_;
+  for (std::size_t d = 0; d < idx.size(); ++d) {
+    const std::int64_t raw = idx[d] + lpad();
+    assert(raw >= 0 && raw < padded_shape_[d]);
+    linear += raw * strides_[d];
   }
-  return static_cast<std::int64_t>(t) * buffer_points_ + idx;
+  return static_cast<std::size_t>(linear);
+}
+
+std::size_t Function::row_offset(int t,
+                                 std::span<const std::int64_t> outer) const {
+  std::array<std::int64_t, kMaxDims> idx{};
+  std::copy(outer.begin(), outer.end(), idx.begin());
+  return local_linear(t, {idx.data(), outer.size() + 1});
 }
 
 float& Function::at_local(int t, std::span<const std::int64_t> idx) {
-  std::vector<std::int64_t> raw(idx.begin(), idx.end());
-  for (std::int64_t& r : raw) {
-    r += lpad();
-  }
-  return storage_[static_cast<std::size_t>(raw_linear(t, raw))];
+  return storage_[local_linear(t, idx)];
 }
 
 float Function::at_local(int t, std::span<const std::int64_t> idx) const {
-  return const_cast<Function*>(this)->at_local(t, idx);
+  return storage_[local_linear(t, idx)];
 }
 
-void Function::fill(float v) { std::fill(storage_.begin(), storage_.end(), v); }
-
-namespace {
-
-// Iterate an n-dimensional half-open box, invoking fn(idx) per point.
-void for_each_point(
-    std::span<const std::int64_t> lo, std::span<const std::int64_t> hi,
-    const std::function<void(std::span<const std::int64_t>)>& fn) {
-  const std::size_t nd = lo.size();
-  for (std::size_t d = 0; d < nd; ++d) {
-    if (lo[d] >= hi[d]) {
-      return;
-    }
-  }
-  std::vector<std::int64_t> idx(lo.begin(), lo.end());
-  while (true) {
-    fn(idx);
-    std::size_t d = nd;
-    while (d-- > 0) {
-      if (++idx[d] < hi[d]) {
-        break;
-      }
-      idx[d] = lo[d];
-      if (d == 0) {
-        return;
-      }
-    }
-  }
+void Function::fill(float v) {
+  const std::int64_t row = padded_shape_.back();
+  for_each_row(padded_shape_,
+               storage_size_ * sizeof(float) >= kParallelCopyBytes,
+               [&](std::span<const std::int64_t>, std::int64_t r) {
+                 for (int t = 0; t < buffers_; ++t) {
+                   std::fill_n(buffer(t) + r * row, row, v);
+                 }
+               });
 }
-
-}  // namespace
 
 void Function::fill_global_box(int t, std::span<const std::int64_t> lo,
                                std::span<const std::int64_t> hi, float v) {
   assert(static_cast<int>(lo.size()) == grid_->ndims());
   // Convert the global box to this rank's owned local box, then write.
-  std::vector<std::int64_t> llo(lo.size());
-  std::vector<std::int64_t> lhi(hi.size());
-  const std::vector<int> coords =
-      grid_->distributed() ? grid_->cart()->my_coords()
-                           : std::vector<int>(lo.size(), 0);
-  for (std::size_t d = 0; d < lo.size(); ++d) {
+  const std::size_t nd = lo.size();
+  std::array<std::int64_t, kMaxDims> llo{};
+  std::array<std::int64_t, kMaxDims> ext{};
+  for (std::size_t d = 0; d < nd; ++d) {
     const auto [l, h] = grid_->decomposition(static_cast<int>(d))
-                            .localize_slice(coords[d], lo[d], hi[d]);
+                            .localize_slice(my_coord(*grid_, d), lo[d], hi[d]);
     llo[d] = l;
-    lhi[d] = h;
+    ext[d] = h - l;
   }
-  for_each_point(llo, lhi, [&](std::span<const std::int64_t> idx) {
-    at_local(t, idx) = v;
-  });
+  for_each_row({ext.data(), nd}, /*parallel=*/false,
+               [&](std::span<const std::int64_t> outer, std::int64_t) {
+                 std::array<std::int64_t, kMaxDims> idx = llo;
+                 for (std::size_t d = 0; d < outer.size(); ++d) {
+                   idx[d] += outer[d];
+                 }
+                 std::fill_n(&storage_[local_linear(t, {idx.data(), nd})],
+                             ext[nd - 1], v);
+               });
 }
 
 bool Function::set_global(int t, std::span<const std::int64_t> g, float v) {
-  std::vector<std::int64_t> local(g.size());
-  const std::vector<int> coords =
-      grid_->distributed() ? grid_->cart()->my_coords()
-                           : std::vector<int>(g.size(), 0);
-  for (std::size_t d = 0; d < g.size(); ++d) {
-    local[d] = grid_->decomposition(static_cast<int>(d))
-                   .global_to_local(coords[d], g[d]);
-    if (local[d] < 0) {
-      return false;
-    }
+  std::array<std::int64_t, kMaxDims> local{};
+  if (!localize(*grid_, g, local)) {
+    return false;
   }
-  at_local(t, local) = v;
+  storage_[local_linear(t, {local.data(), g.size()})] = v;
   return true;
 }
 
 float Function::get_global_or(int t, std::span<const std::int64_t> g,
                               float fallback) const {
-  std::vector<std::int64_t> local(g.size());
-  const std::vector<int> coords =
-      grid_->distributed() ? grid_->cart()->my_coords()
-                           : std::vector<int>(g.size(), 0);
-  for (std::size_t d = 0; d < g.size(); ++d) {
-    local[d] = grid_->decomposition(static_cast<int>(d))
-                   .global_to_local(coords[d], g[d]);
-    if (local[d] < 0) {
-      return fallback;
-    }
+  std::array<std::int64_t, kMaxDims> local{};
+  if (!localize(*grid_, g, local)) {
+    return fallback;
   }
-  return at_local(t, local);
+  return storage_[local_linear(t, {local.data(), g.size()})];
 }
 
 void Function::init(
     const std::function<float(std::span<const std::int64_t>)>& fn) {
-  // Fill the data region plus ghosts; ghost coordinates are clamped to the
-  // physical domain so boundary halos carry sensible parameter values.
-  const int nd = grid_->ndims();
-  std::vector<std::int64_t> lo(static_cast<std::size_t>(nd));
-  std::vector<std::int64_t> hi(padded_shape_.begin(), padded_shape_.end());
-  std::vector<std::int64_t> g(static_cast<std::size_t>(nd));
-  for_each_point(lo, hi, [&](std::span<const std::int64_t> raw) {
-    for (int d = 0; d < nd; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      const std::int64_t global = grid_->local_start(d) + raw[ud] - lpad();
-      g[ud] = std::clamp<std::int64_t>(global, 0, grid_->shape()[ud] - 1);
-    }
-    const float v = fn(g);
-    for (int t = 0; t < buffers_; ++t) {
-      storage_[static_cast<std::size_t>(raw_linear(t, raw))] = v;
+  init_rows([&](std::span<const std::int64_t> outer,
+                std::span<const std::int64_t> inner, std::span<float> row) {
+    std::array<std::int64_t, kMaxDims> g{};
+    std::copy(outer.begin(), outer.end(), g.begin());
+    const std::span<const std::int64_t> coords(g.data(), outer.size() + 1);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      g[outer.size()] = inner[i];
+      row[i] = fn(coords);
     }
   });
+}
+
+void Function::init_rows(
+    const std::function<void(std::span<const std::int64_t>,
+                             std::span<const std::int64_t>,
+                             std::span<float>)>& fn) {
+  // Fill the data region plus ghosts; ghost coordinates are clamped to the
+  // physical domain so boundary halos carry sensible parameter values.
+  const std::size_t nd = padded_shape_.size();
+  const auto clamped = [&](std::size_t d, std::int64_t raw) {
+    return std::clamp<std::int64_t>(
+        grid_->local_start(static_cast<int>(d)) + raw - lpad(), 0,
+        grid_->shape()[d] - 1);
+  };
+  const std::int64_t row = padded_shape_.back();
+  std::vector<std::int64_t> inner(static_cast<std::size_t>(row));
+  for (std::int64_t i = 0; i < row; ++i) {
+    inner[static_cast<std::size_t>(i)] = clamped(nd - 1, i);
+  }
+  for_each_row(
+      padded_shape_, storage_size_ * sizeof(float) >= kParallelCopyBytes,
+      [&](std::span<const std::int64_t> outer, std::int64_t r) {
+        std::array<std::int64_t, kMaxDims> g{};
+        for (std::size_t d = 0; d < outer.size(); ++d) {
+          g[d] = clamped(d, outer[d]);
+        }
+        float* dst = buffer(0) + r * row;
+        fn({g.data(), outer.size()}, inner,
+           {dst, static_cast<std::size_t>(row)});
+        for (int t = 1; t < buffers_; ++t) {
+          std::copy_n(dst, row, buffer(t) + r * row);
+        }
+      });
 }
 
 std::vector<float> Function::gather(int t) const {
   const int nd = grid_->ndims();
   // Pack this rank's owned block contiguously.
-  std::vector<std::int64_t> lo(static_cast<std::size_t>(nd), 0);
   const auto& mine = grid_->local_shape();
-  std::vector<float> block;
-  block.reserve(static_cast<std::size_t>(
+  std::vector<float> block(static_cast<std::size_t>(
       std::accumulate(mine.begin(), mine.end(), std::int64_t{1},
                       std::multiplies<>())));
-  for_each_point(lo, mine, [&](std::span<const std::int64_t> idx) {
-    block.push_back(at_local(t, idx));
-  });
+  for_each_row(mine, /*parallel=*/false,
+               [&](std::span<const std::int64_t> outer, std::int64_t r) {
+                 std::copy_n(&storage_[row_offset(t, outer)], mine.back(),
+                             block.data() + r * mine.back());
+               });
 
   if (!grid_->distributed()) {
     return block;
@@ -366,29 +477,32 @@ std::vector<float> Function::gather(int t) const {
       comm.recv(incoming.data(), incoming.size() * sizeof(float), src, tag);
       src_data = incoming.data();
     }
-    std::size_t cursor = 0;
-    std::vector<std::int64_t> zero(static_cast<std::size_t>(nd), 0);
-    for_each_point(zero, sizes, [&](std::span<const std::int64_t> idx) {
-      std::int64_t g = 0;
-      for (int d = 0; d < nd; ++d) {
-        const auto ud = static_cast<std::size_t>(d);
-        g += (starts[ud] + idx[ud]) * gstrides[ud];
-      }
-      global[static_cast<std::size_t>(g)] = src_data[cursor++];
-    });
+    const std::int64_t row = sizes.back();
+    for_each_row(sizes, /*parallel=*/false,
+                 [&](std::span<const std::int64_t> outer, std::int64_t r) {
+                   std::int64_t g = starts.back();
+                   for (std::size_t d = 0; d < outer.size(); ++d) {
+                     g += (starts[d] + outer[d]) * gstrides[d];
+                   }
+                   std::copy_n(src_data + r * row, row,
+                               global.data() + g);
+                 });
   }
   return global;
 }
 
 double Function::norm2(int t) const {
-  const int nd = grid_->ndims();
-  std::vector<std::int64_t> lo(static_cast<std::size_t>(nd), 0);
+  // Serial row-major order keeps the double sum bitwise reproducible.
+  const auto& shape = grid_->local_shape();
   double sum = 0.0;
-  for_each_point(lo, grid_->local_shape(),
-                 [&](std::span<const std::int64_t> idx) {
-                   const double v = at_local(t, idx);
+  for_each_row(shape, /*parallel=*/false,
+               [&](std::span<const std::int64_t> outer, std::int64_t) {
+                 const float* p = &storage_[row_offset(t, outer)];
+                 for (std::int64_t i = 0; i < shape.back(); ++i) {
+                   const double v = p[i];
                    sum += v * v;
-                 });
+                 }
+               });
   if (grid_->distributed()) {
     std::vector<double> acc{sum};
     grid_->cart()->comm().allreduce(std::span<double>(acc),

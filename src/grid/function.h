@@ -17,8 +17,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,30 +28,25 @@
 
 namespace jitfd::grid {
 
-/// 64-byte-aligned allocator for field storage. Generated kernels receive
-/// each field's storage start as its base pointer, so this is what makes
-/// the emitter's `aligned(field:64)` simd clauses provable.
-template <typename T>
+/// Zero-filled, 64-byte-aligned field storage. Generated kernels receive
+/// each field's storage start as its base pointer, so the alignment is
+/// what makes the emitter's `aligned(field:64)` simd clauses provable.
+/// The memory comes from calloc, so allocating writes nothing: a large
+/// block is fresh anonymous pages, which the first parallel writer
+/// (fill/init) touches. Used as the deleter of the owning unique_ptr.
 struct AlignedAlloc {
-  using value_type = T;
   static constexpr std::size_t kAlignment = 64;
 
-  AlignedAlloc() = default;
-  template <typename U>
-  AlignedAlloc(const AlignedAlloc<U>&) {}  // NOLINT(google-explicit-constructor)
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{kAlignment}));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{kAlignment});
-  }
-  template <typename U>
-  bool operator==(const AlignedAlloc<U>&) const {
-    return true;
-  }
+  /// `n` zero floats; throws std::bad_alloc.
+  static float* allocate(std::size_t n);
+  /// Frees a pointer returned by allocate (nullptr is a no-op).
+  void operator()(float* p) const noexcept;
 };
+
+/// Volume threshold (bytes) from which field fills and halo copies split
+/// their rows across OpenMP threads; below it a team costs more than the
+/// copy.
+inline constexpr std::int64_t kParallelCopyBytes = 1 << 20;
 
 /// A (possibly time-varying) discrete function over a Grid.
 class Function {
@@ -142,9 +137,9 @@ class Function {
 
   /// The whole allocation (every buffer, ghosts included) — used for
   /// checkpoint/restore (e.g. the communication-pattern autotuner).
-  std::span<float> raw_storage() { return {storage_.data(), storage_.size()}; }
+  std::span<float> raw_storage() { return {storage_.get(), storage_size_}; }
   std::span<const float> raw_storage() const {
-    return {storage_.data(), storage_.size()};
+    return {storage_.get(), storage_size_};
   }
 
   /// Element access with *data-region-relative* local indices
@@ -156,6 +151,8 @@ class Function {
   // --- Distributed (global-view) data access ---------------------------------
 
   /// Set every owned point (and ghost point) of every buffer to `v`.
+  /// Fields of at least kParallelCopyBytes split their rows across the
+  /// OpenMP team, as does init.
   void fill(float v);
 
   /// Assign `v` over the global half-open box [lo, hi) — each rank writes
@@ -171,9 +168,22 @@ class Function {
                       float fallback) const;
 
   /// Initialize owned points (and surrounding ghosts, clamped to the
-  /// domain) from a callback over *global* coordinates. Intended for
-  /// parameter fields (velocity/density models).
+  /// domain) of every buffer from a callback over *global* coordinates.
+  /// Intended for parameter fields (velocity/density models). `fn` may
+  /// run concurrently on several threads and in any point order, so it
+  /// must be a pure function of its coordinates.
   void init(const std::function<float(std::span<const std::int64_t>)>& fn);
+
+  /// Row-wise form of init, one call per innermost row instead of per
+  /// point: `fn(outer, inner, row)` gets the clamped global coordinates
+  /// of the row along all but the last dimension (`outer`), those of its
+  /// points along the last one (`inner`, the same for every row) and the
+  /// row to write (`row`, inner.size() floats), which is then copied to
+  /// every buffer. Calls may run concurrently, as with init.
+  void init_rows(
+      const std::function<void(std::span<const std::int64_t> outer,
+                               std::span<const std::int64_t> inner,
+                               std::span<float> row)>& fn);
 
   /// Collect the full global data region of buffer `t` on rank 0 (other
   /// ranks get an empty vector). Collective over the grid's communicator
@@ -181,7 +191,8 @@ class Function {
   std::vector<float> gather(int t) const;
 
   /// Sum of squares over owned points of buffer `t`, reduced across ranks
-  /// when distributed (collective in that case).
+  /// when distributed (collective in that case). Summed serially in
+  /// row-major order, so the result is reproducible bit for bit.
   double norm2(int t) const;
 
   // --- Symbolic accessors ------------------------------------------------------
@@ -209,7 +220,11 @@ class Function {
   sym::Ex at_time(int time_offset, std::vector<int> offsets) const;
 
  private:
-  std::int64_t raw_linear(int t, std::span<const std::int64_t> raw) const;
+  /// Linear storage index of data-region-relative local indices `idx`.
+  std::size_t local_linear(int t, std::span<const std::int64_t> idx) const;
+  /// Offset of the first point of the innermost row of buffer `t` at
+  /// data-region-relative local indices `outer` (all but the last dim).
+  std::size_t row_offset(int t, std::span<const std::int64_t> outer) const;
 
   sym::FieldId id_;
   const Grid* grid_;
@@ -221,7 +236,8 @@ class Function {
   std::vector<std::int64_t> padded_shape_;
   std::vector<std::int64_t> strides_;
   std::int64_t buffer_points_ = 0;
-  std::vector<float, AlignedAlloc<float>> storage_;
+  std::size_t storage_size_ = 0;
+  std::unique_ptr<float[], AlignedAlloc> storage_;
 };
 
 /// A time-varying function with modulo-buffered time storage:

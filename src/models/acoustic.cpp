@@ -8,10 +8,14 @@ namespace jitfd::models {
 
 AcousticModel::AcousticModel(const grid::Grid& grid, int space_order,
                              double velocity, int nbl)
-    : AcousticModel(
-          grid, space_order,
-          [velocity](std::span<const std::int64_t>) { return velocity; },
-          velocity, nbl) {}
+    : grid_(&grid),
+      velocity_(velocity),
+      u_("u", grid, space_order, /*time_order=*/2),
+      m_("m", grid, space_order),
+      damp_("damp", grid, space_order) {
+  m_.fill(static_cast<float>(1.0 / (velocity * velocity)));
+  init_damp(damp_, nbl);
+}
 
 AcousticModel::AcousticModel(
     const grid::Grid& grid, int space_order,

@@ -9,20 +9,35 @@
 namespace jitfd::models {
 
 void init_damp(grid::Function& damp, int nbl, double peak) {
-  const grid::Grid& g = damp.grid();
-  damp.init([&](std::span<const std::int64_t> gi) {
-    double w = 0.0;
-    for (int d = 0; d < g.ndims(); ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      const std::int64_t n = g.shape()[ud];
-      const std::int64_t dist = std::min<std::int64_t>(gi[ud], n - 1 - gi[ud]);
+  // The sponge is the max over dimensions of one 1-D profile each,
+  // tabulated once per global coordinate. Outside the layer a profile
+  // holds 0.0, which leaves the max unchanged.
+  const std::vector<std::int64_t>& shape = damp.grid().shape();
+  std::vector<std::vector<double>> profile(shape.size());
+  for (std::size_t d = 0; d < shape.size(); ++d) {
+    const std::int64_t n = shape[d];
+    profile[d].assign(static_cast<std::size_t>(n), 0.0);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int64_t dist = std::min<std::int64_t>(i, n - 1 - i);
       if (dist < nbl) {
         const double s =
             (static_cast<double>(nbl - dist)) / static_cast<double>(nbl);
-        w = std::max(w, s * s);
+        profile[d][static_cast<std::size_t>(i)] = s * s;
       }
     }
-    return static_cast<float>(peak * w);
+  }
+  const std::vector<double>& last = profile.back();
+  damp.init_rows([&](std::span<const std::int64_t> outer,
+                     std::span<const std::int64_t> inner,
+                     std::span<float> row) {
+    double w = 0.0;
+    for (std::size_t d = 0; d < outer.size(); ++d) {
+      w = std::max(w, profile[d][static_cast<std::size_t>(outer[d])]);
+    }
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      row[i] = static_cast<float>(
+          peak * std::max(w, last[static_cast<std::size_t>(inner[i])]));
+    }
   });
 }
 

@@ -30,9 +30,9 @@ ElasticModel::ElasticModel(const grid::Grid& grid, int space_order, double vp,
   const float mu_val = static_cast<float>(rho * vs * vs);
   const float lam_val = static_cast<float>(rho * vp * vp - 2.0 * rho * vs * vs);
   const float b_val = static_cast<float>(1.0 / rho);
-  lam_->init([lam_val](std::span<const std::int64_t>) { return lam_val; });
-  mu_->init([mu_val](std::span<const std::int64_t>) { return mu_val; });
-  b_->init([b_val](std::span<const std::int64_t>) { return b_val; });
+  lam_->fill(lam_val);
+  mu_->fill(mu_val);
+  b_->fill(b_val);
   init_damp(*damp_, nbl);
 }
 

@@ -20,32 +20,20 @@ TtiModel::TtiModel(const grid::Grid& grid, int space_order, double velocity,
       eps_("eps", grid, space_order),
       del_("del", grid, space_order) {
   const float m_val = static_cast<float>(1.0 / (velocity * velocity));
-  m_.init([m_val](std::span<const std::int64_t>) { return m_val; });
+  m_.fill(m_val);
   init_damp(damp_, /*nbl=*/0);
-  eps_.init([epsilon](std::span<const std::int64_t>) {
-    return static_cast<float>(epsilon);
-  });
-  del_.init([delta](std::span<const std::int64_t>) {
-    return static_cast<float>(delta);
-  });
+  eps_.fill(static_cast<float>(epsilon));
+  del_.fill(static_cast<float>(delta));
 
   costh_ = std::make_unique<grid::Function>("costh", grid, space_order);
   sinth_ = std::make_unique<grid::Function>("sinth", grid, space_order);
-  costh_->init([theta](std::span<const std::int64_t>) {
-    return static_cast<float>(std::cos(theta));
-  });
-  sinth_->init([theta](std::span<const std::int64_t>) {
-    return static_cast<float>(std::sin(theta));
-  });
+  costh_->fill(static_cast<float>(std::cos(theta)));
+  sinth_->fill(static_cast<float>(std::sin(theta)));
   if (grid.ndims() == 3) {
     cosph_ = std::make_unique<grid::Function>("cosph", grid, space_order);
     sinph_ = std::make_unique<grid::Function>("sinph", grid, space_order);
-    cosph_->init([phi](std::span<const std::int64_t>) {
-      return static_cast<float>(std::cos(phi));
-    });
-    sinph_->init([phi](std::span<const std::int64_t>) {
-      return static_cast<float>(std::sin(phi));
-    });
+    cosph_->fill(static_cast<float>(std::cos(phi)));
+    sinph_->fill(static_cast<float>(std::sin(phi)));
   }
   zdp_ = std::make_unique<grid::Function>("zdp", grid, space_order);
   zdq_ = std::make_unique<grid::Function>("zdq", grid, space_order);

@@ -36,18 +36,12 @@ ViscoelasticModel::ViscoelasticModel(const grid::Grid& grid, int space_order,
   const float b_val = static_cast<float>(1.0 / rho);
   const float mu_val = static_cast<float>(rho * vs * vs);
   const float pi_val = static_cast<float>(rho * vp * vp);
-  b_->init([b_val](std::span<const std::int64_t>) { return b_val; });
-  mu_->init([mu_val](std::span<const std::int64_t>) { return mu_val; });
-  pi_->init([pi_val](std::span<const std::int64_t>) { return pi_val; });
-  ts_->init([t_s](std::span<const std::int64_t>) {
-    return static_cast<float>(t_s);
-  });
-  tep_->init([t_ep](std::span<const std::int64_t>) {
-    return static_cast<float>(t_ep);
-  });
-  tes_->init([t_es](std::span<const std::int64_t>) {
-    return static_cast<float>(t_es);
-  });
+  b_->fill(b_val);
+  mu_->fill(mu_val);
+  pi_->fill(pi_val);
+  ts_->fill(static_cast<float>(t_s));
+  tep_->fill(static_cast<float>(t_ep));
+  tes_->fill(static_cast<float>(t_es));
 }
 
 int ViscoelasticModel::tau_index(int i, int j) const {

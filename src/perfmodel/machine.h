@@ -5,7 +5,7 @@
 // The analytical scaling model combines these hardware constants with
 // kernel facts extracted from the compiler. Hardware numbers are public
 // specifications; effective-efficiency factors live with the kernel
-// calibration (see calibration.h), not here.
+// calibration (see EXPERIMENTS.md, "Calibration protocol"), not here.
 #pragma once
 
 #include <string>

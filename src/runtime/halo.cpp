@@ -170,7 +170,7 @@ namespace {
 
 bool parallel_worthwhile(const RowPlan& plan) {
   return plan.total() * static_cast<std::int64_t>(sizeof(float)) >=
-         kParallelCopyBytes;
+         grid::kParallelCopyBytes;
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 // them (beating the per-call dispatch overhead of libc memcpy at the
 // 0.5-2 KiB row sizes halo faces produce), falling back to memcpy
 // otherwise. With `parallel`, rows are chunked statically across OpenMP
-// threads; callers gate that on total volume.
+// threads; callers gate that on total volume (grid::kParallelCopyBytes).
 #pragma once
 
 #include <cstdint>
@@ -40,10 +40,5 @@ void copy_rows_gather(const float* base, const RowPlan& plan, float* dst,
 /// Scatter (unpack): base[offsets[r] ..) = src[r*row .. r*row+row).
 void copy_rows_scatter(float* base, const RowPlan& plan, const float* src,
                        bool parallel = false);
-
-/// Volume threshold (bytes) above which the halo runtime asks for the
-/// threaded path; shared with the benchmarks so both measure the same
-/// policy.
-inline constexpr std::int64_t kParallelCopyBytes = 1 << 20;
 
 }  // namespace jitfd::runtime

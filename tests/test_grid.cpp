@@ -1,13 +1,25 @@
 // Tests for the grid layer: block decomposition, global<->local index
-// conversion, Grid topologies, Function storage layout and the
-// distributed NumPy-style data view (paper Listings 1-2 semantics).
+// conversion, Grid topologies, Function storage layout, field
+// initialisation and the distributed NumPy-style data view (paper
+// Listings 1-2 semantics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <stdexcept>
+#include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "grid/function.h"
 #include "grid/grid.h"
+#include "models/common.h"
 #include "smpi/runtime.h"
 #include "symbolic/fd_ops.h"
 #include "symbolic/manip.h"
@@ -326,6 +338,298 @@ TEST(Function, UnevenDistributionStillCoversDomain) {
       EXPECT_FLOAT_EQ(global[5 * 6 + 4], 6.0F + 400.0F);
     }
   });
+}
+
+// --- Field initialisation --------------------------------------------------
+
+// A pure function of global coordinates that tells every point apart.
+float pattern(std::span<const std::int64_t> g) {
+  double v = 0.25;
+  for (std::size_t d = 0; d < g.size(); ++d) {
+    v = v * 1.7 + std::sin(0.3 * static_cast<double>(g[d]) + 0.1 * d);
+  }
+  return static_cast<float>(v);
+}
+
+// The absorbing-layer profile written point by point, as its definition
+// reads: the largest squared distance fraction into the layer over all
+// dimensions.
+float damp_formula(const Grid& grid, std::span<const std::int64_t> g, int nbl,
+                   double peak) {
+  double w = 0.0;
+  for (std::size_t d = 0; d < g.size(); ++d) {
+    const std::int64_t n = grid.shape()[d];
+    const std::int64_t dist = std::min<std::int64_t>(g[d], n - 1 - g[d]);
+    if (dist < nbl) {
+      const double s =
+          static_cast<double>(nbl - dist) / static_cast<double>(nbl);
+      w = std::max(w, s * s);
+    }
+  }
+  return static_cast<float>(peak * w);
+}
+
+// The whole allocation of `f` built point by point: `value` at the clamped
+// global coordinates of every padded point, buffers back to back.
+std::vector<float> reference_storage(
+    const Function& f,
+    const std::function<float(std::span<const std::int64_t>)>& value) {
+  const Grid& grid = f.grid();
+  const auto& padded = f.padded_shape();
+  const std::size_t nd = padded.size();
+  std::vector<float> out;
+  out.reserve(f.raw_storage().size());
+  std::vector<std::int64_t> g(nd);
+  for (int t = 0; t < f.time_buffers(); ++t) {
+    for (std::int64_t p = 0; p < f.buffer_points(); ++p) {
+      std::int64_t rest = p;
+      for (std::size_t d = nd; d-- > 0;) {
+        const std::int64_t raw = rest % padded[d];
+        rest /= padded[d];
+        g[d] = std::clamp<std::int64_t>(
+            grid.local_start(static_cast<int>(d)) + raw - f.lpad(), 0,
+            grid.shape()[d] - 1);
+      }
+      out.push_back(value(g));
+    }
+  }
+  return out;
+}
+
+bool same_bytes(const Function& f, const std::vector<float>& expected) {
+  const auto raw = f.raw_storage();
+  return raw.size() == expected.size() &&
+         std::memcmp(raw.data(), expected.data(),
+                     expected.size() * sizeof(float)) == 0;
+}
+
+// init, fill and init_damp must write exactly the per-point reference.
+// Returns a description of the first mismatch (empty when all match), so
+// forked ranks can report it by throwing.
+std::string check_initialisers(Function& f) {
+  const Grid& grid = f.grid();
+  f.init(pattern);
+  if (!same_bytes(f, reference_storage(f, pattern))) {
+    return f.name() + ": init differs from the per-point reference";
+  }
+  f.fill(-3.25F);
+  if (!same_bytes(f, reference_storage(f, [](std::span<const std::int64_t>) {
+                    return -3.25F;
+                  }))) {
+    return f.name() + ": fill differs from the per-point reference";
+  }
+  constexpr int kNbl = 3;
+  constexpr double kPeak = 2.5;
+  jitfd::models::init_damp(f, kNbl, kPeak);
+  if (!same_bytes(f, reference_storage(
+                         f, [&](std::span<const std::int64_t> g) {
+                           return damp_formula(grid, g, kNbl, kPeak);
+                         }))) {
+    return f.name() + ": init_damp differs from the per-point reference";
+  }
+  return {};
+}
+
+#ifdef _OPENMP
+// Sets the OpenMP team size of this thread's next parallel regions and
+// restores the previous one on scope exit.
+class OmpTeam {
+ public:
+  explicit OmpTeam(int threads) : previous_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~OmpTeam() { omp_set_num_threads(previous_); }
+  OmpTeam(const OmpTeam&) = delete;
+  OmpTeam& operator=(const OmpTeam&) = delete;
+
+ private:
+  int previous_;
+};
+#endif
+
+TEST(Function, FreshStorageIsZeroAndAligned) {
+  // Small fields come from the heap, large ones (>= kParallelCopyBytes)
+  // from fresh pages; both must read +0.0 everywhere, ghosts included.
+  // A freed block of the small field's allocation size is dirtied first,
+  // so storage that is not zeroed shows.
+  const Grid small({9, 7}, {1.0, 1.0});
+  const Grid large({67, 65, 63}, {1.0, 1.0, 1.0});
+  {
+    const std::vector<float> dirty(21 * 19 + 18, -1.0F);
+    ASSERT_EQ(dirty.back(), -1.0F);
+  }
+  const Function f("f", small, 4, /*padding=*/2);
+  ASSERT_EQ(f.raw_storage().size(), 21U * 19U);
+  const TimeFunction u("u", large, 4, /*time_order=*/2, /*padding=*/1);
+  ASSERT_GE(u.buffer_points() * static_cast<std::int64_t>(sizeof(float)),
+            jitfd::grid::kParallelCopyBytes);
+  for (const Function* fn : {static_cast<const Function*>(&f),
+                             static_cast<const Function*>(&u)}) {
+    const auto raw = fn->raw_storage();
+    const std::vector<float> zeros(raw.size(), 0.0F);
+    EXPECT_EQ(std::memcmp(raw.data(), zeros.data(), raw.size() * sizeof(float)),
+              0)
+        << fn->name();
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(raw.data()) %
+                  jitfd::grid::AlignedAlloc::kAlignment,
+              0U)
+        << fn->name();
+  }
+}
+
+TEST(Function, InitialisersMatchPerPointReference) {
+  // Odd 1-, 2- and 3-D extents, padding, and a saved TimeFunction whose
+  // every buffer must be written.
+  const Grid line({17}, {1.0});
+  const Grid plane({13, 11}, {1.0, 1.0});
+  const Grid box({9, 7, 5}, {1.0, 1.0, 1.0});
+  Function a("line", line, 2, /*padding=*/1);
+  Function b("plane", plane, 4);
+  Function c("box_padded", box, 2, /*padding=*/3);
+  TimeFunction d("saved", plane, 2, /*time_order=*/2, /*padding=*/1,
+                 /*save=*/5);
+  TimeFunction e("cycling", box, 4, /*time_order=*/1);
+  for (Function* f : std::initializer_list<Function*>{&a, &b, &c, &d, &e}) {
+    EXPECT_EQ(check_initialisers(*f), "");
+  }
+}
+
+TEST(Function, InitialisersMatchReferenceOnOmpTeamsOf1And4) {
+  // Fields of at least kParallelCopyBytes take the threaded row loop; the
+  // result must not depend on the team size.
+  const Grid grid({67, 65, 63}, {1.0, 1.0, 1.0});
+  for (const int threads : {1, 4}) {
+#ifdef _OPENMP
+    const OmpTeam team(threads);
+#endif
+    Function f("big" + std::to_string(threads), grid, 4, /*padding=*/1);
+    TimeFunction u("big_u" + std::to_string(threads), grid, 2,
+                   /*time_order=*/2);
+    ASSERT_GE(f.buffer_points() * static_cast<std::int64_t>(sizeof(float)),
+              jitfd::grid::kParallelCopyBytes);
+    EXPECT_EQ(check_initialisers(f), "");
+    EXPECT_EQ(check_initialisers(u), "");
+  }
+}
+
+TEST(Function, InitCallbackErrorReachesCaller) {
+  // A callback that throws inside the threaded row loop must surface as
+  // that exception in the caller, not terminate the process.
+  const Grid grid({67, 65, 63}, {1.0, 1.0, 1.0});
+#ifdef _OPENMP
+  const OmpTeam team(4);
+#endif
+  Function f("f", grid, 4);
+  EXPECT_THROW(f.init([](std::span<const std::int64_t> g) -> float {
+    if (g[0] == 40) {
+      throw std::runtime_error("bad coordinate");
+    }
+    return 1.0F;
+  }),
+               std::runtime_error);
+}
+
+TEST(Function, InitialisersClampGhostsOnUnevenRanks) {
+  // 4 thread ranks over an uneven 2x2x1 split (11 -> 6+5, 10 -> 5+5): ghosts
+  // facing a neighbour take the neighbour's coordinates, ghosts past the
+  // physical boundary the clamped edge ones.
+  smpi::launch({.nranks = 4, .transport = smpi::TransportKind::Threads},
+               [](smpi::Communicator& comm) {
+                 const Grid g({11, 10, 7}, {1.0, 1.0, 1.0}, comm, {2, 2, 1});
+                 Function f("f", g, 4, /*padding=*/1);
+                 EXPECT_EQ(check_initialisers(f), "")
+                     << "rank " << comm.rank();
+               });
+}
+
+TEST(Function, RowWiseAccessMatchesPointAccess) {
+  // norm2, gather and fill_global_box against sums and reads made point
+  // by point through at_local, on an uneven distributed 3-D grid.
+  smpi::launch(
+      {.nranks = 4, .transport = smpi::TransportKind::Threads},
+      [](smpi::Communicator& comm) {
+        const Grid g({11, 10, 7}, {1.0, 1.0, 1.0}, comm, {2, 2, 1});
+        Function f("f", g, 2, /*padding=*/2);
+        f.init(pattern);
+        const std::array<std::int64_t, 3> lo{3, 2, 1};
+        const std::array<std::int64_t, 3> hi{8, 9, 5};
+        f.fill_global_box(0, lo, hi, 7.5F);
+        const auto& shape = g.local_shape();
+        double sum = 0.0;
+        std::array<std::int64_t, 3> i{};
+        for (i[0] = 0; i[0] < shape[0]; ++i[0]) {
+          for (i[1] = 0; i[1] < shape[1]; ++i[1]) {
+            for (i[2] = 0; i[2] < shape[2]; ++i[2]) {
+              std::array<std::int64_t, 3> gi{};
+              bool in_box = true;
+              for (std::size_t d = 0; d < 3; ++d) {
+                gi[d] = g.local_start(static_cast<int>(d)) + i[d];
+                in_box = in_box && gi[d] >= lo[d] && gi[d] < hi[d];
+              }
+              const float v = f.at_local(0, i);
+              EXPECT_EQ(v, in_box ? 7.5F : pattern(gi));
+              const double dv = v;
+              sum += dv * dv;
+            }
+          }
+        }
+        std::vector<double> total{sum};
+        comm.allreduce(std::span<double>(total), smpi::ReduceOp::Sum);
+        // Rank-order reduction of the same per-rank row-major sums.
+        EXPECT_EQ(f.norm2(0), total[0]);
+        const std::vector<float> global = f.gather(0);
+        if (comm.rank() == 0) {
+          ASSERT_EQ(global.size(), 11U * 10U * 7U);
+          std::size_t k = 0;
+          std::array<std::int64_t, 3> gi{};
+          for (gi[0] = 0; gi[0] < 11; ++gi[0]) {
+            for (gi[1] = 0; gi[1] < 10; ++gi[1]) {
+              for (gi[2] = 0; gi[2] < 7; ++gi[2]) {
+                bool in_box = true;
+                for (std::size_t d = 0; d < 3; ++d) {
+                  in_box = in_box && gi[d] >= lo[d] && gi[d] < hi[d];
+                }
+                EXPECT_EQ(global[k++], in_box ? 7.5F : pattern(gi));
+              }
+            }
+          }
+        }
+      });
+}
+
+TEST(Function, ParallelFillBeforeProcessLaunch) {
+  // The parent fills a >= 1 MiB field on a 4-thread OpenMP team, then
+  // forks ranks that construct and fill their own. A forked child keeps
+  // libgomp's record of that team but not its threads, so a child whose
+  // next parallel region asked for them would hang; process ranks run
+  // 1-thread teams. Forked ranks report failures by throwing.
+  const Grid serial({67, 65, 63}, {1.0, 1.0, 1.0});
+  Function parent("parent", serial, 4);
+  {
+#ifdef _OPENMP
+    const OmpTeam team(4);
+#endif
+    parent.fill(1.5F);
+    smpi::launch(
+        {.nranks = 2, .transport = smpi::TransportKind::ProcessShm},
+        [](smpi::Communicator& comm) {
+          const Grid g({96, 64, 64}, {1.0, 1.0, 1.0}, comm, {2, 1, 1});
+          Function f("f", g, 4);
+          if (f.buffer_points() * static_cast<std::int64_t>(sizeof(float)) <
+              jitfd::grid::kParallelCopyBytes) {
+            throw std::logic_error("rank field below the threaded size");
+          }
+          const std::string mismatch = check_initialisers(f);
+          if (!mismatch.empty()) {
+            throw std::runtime_error("rank " + std::to_string(comm.rank()) +
+                                     ": " + mismatch);
+          }
+        });
+  }
+  EXPECT_TRUE(same_bytes(parent, reference_storage(
+                                     parent, [](std::span<const std::int64_t>) {
+                                       return 1.5F;
+                                     })));
 }
 
 }  // namespace
