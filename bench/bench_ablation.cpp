@@ -18,6 +18,7 @@
 namespace {
 
 using jitfd::core::Operator;
+namespace core = jitfd::core;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
 namespace ir = jitfd::ir;
@@ -48,7 +49,7 @@ void jit_kernel(benchmark::State& state, bool flop_reduce,
     opts.tile = {tile, 0};
   }
   auto op = model.make_operator(opts);
-  op->set_default_backend(Operator::Backend::Jit);
+  op->set_default_backend(core::Backend::Jit);
   const double dt = model.critical_dt();
   std::int64_t time = 0;
   // JIT outside the timed loop.

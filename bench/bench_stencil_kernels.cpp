@@ -28,6 +28,7 @@
 namespace {
 
 using jitfd::core::Operator;
+namespace core = jitfd::core;
 using jitfd::grid::Grid;
 
 constexpr std::int64_t kEdge = 48;
@@ -43,7 +44,7 @@ bool have_cc() {
 
 template <typename Model>
 benchutil::MeasuredSeries run_kernel(const std::string& name,
-                                     Operator::Backend backend, int so,
+                                     core::Backend backend, int so,
                                      int reps,
                                      std::int64_t health_interval = 0,
                                      std::vector<std::int64_t> tile = {}) {
@@ -103,8 +104,8 @@ int main(int argc, char** argv) {
   using jitfd::models::ElasticModel;
   using jitfd::models::TtiModel;
   using jitfd::models::ViscoelasticModel;
-  constexpr auto kInterp = Operator::Backend::Interpret;
-  constexpr auto kJit = Operator::Backend::Jit;
+  constexpr auto kInterp = core::Backend::Interpret;
+  constexpr auto kJit = core::Backend::Jit;
 
   std::vector<benchutil::MeasuredSeries> rows;
   rows.push_back(

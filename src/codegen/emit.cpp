@@ -163,7 +163,223 @@ class Emitter {
       line("const float " + n.target.node().name + " = " +
            expr(n.value, 0) + ";");
     } else {
-      line(field_access(n.target.node()) + " = " + expr(n.value, 0) + ";");
+      const std::string target = field_access(n.target.node());
+      line(target + " = " + expr(n.value, 0) + ";");
+      if (active_ != nullptr) {
+        line(row_flag(write_index(n.target.node())) + " |= jitfd_bits(" +
+             target + ");");
+      }
+    }
+  }
+
+  // --- Active-box stepping ----------------------------------------------------
+  //
+  // A tagged cluster nest sweeps the compute box (jitfd_<v>lo/hi: its
+  // tracked reads' boxes dilated by their radii, joined with the written
+  // buffers' old boxes, clipped to the nest bounds). Each innermost row
+  // ORs the bits it wrote per written buffer; a row with any set scans in
+  // from both ends for its first and last nonzero bit pattern and widens
+  // that buffer's written box (jitfd_w<k>_<v>lo/hi, reduced across the
+  // team). The boxes go back to the header tables before anything after
+  // the nest (a sparse callback, the next cluster) runs.
+
+  static std::string row_flag(std::size_t k) {
+    return "jitfd_o" + std::to_string(k);
+  }
+  static std::string written_bound(std::size_t k, int d, const char* end) {
+    return "jitfd_w" + std::to_string(k) + "_" + dim_var(d) + end;
+  }
+  static std::string box_bound(int d, const char* end) {
+    return std::string("jitfd_") + dim_var(d) + end;
+  }
+
+  /// Position of the written (field, time offset) in the active cluster.
+  std::size_t write_index(const sym::ExprNode& target) const {
+    const auto& w = active_->writes;
+    for (std::size_t k = 0; k < w.size(); ++k) {
+      if (w[k].field_id == target.field.id &&
+          w[k].time_offset == target.time_offset) {
+        return k;
+      }
+    }
+    return w.size();  // Unreachable: lowering lists every write.
+  }
+
+  /// `jitfd_ab_<f> + <buffer> * 2nd`: the header-table entry of one buffer.
+  std::string box_entry(const ir::HaloNeed& b) const {
+    const grid::Function& fn = fields_->at(b.field_id);
+    std::string at = "jitfd_ab_" + fn.name();
+    if (fn.field_id().time_varying) {
+      at += " + " + std::to_string(2 * grid_->ndims()) + " * " +
+            time_var(fn.time_buffers(), b.time_offset, fn.saved());
+    }
+    return at;
+  }
+
+  /// A C compound literal `(const long[]){a, b, ...}`.
+  static std::string long_list(const std::vector<std::string>& items) {
+    std::string out = "(const long[]){";
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      out += (i > 0 ? ", " : "") + items[i];
+    }
+    return out + "}";
+  }
+
+  /// Nest bounds of a cluster root, per dimension (lo, hi) pairs.
+  std::vector<std::string> nest_bounds(const ir::Node& root) const {
+    std::vector<std::string> bounds;
+    const ir::Node* n = &root;
+    while (n->type == ir::NodeType::BlockLoop) {
+      n = n->body.front().get();
+    }
+    for (; n != nullptr && n->type == ir::NodeType::Iteration;
+         n = n->body.empty() ? nullptr : n->body.front().get()) {
+      const auto d = static_cast<std::size_t>(n->dim);
+      const std::int64_t size = grid_->local_shape()[d];
+      bounds.push_back(std::to_string(
+          n->lo.resolve_lo(size, grid_->has_neighbor_low(n->dim))));
+      bounds.push_back(std::to_string(
+          n->hi.resolve_hi(size, grid_->has_neighbor_high(n->dim))));
+    }
+    return bounds;
+  }
+
+  void emit_active_nest(const ir::Node& n, bool in_core) {
+    const ir::ClusterActivity& act =
+        info_->activity_clusters[static_cast<std::size_t>(n.cluster)];
+    const int nd = grid_->ndims();
+    const std::vector<std::string> bounds = nest_bounds(n);
+    line("{");
+    ++indent_;
+    line("/* active box: cluster " + std::to_string(n.cluster) + " */");
+    std::string empty;
+    for (int d = 0; d < nd; ++d) {
+      empty += std::string(d > 0 ? ", " : "") + "LONG_MAX, LONG_MIN";
+    }
+    line("long jitfd_cb[" + std::to_string(2 * nd) + "] = {" + empty + "};");
+    const auto join = [&](const ir::HaloNeed& b) {
+      std::vector<std::string> radius(static_cast<std::size_t>(nd), "0");
+      for (std::size_t d = 0; d < b.widths.size(); ++d) {
+        radius[d] = std::to_string(b.widths[d]);
+      }
+      line("jitfd_box_join(jitfd_cb, " + box_entry(b) + ", " +
+           std::to_string(nd) + ", " +
+           std::to_string(fields_->at(b.field_id).lpad()) + ", " +
+           long_list(radius) + ");");
+    };
+    for (const auto* list : {&act.reads, &act.writes}) {
+      for (const ir::HaloNeed& b : *list) {
+        join(b);
+      }
+    }
+    for (int d = 0; d < nd; ++d) {
+      const auto ud = static_cast<std::size_t>(d);
+      const std::string& lo = bounds[2 * ud];
+      const std::string& hi = bounds[2 * ud + 1];
+      const std::string c_lo = "jitfd_cb[" + std::to_string(2 * d) + "]";
+      const std::string c_hi = "jitfd_cb[" + std::to_string(2 * d + 1) + "]";
+      line("const long " + box_bound(d, "lo") + " = " + c_lo + " > " + lo +
+           " ? " + c_lo + " : " + lo + ";");
+      line("const long " + box_bound(d, "hi") + " = " + c_hi + " < " + hi +
+           " ? " + c_hi + " : " + hi + ";");
+    }
+    for (std::size_t k = 0; k < act.writes.size(); ++k) {
+      std::string decl;
+      for (int d = 0; d < nd; ++d) {
+        decl += std::string(d > 0 ? ", " : "") + written_bound(k, d, "lo") +
+                " = LONG_MAX, " + written_bound(k, d, "hi") + " = LONG_MIN";
+      }
+      line("long " + decl + ";");
+    }
+    active_ = &act;
+    if (n.type == ir::NodeType::BlockLoop) {
+      emit_block_loop(n, in_core);
+    } else {
+      emit_loop(n, in_core);
+    }
+    active_ = nullptr;
+    for (std::size_t k = 0; k < act.writes.size(); ++k) {
+      std::vector<std::string> w;
+      for (int d = 0; d < nd; ++d) {
+        w.push_back(written_bound(k, d, "lo"));
+        w.push_back(written_bound(k, d, "hi"));
+      }
+      line("jitfd_box_store(" + box_entry(act.writes[k]) + ", " +
+           std::to_string(nd) + ", " +
+           std::to_string(fields_->at(act.writes[k].field_id).lpad()) + ", " +
+           long_list(bounds) + ", " + long_list(w) + ");");
+    }
+    --indent_;
+    line("}");
+  }
+
+  /// min/max reductions of the written boxes, for the team-parallel loop
+  /// of an active nest (rows are folded in inside it unless the nest is
+  /// one-dimensional).
+  std::string written_reductions() const {
+    if (active_ == nullptr || grid_->ndims() < 2) {
+      return "";
+    }
+    std::string lo;
+    std::string hi;
+    for (std::size_t k = 0; k < active_->writes.size(); ++k) {
+      for (int d = 0; d < grid_->ndims(); ++d) {
+        lo += (lo.empty() ? "" : ",") + written_bound(k, d, "lo");
+        hi += (hi.empty() ? "" : ",") + written_bound(k, d, "hi");
+      }
+    }
+    return " reduction(min:" + lo + ") reduction(max:" + hi + ")";
+  }
+
+  /// After an active nest's innermost loop: each written buffer whose row
+  /// flag is set scans for the row's first and last nonzero bit pattern.
+  void emit_row_fold(const ir::Node& inner) {
+    const int nd = grid_->ndims();
+    const int in = nd - 1;
+    const std::string v = dim_var(in);
+    const std::string lo = box_bound(in, "lo");
+    const std::string hi = box_bound(in, "hi");
+    for (std::size_t k = 0; k < active_->writes.size(); ++k) {
+      const ir::HaloNeed& w = active_->writes[k];
+      // The innermost statement writing this buffer names the element.
+      std::string at;
+      for (const ir::NodePtr& s : inner.body) {
+        if (s->target.kind() == sym::Kind::FieldAccess &&
+            s->target.node().field.id == w.field_id &&
+            s->target.node().time_offset == w.time_offset) {
+          at = field_access(s->target.node());
+        }
+      }
+      const std::string zero = "jitfd_bits(" + at + ") == 0";
+      line("if (" + row_flag(k) + " != 0)");
+      line("{");
+      ++indent_;
+      line("long " + v + " = " + lo + ";");
+      line("while (" + v + " < " + hi + " && " + zero + ") { " + v +
+           " += 1; }");
+      line("if (" + v + " < " + hi + ")");
+      line("{");
+      ++indent_;
+      const auto widen = [&](int d, const std::string& at_lo,
+                             const std::string& at_hi) {
+        const std::string wl = written_bound(k, d, "lo");
+        const std::string wh = written_bound(k, d, "hi");
+        line("if (" + at_lo + " < " + wl + ") { " + wl + " = " + at_lo +
+             "; }");
+        line("if (" + at_hi + " > " + wh + ") { " + wh + " = " + at_hi +
+             "; }");
+      };
+      line("const long jitfd_first = " + v + ";");
+      line(v + " = " + hi + " - 1;");
+      line("while (" + zero + ") { " + v + " -= 1; }");
+      widen(in, "jitfd_first", v + " + 1");
+      for (int d = 0; d < in; ++d) {
+        widen(d, dim_var(d), std::string(dim_var(d)) + " + 1");
+      }
+      --indent_;
+      line("}");
+      --indent_;
+      line("}");
     }
   }
 
@@ -268,25 +484,38 @@ class Emitter {
         n.hi.resolve_hi(size, grid_->has_neighbor_high(n.dim));
     const std::string v = dim_var(n.dim);
 
+    const bool row = active_ != nullptr && n.props.vector;
+    std::string row_reduction;
+    if (row) {
+      std::string flags;
+      for (std::size_t k = 0; k < active_->writes.size(); ++k) {
+        flags += (k > 0 ? "," : "") + row_flag(k);
+        line("unsigned int " + row_flag(k) + " = 0;");
+      }
+      row_reduction = " reduction(|:" + flags + ")";
+    }
     if (n.props.parallel && opts_->openmp) {
       if (opts_->lang == ir::Lang::OpenMP) {
         line(n.props.vector ? "#pragma omp parallel for simd schedule(static)" +
-                                  simd_clauses(n)
-                            : "#pragma omp parallel for schedule(static)");
+                                  simd_clauses(n) + row_reduction
+                            : "#pragma omp parallel for schedule(static)" +
+                                  written_reductions());
       } else {
         line("#pragma acc parallel loop collapse(" +
              std::to_string(grid_->ndims()) + ") present(" + acc_present_ +
              ")");
       }
     } else if (n.props.vector && opts_->lang == ir::Lang::OpenMP) {
-      line("#pragma omp simd" + simd_clauses(n));
+      line("#pragma omp simd" + simd_clauses(n) + row_reduction);
     }
 
     // Inside an enclosing tile loop over the same dimension, execute the
     // intersection of this loop's bounds with the active tile window
     // (widened by tile_expand for time-tiled sub-steps).
-    std::string lo_s = std::to_string(lo);
-    std::string hi_s = std::to_string(hi);
+    std::string lo_s =
+        active_ != nullptr ? box_bound(n.dim, "lo") : std::to_string(lo);
+    std::string hi_s =
+        active_ != nullptr ? box_bound(n.dim, "hi") : std::to_string(hi);
     const auto win = block_win_.find(n.dim);
     if (win != block_win_.end()) {
       const std::string& bv = win->second.first;
@@ -313,6 +542,9 @@ class Emitter {
     }
     --indent_;
     line("}");
+    if (row) {
+      emit_row_fold(n);
+    }
   }
 
   void emit_block_loop(const ir::Node& n, bool in_core) {
@@ -325,14 +557,19 @@ class Emitter {
     const std::string bv = std::string(dim_var(n.dim)) + "b";
     if (n.props.parallel && opts_->openmp) {
       if (opts_->lang == ir::Lang::OpenMP) {
-        line("#pragma omp parallel for schedule(static)");
+        line("#pragma omp parallel for schedule(static)" +
+             written_reductions());
       } else {
         line("#pragma acc parallel loop present(" + acc_present_ + ")");
       }
     }
-    line("for (long " + bv + " = " + std::to_string(lo) + "; " + bv + " < " +
-         std::to_string(hi) + "; " + bv + " += " + std::to_string(n.tile) +
-         ")");
+    // An active nest walks tiles over the compute box: every point is
+    // computed independently, so the shifted windows change no value.
+    line("for (long " + bv + " = " +
+         (active_ != nullptr ? box_bound(n.dim, "lo") : std::to_string(lo)) +
+         "; " + bv + " < " +
+         (active_ != nullptr ? box_bound(n.dim, "hi") : std::to_string(hi)) +
+         "; " + bv + " += " + std::to_string(n.tile) + ")");
     line("{");
     ++indent_;
     if (in_core && opts_->mode == ir::MpiMode::Full) {
@@ -484,10 +721,14 @@ class Emitter {
         emit_expression(n);
         return;
       case ir::NodeType::Iteration:
-        emit_loop(n, in_core);
-        return;
       case ir::NodeType::BlockLoop:
-        emit_block_loop(n, in_core);
+        if (n.cluster >= 0 && info_->activity) {
+          emit_active_nest(n, in_core);
+        } else if (n.type == ir::NodeType::Iteration) {
+          emit_loop(n, in_core);
+        } else {
+          emit_block_loop(n, in_core);
+        }
         return;
       case ir::NodeType::HaloComm:
         emit_halo_comm(n);
@@ -520,12 +761,79 @@ class Emitter {
   std::string acc_present_;
   /// Active tile windows: dim -> (block variable name, tile size).
   std::map<int, std::pair<std::string, std::int64_t>> block_win_;
+  /// The cluster whose nest is being emitted with active-box stepping.
+  const ir::ClusterActivity* active_ = nullptr;
 };
+
+/// Helpers of kernels with active-box stepping (DESIGN.md). A buffer's box
+/// is one [lo, hi) pair of padded indices per dimension, in the table the
+/// Function keeps below the field pointer; every value outside it is +0.
+constexpr const char* kActivityHelpers = R"(/* Bit pattern of a float: -0, subnormals and NaN all count as nonzero. */
+static inline unsigned int jitfd_bits(float v)
+{
+  union { float f; unsigned int u; } b;
+  b.f = v;
+  return b.u;
+}
+
+/* Join box b, shifted by -pad into loop coordinates and dilated by r,
+   into the compute box c; an empty b joins nothing. */
+static void jitfd_box_join(long* c, const long* b, int nd, long pad,
+                           const long* r)
+{
+  for (int d = 0; d < nd; ++d) {
+    if (b[2 * d] >= b[2 * d + 1]) {
+      return;
+    }
+  }
+  for (int d = 0; d < nd; ++d) {
+    const long lo = b[2 * d] - pad - r[d];
+    const long hi = b[2 * d + 1] - pad + r[d];
+    c[2 * d] = lo < c[2 * d] ? lo : c[2 * d];
+    c[2 * d + 1] = hi > c[2 * d + 1] ? hi : c[2 * d + 1];
+  }
+}
+
+/* Store in box b the box w (loop coordinates) of the nonzero values a
+   nest over n wrote. Old nonzeros outside n (ghosts) survive. */
+static void jitfd_box_store(long* b, int nd, long pad, const long* n,
+                            const long* w)
+{
+  int old_empty = 0;
+  int inside = 1;
+  int w_empty = 0;
+  long out[6];
+  for (int d = 0; d < nd; ++d) {
+    old_empty |= b[2 * d] >= b[2 * d + 1];
+    inside &= b[2 * d] >= n[2 * d] + pad && b[2 * d + 1] <= n[2 * d + 1] + pad;
+    w_empty |= w[2 * d] >= w[2 * d + 1];
+  }
+  int empty = 0;
+  for (int d = 0; d < nd; ++d) {
+    out[2 * d] = w_empty ? LONG_MAX : w[2 * d] + pad;
+    out[2 * d + 1] = w_empty ? LONG_MIN : w[2 * d + 1] + pad;
+    if (!old_empty && !inside) {
+      out[2 * d] = b[2 * d] < out[2 * d] ? b[2 * d] : out[2 * d];
+      out[2 * d + 1] = b[2 * d + 1] > out[2 * d + 1] ? b[2 * d + 1] : out[2 * d + 1];
+    }
+    empty |= out[2 * d] >= out[2 * d + 1];
+  }
+  for (int d = 0; d < nd; ++d) {
+    b[2 * d] = empty ? 0 : out[2 * d];
+    b[2 * d + 1] = empty ? 0 : out[2 * d + 1];
+  }
+}
+
+)";
 
 std::string Emitter::run(const ir::NodePtr& iet) {
   out_ << "/* Generated by jitfd (" << to_string(opts_->mode)
        << " mode). Do not edit. */\n";
-  out_ << "#include <math.h>\n\n";
+  out_ << "#include <math.h>\n";
+  if (info_->activity) {
+    out_ << "#include <limits.h>\n";
+  }
+  out_ << '\n';
   out_ << "typedef struct jitfd_halo_ops {\n"
           "  void (*update)(void* ctx, int spot, long time);\n"
           "  void (*start)(void* ctx, int spot, long time);\n"
@@ -537,6 +845,9 @@ std::string Emitter::run(const ir::NodePtr& iet) {
           "                 long inf_count, double min, double max,\n"
           "                 double l2sq);\n"
           "} jitfd_halo_ops;\n\n";
+  if (info_->activity) {
+    out_ << kActivityHelpers;
+  }
   out_ << "int " << kKernelSymbol
        << "(float** restrict fields, const double* restrict scalars,\n"
           "           long time_m, long time_M, void* hctx,\n"
@@ -573,6 +884,23 @@ std::string Emitter::run(const ir::NodePtr& iet) {
       present << fn.name();
     }
     acc_present_ = present.str();
+    // Box tables of the tracked fields, below their storage starts.
+    std::set<int> tracked;
+    for (const ir::ClusterActivity& c : info_->activity_clusters) {
+      for (const auto* list : {&c.reads, &c.writes}) {
+        for (const ir::HaloNeed& b : *list) {
+          tracked.insert(b.field_id);
+        }
+      }
+    }
+    for (std::size_t i = 0; i < info_->field_order.size(); ++i) {
+      const grid::Function& fn = fields_->at(info_->field_order[i]);
+      if (tracked.count(fn.field_id().id) > 0) {
+        line("long* restrict jitfd_ab_" + fn.name() + " = (long*)fields[" +
+             std::to_string(i) + "] - " +
+             std::to_string(fn.activity_table_offset()) + ";");
+      }
+    }
   }
   out_ << '\n';
 

@@ -250,6 +250,11 @@ std::string Operator::describe() const {
   } else if (!info_.time_tile_clamp_reason.empty()) {
     os << ", time tiling off (" << info_.time_tile_clamp_reason << ")";
   }
+  if (info_.activity) {
+    os << ", active-box stepping";
+  } else {
+    os << ", active-box stepping off (" << info_.activity_reason << ")";
+  }
   os << "\n  fields:";
   for (const grid::Function* f : fields_.all()) {
     os << ' ' << f->name() << (f->field_id().time_varying
@@ -451,8 +456,16 @@ void Operator::run_jit(std::int64_t time_m, std::int64_t time_M,
   }
   std::vector<float*> field_ptrs;
   field_ptrs.reserve(info_.field_order.size());
+  // kernel_buffer, not buffer: a kernel with active-box code keeps the
+  // boxes below these pointers true itself, so binding must not mark them
+  // full. One without it writes without tracking where.
   for (const int id : info_.field_order) {
-    field_ptrs.push_back(fields_.at(id).buffer(0));
+    field_ptrs.push_back(fields_.at(id).kernel_buffer(0));
+  }
+  if (!info_.activity) {
+    for (const ir::Eq& eq : eqs_) {
+      fields_.at(eq.write_field().id).mark_active();
+    }
   }
   std::vector<double> scalar_vals;
   scalar_vals.reserve(info_.scalar_order.size());

@@ -95,8 +95,6 @@ struct RunSummary {
 
 class Operator {
  public:
-  using Backend = ::jitfd::core::Backend;  ///< Compat alias.
-
   /// Builds and lowers the operator. Functions referenced by the
   /// equations are resolved through the field registry, so they must be
   /// alive (and stay alive for the Operator's lifetime).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -145,21 +146,22 @@ bool localize(const Grid& grid, std::span<const std::int64_t> g,
 
 }  // namespace
 
-float* AlignedAlloc::allocate(std::size_t n) {
-  // calloc has no aligned variant: over-allocate, round the start up, and
-  // keep the block's own address in the word below the aligned pointer.
-  constexpr std::size_t kSlack = kAlignment + sizeof(void*);
-  if (n > (std::numeric_limits<std::size_t>::max() - kSlack) / sizeof(float)) {
+float* AlignedAlloc::allocate(std::size_t n, std::size_t header) {
+  // calloc has no aligned variant: over-allocate, round the start of the
+  // header up, and keep the block's own address in the header's last
+  // word, just below the aligned pointer.
+  assert(header >= sizeof(void*) && header % kAlignment == 0);
+  const std::size_t slack = header + kAlignment;
+  if (n > (std::numeric_limits<std::size_t>::max() - slack) / sizeof(float)) {
     throw std::bad_alloc();
   }
-  void* block = std::calloc(1, n * sizeof(float) + kSlack);
+  void* block = std::calloc(1, n * sizeof(float) + slack);
   if (block == nullptr) {
     throw std::bad_alloc();
   }
-  const std::uintptr_t start =
-      reinterpret_cast<std::uintptr_t>(block) + sizeof(void*);
+  const std::uintptr_t start = reinterpret_cast<std::uintptr_t>(block);
   const std::uintptr_t aligned =
-      (start + kAlignment - 1) & ~std::uintptr_t{kAlignment - 1};
+      ((start + kAlignment - 1) & ~std::uintptr_t{kAlignment - 1}) + header;
   auto* p = reinterpret_cast<float*>(aligned);
   std::memcpy(reinterpret_cast<char*>(p) - sizeof(void*), &block,
               sizeof(void*));
@@ -174,6 +176,15 @@ void AlignedAlloc::operator()(float* p) const noexcept {
   std::memcpy(&block, reinterpret_cast<const char*>(p) - sizeof(void*),
               sizeof(void*));
   std::free(block);
+}
+
+bool ActivityBox::empty(int ndims) const {
+  for (std::size_t d = 0; d < static_cast<std::size_t>(ndims); ++d) {
+    if (lo[d] >= hi[d]) {
+      return true;
+    }
+  }
+  return false;
 }
 
 Function::Function(std::string name, const Grid& grid, int space_order,
@@ -213,7 +224,15 @@ Function::Function(std::string name, const Grid& grid, int space_order,
   }
   storage_size_ = static_cast<std::size_t>(buffer_points_) *
                   static_cast<std::size_t>(buffers_);
-  storage_.reset(AlignedAlloc::allocate(storage_size_));
+  // The box table (two int64 per buffer and dimension) plus the block
+  // word, rounded up to whole cache lines. calloc zeroes it: every box
+  // starts empty.
+  const std::size_t table_bytes = 2 * sizeof(std::int64_t) *
+                                  padded_shape_.size() *
+                                  static_cast<std::size_t>(buffers_);
+  header_bytes_ = (table_bytes + sizeof(void*) + AlignedAlloc::kAlignment - 1) /
+                  AlignedAlloc::kAlignment * AlignedAlloc::kAlignment;
+  storage_.reset(AlignedAlloc::allocate(storage_size_, header_bytes_));
   {
     const std::lock_guard<std::mutex> lock(registry_mutex());
     registry().emplace(id_.id, this);
@@ -286,6 +305,11 @@ Function* lookup_field(int field_id) {
 }
 
 float* Function::buffer(int t) {
+  mark_active();
+  return kernel_buffer(t);
+}
+
+float* Function::kernel_buffer(int t) {
   assert(t >= 0 && t < buffers_);
   return storage_.get() + static_cast<std::size_t>(t) *
                               static_cast<std::size_t>(buffer_points_);
@@ -318,11 +342,64 @@ std::size_t Function::row_offset(int t,
 }
 
 float& Function::at_local(int t, std::span<const std::int64_t> idx) {
-  return storage_[local_linear(t, idx)];
+  const std::size_t linear = local_linear(t, idx);
+  widen_box(t, linear);
+  return storage_[linear];
 }
 
 float Function::at_local(int t, std::span<const std::int64_t> idx) const {
   return storage_[local_linear(t, idx)];
+}
+
+std::int64_t Function::activity_table_offset() const {
+  return static_cast<std::int64_t>(header_bytes_ / sizeof(std::int64_t));
+}
+
+std::int64_t* Function::box_table(int t) const {
+  assert(t >= 0 && t < buffers_);
+  auto* table = reinterpret_cast<std::int64_t*>(
+      reinterpret_cast<char*>(storage_.get()) - header_bytes_);
+  return table + static_cast<std::size_t>(t) * 2 * padded_shape_.size();
+}
+
+ActivityBox Function::activity(int t) const {
+  const std::int64_t* b = box_table(t);
+  ActivityBox box;
+  for (std::size_t d = 0; d < padded_shape_.size(); ++d) {
+    box.lo[d] = b[2 * d];
+    box.hi[d] = b[2 * d + 1];
+  }
+  return box;
+}
+
+void Function::set_box(int t, bool full) {
+  std::int64_t* b = box_table(t);
+  for (std::size_t d = 0; d < padded_shape_.size(); ++d) {
+    b[2 * d] = 0;
+    b[2 * d + 1] = full ? padded_shape_[d] : 0;
+  }
+}
+
+void Function::set_all_boxes(bool full) {
+  for (int t = 0; t < buffers_; ++t) {
+    set_box(t, full);
+  }
+}
+
+void Function::mark_active() { set_all_boxes(/*full=*/true); }
+
+void Function::widen_box(int t, std::size_t linear) {
+  std::int64_t* b = box_table(t);
+  const std::size_t nd = padded_shape_.size();
+  const bool was_empty = activity(t).empty(static_cast<int>(nd));
+  auto rest = static_cast<std::int64_t>(linear) -
+              static_cast<std::int64_t>(t) * buffer_points_;
+  for (std::size_t d = 0; d < nd; ++d) {
+    const std::int64_t c = rest / strides_[d];
+    rest %= strides_[d];
+    b[2 * d] = was_empty ? c : std::min(b[2 * d], c);
+    b[2 * d + 1] = was_empty ? c + 1 : std::max(b[2 * d + 1], c + 1);
+  }
 }
 
 void Function::fill(float v) {
@@ -331,9 +408,10 @@ void Function::fill(float v) {
                storage_size_ * sizeof(float) >= kParallelCopyBytes,
                [&](std::span<const std::int64_t>, std::int64_t r) {
                  for (int t = 0; t < buffers_; ++t) {
-                   std::fill_n(buffer(t) + r * row, row, v);
+                   std::fill_n(kernel_buffer(t) + r * row, row, v);
                  }
                });
+  set_all_boxes(/*full=*/std::bit_cast<std::uint32_t>(v) != 0);
 }
 
 void Function::fill_global_box(int t, std::span<const std::int64_t> lo,
@@ -358,6 +436,7 @@ void Function::fill_global_box(int t, std::span<const std::int64_t> lo,
                  std::fill_n(&storage_[local_linear(t, {idx.data(), nd})],
                              ext[nd - 1], v);
                });
+  set_box(t, /*full=*/true);
 }
 
 bool Function::set_global(int t, std::span<const std::int64_t> g, float v) {
@@ -365,7 +444,9 @@ bool Function::set_global(int t, std::span<const std::int64_t> g, float v) {
   if (!localize(*grid_, g, local)) {
     return false;
   }
-  storage_[local_linear(t, {local.data(), g.size()})] = v;
+  const std::size_t linear = local_linear(t, {local.data(), g.size()});
+  widen_box(t, linear);
+  storage_[linear] = v;
   return true;
 }
 
@@ -416,13 +497,14 @@ void Function::init_rows(
         for (std::size_t d = 0; d < outer.size(); ++d) {
           g[d] = clamped(d, outer[d]);
         }
-        float* dst = buffer(0) + r * row;
+        float* dst = kernel_buffer(0) + r * row;
         fn({g.data(), outer.size()}, inner,
            {dst, static_cast<std::size_t>(row)});
         for (int t = 1; t < buffers_; ++t) {
-          std::copy_n(dst, row, buffer(t) + r * row);
+          std::copy_n(dst, row, kernel_buffer(t) + r * row);
         }
       });
+  mark_active();
 }
 
 std::vector<float> Function::gather(int t) const {

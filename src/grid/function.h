@@ -13,6 +13,7 @@
 // slices are converted to rank-local ones and applied only where owned.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -34,13 +35,30 @@ namespace jitfd::grid {
 /// The memory comes from calloc, so allocating writes nothing: a large
 /// block is fresh anonymous pages, which the first parallel writer
 /// (fill/init) touches. Used as the deleter of the owning unique_ptr.
+///
+/// Below the returned pointer sits a zeroed header of `header` bytes (a
+/// multiple of kAlignment, so it starts 64-byte aligned). Its last word
+/// keeps the calloc block's own address; the words before it are free
+/// for the owner (Function keeps its activity-box table there).
 struct AlignedAlloc {
   static constexpr std::size_t kAlignment = 64;
 
-  /// `n` zero floats; throws std::bad_alloc.
-  static float* allocate(std::size_t n);
+  /// `n` zero floats after a zero `header`-byte header (a nonzero
+  /// multiple of kAlignment); throws std::bad_alloc.
+  static float* allocate(std::size_t n, std::size_t header);
   /// Frees a pointer returned by allocate (nullptr is a no-op).
   void operator()(float* p) const noexcept;
+};
+
+/// Where one time buffer of a Function can hold anything but +0: per
+/// dimension a half-open range [lo[d], hi[d]) of padded (raw storage)
+/// indices, ghosts included. Every value outside it is +0 bit for bit.
+/// Empty when lo[d] >= hi[d] along some dimension.
+struct ActivityBox {
+  std::array<std::int64_t, 3> lo{};
+  std::array<std::int64_t, 3> hi{};
+
+  bool empty(int ndims) const;
 };
 
 /// Volume threshold (bytes) from which field fills and halo copies split
@@ -130,37 +148,79 @@ class Function {
   std::int64_t buffer_points() const { return buffer_points_; }
 
   // --- Raw storage ----------------------------------------------------------
+  //
+  // Raw-pointer rule: the non-const buffer() and raw_storage() cannot see
+  // what is written through the pointers they return, so taking one marks
+  // every buffer's activity box full. The mark covers writes made before
+  // the next tracked step or fill(0): those may shrink the boxes again,
+  // and writing through an old pointer after them needs a fresh call.
 
-  /// Pointer to time buffer `t` (0 for plain Functions).
+  /// Pointer to time buffer `t` (0 for plain Functions). The non-const
+  /// overload marks every activity box full (see the raw-pointer rule).
   float* buffer(int t);
   const float* buffer(int t) const;
 
   /// The whole allocation (every buffer, ghosts included) — used for
-  /// checkpoint/restore (e.g. the communication-pattern autotuner).
-  std::span<float> raw_storage() { return {storage_.get(), storage_size_}; }
+  /// checkpoint/restore (e.g. the communication-pattern autotuner). The
+  /// non-const overload marks every activity box full.
+  std::span<float> raw_storage() {
+    mark_active();
+    return {storage_.get(), storage_size_};
+  }
   std::span<const float> raw_storage() const {
     return {storage_.get(), storage_size_};
   }
 
   /// Element access with *data-region-relative* local indices
   /// (idx[d] == 0 is the first owned point; negative indices reach into
-  /// the halo).
+  /// the halo). The non-const overload widens buffer `t`'s activity box
+  /// by the point.
   float& at_local(int t, std::span<const std::int64_t> idx);
   float at_local(int t, std::span<const std::int64_t> idx) const;
+
+  // --- Activity boxes ---------------------------------------------------------
+  //
+  // Every time buffer carries an ActivityBox, kept in a table in the
+  // allocation header just below buffer(0), so a generated kernel finds
+  // it from the field pointer it is handed. On serial grids the kernel
+  // sweeps only where its reads can be nonzero and stores the exact box
+  // of what it wrote (DESIGN.md, "Active-box stepping"). The mutators keep
+  // the boxes true: construction and fill(+0) empty them; set_global and
+  // the non-const at_local widen them by the point; every other mutator
+  // (fill with any other bit pattern, fill_global_box, init, init_rows,
+  // the non-const buffer() and raw_storage()) marks them full.
+
+  /// The box of time buffer `t`.
+  ActivityBox activity(int t) const;
+  /// Mark every buffer's box full: for writers that do not track where
+  /// they write (the interpreter marks the fields it writes once per run).
+  void mark_active();
+  /// Pointer to time buffer `t` that leaves the boxes alone, for writers
+  /// that keep them true themselves: the Operator binds generated kernels
+  /// through kernel_buffer(0), and the interpreter writes through it after
+  /// mark_active().
+  float* kernel_buffer(int t);
+  /// Words (int64) from buffer(0) back to the start of the box table:
+  /// buffer t's box along dimension d is the pair at table[(t * ndims +
+  /// d) * 2], lo then hi. Baked into generated kernels.
+  std::int64_t activity_table_offset() const;
 
   // --- Distributed (global-view) data access ---------------------------------
 
   /// Set every owned point (and ghost point) of every buffer to `v`.
   /// Fields of at least kParallelCopyBytes split their rows across the
-  /// OpenMP team, as does init.
+  /// OpenMP team, as does init. Empties the activity boxes when `v` is +0
+  /// and marks them full for any other bit pattern (-0 included).
   void fill(float v);
 
   /// Assign `v` over the global half-open box [lo, hi) — each rank writes
   /// only its owned intersection (the Listing 1 / Listing 2 semantics).
+  /// Marks buffer `t`'s activity box full.
   void fill_global_box(int t, std::span<const std::int64_t> lo,
                        std::span<const std::int64_t> hi, float v);
 
   /// Write one global point if owned by this rank; returns whether it was.
+  /// Widens buffer `t`'s activity box by the point.
   bool set_global(int t, std::span<const std::int64_t> g, float v);
 
   /// Read one global point; returns `fallback` when not owned locally.
@@ -171,7 +231,8 @@ class Function {
   /// domain) of every buffer from a callback over *global* coordinates.
   /// Intended for parameter fields (velocity/density models). `fn` may
   /// run concurrently on several threads and in any point order, so it
-  /// must be a pure function of its coordinates.
+  /// must be a pure function of its coordinates. Marks every activity
+  /// box full, as does init_rows.
   void init(const std::function<float(std::span<const std::int64_t>)>& fn);
 
   /// Row-wise form of init, one call per innermost row instead of per
@@ -225,6 +286,13 @@ class Function {
   /// Offset of the first point of the innermost row of buffer `t` at
   /// data-region-relative local indices `outer` (all but the last dim).
   std::size_t row_offset(int t, std::span<const std::int64_t> outer) const;
+  /// Buffer `t`'s (lo, hi) pairs in the header table, ndims pairs.
+  std::int64_t* box_table(int t) const;
+  /// Set buffer `t`'s box, or every buffer's, full (`full`) or empty.
+  void set_box(int t, bool full);
+  void set_all_boxes(bool full);
+  /// Widen buffer `t`'s box by the point at linear storage index `linear`.
+  void widen_box(int t, std::size_t linear);
 
   sym::FieldId id_;
   const Grid* grid_;
@@ -237,6 +305,7 @@ class Function {
   std::vector<std::int64_t> strides_;
   std::int64_t buffer_points_ = 0;
   std::size_t storage_size_ = 0;
+  std::size_t header_bytes_ = 0;  ///< Box table + block word, whole lines.
   std::unique_ptr<float[], AlignedAlloc> storage_;
 };
 

@@ -128,6 +128,10 @@ struct Node {
   // SparseOp:
   int sparse_id = -1;  ///< Runtime registration handle.
 
+  // Iteration / BlockLoop at the root of a cluster's loop nest when
+  // active-box stepping is on: index into LoweringInfo::activity_clusters.
+  int cluster = -1;
+
   // TimeLoop: steps per iteration (exchange_depth; 1 = plain stepping).
   std::int64_t time_stride = 1;
   // Section "substep": time shift of this sub-step within a strip.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -743,6 +744,297 @@ bool time_tile_buffers_ok(const std::vector<Cluster>& clusters, int k,
   return true;
 }
 
+/// Sign-of-zero facts about one subexpression when every tracked access
+/// reads +0. The sign bit is an affine form over GF(2): `bit` XOR the
+/// sign bits of the opaque quantities in `vars` (a symbol, a parameter
+/// access, or a subexpression whose sign is not derived).
+struct ZeroFact {
+  enum class Kind {
+    Zero,     ///< Exactly +0 or -0.
+    Free,     ///< Reads no tracked field: any finite value.
+    Unknown,  ///< Reads a tracked field, not proven zero.
+  };
+  Kind kind = Kind::Free;
+  bool bit = false;
+  std::set<int> vars;
+};
+
+/// Proves that a cluster leaves +0 where all its tracked reads are +0,
+/// bit for bit, as the generated C evaluates it (IEEE round to nearest, no
+/// reassociation; FMA contraction keeps the sign of an exact zero).
+/// Products of zeros take the XOR of the factor signs; a sum of zeros is
+/// -0 only when every term is -0, so it is +0 exactly when the terms'
+/// forms cannot all be 1 at once (Gaussian elimination over GF(2)).
+/// Coefficients are assumed finite: a non-finite one in the quiet region
+/// turns into NaN only when the front reaches it (DESIGN.md).
+class ZeroProof {
+ public:
+  ZeroProof(const std::set<int>& tracked,
+            const std::map<std::string, sym::Ex>& temps)
+      : tracked_(&tracked), temps_(&temps) {}
+
+  /// Empty when `rhs` is proven to be +0; otherwise why not.
+  std::string check(const sym::Ex& rhs) {
+    const ZeroFact f = fact(rhs);
+    if (!blocked_.empty()) {
+      return blocked_;
+    }
+    if (f.kind != ZeroFact::Kind::Zero) {
+      return "does not stay zero";
+    }
+    if (f.bit || !f.vars.empty()) {
+      return "may write -0";
+    }
+    return "";
+  }
+
+ private:
+  using Kind = ZeroFact::Kind;
+
+  int var(const std::string& key) {
+    return keys_.try_emplace(key, static_cast<int>(keys_.size())).first->second;
+  }
+  ZeroFact opaque(Kind kind, const std::string& key) {
+    return ZeroFact{kind, false, {var(key)}};
+  }
+  void block(std::string why) {
+    if (blocked_.empty()) {
+      blocked_ = std::move(why);
+    }
+  }
+
+  /// Can the forms all be 1 at once?
+  static bool all_one_feasible(const std::vector<ZeroFact>& forms) {
+    std::map<int, ZeroFact> pivots;  // leading (largest) var -> row
+    for (ZeroFact row : forms) {
+      row.bit = !row.bit;  // form == 1  <=>  XOR(vars) == !bit
+      while (!row.vars.empty()) {
+        const auto p = pivots.find(*row.vars.rbegin());
+        if (p == pivots.end()) {
+          break;
+        }
+        for (const int v : p->second.vars) {
+          if (!row.vars.erase(v)) {
+            row.vars.insert(v);
+          }
+        }
+        row.bit = row.bit != p->second.bit;
+      }
+      if (row.vars.empty()) {
+        if (row.bit) {
+          return false;  // 0 == 1
+        }
+        continue;
+      }
+      const int lead = *row.vars.rbegin();
+      pivots.emplace(lead, std::move(row));
+    }
+    return true;
+  }
+
+  ZeroFact fact(const sym::Ex& e) {
+    const auto hit = memo_.find(e.ptr().get());
+    if (hit != memo_.end()) {
+      return hit->second;
+    }
+    return memo_[e.ptr().get()] = derive(e);
+  }
+
+  ZeroFact derive(const sym::Ex& e) {
+    const sym::ExprNode& n = e.node();
+    switch (n.kind) {
+      case sym::Kind::Number:
+        return ZeroFact{n.value == 0.0 ? Kind::Zero : Kind::Free,
+                        n.value < 0.0, {}};
+      case sym::Kind::Symbol: {
+        const auto t = temps_->find(n.name);
+        return t == temps_->end() ? opaque(Kind::Free, "s:" + n.name)
+                                  : fact(t->second);
+      }
+      case sym::Kind::FieldAccess:
+        if (tracked_->count(n.field.id) > 0) {
+          return ZeroFact{Kind::Zero, false, {}};
+        }
+        return opaque(Kind::Free, "a:" + e.to_string());
+      case sym::Kind::Mul: {
+        ZeroFact out;
+        bool zero = false;
+        bool unknown = false;
+        for (const sym::Ex& a : n.args) {
+          const ZeroFact f = fact(a);
+          zero = zero || f.kind == Kind::Zero;
+          unknown = unknown || f.kind == Kind::Unknown;
+          out.bit = out.bit != f.bit;
+          for (const int v : f.vars) {
+            if (!out.vars.erase(v)) {
+              out.vars.insert(v);
+            }
+          }
+        }
+        out.kind = zero ? Kind::Zero : unknown ? Kind::Unknown : Kind::Free;
+        return out;
+      }
+      case sym::Kind::Add: {
+        std::vector<ZeroFact> terms;
+        bool all_zero = true;
+        bool any_tracked = false;
+        for (const sym::Ex& a : n.args) {
+          terms.push_back(fact(a));
+          all_zero = all_zero && terms.back().kind == Kind::Zero;
+          any_tracked = any_tracked || terms.back().kind != Kind::Free;
+        }
+        if (!all_zero) {
+          return opaque(any_tracked ? Kind::Unknown : Kind::Free,
+                        "e:" + e.to_string());
+        }
+        if (!all_one_feasible(terms)) {
+          return ZeroFact{Kind::Zero, false, {}};
+        }
+        const bool same = std::all_of(
+            terms.begin(), terms.end(), [&](const ZeroFact& f) {
+              return f.bit == terms.front().bit &&
+                     f.vars == terms.front().vars;
+            });
+        if (same) {
+          return terms.front();
+        }
+        // The sign is the AND of the terms' forms: a fresh opaque bit.
+        return opaque(Kind::Zero, "z:" + std::to_string(keys_.size()));
+      }
+      case sym::Kind::Pow: {
+        const ZeroFact base = fact(n.args[0]);
+        const sym::Ex& ex = n.args[1];
+        const bool integral =
+            ex.is_number() && ex.number() == std::floor(ex.number());
+        // A read of a tracked field may be 0 (or, when not proven zero,
+        // anything) where the front has not arrived: dividing by it or
+        // raising it to a fractional power may give inf or NaN there.
+        if (base.kind != Kind::Free &&
+            !(ex.is_number() && ex.number() > 0 &&
+              (integral || base.kind == Kind::Zero))) {
+          block("divides by a tracked field or takes a fractional power of "
+                "one");
+          return opaque(Kind::Unknown, "e:" + e.to_string());
+        }
+        if (!integral) {
+          // powf(+-0, y > 0) is +0; otherwise the sign is not derived.
+          return base.kind == Kind::Zero
+                     ? ZeroFact{Kind::Zero, false, {}}
+                     : opaque(base.kind, "e:" + e.to_string());
+        }
+        // x^k (expanded to products, or 1/products) has x's sign for odd
+        // k and is positive (or +0) for even k.
+        const bool odd = std::fmod(std::abs(ex.number()), 2.0) == 1.0;
+        return odd ? base : ZeroFact{base.kind, false, {}};
+      }
+      case sym::Kind::Call:
+        if (fact(n.args[0]).kind != Kind::Free) {
+          block("applies " + n.name + " to a tracked field");
+          return opaque(Kind::Unknown, "e:" + e.to_string());
+        }
+        return opaque(Kind::Free, "e:" + e.to_string());
+    }
+    return opaque(Kind::Unknown, "e:" + e.to_string());
+  }
+
+  const std::set<int>* tracked_;
+  const std::map<std::string, sym::Ex>* temps_;
+  std::map<std::string, int> keys_;
+  std::map<const sym::ExprNode*, ZeroFact> memo_;
+  std::string blocked_;  ///< The first construct the proof cannot pass.
+};
+
+/// Decides active-box stepping (LoweringInfo::activity) and records what
+/// the emitter needs per cluster. `eqs` are the equations as written, for
+/// the value-level fold; `clusters` carry the flop-reduced forms the
+/// kernel evaluates, for the sign proof.
+void plan_activity(const std::vector<Eq>& eqs,
+                   const std::vector<Cluster>& clusters,
+                   const grid::Grid& grid, const CompileOptions& opts,
+                   LoweringInfo& info) {
+  const auto off = [&](std::string why) {
+    info.activity = false;
+    info.activity_reason = std::move(why);
+    info.activity_clusters.clear();
+  };
+  if (grid.distributed()) {
+    return off("distributed grid (a neighbour's nonzero halo would need its "
+               "box exchanged)");
+  }
+  if (opts.lang != Lang::OpenMP) {
+    return off("OpenACC kernels keep full sweeps");
+  }
+  // Tracked: every field the operator writes, and every time-varying one.
+  // Parameter fields that are only read (m, damp) are never tracked.
+  std::set<int> tracked;
+  for (const Eq& eq : eqs) {
+    tracked.insert(eq.write_field().id);
+    for (const sym::Ex& a : sym::field_accesses(eq.rhs)) {
+      if (a.node().field.time_varying) {
+        tracked.insert(a.node().field.id);
+      }
+    }
+  }
+  // Value level: the right-hand side folds to 0 once every tracked access
+  // is 0 (a domain_error from pow(0, -k) means not proven).
+  for (const Eq& eq : eqs) {
+    std::vector<std::pair<sym::Ex, sym::Ex>> zeros;
+    for (const sym::Ex& a : sym::field_accesses(eq.rhs)) {
+      if (tracked.count(a.node().field.id) > 0) {
+        zeros.emplace_back(a, sym::Ex(0));
+      }
+    }
+    bool folds = false;
+    try {
+      folds = sym::substitute(eq.rhs, zeros).is_zero();
+    } catch (const std::domain_error&) {
+    }
+    if (!folds) {
+      return off("the update of '" + eq.write_field().name +
+                 "' is not zero-preserving (its right-hand side does not "
+                 "fold to 0 when the tracked fields are 0)");
+    }
+  }
+  // Bit level, on what the kernel evaluates: +0 in, +0 out.
+  std::map<std::string, sym::Ex> temps;
+  for (const sym::Temp& t : info.invariants) {
+    temps.emplace(t.name, t.value);
+  }
+  for (const Cluster& c : clusters) {
+    std::map<std::string, sym::Ex> scope = temps;
+    std::vector<sym::Ex> rhss;
+    for (const sym::Temp& t : c.point_temps) {
+      scope.emplace(t.name, t.value);
+      rhss.push_back(t.value);
+    }
+    ZeroProof proof(tracked, scope);
+    ClusterActivity act;
+    for (const Eq& eq : c.eqs) {
+      const std::string why = proof.check(eq.rhs);
+      if (!why.empty()) {
+        return off("the update of '" + eq.write_field().name +
+                   "' is not zero-preserving (" + why + " from +0 inputs)");
+      }
+      rhss.push_back(eq.rhs);
+      const HaloNeed w{eq.write_field().id, eq.write_time_offset(), {}};
+      if (std::find(act.writes.begin(), act.writes.end(), w) ==
+          act.writes.end()) {
+        act.writes.push_back(w);
+      }
+    }
+    for (const ReadFootprint& fp : read_footprints(rhss)) {
+      if (tracked.count(fp.field.id) == 0) {
+        continue;
+      }
+      for (const auto& [time_offset, widths] : fp.widths_by_time) {
+        act.reads.push_back(HaloNeed{fp.field.id, time_offset, widths});
+      }
+    }
+    info.activity_clusters.push_back(std::move(act));
+  }
+  info.activity = true;
+}
+
 bool is_reserved_temp_name(const std::string& name) {
   if (name.size() < 2 || name[0] != 'r') {
     return false;
@@ -850,6 +1142,12 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
   std::vector<HaloNeed> hoisted =
       ca.k > 1 ? ca.hoisted : analyze_halos(clusters, grid, opts.halo_opt);
   halo_span.close();
+
+  {
+    const obs::Span span("compile.activity", obs::Cat::Compile,
+                         static_cast<std::int64_t>(clusters.size()));
+    plan_activity(eqs, clusters, grid, opts, info);
+  }
 
   // Per-dimension cache tiling, and (when requested and legal) walking
   // strip sub-steps tile-by-tile for temporal reuse.
@@ -972,12 +1270,19 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
       }
     }
   } else {
-    for (const Cluster& c : clusters) {
+    for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
+      const Cluster& c = clusters[ci];
       if (!c.needs.empty()) {
         step.push_back(make_halo_spot(c.needs));
       }
-      step.push_back(
-          build_nest(c, nd, opts, domain_lo(nd), domain_hi(nd), tile));
+      NodePtr nest =
+          build_nest(c, nd, opts, domain_lo(nd), domain_hi(nd), tile);
+      if (info.activity) {
+        auto tagged = std::make_shared<Node>(*nest);
+        tagged->cluster = static_cast<int>(ci);
+        nest = std::move(tagged);
+      }
+      step.push_back(std::move(nest));
     }
     for (const SparseOpDesc& s : sparse_ops) {
       step.push_back(make_sparse_op(s.id));

@@ -102,6 +102,15 @@ struct SpotInfo {
   bool hoisted = false;  ///< Executed once before the time loop.
 };
 
+/// What active-box stepping needs to know about one cluster (loop nest).
+struct ClusterActivity {
+  /// Tracked reads: field, time offset and per-dimension stencil radius
+  /// (the largest |offset| read along each dimension).
+  std::vector<HaloNeed> reads;
+  /// Written buffers (widths unused).
+  std::vector<HaloNeed> writes;
+};
+
 /// Metadata produced by lowering, consumed by the Operator, the
 /// interpreter and the code generator.
 struct LoweringInfo {
@@ -127,6 +136,15 @@ struct LoweringInfo {
   /// The (field, time offset) pairs each step's HealthCheck reduces
   /// (empty when CompileOptions::health was off or nothing is written).
   std::vector<HaloNeed> health_checks;
+  /// Active-box stepping (DESIGN.md): each cluster sweeps only where its
+  /// tracked reads can be nonzero and records the box of what it wrote.
+  /// On when the grid is serial and every cluster is zero-preserving;
+  /// otherwise activity_reason says why not.
+  bool activity = false;
+  std::string activity_reason;
+  /// Per cluster in time-loop order (filled when `activity` is on); the
+  /// root of cluster c's loop nest carries Node::cluster == c.
+  std::vector<ClusterActivity> activity_clusters;
 };
 
 /// One off-grid operation appended to every timestep (see sparse/).

@@ -305,7 +305,7 @@ void Interpreter::run_statement(const ir::Node& stmt) {
   } else {
     const FieldRef& ref =
         prog->field_refs[static_cast<std::size_t>(prog->store_field_ref)];
-    float* buf = ref.mutable_fn->buffer(buffer_of(ref, time_));
+    float* buf = ref.mutable_fn->kernel_buffer(buffer_of(ref, time_));
     buf[field_linear(ref, idx_)] = v;
   }
 }
@@ -485,10 +485,17 @@ void Interpreter::run(std::int64_t time_m, std::int64_t time_M,
       static_cast<std::size_t>(fields_->all().front()->grid().ndims()), 0);
 
   // Pre-compile every Expression so scalar slots exist before binding.
+  // The interpreter is the full-sweep oracle and writes without tracking
+  // where, so every field it stores to has its activity boxes marked full
+  // once here.
   const std::function<void(const ir::Node&)> precompile =
       [&](const ir::Node& n) {
         if (n.type == ir::NodeType::Expression) {
-          compile(n);
+          const auto prog = compile(n);
+          if (prog->store_field_ref >= 0) {
+            prog->field_refs[static_cast<std::size_t>(prog->store_field_ref)]
+                .mutable_fn->mark_active();
+          }
           return;
         }
         for (const ir::NodePtr& c : n.body) {

@@ -1,0 +1,624 @@
+// Active-box stepping: on serial grids every generated sweep covers only
+// where the wavefield can be nonzero and records the box of what it
+// wrote. Every tracked run here is compared bit for bit (memcmp of every
+// buffer of every field, ghosts included) with a full-box run of the same
+// problem. The full-box run writes its zero start through init() and
+// takes the non-const raw_storage() of every field before each step; by
+// the raw-pointer rule both mark every box full, so each of its steps
+// sweeps the whole grid without any knob.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <map>
+#include <memory>
+#include <numbers>
+#include <utility>
+
+#include "codegen/jit.h"
+#include "models/acoustic.h"
+#include "models/elastic.h"
+#include "models/tti.h"
+#include "models/viscoelastic.h"
+#include "smpi/runtime.h"
+#include "sparse/sparse_function.h"
+
+namespace {
+
+namespace core = jitfd::core;
+namespace grid = jitfd::grid;
+namespace ir = jitfd::ir;
+namespace models = jitfd::models;
+namespace sparse = jitfd::sparse;
+
+using grid::Function;
+using grid::Grid;
+using grid::TimeFunction;
+
+constexpr std::int64_t kEdge = 20;
+constexpr int kOrder = 4;
+constexpr std::int64_t kSteps = 8;
+
+enum class Model { Acoustic, Elastic, Tti, Viscoelastic };
+
+std::unique_ptr<models::WaveModel> make_model(Model m, const Grid& g) {
+  switch (m) {
+    case Model::Acoustic:
+      return std::make_unique<models::AcousticModel>(g, kOrder, 1.5, 4);
+    case Model::Elastic:
+      return std::make_unique<models::ElasticModel>(g, kOrder, 2.0, 1.0, 1.0,
+                                                    4);
+    case Model::Tti:
+      return std::make_unique<models::TtiModel>(g, kOrder);
+    case Model::Viscoelastic:
+      return std::make_unique<models::ViscoelasticModel>(g, kOrder);
+  }
+  return nullptr;
+}
+
+std::uint32_t bits(float v) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// One problem: a serial 3-D grid, a model and its operator, started from
+/// zero with a point source at the centre of the buffer step 1 reads.
+struct Shot {
+  Shot(Model m, std::vector<std::int64_t> tile, bool full_box,
+       bool with_injection = false)
+      : grid(std::vector<std::int64_t>(3, kEdge),
+             std::vector<double>(3, static_cast<double>(kEdge - 1))),
+        model(make_model(m, grid)),
+        full(full_box) {
+    scalars = model->scalars(model->critical_dt());
+    if (with_injection) {
+      points = std::make_unique<sparse::SparseFunction>(
+          "src", grid, std::vector<std::vector<double>>{{9.5, 10.25, 9.0}});
+      const double dt = model->critical_dt();
+      injection = std::make_unique<sparse::Injection>(
+          model->wavefield(), *points,
+          [dt](std::int64_t t) {
+            return sparse::ricker(static_cast<double>(t) * dt, 0.2, 5.0);
+          },
+          nullptr);
+    }
+    ir::CompileOptions opts;
+    opts.tile = std::move(tile);
+    std::vector<jitfd::runtime::SparseOp*> ops;
+    if (injection != nullptr) {
+      ops.push_back(injection.get());
+    }
+    op = model->make_operator(opts, ops);
+    op->set_default_backend(core::Backend::Jit);
+    for (const int id : op->info().field_order) {
+      fields.push_back(grid::lookup_field(id));
+    }
+    for (Function* f : fields) {
+      if (!f->field_id().time_varying) {
+        continue;
+      }
+      if (full) {
+        f->init([](std::span<const std::int64_t>) { return 0.0F; });
+      } else {
+        f->fill(0.0F);
+      }
+    }
+    TimeFunction& w = model->wavefield();
+    const std::vector<std::int64_t> centre(3, kEdge / 2);
+    w.set_global(w.buffer_index(0, 1), centre, 1.0F);
+  }
+
+  /// Steps [first, last]: one apply for a tracked run; step by step for a
+  /// full-box run, marking every field full before each step.
+  void step(std::int64_t first, std::int64_t last,
+            core::Backend backend = core::Backend::Jit) {
+    if (!full) {
+      op->apply({.time_m = first, .time_M = last, .scalars = scalars,
+                 .backend = backend});
+      return;
+    }
+    for (std::int64_t t = first; t <= last; ++t) {
+      for (Function* f : fields) {
+        (void)f->raw_storage();
+      }
+      op->apply({.time_m = t, .time_M = t, .scalars = scalars,
+                 .backend = backend});
+    }
+  }
+
+  /// Every buffer of every bound field, ghosts included.
+  std::vector<std::vector<float>> snapshot() const {
+    std::vector<std::vector<float>> out;
+    for (const Function* f : fields) {
+      const auto s = f->raw_storage();
+      out.emplace_back(s.begin(), s.end());
+    }
+    return out;
+  }
+
+  Grid grid;
+  std::unique_ptr<models::WaveModel> model;
+  std::unique_ptr<sparse::SparseFunction> points;
+  std::unique_ptr<sparse::Injection> injection;
+  std::unique_ptr<core::Operator> op;
+  std::map<std::string, double> scalars;
+  std::vector<Function*> fields;
+  bool full = false;
+};
+
+::testing::AssertionResult bitwise_equal(
+    const std::vector<std::vector<float>>& a,
+    const std::vector<std::vector<float>>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "field counts differ";
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size() ||
+        std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(float)) !=
+            0) {
+      std::size_t at = 0;
+      while (at < a[i].size() && bits(a[i][at]) == bits(b[i][at])) {
+        ++at;
+      }
+      return ::testing::AssertionFailure()
+             << "field #" << i << " differs first at raw index " << at;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Every value with a nonzero bit pattern lies inside its buffer's box.
+::testing::AssertionResult boxes_hold(const Function& f) {
+  const auto& ps = f.padded_shape();
+  const int nd = static_cast<int>(ps.size());
+  const auto raw = f.raw_storage();
+  for (int t = 0; t < f.time_buffers(); ++t) {
+    const grid::ActivityBox box = f.activity(t);
+    for (std::int64_t i = 0; i < f.buffer_points(); ++i) {
+      if (bits(raw[static_cast<std::size_t>(t * f.buffer_points() + i)]) ==
+          0) {
+        continue;
+      }
+      std::int64_t rest = i;
+      for (int d = nd - 1; d >= 0; --d) {
+        const auto ud = static_cast<std::size_t>(d);
+        const std::int64_t c = rest % ps[ud];
+        rest /= ps[ud];
+        if (c < box.lo[ud] || c >= box.hi[ud]) {
+          return ::testing::AssertionFailure()
+                 << f.name() << " buffer " << t << " holds a nonzero at "
+                 << "raw index " << i << " outside its box along dim " << d;
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Does buffer `t`'s box reach a face of the owned region?
+bool touches_face(const Function& f, int t) {
+  const grid::ActivityBox box = f.activity(t);
+  for (std::size_t d = 0; d < f.padded_shape().size(); ++d) {
+    if (box.lo[d] <= f.lpad() || box.hi[d] >= f.lpad() + kEdge) {
+      return true;
+    }
+  }
+  return false;
+}
+
+struct ModelCase {
+  Model model;
+  std::vector<std::int64_t> tile;
+};
+
+class ActivityModels : public ::testing::TestWithParam<ModelCase> {};
+
+TEST_P(ActivityModels, TrackedRunMatchesFullBoxRunBitForBit) {
+  const ModelCase& mc = GetParam();
+  Shot tracked(mc.model, mc.tile, /*full_box=*/false);
+  Shot reference(mc.model, mc.tile, /*full_box=*/true);
+  const ir::LoweringInfo& info = tracked.op->info();
+  if (mc.model == Model::Tti) {
+    // The rotated derivative sums three products of direction cosines
+    // with +0 derivatives: with all three cosine products negative a full
+    // sweep writes -0 from +0 inputs, so the proof must refuse.
+    EXPECT_FALSE(info.activity);
+    EXPECT_NE(info.activity_reason.find("'zdp'"), std::string::npos)
+        << info.activity_reason;
+    EXPECT_NE(info.activity_reason.find("-0"), std::string::npos)
+        << info.activity_reason;
+  } else {
+    ASSERT_TRUE(info.activity) << info.activity_reason;
+    EXPECT_NE(tracked.op->ccode().find("jitfd_box_store"), std::string::npos);
+  }
+  tracked.step(1, kSteps);
+  reference.step(1, kSteps);
+  EXPECT_TRUE(bitwise_equal(tracked.snapshot(), reference.snapshot()));
+  for (const Function* f : tracked.fields) {
+    EXPECT_TRUE(boxes_hold(*f));
+  }
+  if (info.activity) {
+    const TimeFunction& w = tracked.model->wavefield();
+    EXPECT_TRUE(touches_face(w, w.buffer_index(1, kSteps)))
+        << "the front never reached a face in " << kSteps << " steps";
+  }
+}
+
+std::string case_name(const ::testing::TestParamInfo<ModelCase>& p) {
+  static const char* const kNames[] = {"Acoustic", "Elastic", "Tti",
+                                       "Viscoelastic"};
+  return std::string(kNames[static_cast<int>(p.param.model)]) +
+         (p.param.tile.empty() ? "Untiled" : "Tiled");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SerialGrids, ActivityModels,
+    ::testing::Values(ModelCase{Model::Acoustic, {}},
+                      ModelCase{Model::Acoustic, {8, 4}},
+                      ModelCase{Model::Elastic, {}},
+                      ModelCase{Model::Elastic, {8, 4}},
+                      ModelCase{Model::Tti, {}},
+                      ModelCase{Model::Tti, {8, 4}},
+                      ModelCase{Model::Viscoelastic, {}},
+                      ModelCase{Model::Viscoelastic, {8, 4}}),
+    case_name);
+
+TEST(Activity, TtiWithNegativeDirectionCosinesWritesMinusZero) {
+  // Why the TTI proof refuses: with every product of direction cosines
+  // negative, a full sweep from an all-+0 wavefield writes -0 into the
+  // rotated-derivative scratch field. A tracked sweep would leave +0.
+  const Grid g(std::vector<std::int64_t>(3, 12),
+               std::vector<double>(3, 11.0));
+  models::TtiModel tti(g, kOrder, 1.5, 0.2, 0.1, std::numbers::pi - 0.35,
+                       std::numbers::pi + 0.6);
+  auto op = tti.make_operator({});
+  ASSERT_FALSE(op->info().activity);
+  tti.wavefield().fill(0.0F);
+  tti.q().fill(0.0F);
+  op->apply({.time_m = 1, .time_M = 1,
+             .scalars = tti.scalars(tti.critical_dt()),
+             .backend = core::Backend::Jit});
+  std::int64_t minus_zero = 0;
+  for (const int id : op->info().field_order) {
+    const Function& f = *grid::lookup_field(id);
+    if (f.name() != "zdp") {
+      continue;
+    }
+    for (const float v : f.raw_storage()) {
+      minus_zero += bits(v) == 0x80000000U ? 1 : 0;
+    }
+  }
+  EXPECT_GT(minus_zero, 0);
+}
+
+using Mutator = std::function<void(Shot&, int buffer)>;
+
+class ActivityMutators
+    : public ::testing::TestWithParam<std::pair<const char*, Mutator>> {};
+
+TEST_P(ActivityMutators, MutationBetweenStepsMatchesFullBoxRun) {
+  const Mutator& mutate = GetParam().second;
+  // Mutate the buffer step 4 reads, then the one it overwrites.
+  for (const int offset : {0, 1}) {
+    Shot tracked(Model::Acoustic, {}, /*full_box=*/false);
+    Shot reference(Model::Acoustic, {}, /*full_box=*/true);
+    ASSERT_TRUE(tracked.op->info().activity);
+    for (Shot* s : {&tracked, &reference}) {
+      s->step(1, 3);
+      mutate(*s, s->model->wavefield().buffer_index(offset, 4));
+      for (const Function* f : s->fields) {
+        EXPECT_TRUE(boxes_hold(*f)) << "right after the mutation";
+      }
+      s->step(4, 4);
+    }
+    // Once the front fills the grid every box is full, so compare before.
+    EXPECT_TRUE(bitwise_equal(tracked.snapshot(), reference.snapshot()))
+        << "time offset " << offset << ", one step after the mutation";
+    for (Shot* s : {&tracked, &reference}) {
+      s->step(5, kSteps);
+    }
+    EXPECT_TRUE(bitwise_equal(tracked.snapshot(), reference.snapshot()))
+        << "time offset " << offset;
+    for (const Function* f : tracked.fields) {
+      EXPECT_TRUE(boxes_hold(*f));
+    }
+  }
+}
+
+/// Raw storage index of data-region point `idx` of buffer `t`.
+std::size_t raw_index(const Function& f, int t,
+                      const std::vector<std::int64_t>& idx) {
+  std::int64_t linear = 0;
+  for (std::size_t d = 0; d < idx.size(); ++d) {
+    linear = linear * f.padded_shape()[d] + idx[d] + f.lpad();
+  }
+  return static_cast<std::size_t>(t * f.buffer_points() + linear);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mutators, ActivityMutators,
+    ::testing::Values(
+        std::pair<const char*, Mutator>{
+            "FillPlusZero",
+            [](Shot& s, int) { s.model->wavefield().fill(0.0F); }},
+        std::pair<const char*, Mutator>{
+            "FillMinusZero",
+            [](Shot& s, int) { s.model->wavefield().fill(-0.0F); }},
+        std::pair<const char*, Mutator>{
+            "FillValue",
+            [](Shot& s, int) { s.model->wavefield().fill(1e-3F); }},
+        std::pair<const char*, Mutator>{
+            "FillGlobalBox",
+            [](Shot& s, int t) {
+              const std::vector<std::int64_t> lo{1, 2, 15};
+              const std::vector<std::int64_t> hi{4, 6, 19};
+              s.model->wavefield().fill_global_box(t, lo, hi, 0.25F);
+            }},
+        std::pair<const char*, Mutator>{
+            "SetGlobal",
+            [](Shot& s, int t) {
+              const std::vector<std::int64_t> g{17, 2, 16};
+              s.model->wavefield().set_global(t, g, 0.5F);
+            }},
+        std::pair<const char*, Mutator>{
+            "AtLocalGhost",
+            [](Shot& s, int t) {
+              const std::vector<std::int64_t> idx{-1, 5, 14};
+              s.model->wavefield().at_local(t, idx) = 0.75F;
+            }},
+        std::pair<const char*, Mutator>{
+            "Init",
+            [](Shot& s, int) {
+              s.model->wavefield().init(
+                  [](std::span<const std::int64_t> g) {
+                    return g[0] == 3 && g[1] == 4 ? 0.125F : 0.0F;
+                  });
+            }},
+        std::pair<const char*, Mutator>{
+            "InitRows",
+            [](Shot& s, int) {
+              s.model->wavefield().init_rows(
+                  [](std::span<const std::int64_t> outer,
+                     std::span<const std::int64_t> inner,
+                     std::span<float> row) {
+                    for (std::size_t i = 0; i < row.size(); ++i) {
+                      row[i] = outer[0] == 16 && outer[1] == 3 && inner[i] == 2
+                                   ? -0.5F
+                                   : 0.0F;
+                    }
+                  });
+            }},
+        std::pair<const char*, Mutator>{
+            "BufferPointer",
+            [](Shot& s, int t) {
+              TimeFunction& w = s.model->wavefield();
+              w.buffer(0)[raw_index(w, t, {2, 17, 3})] = 0.3F;
+            }},
+        std::pair<const char*, Mutator>{
+            "RawStorageGhost",
+            [](Shot& s, int t) {
+              TimeFunction& w = s.model->wavefield();
+              w.raw_storage()[raw_index(w, t, {kEdge, 9, 9})] = 0.2F;
+            }}),
+    [](const auto& p) { return std::string(p.param.first); });
+
+TEST(Activity, MutatorsKeepBoxesTrue) {
+  const Grid g({6, 5}, {5.0, 4.0});
+  TimeFunction u("u", g, 2, /*time_order=*/2);
+  const int nd = 2;
+  for (int t = 0; t < u.time_buffers(); ++t) {
+    EXPECT_TRUE(u.activity(t).empty(nd)) << "fresh storage is +0";
+  }
+  const std::vector<std::int64_t> p{4, 1};
+  u.set_global(1, p, 2.0F);
+  grid::ActivityBox b = u.activity(1);
+  EXPECT_EQ(b.lo[0], 4 + u.lpad());
+  EXPECT_EQ(b.hi[0], 5 + u.lpad());
+  EXPECT_EQ(b.lo[1], 1 + u.lpad());
+  EXPECT_EQ(b.hi[1], 2 + u.lpad());
+  EXPECT_TRUE(u.activity(0).empty(nd));
+  const std::vector<std::int64_t> q{-2, 3};
+  u.at_local(1, q) = 1.0F;
+  b = u.activity(1);
+  EXPECT_EQ(b.lo[0], u.lpad() - 2);
+  EXPECT_EQ(b.hi[0], 5 + u.lpad());
+  EXPECT_EQ(b.hi[1], 4 + u.lpad());
+  u.fill(0.0F);
+  EXPECT_TRUE(u.activity(1).empty(nd));
+  u.fill(-0.0F);
+  for (int t = 0; t < u.time_buffers(); ++t) {
+    b = u.activity(t);
+    EXPECT_EQ(b.lo[0], 0);
+    EXPECT_EQ(b.hi[0], u.padded_shape()[0]);
+    EXPECT_EQ(b.hi[1], u.padded_shape()[1]);
+  }
+  u.fill(0.0F);
+  (void)std::as_const(u).buffer(0);
+  (void)std::as_const(u).raw_storage();
+  EXPECT_TRUE(u.activity(0).empty(nd)) << "const views leave boxes alone";
+  (void)u.kernel_buffer(0);
+  EXPECT_TRUE(u.activity(0).empty(nd)) << "kernel binding leaves boxes alone";
+  (void)u.buffer(2);
+  EXPECT_FALSE(u.activity(0).empty(nd)) << "a raw pointer marks every buffer";
+  // The table lives in the 64-byte-aligned header below buffer(0).
+  const auto* table =
+      reinterpret_cast<const std::int64_t*>(u.kernel_buffer(0)) -
+      u.activity_table_offset();
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(table) %
+                grid::AlignedAlloc::kAlignment,
+            0U);
+  EXPECT_EQ(table[(2 * nd + 1) * 2 + 1], u.padded_shape()[1]);
+}
+
+// --- The ledger's path: JitKernel::run with its own callback table ------------
+
+struct DirectCtx {
+  std::vector<jitfd::runtime::SparseOp*>* sparse = nullptr;
+};
+
+void direct_sparse(void* c, int id, long time) {
+  static_cast<DirectCtx*>(c)->sparse->at(static_cast<std::size_t>(id))
+      ->apply(time);
+}
+
+TEST(Activity, DirectKernelRunsAlternatingWithApplyMatchOneApply) {
+  Shot once(Model::Acoustic, {}, /*full_box=*/false, /*with_injection=*/true);
+  Shot reference(Model::Acoustic, {}, /*full_box=*/true,
+                 /*with_injection=*/true);
+  ASSERT_TRUE(once.op->info().activity);
+  once.step(1, kSteps);
+  reference.step(1, kSteps);
+
+  // As the propagator benchmark's ledger does: bind buffer(0) once (which
+  // marks every box full), restart from zero, then step chunk by chunk.
+  Shot mixed(Model::Acoustic, {}, /*full_box=*/false, /*with_injection=*/true);
+  const ir::LoweringInfo& info = mixed.op->info();
+  std::vector<float*> ptrs;
+  for (Function* f : mixed.fields) {
+    ptrs.push_back(f->buffer(0));
+  }
+  TimeFunction& w = mixed.model->wavefield();
+  w.fill(0.0F);
+  w.set_global(w.buffer_index(0, 1), std::vector<std::int64_t>(3, kEdge / 2),
+               1.0F);
+  std::map<std::string, double> bound = mixed.scalars;
+  for (int d = 0; d < 3; ++d) {
+    bound.emplace("h_" + Grid::dim_name(d), mixed.grid.spacing(d));
+  }
+  bound[ir::kHealthIntervalScalar] = 0.0;
+  std::vector<double> scalars;
+  for (const std::string& name : info.scalar_order) {
+    scalars.push_back(bound.at(name));
+  }
+  std::vector<jitfd::runtime::SparseOp*> sparse{mixed.injection.get()};
+  DirectCtx ctx{&sparse};
+  jitfd::codegen::JitHaloOps ops;
+  ops.sparse = &direct_sparse;
+  const jitfd::codegen::JitKernel kernel(mixed.op->ccode());
+  for (std::int64_t t = 1; t <= kSteps; ++t) {
+    if (t % 2 == 1) {
+      ASSERT_EQ(kernel.run(ptrs.data(), scalars.data(), t, t, &ctx, &ops), 0);
+    } else {
+      mixed.step(t, t);
+    }
+  }
+  EXPECT_TRUE(bitwise_equal(mixed.snapshot(), once.snapshot()));
+  EXPECT_TRUE(bitwise_equal(once.snapshot(), reference.snapshot()));
+  EXPECT_TRUE(boxes_hold(w));
+}
+
+TEST(Activity, InterpreterThenJitStepsMatchFullBoxRun) {
+  Shot tracked(Model::Acoustic, {}, /*full_box=*/false);
+  Shot reference(Model::Acoustic, {}, /*full_box=*/true);
+  ASSERT_TRUE(tracked.op->info().activity);
+  for (Shot* s : {&tracked, &reference}) {
+    s->step(1, 2, core::Backend::Interpret);
+  }
+  // The interpreter marks what it writes full, once per apply.
+  const TimeFunction& w = tracked.model->wavefield();
+  for (int t = 0; t < w.time_buffers(); ++t) {
+    EXPECT_EQ(w.activity(t).hi[0], w.padded_shape()[0]);
+  }
+  for (Shot* s : {&tracked, &reference}) {
+    s->step(3, kSteps);
+  }
+  EXPECT_TRUE(bitwise_equal(tracked.snapshot(), reference.snapshot()));
+  EXPECT_TRUE(boxes_hold(w));
+}
+
+TEST(Activity, OneAndTwoDimensionalGridsMatchFullBoxRun) {
+  // A 1-D nest is one team-parallel simd loop (its row is the whole
+  // line); a 2-D nest folds rows inside the parallel loop. A saved field
+  // indexes its box table by absolute time.
+  constexpr std::int64_t kDiffusionSteps = 12;
+  const std::pair<std::vector<std::int64_t>, int> cases[] = {
+      {{40}, 0}, {{24, 18}, 0}, {{24, 18}, kDiffusionSteps + 1}};
+  for (const auto& [shape, save] : cases) {
+    std::vector<std::vector<float>> runs[2];
+    for (const bool full : {false, true}) {
+      const Grid g(shape, std::vector<double>(shape.size(), 1.0));
+      TimeFunction u("u", g, kOrder, /*time_order=*/1, /*padding=*/0, save);
+      const jitfd::sym::Ex nu = jitfd::sym::symbol("nu");
+      core::Operator op({ir::Eq(u.forward(), u.now() + nu * u.laplace())});
+      op.set_default_backend(core::Backend::Jit);
+      ASSERT_TRUE(op.info().activity) << op.info().activity_reason;
+      if (full) {
+        u.init([](std::span<const std::int64_t>) { return 0.0F; });
+      } else {
+        u.fill(0.0F);
+      }
+      u.set_global(0, std::vector<std::int64_t>(shape.size(), 7), 1.0F);
+      for (std::int64_t t = 0; t < kDiffusionSteps; ++t) {
+        if (full) {
+          (void)u.raw_storage();
+        }
+        op.apply({.time_m = t, .time_M = t, .scalars = {{"nu", 0.1}}});
+      }
+      const auto raw = std::as_const(u).raw_storage();
+      runs[full ? 1 : 0].emplace_back(raw.begin(), raw.end());
+      if (!full) {
+        EXPECT_TRUE(boxes_hold(u));
+      }
+    }
+    EXPECT_TRUE(bitwise_equal(runs[0], runs[1]))
+        << shape.size() << "-D, save " << save;
+  }
+}
+
+// --- What the proof refuses ---------------------------------------------------
+
+TEST(Activity, EquationsThatAreNotZeroPreservingTurnTrackingOff) {
+  const Grid g({12, 10}, {11.0, 9.0});
+  TimeFunction u("u", g, 2, /*time_order=*/1);
+  const auto lower = [&](const jitfd::sym::Ex& rhs) {
+    return core::Operator({ir::Eq(u.forward(), rhs)}).info();
+  };
+  for (const jitfd::sym::Ex& rhs :
+       {u.now() + 1, 1 / (u.now() + 2), jitfd::sym::Ex(1) / u.now()}) {
+    const ir::LoweringInfo info = lower(rhs);
+    EXPECT_FALSE(info.activity) << rhs.to_string();
+    EXPECT_NE(info.activity_reason.find("not zero-preserving"),
+              std::string::npos)
+        << info.activity_reason;
+  }
+  // Folds to 0, but sqrt(-1) is NaN and 0 * NaN is NaN.
+  const ir::LoweringInfo nan =
+      lower(u.now() * jitfd::sym::call("sqrt", u.now() - 1));
+  EXPECT_FALSE(nan.activity);
+  EXPECT_NE(nan.activity_reason.find("sqrt"), std::string::npos)
+      << nan.activity_reason;
+  // -(+0) is -0: zero in value, not in bits.
+  const ir::LoweringInfo neg = lower(-u.now());
+  EXPECT_FALSE(neg.activity);
+  EXPECT_NE(neg.activity_reason.find("-0"), std::string::npos)
+      << neg.activity_reason;
+  // A sum of zeros is +0 as soon as one term is: proven.
+  const ir::LoweringInfo ok = lower(u.now() - u.at_shifted(0, {1, 0}));
+  EXPECT_TRUE(ok.activity) << ok.activity_reason;
+  EXPECT_EQ(ok.activity_clusters.size(), 1U);
+  EXPECT_EQ(ok.activity_clusters[0].reads.at(0).widths,
+            (std::vector<int>{1, 0}));
+  const core::Operator op({ir::Eq(u.forward(), u.now() + 1)});
+  EXPECT_NE(op.describe().find("active-box stepping off"), std::string::npos)
+      << op.describe();
+}
+
+TEST(Activity, DistributedGridsKeepFullSweepKernels) {
+  smpi::launch({.nranks = 2, .transport = smpi::TransportKind::Threads},
+               [](smpi::Communicator& comm) {
+                 const Grid g(std::vector<std::int64_t>(3, 16),
+                              std::vector<double>(3, 15.0), comm);
+                 models::AcousticModel model(g, kOrder, 1.5, 4);
+                 const auto op = model.make_operator({});
+                 EXPECT_FALSE(op->info().activity);
+                 EXPECT_NE(op->info().activity_reason.find("distributed"),
+                           std::string::npos);
+                 const std::string& c = op->ccode();
+                 EXPECT_EQ(c.find("jitfd_box"), std::string::npos);
+                 EXPECT_EQ(c.find("jitfd_ab_"), std::string::npos);
+                 EXPECT_EQ(c.find("jitfd_bits"), std::string::npos);
+               });
+}
+
+}  // namespace

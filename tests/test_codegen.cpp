@@ -21,6 +21,7 @@
 namespace {
 
 using jitfd::core::Operator;
+namespace core = jitfd::core;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
 namespace ir = jitfd::ir;
@@ -168,8 +169,8 @@ TEST(CodegenJit, DeepHaloJitMatchesPerStepInterpreter) {
                                    .time_M = steps - 1,
                                    .scalars = {{"dt", dt}},
                                    .backend = depth == 1
-                                       ? Operator::Backend::Interpret
-                                       : Operator::Backend::Jit});
+                                       ? core::Backend::Interpret
+                                       : core::Backend::Jit});
         const auto gathered = u.gather(steps % 2);
         if (comm.rank() == 0) {
           (depth == 1 ? expected : got) = gathered;
@@ -205,11 +206,19 @@ TEST(Codegen, TiledLoopsEmitBlockLoopAndWindowIntersection) {
   opts.tile = {8, 0};
   Operator op = diffusion_operator(g, u, opts);
   const std::string& code = op.ccode();
-  EXPECT_NE(code.find("for (long xb = 0; xb < 32; xb += 8)"),
+  // A serial grid steps the active box: the tiles walk the compute box
+  // (itself clipped to the nest bounds [0, 32)).
+  ASSERT_TRUE(op.info().activity) << op.info().activity_reason;
+  EXPECT_NE(code.find("const long jitfd_xhi = jitfd_cb[1] < 32 ? jitfd_cb[1] "
+                      ": 32;"),
+            std::string::npos)
+      << code;
+  EXPECT_NE(code.find("for (long xb = jitfd_xlo; xb < jitfd_xhi; xb += 8)"),
             std::string::npos)
       << code;
   // The enclosed x loop runs the intersection with the active window.
-  EXPECT_NE(code.find("xb + 8 < 32 ? xb + 8 : 32"), std::string::npos)
+  EXPECT_NE(code.find("xb + 8 < jitfd_xhi ? xb + 8 : jitfd_xhi"),
+            std::string::npos)
       << code;
 }
 
@@ -219,7 +228,7 @@ TEST(CodegenJit, JitMatchesInterpreterOnDiffusion) {
   }
   const std::int64_t n = 12;
   const double dt = 1e-3;
-  auto run = [&](Operator::Backend backend) {
+  auto run = [&](core::Backend backend) {
     const Grid g({n, n}, {1.0, 1.0});
     TimeFunction u("u", g, 4, 1);
     const std::vector<std::int64_t> lo{2, 3};
@@ -230,15 +239,15 @@ TEST(CodegenJit, JitMatchesInterpreterOnDiffusion) {
     const auto run = op.apply(
         {.time_m = 0, .time_M = 4, .scalars = {{"dt", dt}}});
     EXPECT_EQ(run.backend, backend);
-    if (backend == Operator::Backend::Jit) {
+    if (backend == core::Backend::Jit) {
       // Either a fresh external-compiler build took measurable time, or
       // the identical source was already in the compile cache.
       EXPECT_TRUE(run.jit_cache_hit || run.jit_compile_seconds > 0.0);
     }
     return u.gather(5 % 2);
   };
-  const auto interp = run(Operator::Backend::Interpret);
-  const auto jit = run(Operator::Backend::Jit);
+  const auto interp = run(core::Backend::Interpret);
+  const auto jit = run(core::Backend::Jit);
   ASSERT_EQ(interp.size(), jit.size());
   for (std::size_t i = 0; i < interp.size(); ++i) {
     ASSERT_NEAR(interp[i], jit[i], 1e-6) << "at " << i;
@@ -272,7 +281,7 @@ TEST(CodegenJit, JitRunsDistributedBasicMode) {
     ir::CompileOptions opts;
     opts.mode = ir::MpiMode::Basic;
     Operator op = diffusion_operator(g, u, opts);
-    op.set_default_backend(Operator::Backend::Jit);
+    op.set_default_backend(core::Backend::Jit);
     op.apply({.time_m = 0, .time_M = 3, .scalars = {{"dt", dt}}});
     const auto got = u.gather(0);
     if (comm.rank() == 0) {
@@ -325,7 +334,7 @@ TEST(CodegenJit, TiledKernelMatchesUntiled) {
       opts.tile = {tile, 0};
     }
     Operator op = diffusion_operator(g, u, opts);
-    op.set_default_backend(Operator::Backend::Jit);
+    op.set_default_backend(core::Backend::Jit);
     op.apply({.time_m = 0, .time_M = 3, .scalars = {{"dt", dt}}});
     return u.gather(4 % 2);
   };
@@ -357,7 +366,7 @@ TEST(CodegenJit, TtiKernelWithSqrtCompilesAndRuns) {
   model2.wavefield().fill_global_box(0, std::vector<std::int64_t>{7, 7},
                                      std::vector<std::int64_t>{9, 9}, 1e-3F);
   auto op2 = model2.make_operator({});
-  op2->set_default_backend(Operator::Backend::Jit);
+  op2->set_default_backend(core::Backend::Jit);
   op2->apply({.time_m = 0, .time_M = 3,
               .scalars = model2.scalars(model2.critical_dt())});
   const auto got = model2.wavefield().gather(4 % 3);
@@ -375,7 +384,7 @@ TEST(CodegenJit, OneDimensionalKernelCompiles) {
   u.set_global(0, std::vector<std::int64_t>{8}, 1.0F);
   const sym::Ex pde = u.dt() - sym::diff(u.now(), 0, 2, 2);
   Operator op({ir::Eq(u.forward(), sym::solve(pde, sym::Ex(0), u.forward()))});
-  op.set_default_backend(Operator::Backend::Jit);
+  op.set_default_backend(core::Backend::Jit);
   op.apply({.time_m = 0, .time_M = 9, .scalars = {{"dt", 1e-3}}});
   const auto data = u.gather(10 % 2);
   double mass = 0.0;
@@ -392,7 +401,7 @@ TEST(CodegenJit, PaddedFieldsIndexThroughTheFullLeftOffset) {
   // padding > 0 shifts the data region by halo+padding; the generated
   // code must match the interpreter exactly.
   const std::int64_t n = 10;
-  auto run = [&](Operator::Backend backend) {
+  auto run = [&](core::Backend backend) {
     const Grid g({n, n}, {1.0, 1.0});
     TimeFunction u("u", g, 2, 1, /*padding=*/3);
     u.fill_global_box(0, std::vector<std::int64_t>{2, 2},
@@ -404,8 +413,8 @@ TEST(CodegenJit, PaddedFieldsIndexThroughTheFullLeftOffset) {
     op.apply({.time_m = 0, .time_M = 2, .scalars = {{"dt", 1e-3}}});
     return u.gather(3 % 2);
   };
-  const auto interp = run(Operator::Backend::Interpret);
-  const auto jit = run(Operator::Backend::Jit);
+  const auto interp = run(core::Backend::Interpret);
+  const auto jit = run(core::Backend::Jit);
   for (std::size_t i = 0; i < interp.size(); ++i) {
     ASSERT_NEAR(interp[i], jit[i], 1e-6) << "at " << i;
   }
@@ -479,7 +488,7 @@ TEST(CodegenJit, IdenticalOperatorsShareOneCompile) {
     const std::vector<std::int64_t> hi{7, 7};
     u.fill_global_box(0, lo, hi, 1.0F);
     Operator op = diffusion_operator(g, u);
-    op.set_default_backend(Operator::Backend::Jit);
+    op.set_default_backend(core::Backend::Jit);
     const auto run = op.apply(
         {.time_m = 0, .time_M = 2, .scalars = {{"dt", 1e-3}}});
     return run.jit_cache_hit;

@@ -32,6 +32,7 @@
 namespace {
 
 using jitfd::core::Operator;
+namespace core = jitfd::core;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
 namespace ir = jitfd::ir;
@@ -80,7 +81,7 @@ std::string slurp(const std::string& path) {
 // the owning rank.
 class SeededNan
     : public ::testing::TestWithParam<
-          std::tuple<ir::MpiMode, int, Operator::Backend>> {};
+          std::tuple<ir::MpiMode, int, core::Backend>> {};
 
 TEST_P(SeededNan, DetectedOnNextCheckAndCulpritRankNamed) {
   SKIP_WITHOUT_OBS();
@@ -129,8 +130,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          ir::MpiMode::Diagonal,
                                          ir::MpiMode::Full),
                        ::testing::Values(1, 2),
-                       ::testing::Values(Operator::Backend::Interpret,
-                                         Operator::Backend::Jit)));
+                       ::testing::Values(core::Backend::Interpret,
+                                         core::Backend::Jit)));
 
 TEST(Health, CleanRunStaysHealthyAndSamplesNorms) {
   SKIP_WITHOUT_OBS();
@@ -193,8 +194,8 @@ TEST(Health, GhostNansBeyondStencilRadiusAreNotReported) {
 
 TEST(Health, ChecksAreBitwiseNeutralToSolverOutput) {
   SKIP_WITHOUT_OBS();
-  for (const Operator::Backend backend :
-       {Operator::Backend::Interpret, Operator::Backend::Jit}) {
+  for (const core::Backend backend :
+       {core::Backend::Interpret, core::Backend::Jit}) {
     const Grid g({12, 12}, {1.0, 1.0});
     const int steps = 6;
     std::vector<float> without;

@@ -15,6 +15,7 @@
 namespace {
 
 using jitfd::core::Operator;
+namespace core = jitfd::core;
 using jitfd::grid::Function;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
@@ -35,8 +36,8 @@ struct Diffusion {
 // [1, n-1)^2 (Listing 1 line 14).
 std::vector<float> run_diffusion(const Grid& g, ir::CompileOptions opts,
                                  int steps, double dt,
-                                 Operator::Backend backend =
-                                     Operator::Backend::Interpret,
+                                 core::Backend backend =
+                                     core::Backend::Interpret,
                                  jitfd::runtime::HaloStats* stats = nullptr) {
   Diffusion d(g);
   const std::vector<std::int64_t> lo{1, 1};
@@ -371,7 +372,7 @@ TEST(Operator, HaloStatsMatchTableOneMessageCounts) {
       opts.mode = m;
       jitfd::runtime::HaloStats stats;
       run_diffusion(g, opts, /*steps=*/1, 1e-3,
-                    Operator::Backend::Interpret, &stats);
+                    core::Backend::Interpret, &stats);
       std::vector<std::int64_t> total{
           static_cast<std::int64_t>(stats.messages)};
       comm.allreduce(std::span<std::int64_t>(total), smpi::ReduceOp::Sum);
@@ -411,7 +412,7 @@ TEST(Operator, DeepHaloAmortizesTableOneMessagesOverStrips) {
       // Two strips: 2 * depth steps -> exactly 2x the one-step Table I
       // count, where the depth-1 schedule would send 4x.
       run_diffusion(g, opts, /*steps=*/2 * depth, 1e-3,
-                    Operator::Backend::Interpret, &stats);
+                    core::Backend::Interpret, &stats);
       EXPECT_EQ(stats.exchange_depth, depth);
       // Each rank's exchanges covered every timestep exactly once.
       EXPECT_EQ(stats.steps_covered, static_cast<std::uint64_t>(2 * depth));

@@ -14,6 +14,7 @@
 namespace {
 
 using jitfd::core::Operator;
+namespace core = jitfd::core;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
 namespace ir = jitfd::ir;
@@ -94,7 +95,7 @@ TEST(Save, JitBackendWritesAbsoluteIndices) {
       << op.ccode();
   EXPECT_NE(op.ccode().find("const long ts_p1 = time + 1;"),
             std::string::npos);
-  op.set_default_backend(Operator::Backend::Jit);
+  op.set_default_backend(core::Backend::Jit);
   op.apply({.time_m = 0, .time_M = steps - 1, .scalars = {{"dt", 1e-3}}});
   // Mass is conserved per stored step (interior plateau, no boundary
   // leakage in this window), and history is non-trivial.

@@ -19,6 +19,7 @@
 namespace {
 
 using jitfd::core::Operator;
+namespace core = jitfd::core;
 using jitfd::grid::Function;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
@@ -54,7 +55,7 @@ int count_type(const ir::NodePtr& root, ir::NodeType type) {
 /// 21x21 over 4 ranks: odd extents, and tile 5 divides neither the 11-
 /// nor the 10-point local blocks.
 std::vector<float> run_distributed(ir::MpiMode mode, int depth,
-                                   Operator::Backend backend,
+                                   core::Backend backend,
                                    const std::vector<std::int64_t>& tile) {
   const std::int64_t n = 21;
   const int steps = 5;  // Partial strip at depth 2.
@@ -89,9 +90,9 @@ std::vector<float> run_distributed(ir::MpiMode mode, int depth,
 
 void check_tiled_equivalence(ir::MpiMode mode) {
   for (const int depth : {1, 2}) {
-    for (const Operator::Backend backend :
-         {Operator::Backend::Interpret, Operator::Backend::Jit}) {
-      if (backend == Operator::Backend::Jit && !have_cc()) {
+    for (const core::Backend backend :
+         {core::Backend::Interpret, core::Backend::Jit}) {
+      if (backend == core::Backend::Jit && !have_cc()) {
         continue;
       }
       const auto plain = run_distributed(mode, depth, backend, {});
@@ -129,7 +130,7 @@ TEST(Tiling, SerialThreeDimNonDividingTilesMatchUntiled) {
   // Odd extents, neither tile divides its extent, and the middle
   // dimension is tiled too (the innermost never is).
   const std::int64_t steps = 3;
-  auto run = [&](Operator::Backend backend,
+  auto run = [&](core::Backend backend,
                  const std::vector<std::int64_t>& tile) {
     const Grid g({13, 11, 9}, {1.0, 1.0, 1.0});
     TimeFunction u("u", g, 2, 1);
@@ -142,9 +143,9 @@ TEST(Tiling, SerialThreeDimNonDividingTilesMatchUntiled) {
     op.apply({.time_m = 0, .time_M = steps - 1, .scalars = {{"dt", 1e-4}}});
     return u.gather(static_cast<int>(steps % 2));
   };
-  for (const Operator::Backend backend :
-       {Operator::Backend::Interpret, Operator::Backend::Jit}) {
-    if (backend == Operator::Backend::Jit && !have_cc()) {
+  for (const core::Backend backend :
+       {core::Backend::Interpret, core::Backend::Jit}) {
+    if (backend == core::Backend::Jit && !have_cc()) {
       continue;
     }
     const auto plain = run(backend, {});
@@ -279,7 +280,7 @@ TEST(Tiling, TimeTiledStripWalksSubStepsInsideBlockLoop) {
 TEST(Tiling, TimeTiledStripMatchesClassicStrip) {
   const std::int64_t n = 21;
   const int steps = 5;  // Partial strip: the walker's last sub-step guards.
-  auto run = [&](Operator::Backend backend, bool time_tile, int slack) {
+  auto run = [&](core::Backend backend, bool time_tile, int slack) {
     std::vector<float> out;
     jitfd::grid::Function::set_default_exchange_depth(4);
     jitfd::grid::Function::set_default_time_slack(slack);
@@ -312,9 +313,9 @@ TEST(Tiling, TimeTiledStripMatchesClassicStrip) {
     jitfd::grid::Function::set_default_exchange_depth(1);
     return out;
   };
-  for (const Operator::Backend backend :
-       {Operator::Backend::Interpret, Operator::Backend::Jit}) {
-    if (backend == Operator::Backend::Jit && !have_cc()) {
+  for (const core::Backend backend :
+       {core::Backend::Interpret, core::Backend::Jit}) {
+    if (backend == core::Backend::Jit && !have_cc()) {
       continue;
     }
     const auto classic = run(backend, false, 0);

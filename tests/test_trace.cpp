@@ -23,6 +23,7 @@
 namespace {
 
 using jitfd::core::Operator;
+namespace core = jitfd::core;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
 namespace ir = jitfd::ir;
@@ -169,7 +170,7 @@ struct TracedRun {
 TracedRun traced_diffusion(
     int nranks, ir::MpiMode mode, std::int64_t n, int steps,
     int exchange_depth = 1,
-    Operator::Backend backend = Operator::Backend::Interpret) {
+    core::Backend backend = core::Backend::Interpret) {
   TracedRun out;
   out.global_points = n * n;
   obs::reset();
@@ -410,10 +411,10 @@ TEST(TraceExport, JitProfileAttributionMatchesInterpreter) {
   const int steps = 4;
   const TracedRun interp =
       traced_diffusion(4, ir::MpiMode::Basic, n, steps, 1,
-                       Operator::Backend::Interpret);
+                       core::Backend::Interpret);
   const obs::RunProfile pi = interp.rank0.trace.profile();
   const TracedRun jit = traced_diffusion(4, ir::MpiMode::Basic, n, steps, 1,
-                                         Operator::Backend::Jit);
+                                         core::Backend::Jit);
   const obs::RunProfile pj = jit.rank0.trace.profile();
 
   ASSERT_EQ(pi.ranks.size(), 4U);
