@@ -48,9 +48,6 @@ const Var kVars[] = {
     {"JITFD_REBALANCE_THRESHOLD", "float", "1.25",
      "Imbalance ratio (max/mean compute) above which autotune recommends "
      "and Grid::plan_rebalance computes a biased domain split"},
-    {"JITFD_SHM_RING_KB", "int", "256",
-     "Per-direction shared-memory ring capacity in KiB for the "
-     "process_shm transport (rounded to a power of two)"},
     {"JITFD_TILE", "int-list", "unset",
      "Default per-dimension cache-block shape \"tz,ty,tx\" for Operators "
      "that leave CompileOptions::tile empty (0 entries stay untiled)"},

@@ -412,9 +412,12 @@ void HaloExchange::post_star(Spot& s, std::int64_t time) {
         pack(*plan.fn, buf, dp);
       }
       {
+        // Nonblocking: the send buffer stays untouched until complete_star
+        // has waited this send, and the next post repacks it only then.
         const obs::Span sp("halo.send", obs::Cat::Send, bytes, dp.neighbor);
-        comm.send(dp.send_buf.data(), dp.send_buf.size() * sizeof(float),
-                  dp.neighbor, dp.send_tag);
+        s.sends.push_back(comm.isend(dp.send_buf.data(),
+                                     dp.send_buf.size() * sizeof(float),
+                                     dp.neighbor, dp.send_tag));
       }
       ++stats_.messages;
       stats_.bytes_sent += dp.send_buf.size() * sizeof(float);
@@ -446,6 +449,15 @@ void HaloExchange::complete_star(Spot& s, std::int64_t time) {
   }
   assert(i == s.pending.size());
   s.pending.clear();
+  {
+    // A send is done once its last byte is in the ring; the receive
+    // waits above progressed this endpoint, so most already are.
+    const obs::Span sp("halo.send_wait", obs::Cat::Send);
+    for (smpi::Request& r : s.sends) {
+      r.wait();
+    }
+  }
+  s.sends.clear();
   for (FieldPlan& plan : s.fields) {
     const int buf = buffer_index(*plan.fn, plan.time_offset, time);
     for (DirPlan& dp : plan.dirs) {
@@ -498,6 +510,9 @@ void HaloExchange::progress() {
   ++stats_.progress_calls;
   for (Spot& s : spots_) {
     for (const smpi::Request& r : s.pending) {
+      (void)r.test();
+    }
+    for (const smpi::Request& r : s.sends) {
       (void)r.test();
     }
   }

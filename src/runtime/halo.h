@@ -6,8 +6,8 @@
 //              sweeps); exchange buffers and row plans preallocated at
 //              register_spot() time, like the other patterns.
 //   diagonal — single-step: all (up to 26 in 3D) neighbours including
-//              diagonals posted at once, preallocated buffers, blocking
-//              completion.
+//              diagonals posted at once (nonblocking receives and sends),
+//              preallocated buffers, blocking completion.
 //   full     — same message set as diagonal but asynchronous: start()
 //              posts the exchanges, computation proceeds on the CORE
 //              region, wait() completes and unpacks, after which the
@@ -141,6 +141,7 @@ class HaloExchange {
   struct Spot {
     std::vector<FieldPlan> fields;
     std::vector<smpi::Request> pending;  ///< Receive requests in flight.
+    std::vector<smpi::Request> sends;    ///< Star-pattern sends in flight.
     bool in_flight = false;
     bool hoisted = false;  ///< One-off pre-loop exchange (no step credit).
   };

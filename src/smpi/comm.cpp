@@ -49,10 +49,12 @@ Status Communicator::recv(void* buf, std::size_t bytes, int source,
 
 Request Communicator::isend(const void* buf, std::size_t bytes, int dest,
                             int tag) const {
-  send(buf, bytes, dest, tag);
-  auto done = std::make_shared<OpState>();
-  done->complete(Status{rank_, tag, bytes});
-  return Request(std::move(done));
+  if (dest == kProcNull) {
+    return Request{};
+  }
+  assert(dest >= 0 && dest < size());
+  return Request(
+      world_->impl().isend(rank_, dest, tag, Channel::User, buf, bytes));
 }
 
 Request Communicator::irecv(void* buf, std::size_t bytes, int source,

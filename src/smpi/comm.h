@@ -89,15 +89,18 @@ class Communicator {
 
   // --- Point-to-point (byte-level) -------------------------------------
 
-  /// Buffered blocking send: completes locally as soon as the payload has
-  /// left `buf` (never deadlocks on itself).
+  /// Blocking send: returns once the payload has left `buf`; no matching
+  /// receive need be posted (never deadlocks on itself).
   void send(const void* buf, std::size_t bytes, int dest, int tag) const;
 
   /// Blocking receive; returns the matched message's status.
   Status recv(void* buf, std::size_t bytes, int source, int tag) const;
 
-  /// Nonblocking send; the returned request is already complete (buffered
-  /// semantics) but is provided so call sites read like MPI.
+  /// Nonblocking send: returns without waiting for the receiver. `buf`
+  /// must stay valid and unmodified until the request completes (as in
+  /// MPI), which it does once the payload has left `buf`. The request is
+  /// null (trivially complete) when the send finished inside the call,
+  /// which is always the case on the threads transport.
   Request isend(const void* buf, std::size_t bytes, int dest, int tag) const;
 
   /// Nonblocking receive into `buf` (caller keeps `buf` alive until wait).

@@ -29,12 +29,13 @@ namespace smpi {
 
 /// Shared completion state of one nonblocking operation.
 ///
-/// Send-side operations complete at enqueue time (buffered semantics), so
-/// their OpState is constructed already-done. Receive-side OpStates are
-/// completed either at post time (when a matching message is already
-/// pending), later by the delivering sender thread (threads transport),
-/// or by the posting rank's own endpoint polling (process transport, via
-/// the Progressor hook).
+/// A send that finishes inside Transport::isend needs no OpState at all;
+/// a send the process transport had to queue gets one, completed by the
+/// sending rank's own endpoint polling once its last byte has entered
+/// the ring. Receive-side OpStates are completed either at post time
+/// (when a matching message is already pending), later by the delivering
+/// sender thread (threads transport), or by the posting rank's own
+/// endpoint polling (process transport, via the Progressor hook).
 struct OpState {
   /// Polling driver for transports whose receives complete only when the
   /// posting rank drains its endpoint (process_shm). The threads

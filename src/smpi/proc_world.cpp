@@ -10,8 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
-#include <thread>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -172,26 +170,40 @@ class ProcTransport final : public Transport, public OpState::Progressor {
         me_(me),
         children_(children),
         ctl_fd_(ctl_fd),
-        incoming_(static_cast<std::size_t>(seg->nranks)) {}
+        incoming_(static_cast<std::size_t>(seg->nranks)),
+        outgoing_(static_cast<std::size_t>(seg->nranks)) {}
 
   TransportKind kind() const override { return TransportKind::ProcessShm; }
   int size() const override { return seg_->nranks; }
 
-  void send(int from, int dest, int tag, Channel channel, const void* buf,
-            std::size_t bytes) override {
+  std::shared_ptr<OpState> isend(int from, int dest, int tag,
+                                 Channel channel, const void* buf,
+                                 std::size_t bytes) override {
     assert(from == me_ && "smpi: send from a foreign rank");
+    (void)from;
     seg_->messages.fetch_add(1, std::memory_order_relaxed);
     if (dest == me_) {
       deliver_local(tag, channel, buf, bytes);
-      return;
+      return nullptr;
     }
-    MsgHeader hdr;
-    hdr.bytes = bytes;
-    hdr.tag = tag;
-    hdr.channel = static_cast<std::int32_t>(channel);
-    ShmRing* r = ring(me_, dest);
-    write_stream(r, &hdr, sizeof(hdr));
-    write_stream(r, buf, bytes);
+    // Always behind the frames already queued for `dest`: frames never
+    // interleave in the byte stream, so order per pair holds.
+    std::deque<OutFrame>& queue = outgoing_[static_cast<std::size_t>(dest)];
+    OutFrame& frame = queue.emplace_back();
+    frame.hdr.bytes = bytes;
+    frame.hdr.tag = tag;
+    frame.hdr.channel = static_cast<std::int32_t>(channel);
+    frame.data = static_cast<const std::byte*>(buf);
+    frame.left = bytes;
+    push(dest);
+    if (queue.empty()) {
+      return nullptr;  // The whole frame is in the ring.
+    }
+    // Frames leave from the front, so the one still at the back is ours.
+    auto op = std::make_shared<OpState>();
+    op->progressor = this;
+    queue.back().op = op;
+    return op;
   }
 
   std::shared_ptr<OpState> post_recv(int me, void* buf, std::size_t capacity,
@@ -244,10 +256,13 @@ class ProcTransport final : public Transport, public OpState::Progressor {
   }
   BufferPool& pool() override { return pool_; }
 
-  /// Drain every incoming ring as far as possible. Called from OpState
-  /// wait/test (Progressor), from send-side ring-full waits, and from
-  /// the launcher's frame waits. Child endpoints unwind with
-  /// LaunchAborted once the launcher flags the launch as doomed.
+  /// Drain every incoming ring as far as possible, then push every send
+  /// queue until its ring is full. Draining first is what keeps cyclic
+  /// exchanges larger than a ring deadlock-free: a peer blocked on its
+  /// full ring to us gets room before we wait on our ring to it. Called
+  /// from OpState wait/test (Progressor), from barriers, and from the
+  /// launcher's frame waits. Child endpoints unwind with LaunchAborted
+  /// once the launcher flags the launch as doomed.
   void progress() override {
     if (me_ != 0 &&
         seg_->fatal.load(std::memory_order_relaxed) != 0) {
@@ -257,6 +272,29 @@ class ProcTransport final : public Transport, public OpState::Progressor {
       if (src != me_) {
         drain(src);
       }
+    }
+    for (int dest = 0; dest < size(); ++dest) {
+      push(dest);
+    }
+  }
+
+  /// Block until every queued send is wholly in its ring, progressing
+  /// meanwhile (a peer may be blocked sending to us). Each queue empties
+  /// front to back, so waiting on its newest frame suffices.
+  void flush() {
+    for (const std::deque<OutFrame>& queue : outgoing_) {
+      if (!queue.empty()) {
+        const std::shared_ptr<OpState> newest = queue.back().op;
+        newest->wait();
+      }
+    }
+  }
+
+  /// Forget every queued send without reading its buffer, which an
+  /// exception may already have freed. Their ops never complete.
+  void drop_queued() {
+    for (std::deque<OutFrame>& queue : outgoing_) {
+      queue.clear();
     }
   }
 
@@ -270,6 +308,16 @@ class ProcTransport final : public Transport, public OpState::Progressor {
     std::shared_ptr<OpState> op;  // direct target (matched at header)
     PoolBuffer payload;           // pooled target (unmatched at header)
     std::size_t filled = 0;       // payload bytes consumed so far
+  };
+
+  /// One send not yet wholly in its ring. `op` is null only inside the
+  /// isend call that queued the frame.
+  struct OutFrame {
+    MsgHeader hdr;
+    std::size_t hdr_written = 0;
+    const std::byte* data = nullptr;  // unsent payload
+    std::size_t left = 0;             // unsent payload bytes
+    std::shared_ptr<OpState> op;
   };
 
   ShmRing* ring(int src, int dst) {
@@ -362,30 +410,36 @@ class ProcTransport final : public Transport, public OpState::Progressor {
     count_queued(me_, bytes);
   }
 
-  /// Stream `bytes` into `r`, draining our own endpoint whenever the
-  /// ring is full — the receiver may be blocked streaming to *us*, so
-  /// mutual progress is what makes buffered-send semantics deadlock-free
-  /// for messages larger than the ring.
-  void write_stream(ShmRing* r, const void* data, std::size_t bytes) {
-    const std::byte* p = static_cast<const std::byte*>(data);
-    std::size_t remaining = bytes;
-    int idle = 0;
-    while (remaining > 0) {
-      const std::size_t w = r->try_write(p, remaining);
-      p += w;
-      remaining -= w;
-      if (remaining == 0) {
-        break;
-      }
-      if (w == 0) {
-        progress();
-        ++idle;
-        if (idle > 4096) {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
+  /// Write `dest`'s queued frames into its ring, oldest first, until the
+  /// ring is full or the queue is empty. A frame's op completes when its
+  /// last byte enters the ring.
+  void push(int dest) {
+    std::deque<OutFrame>& queue = outgoing_[static_cast<std::size_t>(dest)];
+    ShmRing* r = ring(me_, dest);
+    while (!queue.empty()) {
+      OutFrame& f = queue.front();
+      if (f.hdr_written < sizeof(MsgHeader)) {
+        f.hdr_written +=
+            r->try_write(reinterpret_cast<const std::byte*>(&f.hdr) +
+                             f.hdr_written,
+                         sizeof(MsgHeader) - f.hdr_written);
+        if (f.hdr_written < sizeof(MsgHeader)) {
+          return;
         }
-      } else {
-        idle = 0;
       }
+      if (f.left > 0) {
+        const std::size_t w = r->try_write(f.data, f.left);
+        f.data += w;
+        f.left -= w;
+        if (f.left > 0) {
+          return;
+        }
+      }
+      if (f.op != nullptr) {
+        f.op->complete(
+            Status{me_, f.hdr.tag, static_cast<std::size_t>(f.hdr.bytes)});
+      }
+      queue.pop_front();
     }
   }
 
@@ -509,14 +563,16 @@ class ProcTransport final : public Transport, public OpState::Progressor {
         }
         throw std::runtime_error("smpi: launcher process exited");
       }
-      // Keep draining while blocked: peers may be streaming sends that
-      // must complete before they can reach this barrier.
+      // Keep progressing while blocked: peers may be streaming sends to
+      // us, or waiting on our queued sends, before they can reach this
+      // barrier.
       progress();
     }
   }
 
   /// Parent-side frame wait that keeps rank 0's endpoint progressing
-  /// (children may be blocked streaming large sends to rank 0).
+  /// (children may be streaming large sends to rank 0, or waiting on
+  /// rank 0's queued sends).
   char wait_frame(int fd) {
     for (;;) {
       struct pollfd pfd = {fd, POLLIN, 0};
@@ -570,6 +626,7 @@ class ProcTransport final : public Transport, public OpState::Progressor {
   std::deque<Message> unexpected_;
   std::deque<std::shared_ptr<OpState>> posted_;
   std::vector<Incoming> incoming_;
+  std::vector<std::deque<OutFrame>> outgoing_;  // per destination
 };
 
 // ---------------------------------------------------------------------
@@ -607,9 +664,16 @@ std::string trace_file(const std::string& dir, int rank) {
   };
   try {
     write_frame(fd, 'H');
-    World world(std::make_unique<ProcTransport>(seg, base, rank, nullptr, fd));
+    auto endpoint =
+        std::make_unique<ProcTransport>(seg, base, rank, nullptr, fd);
+    ProcTransport& transport = *endpoint;
+    World world(std::move(endpoint));
     Communicator comm(&world, rank);
     body(comm);
+    // Sends still queued must be in their rings before the clean exit
+    // report. An exception skips this: unwinding destroys the endpoint,
+    // queue included, without reading the buffers it may have freed.
+    transport.flush();
     save_trace();
     write_frame(fd, 'X');
   } catch (const LaunchAborted&) {
@@ -660,7 +724,9 @@ void wait_children(std::vector<ChildState>& children, ProcTransport& t,
     }
     const int rc =
         ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 50);
-    t.progress();  // rank 0 endpoint never throws LaunchAborted
+    // Rank 0's endpoint never throws LaunchAborted; after a clean body
+    // this is also where its queued sends drain.
+    t.progress();
     if (rc <= 0) {
       ++stall_polls;
       const bool any_error =
@@ -858,6 +924,9 @@ void launch_process_shm(int nranks, std::size_t ring_bytes,
     try {
       body(comm);
     } catch (...) {
+      // Queued sends may point into buffers the unwinding just freed;
+      // drop them before wait_children progresses this endpoint.
+      transport->drop_queued();
       rank0_error = std::current_exception();
     }
   }

@@ -4,7 +4,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/env.h"
 #include "obs/events.h"
 #include "obs/trace.h"
 
@@ -65,10 +64,7 @@ void launch(const LaunchOptions& opts,
       return;
     case TransportKind::ProcessShm: {
       const std::size_t ring_kb =
-          opts.shm_ring_kb != 0
-              ? opts.shm_ring_kb
-              : static_cast<std::size_t>(
-                    jitfd::env::get_int("JITFD_SHM_RING_KB", 256));
+          opts.shm_ring_kb != 0 ? opts.shm_ring_kb : 256;
       launch_process_shm(opts.nranks, ring_kb * 1024, body);
       return;
     }

@@ -37,7 +37,9 @@ struct LaunchOptions {
   std::optional<TransportKind> transport;
 
   /// process_shm only: per-direction ring capacity in KiB, rounded up to
-  /// a power of two. 0 resolves from JITFD_SHM_RING_KB (default 256).
+  /// a power of two; 0 means 256. A send that does not fit waits in its
+  /// sender's queue, so ring size does not decide whether an exchange
+  /// serializes; tests pin small rings to exercise that queue.
   std::size_t shm_ring_kb = 0;
 };
 

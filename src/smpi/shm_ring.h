@@ -3,9 +3,10 @@
 // The process transport lays one ring per ordered rank pair (src -> dst)
 // inside a MAP_SHARED segment created before fork. A ring is a byte
 // *stream*, not a datagram queue: messages larger than the ring flow
-// through in chunks (the sender drains its own endpoint while waiting for
-// space, so cyclic exchanges cannot deadlock). Framing — message headers
-// and payload reassembly — is the caller's job (smpi/proc_world.cpp).
+// through in chunks (what does not fit waits in the sender's queue, and
+// every poll drains inbound rings before pushing that queue, so cyclic
+// exchanges cannot deadlock). Framing — message headers and payload
+// reassembly — is the caller's job (smpi/proc_world.cpp).
 //
 // Memory layout (placement-constructed in shared memory):
 //   [ ShmRing header | capacity bytes of data ]

@@ -55,11 +55,15 @@ class ThreadTransport final : public Transport {
   TransportKind kind() const override { return TransportKind::Threads; }
   int size() const override { return static_cast<int>(mailboxes_.size()); }
 
-  void send(int from, int dest, int tag, Channel channel, const void* buf,
-            std::size_t bytes) override {
+  /// Delivery copies the payload out of `buf` inside the call, so every
+  /// send is complete on return.
+  std::shared_ptr<OpState> isend(int from, int dest, int tag,
+                                 Channel channel, const void* buf,
+                                 std::size_t bytes) override {
     messages_.fetch_add(1, std::memory_order_relaxed);
     mailboxes_.at(static_cast<std::size_t>(dest))
         ->deliver(from, tag, channel, buf, bytes);
+    return nullptr;
   }
 
   std::shared_ptr<OpState> post_recv(int me, void* buf, std::size_t capacity,

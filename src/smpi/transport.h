@@ -12,10 +12,10 @@
 //                  socketpair control channel per rank for the startup
 //                  handshake, barriers, and error propagation.
 //
-// The seam is byte-level point-to-point (tagged send / posted receive
-// with MPI matching semantics) plus a barrier; collectives are built on
-// top of point-to-point in Communicator and therefore run unchanged on
-// every transport.
+// The seam is byte-level point-to-point (nonblocking tagged send /
+// posted receive with MPI matching semantics) plus a barrier;
+// collectives are built on top of point-to-point in Communicator and
+// therefore run unchanged on every transport.
 #pragma once
 
 #include <cstddef>
@@ -56,11 +56,26 @@ class Transport {
   virtual TransportKind kind() const = 0;
   virtual int size() const = 0;
 
-  /// Buffered-semantics tagged send: completes locally once the payload
-  /// has left `buf` (never deadlocks on itself; `buf` need only stay
-  /// valid for the call). `from` must be the calling rank.
-  virtual void send(int from, int dest, int tag, Channel channel,
-                    const void* buf, std::size_t bytes) = 0;
+  /// Nonblocking tagged send; `from` must be the calling rank. Returns
+  /// without waiting for the receiver. As in MPI, `buf` must stay valid
+  /// and unmodified until the send completes, which it does once its
+  /// last byte has left `buf`; no matching receive need be posted.
+  /// Returns the op to wait/test on, or null when the send completed
+  /// inside the call (always on threads, so that path allocates nothing
+  /// per message).
+  virtual std::shared_ptr<OpState> isend(int from, int dest, int tag,
+                                         Channel channel, const void* buf,
+                                         std::size_t bytes) = 0;
+
+  /// Blocking send: isend, then wait. Returns once `buf` may be reused;
+  /// waiting progresses the caller's endpoint, so two ranks sending each
+  /// other more than a ring holds still both finish.
+  void send(int from, int dest, int tag, Channel channel, const void* buf,
+            std::size_t bytes) {
+    if (const auto op = isend(from, dest, tag, channel, buf, bytes)) {
+      op->wait();
+    }
+  }
 
   /// Post a receive for rank `me` (the calling rank). Matching follows
   /// MPI semantics: earliest compatible pending message, arrival order

@@ -9,13 +9,18 @@
 // here therefore either runs on rank 0 (the launching process) or is
 // funneled to rank 0 through a collective first.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "models/acoustic.h"
@@ -267,6 +272,61 @@ TEST_P(TransportParity, LargeBidirectionalMessagesDoNotDeadlock) {
                });
 }
 
+TEST_P(TransportParity, SendNeverWaitsForItsReceiver) {
+  // Rank 0 isends 4x the ring, then raises a flag in a page shared
+  // across fork, then waits. Rank 1 makes no smpi call until it sees the
+  // flag (or 5 s pass), so the flag can only rise if the send returned
+  // without rank 1 draining anything.
+  void* page = ::mmap(nullptr, sizeof(std::atomic<int>),
+                      PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1,
+                      0);
+  ASSERT_NE(page, MAP_FAILED);
+  auto* flag = new (page) std::atomic<int>(0);
+  const std::size_t n = 64 * 1024 / sizeof(float);
+  bool pending_before_flag = false;  // rank 0's view
+  std::int64_t verdict = -1;
+  smpi::launch(
+      {.nranks = 2, .transport = GetParam(), .shm_ring_kb = 16},
+      [&](Communicator& comm) {
+        std::int64_t ok = 1;
+        if (comm.rank() == 0) {
+          std::vector<float> out(n);
+          std::iota(out.begin(), out.end(), 0.0F);
+          Request req = comm.isend(out.data(), n * sizeof(float), 1, 3);
+          pending_before_flag = !req.test();
+          flag->store(1, std::memory_order_release);
+          req.wait();
+        } else {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(5);
+          while (flag->load(std::memory_order_acquire) == 0 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+          }
+          ok = flag->load(std::memory_order_acquire);
+          std::vector<float> in(n, -1.0F);
+          comm.recv(in.data(), n * sizeof(float), 0, 3);
+          for (std::size_t i = 0; i < n; ++i) {
+            if (in[i] != static_cast<float>(i)) {
+              ok = 0;
+            }
+          }
+        }
+        std::vector<std::int64_t> v{ok};
+        comm.allreduce(std::span<std::int64_t>(v), ReduceOp::Min);
+        if (comm.rank() == 0) {
+          verdict = v[0];
+        }
+      });
+  ::munmap(page, sizeof(std::atomic<int>));
+  EXPECT_EQ(verdict, 1);
+  if (GetParam() == TransportKind::ProcessShm) {
+    // 64 KiB cannot fit a 16 KiB ring nobody drains: the send must be
+    // queued, not complete, when isend returns.
+    EXPECT_TRUE(pending_before_flag);
+  }
+}
+
 TEST_P(TransportParity, FirstErrorByRankOrderWins) {
   // Ranks 1 and 3 both fail; the contract reports rank 1 regardless of
   // which one's failure is noticed first.
@@ -334,6 +394,70 @@ TEST(TransportErrors, CleanLaunchAfterFailedLaunch) {
                      }
                    }),
       RankError);
+  std::int64_t sum = -1;
+  smpi::launch({.nranks = 2, .transport = TransportKind::ProcessShm},
+               [&](Communicator& comm) {
+                 std::vector<std::int64_t> v{comm.rank() + 1};
+                 comm.allreduce(std::span<std::int64_t>(v), ReduceOp::Sum);
+                 if (comm.rank() == 0) {
+                   sum = v[0];
+                 }
+               });
+  EXPECT_EQ(sum, 3);
+}
+
+// --- Sends still queued at teardown -----------------------------------------
+
+TEST(TransportTeardown, ChildFlushesQueuedSendsBeforeItsCleanExit) {
+  // Rank 1 isends 4x the ring and returns without waiting; its process
+  // must still deliver every byte before reporting a clean exit. The
+  // buffer lives outside the body, so it outlives the send in each rank
+  // process. Rank 0 polls with a deadline so a lost send fails the test
+  // instead of hanging it.
+  const std::size_t n = 4 * 16 * 1024 / sizeof(float);
+  std::vector<float> out(n);
+  std::iota(out.begin(), out.end(), 0.0F);
+  std::vector<float> in(n, -1.0F);
+  bool received = false;
+  smpi::launch(
+      {.nranks = 2, .transport = TransportKind::ProcessShm, .shm_ring_kb = 16},
+      [&](Communicator& comm) {
+        if (comm.rank() == 1) {
+          (void)comm.isend(out.data(), n * sizeof(float), 0, 9);
+          return;
+        }
+        Request rx = comm.irecv(in.data(), n * sizeof(float), 1, 9);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!rx.test() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        received = rx.test();
+      });
+  ASSERT_TRUE(received);
+  EXPECT_EQ(in, out);
+}
+
+TEST(TransportTeardown, RankZeroErrorDropsItsQueuedSends) {
+  // Rank 0 queues 4x the ring from a scoped buffer and throws; the
+  // unwinding frees the buffer, so the launcher must drop the queue
+  // before it progresses rank 0's endpoint again (ASan reports the
+  // use-after-free otherwise). Rank 1, blocked on the message, unwinds
+  // as collateral.
+  EXPECT_THROW(
+      smpi::launch({.nranks = 2,
+                    .transport = TransportKind::ProcessShm,
+                    .shm_ring_kb = 16},
+                   [](Communicator& comm) {
+                     const std::size_t n = 4 * 16 * 1024 / sizeof(float);
+                     std::vector<float> buf(n, 1.0F);
+                     if (comm.rank() == 0) {
+                       (void)comm.isend(buf.data(), n * sizeof(float), 1, 9);
+                       throw CustomFailure();
+                     }
+                     comm.recv(buf.data(), n * sizeof(float), 0, 9);
+                   }),
+      CustomFailure);
   std::int64_t sum = -1;
   smpi::launch({.nranks = 2, .transport = TransportKind::ProcessShm},
                [&](Communicator& comm) {
@@ -431,20 +555,36 @@ TEST(TransportTrace, ChildTracesMergeIntoParentRegistry) {
 
 // --- Bitwise solver equivalence ---------------------------------------------
 
-/// Drives one source-injected simulation of `Model` on 4 ranks over the
-/// given transport and returns the rank-0 gather of the final wavefield.
+/// The size of one distributed run: rank count, a cubic grid's edge and
+/// dimensions, space order, and the process_shm ring size in KiB (0
+/// keeps the default).
+struct RunSize {
+  int nranks = 4;
+  std::int64_t edge = 20;
+  int ndims = 2;
+  int so = 4;
+  std::size_t ring_kb = 0;
+};
+
+/// Drives one source-injected simulation of `Model` over the given
+/// transport and returns the rank-0 gather of the final wavefield.
 template <typename Model>
 std::vector<float> run_distributed(TransportKind kind, ir::MpiMode mode,
-                                   int exchange_depth) {
-  const std::int64_t n = 20;
+                                   int exchange_depth, const RunSize& size) {
   const int steps = 8;
-  const int so = 4;
+  const auto nd = static_cast<std::size_t>(size.ndims);
   std::vector<float> out;
-  smpi::launch({.nranks = 4, .transport = kind}, [&](Communicator& comm) {
-    const Grid g({n, n}, {1.0, 1.0}, comm);
-    Model model(g, so);
-    const SparseFunction src(
-        "src", g, {{g.extent()[0] / 2 + 0.013, g.extent()[1] / 2 - 0.027}});
+  const smpi::LaunchOptions launch{
+      .nranks = size.nranks, .transport = kind, .shm_ring_kb = size.ring_kb};
+  smpi::launch(launch, [&](Communicator& comm) {
+    const Grid g(std::vector<std::int64_t>(nd, size.edge),
+                 std::vector<double>(nd, 1.0), comm);
+    Model model(g, size.so);
+    std::vector<double> at(nd);
+    for (std::size_t d = 0; d < nd; ++d) {
+      at[d] = g.extent()[d] / 2 + (d % 2 == 0 ? 0.013 : -0.027);
+    }
+    const SparseFunction src("src", g, {at});
     const double dt = model.critical_dt();
     Injection inj(
         model.wavefield(), src,
@@ -468,16 +608,16 @@ std::vector<float> run_distributed(TransportKind kind, ir::MpiMode mode,
 /// produce byte-identical wavefields on both transports, for every halo
 /// pattern and exchange depth.
 template <typename Model>
-void expect_bitwise_transport_equivalence() {
+void expect_bitwise_transport_equivalence(const RunSize& size = {}) {
   for (const ir::MpiMode mode :
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
     for (const int depth : {1, 2}) {
       SCOPED_TRACE(std::string("mode=") + ir::to_string(mode) +
                    " depth=" + std::to_string(depth));
       const std::vector<float> threads =
-          run_distributed<Model>(TransportKind::Threads, mode, depth);
+          run_distributed<Model>(TransportKind::Threads, mode, depth, size);
       const std::vector<float> procs =
-          run_distributed<Model>(TransportKind::ProcessShm, mode, depth);
+          run_distributed<Model>(TransportKind::ProcessShm, mode, depth, size);
       ASSERT_FALSE(threads.empty());
       ASSERT_EQ(threads.size(), procs.size());
       const int cmp = std::memcmp(threads.data(), procs.data(),
@@ -502,6 +642,14 @@ TEST(TransportEquivalence, ElasticBitwiseAcrossTransports) {
 
 TEST(TransportEquivalence, TtiBitwiseAcrossTransports) {
   expect_bitwise_transport_equivalence<TtiModel>();
+}
+
+TEST(TransportEquivalence, AcousticBitwiseWhenHaloFacesOverflowTheRing) {
+  // 2 ranks split 32^3 into 16x32x32 blocks: at SO 8 each face is
+  // 4x32x32 floats = 16 KiB (32 KiB at depth 2), through 4 KiB rings, so
+  // every halo message waits in its sender's queue.
+  expect_bitwise_transport_equivalence<AcousticModel>(
+      {.nranks = 2, .edge = 32, .ndims = 3, .so = 8, .ring_kb = 4});
 }
 
 }  // namespace
