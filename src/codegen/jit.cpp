@@ -164,6 +164,13 @@ JitKernel::JitKernel(const std::string& source, bool openmp) {
                               static_cast<std::int64_t>(source.size()));
   const std::string compiler = jitfd::env::get_string("JITFD_CC", "cc");
   std::string flags = "-O3 -march=native -shared -fPIC";
+#if defined(__x86_64__)
+  // GCC's default on AVX-512 hosts is 256-bit vectors. A subnormal operand
+  // costs one microcode assist per multiply at either width, so zmm code
+  // halves the assists in the quiet shell; the flag changes no result bit
+  // and is a no-op without AVX-512. aarch64 GCC rejects the option.
+  flags += " -mprefer-vector-width=512";
+#endif
   if (openmp) {
     flags += " -fopenmp";
   }

@@ -78,11 +78,12 @@ void Mailbox::deliver(int source, int tag, Channel channel, const void* data,
   }
   // Rendezvous: the one and only payload copy, outside the mailbox lock.
   // The op was removed from posted_ under the lock, so this thread owns
-  // its completion exclusively.
-  fulfil(*match, source, tag, data, bytes);
+  // its completion exclusively. The counters are published before the
+  // receive completes, so a rank that waited on it sees all of them.
   counters_->rendezvous.fetch_add(1, std::memory_order_relaxed);
   counters_->payload_copies.fetch_add(1, std::memory_order_relaxed);
   counters_->bytes_delivered.fetch_add(bytes, std::memory_order_relaxed);
+  fulfil(*match, source, tag, data, bytes);
   jitfd::obs::instant("msg.rendezvous", jitfd::obs::Cat::Msg,
                       static_cast<std::int64_t>(bytes), source);
   static jitfd::obs::metrics::Counter& rendezvous =
@@ -110,6 +111,7 @@ void Mailbox::post_recv(const std::shared_ptr<OpState>& op) {
   // payload.
   fulfil(*op, msg.source, msg.tag, msg.payload.data.get(), msg.payload.size);
   counters_->payload_copies.fetch_add(1, std::memory_order_relaxed);
+  counters_->late_copies.fetch_add(1, std::memory_order_relaxed);
   pool_->release(std::move(msg.payload));
 }
 

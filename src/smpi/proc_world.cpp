@@ -230,6 +230,7 @@ class ProcTransport final : public Transport, public OpState::Progressor {
       fulfil(*op, msg.source, msg.tag, msg.payload.data.get(),
              msg.payload.size);
       seg_->counters.payload_copies.fetch_add(1, std::memory_order_relaxed);
+      seg_->counters.late_copies.fetch_add(1, std::memory_order_relaxed);
       pool_.release(std::move(msg.payload));
       return op;
     }
@@ -513,6 +514,7 @@ class ProcTransport final : public Transport, public OpState::Progressor {
     if (auto op = take_posted(src, st.hdr.tag, channel)) {
       fulfil(*op, src, st.hdr.tag, st.payload.data.get(), bytes);
       seg_->counters.payload_copies.fetch_add(1, std::memory_order_relaxed);
+      seg_->counters.late_copies.fetch_add(1, std::memory_order_relaxed);
       pool_.release(std::move(st.payload));
       return;
     }

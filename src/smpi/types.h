@@ -46,22 +46,29 @@ struct Status {
 /// Transport-level delivery counters, shared by every mailbox of a World.
 /// `rendezvous` deliveries copy the sender's span straight into a posted
 /// receive buffer (one payload copy); `queued` deliveries materialize a
-/// pooled payload first and pay a second copy when later matched, so
-/// payload_copies / (rendezvous + queued) is the mean copies per message
-/// — exactly 1.0 when every receive is pre-posted.
+/// pooled payload first and pay a second copy, also counted in
+/// `late_copies`, when later matched. payload_copies counts every copy,
+/// so payload_copies / (rendezvous + queued) is the mean copies per
+/// message — exactly 1.0 when every receive is pre-posted.
 struct TransportCounters {
   std::atomic<std::uint64_t> rendezvous{0};
   std::atomic<std::uint64_t> queued{0};
   std::atomic<std::uint64_t> payload_copies{0};
   std::atomic<std::uint64_t> bytes_delivered{0};
+  std::atomic<std::uint64_t> late_copies{0};
 
+  /// The mean copies per message, as 1 + late_copies / messages. Other
+  /// ranks keep delivering while one samples, and a sample that fell
+  /// between a delivery's message and copy increments would tear
+  /// payload_copies / messages; this form reads exactly 1.0 whenever no
+  /// message has been queued.
   double copies_per_message() const {
     const std::uint64_t n = rendezvous.load(std::memory_order_relaxed) +
                             queued.load(std::memory_order_relaxed);
     return n == 0 ? 0.0
-                  : static_cast<double>(
-                        payload_copies.load(std::memory_order_relaxed)) /
-                        static_cast<double>(n);
+                  : 1.0 + static_cast<double>(
+                              late_copies.load(std::memory_order_relaxed)) /
+                              static_cast<double>(n);
   }
 };
 

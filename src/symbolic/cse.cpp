@@ -187,6 +187,40 @@ std::pair<double, Ex> split_numeric_coefficient(const Ex& term) {
   return {1.0, term};
 }
 
+/// Collects terms that differ only in one field access, `k*a + k*b` into
+/// `k*(a + b)`. Only products with exactly one FieldAccess factor take
+/// part; terms with no access, or several, are left as they are. The sum
+/// of accesses is exact where they all read +0, so the rewrite keeps the
+/// sign-of-zero shape the active-box proof relies on.
+std::vector<Ex> collect_accesses(std::vector<Ex> terms) {
+  std::map<Ex, std::vector<Ex>, ExLess> by_rest;
+  std::vector<Ex> out;
+  for (Ex& term : terms) {
+    int naccesses = 0;
+    Ex access;
+    std::vector<Ex> rest;
+    if (term.kind() == Kind::Mul) {
+      for (const Ex& f : term.node().args) {
+        if (f.kind() == Kind::FieldAccess) {
+          ++naccesses;
+          access = f;
+        } else {
+          rest.push_back(f);
+        }
+      }
+    }
+    if (naccesses != 1) {
+      out.push_back(std::move(term));
+      continue;
+    }
+    by_rest[make_mul(std::move(rest))].push_back(access);
+  }
+  for (auto& [rest, accesses] : by_rest) {
+    out.push_back(make_mul({rest, make_add(std::move(accesses))}));
+  }
+  return out;
+}
+
 }  // namespace
 
 Ex factorize(const Ex& e) {
@@ -207,7 +241,8 @@ Ex factorize(const Ex& e) {
       }
       for (auto& [coeff, rests] : groups) {
         if (rests.size() >= 2) {
-          out.push_back(make_mul({number(coeff), make_add(std::move(rests))}));
+          out.push_back(make_mul(
+              {number(coeff), make_add(collect_accesses(std::move(rests)))}));
         } else {
           out.push_back(make_mul({number(coeff), rests.front()}));
         }

@@ -41,8 +41,11 @@ CseResult extract_invariants(std::vector<Ex> exprs,
                              int first_index = 0);
 
 /// Factor numeric coefficients out of sums: 0.1*a + 0.1*b - 0.1*c becomes
-/// 0.1*(a + b - c), recursively. Reduces the multiply count of FD stencils
-/// whose taps share weights (Devito's "factorization").
+/// 0.1*(a + b - c), recursively. Within one coefficient, terms that differ
+/// only in a single field access are collected as well: 0.1*k*u[x-1] +
+/// 0.1*k*u[x+1] becomes 0.1*k*(u[x-1] + u[x+1]). Reduces the multiply
+/// count of FD stencils whose taps share weights (Devito's
+/// "factorization").
 Ex factorize(const Ex& e);
 
 }  // namespace jitfd::sym

@@ -80,6 +80,15 @@ Stencil1D central_stencil(int deriv_order, int space_order) {
     nodes.push_back(static_cast<double>(k));
   }
   st.weights = fornberg_weights(deriv_order, 0.0, nodes);
+  // The exact weights are symmetric (second derivative) or antisymmetric
+  // (first derivative) about the centre, but Fornberg's recurrence rounds
+  // the two sides differently in the last ulp. Mirror the -k side onto +k
+  // so the +-k taps share one coefficient and factorize() can pair them.
+  const double mirror = deriv_order == 1 ? -1.0 : 1.0;
+  for (int k = 1; k <= r; ++k) {
+    st.weights[static_cast<std::size_t>(r + k)] =
+        mirror * st.weights[static_cast<std::size_t>(r - k)];
+  }
   // A central first derivative has an exactly-zero centre weight; snap the
   // rounding residue so downstream simplification drops the term.
   if (deriv_order == 1) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <regex>
+#include <set>
+#include <string>
 
 #include "models/acoustic.h"
 #include "models/elastic.h"
@@ -53,6 +56,40 @@ TEST(Models, KernelIntensityOrderingMatchesFigure7) {
   EXPECT_GT(facts_ac.flops_per_point, 10);
   EXPECT_GT(facts_tti.flops_per_point, 5 * facts_ac.flops_per_point);
   EXPECT_GT(facts_tti.reads_per_point, facts_ac.reads_per_point);
+}
+
+TEST(Models, AcousticStencilPairsEveryMirroredTap) {
+  // Symmetric weights let factorize() pair u[x-k] + u[x+k] under one
+  // multiply: 3 axes x 4 radii at SDO 8, and 77 flops per point.
+  const Grid g({8, 8, 8}, {1.0, 1.0, 1.0});
+  AcousticModel ac(g, 8);
+  auto op = ac.make_operator({});
+  EXPECT_EQ(jitfd::models::analyze(*op, "acoustic", 8, 5).flops_per_point,
+            77);
+  const std::string& code = op->ccode();
+  const std::regex pair(
+      R"(\(u\[(\w+)\]\[x \+ (\d+)\]\[y \+ (\d+)\]\[z \+ (\d+)\])"
+      R"( \+ u\[\1\]\[x \+ (\d+)\]\[y \+ (\d+)\]\[z \+ (\d+)\]\))");
+  std::set<std::pair<int, int>> seen;  // (axis, radius)
+  int pairs = 0;
+  for (auto it = std::sregex_iterator(code.begin(), code.end(), pair);
+       it != std::sregex_iterator(); ++it, ++pairs) {
+    int axis = -1;
+    for (int d = 0; d < 3; ++d) {
+      if ((*it)[2 + d] != (*it)[5 + d]) {
+        EXPECT_EQ(axis, -1) << it->str();
+        axis = d;
+      }
+    }
+    ASSERT_GE(axis, 0) << it->str();
+    const int lo = std::stoi((*it)[2 + axis]);
+    const int hi = std::stoi((*it)[5 + axis]);
+    const int centre = std::stoi((*it)[2 + (axis + 1) % 3]);
+    EXPECT_EQ(lo + hi, 2 * centre) << it->str();
+    seen.emplace(axis, hi - centre);
+  }
+  EXPECT_EQ(pairs, 12);
+  EXPECT_EQ(seen.size(), 12U);
 }
 
 TEST(Models, AcousticWaveIsCausalAndDamped) {

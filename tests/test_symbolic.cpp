@@ -215,6 +215,39 @@ TEST(Cse, FactorizationGroupsSharedCoefficients) {
   EXPECT_TRUE(substitute(f, vals) == substitute(e, vals));
 }
 
+TEST(Cse, FactorizationPairsTermsDifferingInOneAccess) {
+  // 0.5*k*u[x-1] + 0.5*k*u[x+1] -> 0.5*k*(u[x-1] + u[x+1]): one multiply
+  // by k for the pair instead of one per tap.
+  const FieldId u = make_u();
+  const Ex k = symbol("k");
+  const Ex lo = access(u, 0, {-1, 0});
+  const Ex hi = access(u, 0, {1, 0});
+  const Ex f = factorize(0.5 * k * lo + 0.5 * k * hi);
+  EXPECT_TRUE(f == make_mul({number(0.5), k, lo + hi})) << f.to_string();
+  EXPECT_EQ(count_flops(f), 3);
+}
+
+TEST(Cse, FactorizationPairsOnlyTermsWithOneAccess) {
+  // Two accesses in one product (u*m), or none (a symbol), leave the
+  // product as it is: only the shared numeric coefficient comes out.
+  const FieldId u = make_u();
+  const FieldId m = make_m();
+  const Ex k = symbol("k");
+  const Ex lo = k * access(u, 0, {-1, 0}) * access(m, {0, 0});
+  const Ex hi = k * access(u, 0, {1, 0}) * access(m, {0, 0});
+  EXPECT_TRUE(factorize(0.5 * lo + 0.5 * hi) ==
+              make_mul({number(0.5), lo + hi}));
+  const Ex a = symbol("a");
+  const Ex b = symbol("b");
+  EXPECT_TRUE(factorize(0.5 * k * a + 0.5 * k * b) ==
+              make_mul({number(0.5), k * a + k * b}));
+  // Different cofactors do not pair, even around one shared access.
+  const Ex c = symbol("c");
+  const Ex centre = access(u, 0, {0, 0});
+  EXPECT_TRUE(factorize(0.5 * k * centre + 0.5 * c * centre) ==
+              make_mul({number(0.5), k * centre + c * centre}));
+}
+
 // --- FD weights -----------------------------------------------------------
 
 TEST(FdWeights, SecondOrderCentralSecondDerivative) {
@@ -288,6 +321,31 @@ TEST_P(FdWeightsOrderSweep, StaggeredWeightsReproduceMonomialsAtHalfPoint) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, FdWeightsOrderSweep,
                          ::testing::Values(2, 4, 8, 12, 16));
+
+TEST(FdWeights, CentralWeightsAreExactlySymmetric) {
+  // The +-k taps must carry bit-identical weights (negated for the first
+  // derivative) so that factorize() can pair them.
+  for (int so = 2; so <= 16; so += 2) {
+    const int r = so / 2;
+    const auto d1 = central_stencil(1, so);
+    const auto d2 = central_stencil(2, so);
+    double sum = 0.0;
+    double second_moment = 0.0;
+    for (int k = 1; k <= r; ++k) {
+      const auto lo = static_cast<std::size_t>(r - k);
+      const auto hi = static_cast<std::size_t>(r + k);
+      EXPECT_EQ(d2.weights[lo], d2.weights[hi]) << "so=" << so << " k=" << k;
+      EXPECT_EQ(d1.weights[lo], -d1.weights[hi]) << "so=" << so << " k=" << k;
+    }
+    EXPECT_EQ(d1.weights[static_cast<std::size_t>(r)], 0.0) << "so=" << so;
+    for (std::size_t i = 0; i < d2.offsets.size(); ++i) {
+      sum += d2.weights[i];
+      second_moment += d2.weights[i] * d2.offsets[i] * d2.offsets[i];
+    }
+    EXPECT_NEAR(sum, 0.0, 1e-12) << "so=" << so;
+    EXPECT_NEAR(second_moment, 2.0, 1e-12) << "so=" << so;
+  }
+}
 
 TEST(FdWeights, InvalidArguments) {
   EXPECT_THROW(central_stencil(2, 3), std::invalid_argument);
