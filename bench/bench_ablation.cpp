@@ -87,7 +87,7 @@ void halo_opt_ablation(benchmark::State& state, bool halo_opt) {
   std::uint64_t messages = 0;
   std::int64_t steps = 0;
   for (auto _ : state) {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({64, 64}, {1.0, 1.0}, comm);
       TimeFunction u("u", g, 4, 1);
       TimeFunction a("a", g, 4, 1);

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   const std::vector<std::int64_t> shape{101, 101};
   const std::vector<double> extent{1000.0, 1000.0};
   if (nranks > 1) {
-    smpi::run(nranks, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
       const Grid grid(shape, extent, comm);
       shot(grid, mode, comm.rank());
     });

@@ -32,7 +32,7 @@ struct Result {
 Result run_config(int nranks, const std::vector<int>& topology,
                   ir::MpiMode mode) {
   Result result;
-  smpi::run(nranks, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
     const Grid grid({48, 48}, {1.0, 1.0}, comm, topology);
     TimeFunction u("u", grid, 4, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{10, 10},

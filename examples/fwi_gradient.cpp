@@ -249,7 +249,7 @@ void run(const Grid& grid, int rank) {
 int main(int argc, char** argv) {
   const int nranks = argc > 1 ? std::atoi(argv[1]) : 0;
   if (nranks > 1) {
-    smpi::run(nranks, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
       const Grid grid({kN, kN}, {kExtent, kExtent}, comm);
       run(grid, comm.rank());
     });

@@ -31,13 +31,13 @@
 //                                       # recorder bundle and exit nonzero
 //                                       # (also: ignore | record)
 //   ./quickstart 4 --autotune=at.json   # trial every halo pattern x
-//                                       # depth x tile, apply the winner,
-//                                       # write the report (with the
-//                                       # "why" decision trail) to the
-//                                       # file; --objective=attributed
-//                                       # scores trials on attributed
-//                                       # cost (wait + redundant +
-//                                       # imbalance) instead of wall time
+//                                       # tile, apply the winner, write
+//                                       # the report (with the "why"
+//                                       # decision trail) to the file;
+//                                       # --objective=attributed scores
+//                                       # trials on attributed cost
+//                                       # (wait + imbalance) instead of
+//                                       # wall time
 //   ./quickstart 4 --rebalance          # closed loop: traced uniform
 //                                       # run -> measured per-rank load
 //                                       # -> biased dimension-0 split ->
@@ -138,9 +138,9 @@ jitfd::core::RunSummary simulate(const Grid& grid, int rank, bool trace,
   return run;
 }
 
-// --autotune=FILE: tune the diffusion operator over pattern x depth x
-// tile, apply one step with the winner, and write the machine-readable
-// report (tools/trace_check --autotune validates it).
+// --autotune=FILE: tune the diffusion operator over pattern x tile,
+// apply one step with the winner, and write the machine-readable report
+// (tools/trace_check --autotune validates it).
 int run_autotune(int nranks, smpi::LaunchOptions launch_opts,
                  const std::string& path, jitfd::core::Objective objective) {
   constexpr std::int64_t kEdge = 16;
@@ -160,11 +160,11 @@ int run_autotune(int nranks, smpi::LaunchOptions launch_opts,
         {}, objective);
     op->apply({.time_m = 0, .time_M = 0, .scalars = {{"dt", dt}}});
     if (comm == nullptr || comm->rank() == 0) {
-      std::printf("autotune (%s objective): chose %s, depth %d\n",
+      std::printf("autotune (%s objective): chose %s\n",
                   report.objective == jitfd::core::Objective::Attributed
                       ? "attributed"
                       : "wall",
-                  ir::to_string(report.best), report.best_depth);
+                  ir::to_string(report.best));
       std::printf("  why: %s\n", report.why.c_str());
       if (report.rebalance_recommended) {
         std::printf("  rebalance recommended: rank %d persistently "

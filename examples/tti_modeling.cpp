@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   const std::vector<std::int64_t> shape{141, 141};
   const std::vector<double> extent{1400.0, 1400.0};
   if (nranks > 1) {
-    smpi::run(nranks, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
       const Grid grid(shape, extent, comm);
       shot(grid, theta, comm.rank());
     });

@@ -236,10 +236,8 @@ class Emitter {
          n = n->body.empty() ? nullptr : n->body.front().get()) {
       const auto d = static_cast<std::size_t>(n->dim);
       const std::int64_t size = grid_->local_shape()[d];
-      bounds.push_back(std::to_string(
-          n->lo.resolve_lo(size, grid_->has_neighbor_low(n->dim))));
-      bounds.push_back(std::to_string(
-          n->hi.resolve_hi(size, grid_->has_neighbor_high(n->dim))));
+      bounds.push_back(std::to_string(n->lo.resolve(size)));
+      bounds.push_back(std::to_string(n->hi.resolve(size)));
     }
     return bounds;
   }
@@ -475,13 +473,9 @@ class Emitter {
   void emit_loop(const ir::Node& n, bool in_core) {
     const auto d = static_cast<std::size_t>(n.dim);
     const std::int64_t size = grid_->local_shape()[d];
-    // Bounds are baked per rank (each rank emits its own kernel), so the
-    // per-side ghost extension of communication-avoiding stepping resolves
-    // here against this rank's neighbour topology.
-    const std::int64_t lo =
-        n.lo.resolve_lo(size, grid_->has_neighbor_low(n.dim));
-    const std::int64_t hi =
-        n.hi.resolve_hi(size, grid_->has_neighbor_high(n.dim));
+    // Bounds are baked per rank (each rank emits its own kernel).
+    const std::int64_t lo = n.lo.resolve(size);
+    const std::int64_t hi = n.hi.resolve(size);
     const std::string v = dim_var(n.dim);
 
     const bool row = active_ != nullptr && n.props.vector;
@@ -510,8 +504,7 @@ class Emitter {
     }
 
     // Inside an enclosing tile loop over the same dimension, execute the
-    // intersection of this loop's bounds with the active tile window
-    // (widened by tile_expand for time-tiled sub-steps).
+    // intersection of this loop's bounds with the active tile window.
     std::string lo_s =
         active_ != nullptr ? box_bound(n.dim, "lo") : std::to_string(lo);
     std::string hi_s =
@@ -520,18 +513,10 @@ class Emitter {
     if (win != block_win_.end()) {
       const std::string& bv = win->second.first;
       const std::string end = bv + " + " + std::to_string(win->second.second);
-      if (n.tile_expand > 0) {
-        const std::string e = std::to_string(n.tile_expand);
-        lo_s = "(" + bv + " - " + e + " > " + lo_s + " ? " + bv + " - " + e +
-               " : " + lo_s + ")";
-        hi_s = "(" + end + " + " + e + " < " + hi_s + " ? " + end + " + " +
-               e + " : " + hi_s + ")";
-      } else {
-        // Tile loops carry the same bounds as the nest, so the window
-        // start needs no lower clamp.
-        lo_s = bv;
-        hi_s = "(" + end + " < " + hi_s + " ? " + end + " : " + hi_s + ")";
-      }
+      // Tile loops carry the same bounds as the nest, so the window start
+      // needs no lower clamp.
+      lo_s = bv;
+      hi_s = "(" + end + " < " + hi_s + " ? " + end + " : " + hi_s + ")";
     }
     line("for (long " + v + " = " + lo_s + "; " + v + " < " + hi_s + "; " +
          v + " += 1)");
@@ -550,10 +535,8 @@ class Emitter {
   void emit_block_loop(const ir::Node& n, bool in_core) {
     const auto d = static_cast<std::size_t>(n.dim);
     const std::int64_t size = grid_->local_shape()[d];
-    const std::int64_t lo =
-        n.lo.resolve_lo(size, grid_->has_neighbor_low(n.dim));
-    const std::int64_t hi =
-        n.hi.resolve_hi(size, grid_->has_neighbor_high(n.dim));
+    const std::int64_t lo = n.lo.resolve(size);
+    const std::int64_t hi = n.hi.resolve(size);
     const std::string bv = std::string(dim_var(n.dim)) + "b";
     if (n.props.parallel && opts_->openmp) {
       if (opts_->lang == ir::Lang::OpenMP) {
@@ -949,115 +932,25 @@ std::string Emitter::run(const ir::NodePtr& iet) {
       }
       continue;
     }
-    const auto emit_tvars = [&] {
-      for (const auto& [nb, k, is_saved] : tvars) {
-        if (is_saved) {
-          line("const long " + time_var(nb, k, true) + " = time + " +
-               std::to_string(k) + ";");
-        } else {
-          line("const long " + time_var(nb, k, false) + " = (time + " +
-               std::to_string(nb + k) + ") % " + std::to_string(nb) + ";");
-        }
-      }
-    };
-    // Per-step observability hook (flight recorder step tracking); one
-    // null check when the monitor is not installed.
-    const auto emit_step_hook = [&] {
-      if (!info_->health_checks.empty()) {
-        line("if (ops->step) { ops->step(hctx, time); }");
-      }
-    };
-    if (top->time_stride <= 1) {
-      line("for (long time = time_m; time <= time_M; time += 1)");
-      line("{");
-      ++indent_;
-      emit_tvars();
-      emit_step_hook();
-      for (const ir::NodePtr& child : top->body) {
-        emit_node(*child, /*in_core=*/false);
-      }
-      --indent_;
-      line("}");
-      continue;
-    }
-    // Communication-avoiding strips: one exchange per strip of
-    // time_stride sub-steps; shifted sub-steps are guarded against
-    // running past time_M on the final (partial) strip.
-    line("for (long strip_t = time_m; strip_t <= time_M; strip_t += " +
-         std::to_string(top->time_stride) + ")");
+    line("for (long time = time_m; time <= time_M; time += 1)");
     line("{");
     ++indent_;
+    for (const auto& [nb, k, is_saved] : tvars) {
+      if (is_saved) {
+        line("const long " + time_var(nb, k, true) + " = time + " +
+             std::to_string(k) + ";");
+      } else {
+        line("const long " + time_var(nb, k, false) + " = (time + " +
+             std::to_string(nb + k) + ") % " + std::to_string(nb) + ";");
+      }
+    }
+    // Per-step observability hook (flight recorder step tracking); one
+    // null check when the monitor is not installed.
+    if (!info_->health_checks.empty()) {
+      line("if (ops->step) { ops->step(hctx, time); }");
+    }
     for (const ir::NodePtr& child : top->body) {
-      if (child->type == ir::NodeType::HaloComm) {
-        line("{");
-        ++indent_;
-        line("const long time = strip_t;");
-        emit_node(*child, /*in_core=*/false);
-        --indent_;
-        line("}");
-        continue;
-      }
-      if (child->type == ir::NodeType::BlockLoop) {
-        // Time-tiled walker: the sub-step sequence advances inside each
-        // tile window. Guards and time bindings replicate per window; the
-        // per-step hook stays with the trailing health sub-steps (a
-        // sub-step only completes once all windows have run).
-        const auto bd = static_cast<std::size_t>(child->dim);
-        const std::int64_t bsize = grid_->local_shape()[bd];
-        const std::int64_t blo =
-            child->lo.resolve_lo(bsize, grid_->has_neighbor_low(child->dim));
-        const std::int64_t bhi =
-            child->hi.resolve_hi(bsize, grid_->has_neighbor_high(child->dim));
-        const std::string bv = std::string(dim_var(child->dim)) + "b";
-        line("for (long " + bv + " = " + std::to_string(blo) + "; " + bv +
-             " < " + std::to_string(bhi) + "; " + bv + " += " +
-             std::to_string(child->tile) + ")");
-        line("{");
-        ++indent_;
-        block_win_[child->dim] = {bv, child->tile};
-        for (const ir::NodePtr& sub : child->body) {
-          line("/* sub-step " + std::to_string(sub->time_shift) +
-               " (tiled) */");
-          if (sub->time_shift > 0) {
-            line("if (strip_t + " + std::to_string(sub->time_shift) +
-                 " <= time_M)");
-          }
-          line("{");
-          ++indent_;
-          line(sub->time_shift > 0
-                   ? "const long time = strip_t + " +
-                         std::to_string(sub->time_shift) + ";"
-                   : "const long time = strip_t;");
-          emit_tvars();
-          for (const ir::NodePtr& inner : sub->body) {
-            emit_node(*inner, /*in_core=*/false);
-          }
-          --indent_;
-          line("}");
-        }
-        block_win_.erase(child->dim);
-        --indent_;
-        line("}");
-        continue;
-      }
-      line("/* sub-step " + std::to_string(child->time_shift) + " */");
-      if (child->time_shift > 0) {
-        line("if (strip_t + " + std::to_string(child->time_shift) +
-             " <= time_M)");
-      }
-      line("{");
-      ++indent_;
-      line(child->time_shift > 0
-               ? "const long time = strip_t + " +
-                     std::to_string(child->time_shift) + ";"
-               : "const long time = strip_t;");
-      emit_tvars();
-      emit_step_hook();
-      for (const ir::NodePtr& inner : child->body) {
-        emit_node(*inner, /*in_core=*/false);
-      }
-      --indent_;
-      line("}");
+      emit_node(*child, /*in_core=*/false);
     }
     --indent_;
     line("}");

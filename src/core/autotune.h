@@ -13,19 +13,18 @@
 // explicit `objective` argument):
 //  * wall — raw slowest-rank seconds, the historical behavior;
 //  * attributed — each trial runs under tracing and is charged its
-//    *attributed* cost: mean per-rank wait + redundant deep-halo
-//    compute + the load-imbalance penalty (max - mean compute). The
-//    winner is the trial whose time is spent computing, not waiting —
-//    a config that merely hides a skewed load behind overlap still
-//    pays its imbalance. Falls back to wall-clock (recorded in `why`)
-//    when the tracing subsystem is compiled out (-DJITFD_OBS=OFF).
+//    *attributed* cost: mean per-rank wait + the load-imbalance penalty
+//    (max - mean compute). The winner is the trial whose time is spent
+//    computing, not waiting — a config that merely hides a skewed load
+//    behind overlap still pays its imbalance. Falls back to wall-clock
+//    (recorded in `why`) when the tracing subsystem is compiled out
+//    (-DJITFD_OBS=OFF).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -45,29 +44,25 @@ struct AnalysisScore {
   double overlap_efficiency = 0.0; ///< Hidden / window over async exchanges.
   double imbalance_ratio = 0.0;    ///< Max / mean compute seconds.
   int critical_rank = -1;          ///< Slowest rank of this trial.
-  double redundant_s = 0.0;        ///< Deep-halo ghost-extension excess.
   double imbalance_penalty_s = 0.0;  ///< max - mean compute seconds.
-  /// (wait_s + redundant_s) / nranks + imbalance_penalty_s — the number
-  /// attributed trials are ranked by.
+  /// wait_s / nranks + imbalance_penalty_s — the number attributed
+  /// trials are ranked by.
   double attributed_cost_s = 0.0;
 };
 
 struct AutotuneReport {
   ir::MpiMode best = ir::MpiMode::Basic;
-  /// Winning exchange depth (1 unless a communication-avoiding trial won).
-  int best_depth = 1;
   /// Winning effective tile shape (empty = untiled won).
   std::vector<std::int64_t> best_tile;
-  /// Measured seconds per pattern (slowest rank, best over trialled
-  /// exchange depths and tile shapes).
+  /// Measured seconds per pattern (slowest rank, best over trialled tile
+  /// shapes).
   std::map<ir::MpiMode, double> seconds;
-  /// One trial per (pattern, exchange depth, effective tile shape).
-  using TrialKey = std::tuple<ir::MpiMode, int, std::vector<std::int64_t>>;
-  /// Full trial grid -> seconds. Trials whose request was clamped by the
-  /// compiler (insufficient halo capacity, sparse ops, tile not smaller
-  /// than the local extent, ...) duplicate an already-measured point and
-  /// are recorded in `skipped` instead.
-  std::map<TrialKey, double> seconds_by_depth;
+  /// One trial per (pattern, effective tile shape).
+  using TrialKey = std::pair<ir::MpiMode, std::vector<std::int64_t>>;
+  /// Full trial grid -> seconds. Trials whose tile request the compiler
+  /// clamped (a tile not smaller than the local extent, ...) duplicate an
+  /// already-measured point and are recorded in `skipped` instead.
+  std::map<TrialKey, double> seconds_by_trial;
   /// Requested-but-not-run trials -> the compiler's clamp reason.
   std::map<TrialKey, std::string> skipped;
   int trial_steps = 0;
@@ -76,7 +71,7 @@ struct AutotuneReport {
   /// scores were actually collected).
   Objective objective = Objective::Wall;
   /// Per-trial analysis scores (attributed objective only; keyed like
-  /// seconds_by_depth).
+  /// seconds_by_trial).
   std::map<TrialKey, AnalysisScore> scores;
   /// Decision trail: which candidate won and the decisive cost term.
   /// Non-empty after every tuning run (including serial no-op runs).
@@ -108,17 +103,17 @@ std::string autotune_report_json(const AutotuneReport& report);
 bool write_autotune_file(const std::string& path,
                          const AutotuneReport& report);
 
-/// Build an Operator for `eqs` with the fastest communication pattern,
-/// exchange depth and cache-tile shape.
+/// Build an Operator for `eqs` with the fastest communication pattern and
+/// cache-tile shape.
 ///
-/// `opts.mode`, `opts.exchange_depth` and `opts.tile` are ignored; every
-/// pattern in {Basic, Diagonal, Full} is trialled jointly with exchange
-/// depths {1, 2, 4} and a small set of tile-shape candidates (untiled
-/// plus outer-dimension blocks sized from the fields' per-row cache
-/// footprint) for `trial_steps` steps each (using `scalars` for the
-/// symbol bindings, starting at time step `time_m`). On serial grids no
-/// trials run and the mode stays None. The chosen operator is returned
-/// fresh (trial side effects on field data are rolled back).
+/// `opts.mode` and `opts.tile` are ignored; every pattern in {Basic,
+/// Diagonal, Full} is trialled jointly with a small set of tile-shape
+/// candidates (untiled plus outer-dimension blocks sized from the
+/// fields' per-row cache footprint) for `trial_steps` steps each (using
+/// `scalars` for the symbol bindings, starting at time step `time_m`). On
+/// serial grids no trials run and the mode stays None. The chosen
+/// operator is returned fresh (trial side effects on field data are
+/// rolled back).
 ///
 /// Attributed runs reset the trace registry around every trial, so any
 /// events recorded before tuning are gone afterwards — tune first,

@@ -14,7 +14,7 @@ namespace {
 const Var kVars[] = {
     {"JITFD_AUTOTUNE_OBJECTIVE", "enum(wall|attributed)", "wall",
      "Autotuner scoring objective: raw wall-clock seconds, or attributed "
-     "cost (wait + redundant compute + imbalance penalty) from tracing"},
+     "cost (wait + imbalance penalty) from tracing"},
     {"JITFD_CACHE_DIR", "string", "unset",
      "Persistent JIT compile cache directory shared across processes "
      "(unset: per-process scratch dir under $TMPDIR, removed at exit)"},
@@ -29,9 +29,6 @@ const Var kVars[] = {
      "Enable the structured event log (obs/events) from process start"},
     {"JITFD_EVENTS_RING", "int", "1024",
      "Event-log ring capacity (events per thread, rounded to power of 2)"},
-    {"JITFD_EXCHANGE_DEPTH", "int", "1",
-     "Default halo capacity / deep-halo exchange depth k for Functions "
-     "constructed afterwards (see Function::set_default_exchange_depth)"},
     {"JITFD_FLIGHT_DIR", "string", ".",
      "Directory receiving flight-recorder post-mortem bundles "
      "(jitfd_flight.json)"},
@@ -51,9 +48,6 @@ const Var kVars[] = {
     {"JITFD_TILE", "int-list", "unset",
      "Default per-dimension cache-block shape \"tz,ty,tx\" for Operators "
      "that leave CompileOptions::tile empty (0 entries stay untiled)"},
-    {"JITFD_TIME_SLACK", "int", "0",
-     "Extra time buffers beyond time_order+1 for unsaved TimeFunctions "
-     "(time-tiling feasibility; see Function::set_default_time_slack)"},
     {"JITFD_TRACE", "bool", "0",
      "Enable per-rank span tracing (obs/trace) from process start"},
     {"JITFD_TRACE_RING", "int", "65536",

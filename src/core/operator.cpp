@@ -177,10 +177,9 @@ Operator::Operator(std::vector<ir::Eq> eqs, ir::CompileOptions opts,
   }
 
   if (opts_.tile.empty()) {
-    // Process-wide default (JITFD_TILE or Function::set_default_tile),
-    // mirroring the exchange-depth override: select tiling without
-    // touching user code. Infeasible entries are clamped and recorded by
-    // the lowering pass.
+    // Process-wide default (JITFD_TILE or Function::set_default_tile):
+    // select tiling without touching user code. Infeasible entries are
+    // clamped and recorded by the lowering pass.
     opts_.tile = grid::Function::default_tile();
   }
 
@@ -194,7 +193,6 @@ Operator::Operator(std::vector<ir::Eq> eqs, ir::CompileOptions opts,
     const obs::Span span("compile.register_spots", obs::Cat::Compile,
                          static_cast<std::int64_t>(info_.spots.size()));
     halo_ = std::make_unique<runtime::HaloExchange>(*grid_, opts_.mode);
-    halo_->set_exchange_depth(info_.exchange_depth);
     for (const ir::SpotInfo& spot : info_.spots) {
       halo_->register_spot(spot, fields_);
     }
@@ -224,15 +222,6 @@ std::string Operator::describe() const {
   } else {
     os << ", serial";
   }
-  if (info_.exchange_depth > 1) {
-    os << ", exchange depth " << info_.exchange_depth;
-    if (!info_.exchange_depth_clamp_reason.empty()) {
-      os << " (clamped: " << info_.exchange_depth_clamp_reason << ")";
-    }
-  } else if (!info_.exchange_depth_clamp_reason.empty()) {
-    os << ", exchange depth 1 (clamped: "
-       << info_.exchange_depth_clamp_reason << ")";
-  }
   const bool tiled = std::any_of(info_.tile.begin(), info_.tile.end(),
                                  [](std::int64_t t) { return t > 0; });
   if (tiled || !info_.tile_clamp_reason.empty()) {
@@ -244,11 +233,6 @@ std::string Operator::describe() const {
     if (!info_.tile_clamp_reason.empty()) {
       os << " (clamped: " << info_.tile_clamp_reason << ")";
     }
-  }
-  if (info_.time_tile) {
-    os << ", time-tiled";
-  } else if (!info_.time_tile_clamp_reason.empty()) {
-    os << ", time tiling off (" << info_.time_tile_clamp_reason << ")";
   }
   if (info_.activity) {
     os << ", active-box stepping";
@@ -390,8 +374,6 @@ RunSummary Operator::apply(const ApplyArgs& args) {
       obs::flight::set_config("mode",
                               "\"" + std::string(ir::to_string(opts_.mode)) +
                                   "\"");
-      obs::flight::set_config(
-          "exchange_depth", std::to_string(info_.exchange_depth));
       obs::flight::set_config(
           "backend", "\"" + std::string(to_string(out.backend)) + "\"");
       obs::flight::set_config("health_interval",

@@ -86,7 +86,7 @@ struct RunSummary {
   /// post-run snapshot. All zeros for serial grids.
   runtime::HaloStats halo;
   /// Active when ApplyArgs::trace was set; snapshot it after every rank
-  /// has finished (e.g. after smpi::run returns).
+  /// has finished (e.g. after smpi::launch returns).
   obs::TraceHandle trace;
   /// Numerical-health outcome (all zeros / healthy() when
   /// ApplyArgs::health_interval was 0 or the layer is compiled out).

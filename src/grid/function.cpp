@@ -35,14 +35,6 @@ std::map<int, Function*>& registry() {
   return r;
 }
 
-std::atomic<int>& exchange_depth_default() {
-  static std::atomic<int> depth{[] {
-    const int v = static_cast<int>(env::get_int("JITFD_EXCHANGE_DEPTH", 1));
-    return v > 1 ? v : 1;
-  }()};
-  return depth;
-}
-
 std::mutex& tile_default_mutex() {
   static std::mutex m;
   return m;
@@ -51,14 +43,6 @@ std::mutex& tile_default_mutex() {
 std::vector<std::int64_t>& tile_default_storage() {
   static std::vector<std::int64_t> tile = env::get_int_list("JITFD_TILE");
   return tile;
-}
-
-std::atomic<int>& time_slack_default() {
-  static std::atomic<int> slack{[] {
-    const int v = static_cast<int>(env::get_int("JITFD_TIME_SLACK", 0));
-    return v > 0 ? v : 0;
-  }()};
-  return slack;
 }
 
 // Reserved user-channel tag for Function::gather traffic, far above the
@@ -196,7 +180,6 @@ Function::Function(std::string name, const Grid& grid, int space_order,
                    int padding, bool time_varying, int buffers, bool saved)
     : grid_(&grid),
       space_order_(space_order),
-      halo_(space_order * default_exchange_depth()),
       padding_(padding),
       buffers_(buffers),
       saved_(saved) {
@@ -258,18 +241,6 @@ int Function::buffer_index(int time_offset, std::int64_t time) const {
   return static_cast<int>((((time + time_offset) % nb) + nb) % nb);
 }
 
-void Function::set_default_exchange_depth(int depth) {
-  if (depth < 1) {
-    throw std::invalid_argument(
-        "Function::set_default_exchange_depth: depth must be >= 1");
-  }
-  exchange_depth_default().store(depth);
-}
-
-int Function::default_exchange_depth() {
-  return exchange_depth_default().load();
-}
-
 void Function::set_default_tile(std::vector<std::int64_t> tile) {
   const std::lock_guard<std::mutex> lock(tile_default_mutex());
   tile_default_storage() = std::move(tile);
@@ -287,16 +258,6 @@ std::vector<std::int64_t> Function::parse_tile(const std::string& text) {
   // lowering time.
   return env::parse_int_list("tile", text);
 }
-
-void Function::set_default_time_slack(int slack) {
-  if (slack < 0) {
-    throw std::invalid_argument(
-        "Function::set_default_time_slack: slack must be >= 0");
-  }
-  time_slack_default().store(slack);
-}
-
-int Function::default_time_slack() { return time_slack_default().load(); }
 
 Function* lookup_field(int field_id) {
   const std::lock_guard<std::mutex> lock(registry_mutex());
@@ -637,13 +598,10 @@ TimeFunction::TimeFunction(std::string name, const Grid& grid, int space_order,
                            int time_order, int padding, int save)
     : Function(std::move(name), grid, space_order, padding,
                /*time_varying=*/true,
-               /*buffers=*/save > 0
-                   ? save
-                   : time_order + 1 + Function::default_time_slack(),
+               /*buffers=*/save > 0 ? save : time_order + 1,
                /*saved=*/save > 0),
       time_order_(time_order),
-      save_(save),
-      slack_(save > 0 ? 0 : Function::default_time_slack()) {
+      save_(save) {
   if (time_order < 1 || time_order > 2) {
     throw std::invalid_argument("TimeFunction: time_order must be 1 or 2");
   }

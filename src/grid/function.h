@@ -84,23 +84,12 @@ class Function {
   const sym::FieldId& field_id() const { return id_; }
   const Grid& grid() const { return *grid_; }
   int space_order() const { return space_order_; }
-  /// Halo width per side. space_order (the Devito default the paper's
-  /// alignment example relies on) when the process-wide exchange-depth
-  /// capacity is 1; space_order * capacity when a deeper default was set
-  /// (communication-avoiding stepping needs k stencil radii per fused
-  /// step chain — see default_exchange_depth()).
-  int halo() const { return halo_; }
+  /// Halo width per side: space_order, the Devito default the paper's
+  /// alignment example relies on.
+  int halo() const { return space_order_; }
   int padding() const { return padding_; }
   /// Total left offset from the raw allocation to the data region.
-  int lpad() const { return halo_ + padding_; }
-
-  /// Process-wide default halo capacity for communication-avoiding
-  /// (exchange_depth > 1) stepping, read at construction time: fields
-  /// allocate halo = space_order * depth per side. Initialized from the
-  /// JITFD_EXCHANGE_DEPTH environment variable (default 1); the setter
-  /// affects only Functions constructed afterwards.
-  static void set_default_exchange_depth(int depth);
-  static int default_exchange_depth();
+  int lpad() const { return space_order_ + padding_; }
 
   /// Process-wide default per-dimension tile shape, used by Operator when
   /// CompileOptions::tile is left empty. Initialized once from the
@@ -109,18 +98,11 @@ class Function {
   /// entries are clamped (and recorded) at lowering time, not here.
   static void set_default_tile(std::vector<std::int64_t> tile);
   static std::vector<std::int64_t> default_tile();
-  /// Parse a JITFD_TILE-style comma-separated list ("16,8"). Lenient:
-  /// unparsable entries become 0 (untiled) — lowering records clamps.
+  /// Parse a JITFD_TILE-style comma-separated list ("16,8"). Strict:
+  /// elided entries ("8,,2") stay 0 (untiled) and a non-numeric token
+  /// throws std::invalid_argument; negative or oversized values are
+  /// clamped (and recorded) at lowering time.
   static std::vector<std::int64_t> parse_tile(const std::string& text);
-
-  /// Extra time buffers allocated beyond time_order+1 for unsaved
-  /// TimeFunctions constructed afterwards. Time tiling
-  /// (CompileOptions::time_tile) needs a strip's whole absolute
-  /// time-index window held in distinct buffers; without enough slack the
-  /// request is clamped at lowering time with a recorded reason.
-  /// Initialized from the JITFD_TIME_SLACK environment variable.
-  static void set_default_time_slack(int slack);
-  static int default_time_slack();
 
   /// Number of time buffers (1 for plain Functions).
   virtual int time_buffers() const { return 1; }
@@ -297,7 +279,6 @@ class Function {
   sym::FieldId id_;
   const Grid* grid_;
   int space_order_;
-  int halo_;
   int padding_;
   int buffers_;
   bool saved_ = false;
@@ -323,7 +304,7 @@ class TimeFunction : public Function {
 
   int time_order() const { return time_order_; }
   int time_buffers() const override {
-    return saved() ? save_ : time_order_ + 1 + slack_;
+    return saved() ? save_ : time_order_ + 1;
   }
   int save_steps() const { return save_; }
 
@@ -347,8 +328,6 @@ class TimeFunction : public Function {
  private:
   int time_order_;
   int save_ = 0;
-  /// Extra cycling buffers (default_time_slack at construction time).
-  int slack_ = 0;
 };
 
 /// The symbolic time-step size, shared by all TimeFunctions.

@@ -54,18 +54,6 @@ class Grid {
   bool distributed() const { return cart_ != nullptr; }
   /// Cartesian communicator (nullptr for serial grids).
   const smpi::CartComm* cart() const { return cart_.get(); }
-  /// Whether this rank has a Cartesian neighbour on the low/high side of
-  /// dimension `d` (false on serial grids and at physical boundaries).
-  /// Drives the per-side ghost-zone extension of deep-halo stepping.
-  bool has_neighbor_low(int d) const {
-    return cart_ != nullptr &&
-           cart_->my_coords()[static_cast<std::size_t>(d)] > 0;
-  }
-  bool has_neighbor_high(int d) const {
-    return cart_ != nullptr &&
-           cart_->my_coords()[static_cast<std::size_t>(d)] + 1 <
-               cart_->dims()[static_cast<std::size_t>(d)];
-  }
   /// Process-grid extents; all ones for serial grids.
   const std::vector<int>& topology() const { return topology_; }
 

@@ -27,14 +27,13 @@ NodePtr make_expression(sym::Ex target, sym::Ex value) {
 }
 
 NodePtr make_iteration(int dim, Bound lo, Bound hi, LoopProps props,
-                       std::vector<NodePtr> body, std::int64_t tile_expand) {
+                       std::vector<NodePtr> body) {
   Node n;
   n.type = NodeType::Iteration;
   n.dim = dim;
   n.lo = lo;
   n.hi = hi;
   n.props = props;
-  n.tile_expand = tile_expand;
   n.body = std::move(body);
   return finish(std::move(n));
 }
@@ -53,22 +52,8 @@ NodePtr make_block_loop(int dim, Bound lo, Bound hi, std::int64_t tile,
 }
 
 NodePtr make_time_loop(std::vector<NodePtr> body) {
-  return make_time_loop(std::move(body), 1);
-}
-
-NodePtr make_time_loop(std::vector<NodePtr> body, std::int64_t stride) {
   Node n;
   n.type = NodeType::TimeLoop;
-  n.time_stride = stride;
-  n.body = std::move(body);
-  return finish(std::move(n));
-}
-
-NodePtr make_substep(std::int64_t shift, std::vector<NodePtr> body) {
-  Node n;
-  n.type = NodeType::Section;
-  n.name = "substep";
-  n.time_shift = shift;
   n.body = std::move(body);
   return finish(std::move(n));
 }
@@ -136,10 +121,6 @@ std::string bound_str(const Bound& b, int dim, bool is_hi) {
     }
     os << b.offset;
   }
-  if (b.ghost != 0) {
-    // Ghost-zone extension, applied only on sides with a neighbour.
-    os << (is_hi ? "+g" : "-g") << b.ghost;
-  }
   return os.str();
 }
 
@@ -155,11 +136,7 @@ void dump(std::ostringstream& os, const NodePtr& node, int indent) {
          << n.value.to_string() << ">\n";
       return;
     case NodeType::TimeLoop:
-      os << pad << "<[affine,sequential] Iteration time";
-      if (n.time_stride > 1) {
-        os << " stride " << n.time_stride;
-      }
-      os << ">\n";
+      os << pad << "<[affine,sequential] Iteration time>\n";
       break;
     case NodeType::Iteration: {
       os << pad << "<[affine";
@@ -171,11 +148,7 @@ void dump(std::ostringstream& os, const NodePtr& node, int indent) {
       }
       os << "] Iteration " << dim_name(n.dim) << " ["
          << bound_str(n.lo, n.dim, false) << ", "
-         << bound_str(n.hi, n.dim, true) << ")";
-      if (n.tile_expand > 0) {
-        os << " expand " << n.tile_expand;
-      }
-      os << ">\n";
+         << bound_str(n.hi, n.dim, true) << ")>\n";
       break;
     }
     case NodeType::BlockLoop: {
@@ -216,11 +189,7 @@ void dump(std::ostringstream& os, const NodePtr& node, int indent) {
       os << pad << "<SparseOp " << n.sparse_id << ">\n";
       return;
     case NodeType::Section:
-      os << pad << "<Section " << n.name;
-      if (n.name == "substep") {
-        os << " t+" << n.time_shift;
-      }
-      os << ">\n";
+      os << pad << "<Section " << n.name << ">\n";
       break;
     case NodeType::HealthCheck: {
       os << pad << "<HealthCheck(";

@@ -23,30 +23,15 @@ namespace jitfd::ir {
 /// where size_of(dim) is the rank-local owned extent of the dimension.
 /// Examples: DOMAIN is [A(0), S(0)); CORE is [A(w), S(-w)); the high-side
 /// remainder slab is [S(-w), S(0)).
-///
-/// `ghost` is the communication-avoiding extension (exchange_depth > 1):
-/// the bound grows into the ghost zone by `ghost` points, but only on
-/// sides that have a Cartesian neighbour — extending past a physical
-/// boundary would compute (and later read back) garbage ghost values.
-/// Lower bounds subtract the extension, upper bounds add it; consumers
-/// resolve via resolve_lo()/resolve_hi() with the per-side neighbour
-/// predicate of the executing rank.
 struct Bound {
   bool relative_to_size = false;
   std::int64_t offset = 0;
-  std::int64_t ghost = 0;
 
-  static Bound absolute(std::int64_t off) { return {false, off, 0}; }
-  static Bound from_size(std::int64_t off) { return {true, off, 0}; }
+  static Bound absolute(std::int64_t off) { return {false, off}; }
+  static Bound from_size(std::int64_t off) { return {true, off}; }
 
   std::int64_t resolve(std::int64_t size) const {
     return (relative_to_size ? size : 0) + offset;
-  }
-  std::int64_t resolve_lo(std::int64_t size, bool has_neighbor) const {
-    return resolve(size) - (has_neighbor ? ghost : 0);
-  }
-  std::int64_t resolve_hi(std::int64_t size, bool has_neighbor) const {
-    return resolve(size) + (has_neighbor ? ghost : 0);
   }
   friend bool operator==(const Bound&, const Bound&) = default;
 };
@@ -114,11 +99,6 @@ struct Node {
   // [lo, hi) in `tile`-sized windows; enclosed Iterations over the same
   // dimension are clipped to the active window.
   std::int64_t tile = 0;
-  // Iteration (time-tiled sub-steps only): widen the intersection with
-  // the enclosing BlockLoop window by this many points on each side
-  // (never past the Iteration's own [lo, hi)). Gives each space tile the
-  // ghost-extended footprint sub-step j needs (trapezoidal time tiling).
-  std::int64_t tile_expand = 0;
 
   // HaloSpot / HaloComm:
   std::vector<HaloNeed> needs;
@@ -132,13 +112,6 @@ struct Node {
   // active-box stepping is on: index into LoweringInfo::activity_clusters.
   int cluster = -1;
 
-  // TimeLoop: steps per iteration (exchange_depth; 1 = plain stepping).
-  std::int64_t time_stride = 1;
-  // Section "substep": time shift of this sub-step within a strip.
-  // Sub-steps with shift > 0 are guarded (skipped when the last strip is
-  // partial, i.e. strip_t + shift > time_M).
-  std::int64_t time_shift = 0;
-
   // Children (Callable, TimeLoop, Iteration, Section bodies).
   std::vector<NodePtr> body;
 };
@@ -148,16 +121,13 @@ struct Node {
 NodePtr make_callable(std::string name, std::vector<NodePtr> body);
 NodePtr make_expression(sym::Ex target, sym::Ex value);
 NodePtr make_iteration(int dim, Bound lo, Bound hi, LoopProps props,
-                       std::vector<NodePtr> body, std::int64_t tile_expand = 0);
+                       std::vector<NodePtr> body);
 /// A cache-tile loop over dimension `dim`: walks [lo, hi) in `tile`-point
 /// windows; Iterations over `dim` inside `body` execute clipped to the
-/// active window (optionally widened by their own `tile_expand`).
+/// active window.
 NodePtr make_block_loop(int dim, Bound lo, Bound hi, std::int64_t tile,
                         LoopProps props, std::vector<NodePtr> body);
 NodePtr make_time_loop(std::vector<NodePtr> body);
-NodePtr make_time_loop(std::vector<NodePtr> body, std::int64_t stride);
-/// One sub-step of a communication-avoiding strip (Section "substep").
-NodePtr make_substep(std::int64_t shift, std::vector<NodePtr> body);
 NodePtr make_halo_spot(std::vector<HaloNeed> needs);
 NodePtr make_halo_comm(HaloCommKind kind, std::vector<HaloNeed> needs,
                        int spot_id);

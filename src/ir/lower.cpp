@@ -221,297 +221,6 @@ std::vector<HaloNeed> analyze_halos(std::vector<Cluster>& clusters,
   return hoisted;
 }
 
-/// Strip plan for communication-avoiding stepping (exchange_depth > 1).
-///
-/// One strip executes k sub-steps between halo exchanges. Every ghost
-/// value a sub-step reads must come either from the one exchange at the
-/// strip top (reads of buffers produced before the strip) or from a
-/// redundant in-strip ghost-zone write that is at least as deep as the
-/// read requires. The plan records the exchanges and the per-(sub-step,
-/// cluster) ghost extensions; plan_deep_halo() verifies both conditions
-/// computationally and fails (-> clamp to a shallower k) otherwise.
-struct DeepHaloPlan {
-  int k = 1;
-  std::vector<HaloNeed> strip_needs;  ///< Exchanged once at each strip top.
-  std::vector<HaloNeed> hoisted;      ///< Widened parameter-field hoists.
-  /// ext[j][c][d]: ghost-zone extension of cluster c at sub-step j.
-  std::vector<std::vector<std::vector<int>>> ext;
-  /// Per-cluster maximum read width (the full-mode CORE inset).
-  std::vector<std::vector<int>> width;
-  /// tile_ext[j][c]: outermost-dimension trapezoid expansion for walking
-  /// the sub-steps tile-by-tile (time tiling). Same chain rule as `ext`
-  /// but over the FULL read widths: a tile boundary needs recompute
-  /// overlap even along undecomposed dimensions, which need no exchange.
-  std::vector<std::vector<int>> tile_ext;
-};
-
-/// Try to build a depth-k strip plan. Extensions follow the chain rule:
-/// with per-cluster stale-propagating widths w_c (reads of time-varying
-/// fields only), W = sum_c w_c and suffix sums S_c = sum_{c'>c} w_c',
-/// cluster c at sub-step j computes ghost points to depth
-/// ext[j][c] = (k-1-j)*W + S_c — each consumer loses its own read width
-/// relative to its producers, so the last sub-step lands exactly on the
-/// owned region. Returns false (with a reason) when the plan would
-/// exceed allocated halos or read a ghost value nobody provides.
-bool plan_deep_halo(const std::vector<Cluster>& clusters,
-                    const grid::Grid& grid, bool halo_opt, int k,
-                    DeepHaloPlan& plan, std::string& why) {
-  const std::vector<int>& topo = grid.topology();
-  const int nd = grid.ndims();
-  const std::size_t nc = clusters.size();
-  const auto und = static_cast<std::size_t>(nd);
-
-  struct Read {
-    sym::FieldId field;
-    int off = 0;
-    std::vector<int> w;  ///< Per-dim width; zero on undecomposed dims.
-    int w0_full = 0;     ///< Full outermost-dim width (for time tiling).
-  };
-  struct Write {
-    int field = -1;
-    int off = 0;
-    std::size_t cluster = 0;
-  };
-  std::vector<std::vector<Read>> reads(nc);
-  std::vector<Write> writes;
-  for (std::size_t ci = 0; ci < nc; ++ci) {
-    const Cluster& c = clusters[ci];
-    std::vector<sym::Ex> rhss;
-    for (const Eq& eq : c.eqs) {
-      rhss.push_back(eq.rhs);
-    }
-    for (const sym::Temp& t : c.point_temps) {
-      rhss.push_back(t.value);
-    }
-    for (const ReadFootprint& fp : read_footprints(rhss)) {
-      for (const auto& [off, widths] : fp.widths_by_time) {
-        std::vector<int> eff(und, 0);
-        for (int d = 0; d < nd; ++d) {
-          const auto ud = static_cast<std::size_t>(d);
-          if (topo[ud] > 1) {
-            eff[ud] = widths[ud];
-          }
-        }
-        const int w0 = nd > 0 ? widths[0] : 0;
-        reads[ci].push_back(Read{fp.field, off, std::move(eff), w0});
-      }
-    }
-    for (const Eq& eq : c.eqs) {
-      if (!eq.write_field().time_varying) {
-        why = "time-invariant field '" + eq.write_field().name +
-              "' is written inside the time loop";
-        return false;
-      }
-      writes.push_back(Write{eq.write_field().id, eq.write_time_offset(), ci});
-    }
-  }
-
-  auto field_halo = [&](const sym::FieldId& f) {
-    const grid::Function* fn = grid::lookup_field(f.id);
-    return fn != nullptr ? fn->halo() : -1;
-  };
-
-  // Stale-propagating chain widths (time-varying reads only: parameter
-  // fields are refreshed to full depth up front and never go stale) and
-  // the per-cluster maximum over all reads (the full-mode CORE inset,
-  // which must dodge every in-flight receive).
-  std::vector<std::vector<int>> cw(nc, std::vector<int>(und, 0));
-  plan.width.assign(nc, std::vector<int>(und, 0));
-  for (std::size_t ci = 0; ci < nc; ++ci) {
-    for (const Read& r : reads[ci]) {
-      for (int d = 0; d < nd; ++d) {
-        const auto ud = static_cast<std::size_t>(d);
-        plan.width[ci][ud] = std::max(plan.width[ci][ud], r.w[ud]);
-        if (r.field.time_varying) {
-          cw[ci][ud] = std::max(cw[ci][ud], r.w[ud]);
-        }
-      }
-    }
-  }
-  std::vector<int> W(und, 0);
-  for (const auto& w : cw) {
-    for (int d = 0; d < nd; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      W[ud] += w[ud];
-    }
-  }
-  std::vector<std::vector<int>> suffix(nc, std::vector<int>(und, 0));
-  for (std::size_t ci = nc; ci-- > 0;) {
-    if (ci + 1 < nc) {
-      for (int d = 0; d < nd; ++d) {
-        const auto ud = static_cast<std::size_t>(d);
-        suffix[ci][ud] = suffix[ci + 1][ud] + cw[ci + 1][ud];
-      }
-    }
-  }
-  plan.ext.assign(static_cast<std::size_t>(k), {});
-  for (int j = 0; j < k; ++j) {
-    auto& per_cluster = plan.ext[static_cast<std::size_t>(j)];
-    per_cluster.assign(nc, std::vector<int>(und, 0));
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      for (int d = 0; d < nd; ++d) {
-        const auto ud = static_cast<std::size_t>(d);
-        per_cluster[ci][ud] = (k - 1 - j) * W[ud] + suffix[ci][ud];
-      }
-    }
-  }
-
-  // Time-tiling trapezoids: the same chain on full outermost-dim widths.
-  std::vector<int> cw0(nc, 0);
-  for (std::size_t ci = 0; ci < nc; ++ci) {
-    for (const Read& r : reads[ci]) {
-      if (r.field.time_varying) {
-        cw0[ci] = std::max(cw0[ci], r.w0_full);
-      }
-    }
-  }
-  int W0 = 0;
-  for (int w0 : cw0) {
-    W0 += w0;
-  }
-  std::vector<int> suffix0(nc, 0);
-  for (std::size_t ci = nc; ci-- > 0;) {
-    if (ci + 1 < nc) {
-      suffix0[ci] = suffix0[ci + 1] + cw0[ci + 1];
-    }
-  }
-  plan.tile_ext.assign(static_cast<std::size_t>(k), std::vector<int>(nc, 0));
-  for (int j = 0; j < k; ++j) {
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      plan.tile_ext[static_cast<std::size_t>(j)][ci] =
-          (k - 1 - j) * W0 + suffix0[ci];
-    }
-  }
-
-  // Ghost-zone writes must fit the written field's allocated halo.
-  for (const Write& w : writes) {
-    const grid::Function* fn = grid::lookup_field(w.field);
-    if (fn == nullptr) {
-      why = "written field is not registered";
-      return false;
-    }
-    for (int d = 0; d < nd; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      if (plan.ext[0][w.cluster][ud] > fn->halo()) {
-        why = "sub-step 0 writes " +
-              std::to_string(plan.ext[0][w.cluster][ud]) +
-              " ghost points of '" + fn->name() + "' but its halo is " +
-              std::to_string(fn->halo());
-        return false;
-      }
-    }
-  }
-
-  // Classify every read: strip-top exchange, hoisted parameter exchange,
-  // or in-strip redundant-write coverage.
-  std::map<std::pair<int, int>, HaloNeed> strip;  // (field, abs index) -> need
-  auto merge_need = [&](std::map<std::pair<int, int>, HaloNeed>& into,
-                        const sym::FieldId& f, int a,
-                        const std::vector<int>& depth) -> bool {
-    if (std::all_of(depth.begin(), depth.end(),
-                    [](int v) { return v == 0; })) {
-      return true;
-    }
-    const int cap = field_halo(f);
-    for (int v : depth) {
-      if (v > cap) {
-        why = "'" + f.name + "' needs exchange depth " + std::to_string(v) +
-              " but its allocated halo is " + std::to_string(cap) +
-              " (construct fields under a deeper default_exchange_depth)";
-        return false;
-      }
-    }
-    auto [it, fresh] = into.try_emplace({f.id, a}, HaloNeed{f.id, a, depth});
-    if (!fresh) {
-      for (std::size_t d = 0; d < depth.size(); ++d) {
-        it->second.widths[d] = std::max(it->second.widths[d], depth[d]);
-      }
-    }
-    return true;
-  };
-
-  std::map<std::pair<int, int>, HaloNeed> param_map;
-  for (std::size_t ci = 0; ci < nc; ++ci) {
-    for (const Read& r : reads[ci]) {
-      if (!r.field.time_varying) {
-        // Parameter field: one exchange at the maximum extension (sub-step
-        // 0) keeps it valid for the whole strip — and, once hoisted, for
-        // the whole run.
-        std::vector<int> depth(und, 0);
-        for (int d = 0; d < nd; ++d) {
-          const auto ud = static_cast<std::size_t>(d);
-          depth[ud] = r.w[ud] + plan.ext[0][ci][ud];
-        }
-        if (!merge_need(param_map, r.field, 0, depth)) {
-          return false;
-        }
-        continue;
-      }
-      for (int j = 0; j < k; ++j) {
-        const int a = j + r.off;  // Absolute buffer index vs the strip top.
-        std::vector<int> depth(und, 0);
-        for (int d = 0; d < nd; ++d) {
-          const auto ud = static_cast<std::size_t>(d);
-          depth[ud] =
-              r.w[ud] + plan.ext[static_cast<std::size_t>(j)][ci][ud];
-        }
-        if (a <= 0) {
-          // Produced before the strip: refresh at the strip top.
-          if (!merge_need(strip, r.field, a, depth)) {
-            return false;
-          }
-          continue;
-        }
-        // Produced inside the strip: some earlier write of the same
-        // buffer must reach at least as deep into the ghost zone.
-        bool covered = false;
-        for (const Write& w : writes) {
-          if (w.field != r.field.id) {
-            continue;
-          }
-          const int jw = a - w.off;
-          if (jw < 0 || jw >= k || jw > j ||
-              (jw == j && w.cluster > ci)) {
-            continue;
-          }
-          bool dominates = true;
-          for (int d = 0; d < nd; ++d) {
-            const auto ud = static_cast<std::size_t>(d);
-            if (plan.ext[static_cast<std::size_t>(jw)][w.cluster][ud] <
-                depth[ud]) {
-              dominates = false;
-              break;
-            }
-          }
-          if (dominates) {
-            covered = true;
-            break;
-          }
-        }
-        if (!covered) {
-          why = "sub-step " + std::to_string(j) + " reads '" + r.field.name +
-                "' at time offset " + std::to_string(r.off) +
-                " with no in-strip write deep enough to cover it";
-          return false;
-        }
-      }
-    }
-  }
-
-  for (auto& [key, need] : strip) {
-    plan.strip_needs.push_back(std::move(need));
-  }
-  for (auto& [key, need] : param_map) {
-    if (halo_opt) {
-      plan.hoisted.push_back(std::move(need));
-    } else {
-      plan.strip_needs.push_back(std::move(need));
-    }
-  }
-  plan.k = k;
-  return true;
-}
-
 /// Effective per-dimension tile sizes: the user's request clamped to what
 /// this grid can honour, with every clamp recorded in
 /// LoweringInfo::tile_clamp_reason. Clamping is rank-uniform (it uses the
@@ -569,13 +278,10 @@ std::vector<std::int64_t> plan_tiling(const CompileOptions& opts,
 /// Build the loop nest of one cluster over the given per-dimension
 /// bounds. A nonzero tile[d] wraps the nest in a BlockLoop over dimension
 /// d (tile loops sit outermost, in dimension order) and the OpenMP
-/// annotation moves to the outermost loop node. `expand` (time tiling
-/// only) widens the intersection of Iteration d with the enclosing tile
-/// window by expand[d] points per side.
+/// annotation moves to the outermost loop node.
 NodePtr build_nest(const Cluster& c, int ndims, const CompileOptions& opts,
                    const std::vector<Bound>& lo, const std::vector<Bound>& hi,
-                   const std::vector<std::int64_t>& tile,
-                   const std::vector<std::int64_t>* expand = nullptr) {
+                   const std::vector<std::int64_t>& tile) {
   int outer_tiled = -1;
   for (int d = 0; d < ndims; ++d) {
     if (tile[static_cast<std::size_t>(d)] > 0) {
@@ -595,8 +301,7 @@ NodePtr build_nest(const Cluster& c, int ndims, const CompileOptions& opts,
     LoopProps props;
     props.vector = d == ndims - 1;
     props.parallel = opts.openmp && d == 0 && outer_tiled < 0;
-    body = {make_iteration(d, lo[ud], hi[ud], props, std::move(body),
-                           expand != nullptr ? (*expand)[ud] : 0)};
+    body = {make_iteration(d, lo[ud], hi[ud], props, std::move(body))};
   }
   for (int d = ndims - 1; d >= 0; --d) {
     const auto ud = static_cast<std::size_t>(d);
@@ -619,13 +324,11 @@ std::vector<Bound> domain_hi(int nd) {
 }
 
 /// Full-mode split of a cluster into CORE plus 2 slabs per decomposed
-/// dimension (disjoint cover of (DOMAIN + ghost extension) \ CORE; see
-/// DESIGN.md). `w` is the CORE inset (the cluster's read width — CORE
-/// must not touch in-flight receives); `ext` is the communication-
-/// avoiding ghost extension carried by the remainder slabs (all zeros at
-/// exchange depth 1).
+/// dimension (disjoint cover of DOMAIN \ CORE; see DESIGN.md). `w` is the
+/// CORE inset (the cluster's read width — CORE must not touch in-flight
+/// receives).
 void build_full_split(const Cluster& c, int nd, const CompileOptions& opts,
-                      const std::vector<int>& w, const std::vector<int>& ext,
+                      const std::vector<int>& w,
                       const std::vector<std::int64_t>& tile,
                       std::vector<NodePtr>& out) {
   // CORE nest.
@@ -640,11 +343,11 @@ void build_full_split(const Cluster& c, int nd, const CompileOptions& opts,
 
   // Remainder slabs, ordered low/high per dimension. Dimensions before the
   // slab dimension are restricted to their core range; later dimensions
-  // span the whole (ghost-extended) domain.
+  // span the whole domain.
   std::vector<NodePtr> remainders;
   for (int d = 0; d < nd; ++d) {
     const auto ud = static_cast<std::size_t>(d);
-    if (w[ud] == 0 && ext[ud] == 0) {
+    if (w[ud] == 0) {
       continue;
     }
     for (const bool high : {false, true}) {
@@ -656,13 +359,13 @@ void build_full_split(const Cluster& c, int nd, const CompileOptions& opts,
           slo[uq] = Bound::absolute(w[uq]);
           shi[uq] = Bound::from_size(-w[uq]);
         } else if (q > d) {
-          slo[uq] = Bound{false, 0, ext[uq]};
-          shi[uq] = Bound{true, 0, ext[uq]};
+          slo[uq] = Bound::absolute(0);
+          shi[uq] = Bound::from_size(0);
         } else if (high) {
           slo[uq] = Bound::from_size(-w[uq]);
-          shi[uq] = Bound{true, 0, ext[uq]};
+          shi[uq] = Bound::from_size(0);
         } else {
-          slo[uq] = Bound{false, 0, ext[uq]};
+          slo[uq] = Bound::absolute(0);
           shi[uq] = Bound::absolute(w[uq]);
         }
       }
@@ -672,8 +375,8 @@ void build_full_split(const Cluster& c, int nd, const CompileOptions& opts,
   out.push_back(make_section("remainder", std::move(remainders)));
 }
 
-/// CORE inset of a cluster at exchange depth 1: the merged widths of its
-/// pre-lowering halo needs.
+/// CORE inset of a cluster: the merged widths of its pre-lowering halo
+/// needs.
 std::vector<int> needs_width(const Cluster& c, int nd) {
   std::vector<int> w(static_cast<std::size_t>(nd), 0);
   for (const HaloNeed& n : c.needs) {
@@ -683,65 +386,6 @@ std::vector<int> needs_width(const Cluster& c, int nd) {
     }
   }
   return w;
-}
-
-/// Can a strip's sub-steps be walked tile-by-tile? Once a tile has run
-/// all k sub-steps its writes land in time-buffer slots that later tiles
-/// (still at earlier sub-steps) may need to read, so every cycling
-/// time-varying field must keep the strip's whole absolute time-index
-/// window in distinct buffers. Saved fields index identically and are
-/// distinct by construction.
-bool time_tile_buffers_ok(const std::vector<Cluster>& clusters, int k,
-                          std::string& why) {
-  std::map<int, std::pair<int, int>> range;  // field id -> (min, max) offset
-  std::map<int, std::string> names;
-  auto touch = [&](const sym::FieldId& f, int off) {
-    if (!f.time_varying) {
-      return;
-    }
-    auto [it, fresh] = range.try_emplace(f.id, std::pair<int, int>{off, off});
-    if (!fresh) {
-      it->second.first = std::min(it->second.first, off);
-      it->second.second = std::max(it->second.second, off);
-    }
-    names.emplace(f.id, f.name);
-  };
-  for (const Cluster& c : clusters) {
-    std::vector<sym::Ex> rhss;
-    for (const Eq& eq : c.eqs) {
-      touch(eq.write_field(), eq.write_time_offset());
-      rhss.push_back(eq.rhs);
-    }
-    for (const sym::Temp& t : c.point_temps) {
-      rhss.push_back(t.value);
-    }
-    for (const sym::Ex& rhs : rhss) {
-      for (const sym::Ex& a : sym::field_accesses(rhs)) {
-        touch(a.node().field, a.node().time_offset);
-      }
-    }
-  }
-  for (const auto& [id, mm] : range) {
-    const grid::Function* fn = grid::lookup_field(id);
-    if (fn == nullptr) {
-      why = "field '" + names[id] + "' is not registered";
-      return false;
-    }
-    if (fn->saved()) {
-      continue;
-    }
-    const int window = (k - 1) + mm.second - mm.first + 1;
-    if (fn->time_buffers() < window) {
-      why = "'" + fn->name() + "' has " +
-            std::to_string(fn->time_buffers()) +
-            " time buffers but tile-by-tile sub-stepping needs " +
-            std::to_string(window) +
-            " distinct in-flight slots (construct fields under "
-            "Function::set_default_time_slack)";
-      return false;
-    }
-  }
-  return true;
 }
 
 /// Sign-of-zero facts about one subexpression when every tracked access
@@ -1109,38 +753,8 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
     flop_reduce(clusters, info);
   }
   obs::Span halo_span("compile.halo_analyze", obs::Cat::Compile);
-  // Communication-avoiding stepping: try the requested exchange depth,
-  // clamping toward 1 whenever a depth is infeasible for these equations
-  // on this grid. At the clamped depth 1 the classic per-step analysis
-  // runs unchanged.
-  DeepHaloPlan ca;
-  const int k_req = std::max(1, opts.exchange_depth);
-  if (k_req > 1) {
-    if (!grid.distributed() || opts.mode == MpiMode::None) {
-      info.exchange_depth_clamp_reason = "serial grid or MPI mode 'none'";
-    } else if (!sparse_ops.empty()) {
-      info.exchange_depth_clamp_reason =
-          "sparse operations update owned points only (ghost zones would "
-          "miss injections)";
-    } else {
-      std::string why;
-      for (int k = k_req; k >= 2; --k) {
-        ca = DeepHaloPlan{};
-        if (plan_deep_halo(clusters, grid, opts.halo_opt, k, ca, why)) {
-          break;
-        }
-        ca = DeepHaloPlan{};
-      }
-      if (ca.k < k_req) {
-        // Fully clamped (k == 1) or downgraded to a shallower depth:
-        // `why` is the failure of the shallowest depth that was rejected.
-        info.exchange_depth_clamp_reason = why;
-      }
-    }
-  }
-  info.exchange_depth = ca.k;
-  std::vector<HaloNeed> hoisted =
-      ca.k > 1 ? ca.hoisted : analyze_halos(clusters, grid, opts.halo_opt);
+  const std::vector<HaloNeed> hoisted =
+      analyze_halos(clusters, grid, opts.halo_opt);
   halo_span.close();
 
   {
@@ -1149,26 +763,8 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
     plan_activity(eqs, clusters, grid, opts, info);
   }
 
-  // Per-dimension cache tiling, and (when requested and legal) walking
-  // strip sub-steps tile-by-tile for temporal reuse.
+  // Per-dimension cache tiling.
   const std::vector<std::int64_t> tile = plan_tiling(opts, grid, info);
-  bool time_tile = false;
-  if (opts.time_tile) {
-    std::string why;
-    if (ca.k <= 1) {
-      why =
-          "time tiling rides the communication-avoiding strip machinery "
-          "(needs an effective exchange_depth > 1)";
-    } else if (tile.empty() || tile[0] <= 0) {
-      why = "time tiling needs an outermost space tile (tile[0] > 0)";
-    } else if (opts.mode == MpiMode::Full) {
-      why = "the full pattern interleaves its Wait inside sub-step 0";
-    } else if (time_tile_buffers_ok(clusters, ca.k, why)) {
-      time_tile = true;
-    }
-    info.time_tile = time_tile;
-    info.time_tile_clamp_reason = time_tile ? "" : why;
-  }
 
   // Stage 4: schedule (pre-lowering IET, with HaloSpot placeholders).
   obs::Span schedule_span("compile.schedule", obs::Cat::Compile);
@@ -1182,7 +778,7 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
 
   // Numerical-health reductions: one (field, time offset) per distinct
   // write target, checked over the owned interior at the end of every
-  // (sub-)step. The emitted kernels are guarded by the reserved
+  // step. The emitted kernels are guarded by the reserved
   // jitfd_health_every scalar, so a zero interval costs one comparison.
   std::vector<HaloNeed> health;
   if (opts.health) {
@@ -1200,105 +796,31 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
   }
 
   std::vector<NodePtr> step;
-  if (ca.k > 1) {
-    // One exchange at the strip top, then k sub-steps whose loop bounds
-    // shrink from the widest ghost extension back to the owned region.
-    if (!ca.strip_needs.empty()) {
-      step.push_back(make_halo_spot(ca.strip_needs));
+  for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
+    const Cluster& c = clusters[ci];
+    if (!c.needs.empty()) {
+      step.push_back(make_halo_spot(c.needs));
     }
-    if (time_tile) {
-      // Walk the k sub-steps tile-by-tile: a serial BlockLoop over the
-      // outermost dimension whose body is the sub-step sequence. Each
-      // sub-step's outermost Iteration expands the tile window by the
-      // full-width trapezoid chain (tile_ext) so every in-tile read is
-      // covered by the same tile's earlier writes; overlap regions are
-      // recomputed bitwise-identically by neighbouring tiles. Health
-      // checks cannot live inside the walker (a sub-step's domain is only
-      // complete once all tiles ran), so they trail it as guarded
-      // health-only sub-steps — the widened time-buffer window keeps the
-      // slots they read distinct for the whole strip.
-      std::vector<std::int64_t> inner = tile;
-      inner[0] = 0;
-      std::vector<NodePtr> walk;
-      for (int j = 0; j < ca.k; ++j) {
-        std::vector<NodePtr> sub;
-        for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
-          std::vector<Bound> lo = domain_lo(nd);
-          std::vector<Bound> hi = domain_hi(nd);
-          for (int d = 0; d < nd; ++d) {
-            const auto ud = static_cast<std::size_t>(d);
-            const int e = ca.ext[static_cast<std::size_t>(j)][ci][ud];
-            lo[ud].ghost = e;
-            hi[ud].ghost = e;
-          }
-          std::vector<std::int64_t> expand(static_cast<std::size_t>(nd), 0);
-          expand[0] = ca.tile_ext[static_cast<std::size_t>(j)][ci];
-          sub.push_back(
-              build_nest(clusters[ci], nd, opts, lo, hi, inner, &expand));
-        }
-        walk.push_back(make_substep(j, std::move(sub)));
-      }
-      step.push_back(make_block_loop(0, Bound::absolute(0),
-                                     Bound::from_size(0), tile[0],
-                                     LoopProps{}, std::move(walk)));
-      if (!health.empty()) {
-        for (int j = 0; j < ca.k; ++j) {
-          step.push_back(make_substep(j, {make_health_check(health)}));
-        }
-      }
-    } else {
-      for (int j = 0; j < ca.k; ++j) {
-        std::vector<NodePtr> sub;
-        for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
-          std::vector<Bound> lo = domain_lo(nd);
-          std::vector<Bound> hi = domain_hi(nd);
-          for (int d = 0; d < nd; ++d) {
-            const auto ud = static_cast<std::size_t>(d);
-            const int e = ca.ext[static_cast<std::size_t>(j)][ci][ud];
-            lo[ud].ghost = e;
-            hi[ud].ghost = e;
-          }
-          sub.push_back(build_nest(clusters[ci], nd, opts, lo, hi, tile));
-        }
-        if (!health.empty()) {
-          // Inside the substep: the substep's partial-strip guard also
-          // guards the check, keeping the `time % interval` predicate (and
-          // thus the cross-rank reduction schedule) identical on all ranks.
-          sub.push_back(make_health_check(health));
-        }
-        step.push_back(make_substep(j, std::move(sub)));
-      }
+    NodePtr nest = build_nest(c, nd, opts, domain_lo(nd), domain_hi(nd), tile);
+    if (info.activity) {
+      auto tagged = std::make_shared<Node>(*nest);
+      tagged->cluster = static_cast<int>(ci);
+      nest = std::move(tagged);
     }
-  } else {
-    for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
-      const Cluster& c = clusters[ci];
-      if (!c.needs.empty()) {
-        step.push_back(make_halo_spot(c.needs));
-      }
-      NodePtr nest =
-          build_nest(c, nd, opts, domain_lo(nd), domain_hi(nd), tile);
-      if (info.activity) {
-        auto tagged = std::make_shared<Node>(*nest);
-        tagged->cluster = static_cast<int>(ci);
-        nest = std::move(tagged);
-      }
-      step.push_back(std::move(nest));
-    }
-    for (const SparseOpDesc& s : sparse_ops) {
-      step.push_back(make_sparse_op(s.id));
-      ++info.sparse_op_count;
-    }
-    if (!health.empty()) {
-      step.push_back(make_health_check(health));
-    }
+    step.push_back(std::move(nest));
+  }
+  for (const SparseOpDesc& s : sparse_ops) {
+    step.push_back(make_sparse_op(s.id));
+    ++info.sparse_op_count;
   }
   if (!health.empty()) {
+    step.push_back(make_health_check(health));
     info.health_checks = health;
     info.scalar_order.push_back(kHealthIntervalScalar);
   }
 
   std::vector<NodePtr> top = prologue;
-  top.push_back(make_time_loop(std::move(step), ca.k));
+  top.push_back(make_time_loop(std::move(step)));
   NodePtr scheduled = make_callable("Kernel", std::move(top));
   info.schedule_dump = to_debug_string(scheduled);
   schedule_span.close();
@@ -1329,44 +851,6 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
     // Rewrite the time-loop body.
     std::vector<NodePtr> new_step;
     const auto& old = n->body;
-    if (n->time_stride > 1) {
-      // Communication-avoiding strip: a single spot at the strip top
-      // (Update for basic/diagonal, Start for full), then the sub-steps.
-      // In full mode the Wait moves inside sub-step 0, between the CORE
-      // and remainder halves of its first cluster.
-      std::size_t i = 0;
-      int spot = -1;
-      std::vector<HaloNeed> strip_needs;
-      if (i < old.size() && old[i]->type == NodeType::HaloSpot) {
-        strip_needs = old[i]->needs;
-        spot = register_spot(strip_needs, /*is_hoisted=*/false);
-        new_step.push_back(make_halo_comm(opts.mode == MpiMode::Full
-                                              ? HaloCommKind::Start
-                                              : HaloCommKind::Update,
-                                          strip_needs, spot));
-        ++i;
-      }
-      for (; i < old.size(); ++i) {
-        const NodePtr& sub = old[i];
-        if (opts.mode == MpiMode::Full && spot >= 0 && sub->time_shift == 0) {
-          std::vector<NodePtr> body;
-          std::vector<NodePtr> split;
-          build_full_split(clusters.front(), nd, opts, ca.width.front(),
-                           ca.ext.front().front(), tile, split);
-          body.push_back(split[0]);  // CORE section.
-          body.push_back(make_halo_comm(HaloCommKind::Wait, strip_needs, spot));
-          body.push_back(split[1]);  // Remainder section.
-          for (std::size_t q = 1; q < sub->body.size(); ++q) {
-            body.push_back(sub->body[q]);
-          }
-          new_step.push_back(with_body(*sub, std::move(body)));
-          continue;
-        }
-        new_step.push_back(sub);
-      }
-      new_top.push_back(with_body(*n, std::move(new_step)));
-      continue;
-    }
     for (std::size_t i = 0; i < old.size(); ++i) {
       if (old[i]->type != NodeType::HaloSpot) {
         new_step.push_back(old[i]);
@@ -1412,9 +896,7 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
       }
       new_step.push_back(make_halo_comm(HaloCommKind::Start, needs, id));
       std::vector<NodePtr> split;
-      build_full_split(c, nd, opts, needs_width(c, nd),
-                       std::vector<int>(static_cast<std::size_t>(nd), 0),
-                       tile, split);
+      build_full_split(c, nd, opts, needs_width(c, nd), tile, split);
       new_step.push_back(split[0]);  // CORE section.
       new_step.push_back(make_halo_comm(HaloCommKind::Wait, needs, id));
       new_step.push_back(split[1]);  // Remainder section.

@@ -60,23 +60,7 @@ struct CompileOptions {
   /// smallest rank-local extent (clamping must be rank-uniform or
   /// collective trial grids would diverge across ranks).
   std::vector<std::int64_t> tile;
-  /// Walk the exchange_depth sub-steps of a communication-avoiding strip
-  /// tile-by-tile (outermost dimension) instead of sub-step-by-sub-step,
-  /// so a tile's data stays cache-resident across the k sub-steps.
-  /// Requires exchange_depth > 1, an outermost tile, a non-Full pattern,
-  /// and enough time buffers to keep the in-flight time indices distinct
-  /// (see Function::set_default_time_slack); otherwise clamped with
-  /// LoweringInfo::time_tile_clamp_reason.
-  bool time_tile = false;
   bool openmp = true;        ///< Annotate parallel loops.
-  /// Communication-avoiding exchange depth k: one halo exchange (of depth
-  /// up to k stencil radii per dependent cluster) is amortized over k
-  /// timesteps, with the skipped exchanges replaced by redundant
-  /// ghost-zone compute. 1 = classic per-step exchanges. Requests are
-  /// clamped (see LoweringInfo::exchange_depth) when the allocated halos
-  /// are too shallow, when sparse operations or saved fields are present,
-  /// or on serial grids.
-  int exchange_depth = 1;
   /// Emit per-written-field numerical-health reduction kernels
   /// (NaN/Inf counts, finite min/max, L2 over the owned interior) at
   /// the end of every time step, guarded by the reserved
@@ -120,19 +104,13 @@ struct LoweringInfo {
   std::vector<SpotInfo> spots;
   std::string schedule_dump;  ///< Pre-lowering IET (Listings 4-5 analogue).
   int sparse_op_count = 0;
-  /// Effective exchange depth after clamping (1 when the request could
-  /// not be honoured; exchange_depth_clamp_reason says why).
-  int exchange_depth = 1;
-  std::string exchange_depth_clamp_reason;
+  /// Every schedule exchanges once per step; only propbench reads this.
+  static constexpr int exchange_depth = 1;
   /// Effective per-dimension tile sizes after clamping (size ndims; all
   /// zeros when untiled). tile_clamp_reason says why a requested tile was
   /// dropped or shrunk.
   std::vector<std::int64_t> tile;
   std::string tile_clamp_reason;
-  /// Whether strips walk sub-steps tile-by-tile (time tiling); when the
-  /// request could not be honoured, time_tile_clamp_reason says why.
-  bool time_tile = false;
-  std::string time_tile_clamp_reason;
   /// The (field, time offset) pairs each step's HealthCheck reduces
   /// (empty when CompileOptions::health was off or nothing is written).
   std::vector<HaloNeed> health_checks;

@@ -43,13 +43,10 @@ AnalysisReport analyze(const TraceData& data) {
   // (sender, receiver) -> send intervals, (receiver, sender) -> waits.
   std::map<std::pair<int, int>, std::vector<Interval>> sends;
   std::map<std::pair<int, int>, std::vector<Interval>> waits;
-  std::map<int, std::uint64_t> strip_count;
   std::map<int, std::uint64_t> exchange_count;
   // (rank, spot) -> chronological halo.start / halo.finish intervals.
   std::map<std::pair<int, int>, std::vector<std::pair<bool, Interval>>>
       async_marks;  // bool: true = start.
-  std::map<int, std::vector<Interval>> strips;
-  std::map<int, std::vector<Interval>> step_spans;
   std::map<int, std::vector<std::pair<Interval, std::int64_t>>> computes;
 
   for (const TraceData::Rec& e : data.events) {
@@ -85,30 +82,12 @@ AnalysisReport analyze(const TraceData& data) {
       case Cat::Compute:
         computes[e.rank].emplace_back(iv, e.a0);
         break;
-      case Cat::Run:
-        if (e.name == "strip") {
-          ++strip_count[e.rank];
-          strips[e.rank].push_back(iv);
-        } else if (e.name == "step") {
-          step_spans[e.rank].push_back(iv);
-        }
-        break;
       default:
         break;
     }
   }
-
-  for (const auto& [rank, n] : strip_count) {
-    rep.strips = std::max(rep.strips, n);
-  }
   for (const auto& [rank, n] : exchange_count) {
     rep.exchanges = std::max(rep.exchanges, n);
-  }
-  if (rep.strips > 0 && rep.steps > 0) {
-    rep.exchange_depth = static_cast<int>(
-        (rep.steps + rep.strips - 1) / rep.strips);
-    rep.saved_exchanges =
-        rep.steps > rep.strips ? rep.steps - rep.strips : 0;
   }
 
   // -- Wait-state attribution ------------------------------------------
@@ -217,39 +196,6 @@ AnalysisReport analyze(const TraceData& data) {
     rep.step_loads.push_back(sl);
   }
 
-  // -- Deep-halo redundant compute --------------------------------------
-  // Within one k-deep strip the early sub-steps run ghost-extended
-  // bounds; their compute excess over the cheapest sub-step is the
-  // redundancy bought in exchange for the saved messages.
-  for (const auto& [rank, strip_list] : strips) {
-    const auto st_it = step_spans.find(rank);
-    const auto c_it = computes.find(rank);
-    if (st_it == step_spans.end() || c_it == computes.end()) {
-      continue;
-    }
-    for (const Interval& strip : strip_list) {
-      std::vector<double> sub;
-      for (const Interval& step : st_it->second) {
-        if (step.t0 < strip.t0 || step.t1 > strip.t1) {
-          continue;
-        }
-        double c = 0.0;
-        for (const auto& [iv, t] : c_it->second) {
-          if (iv.t0 >= step.t0 && iv.t1 <= step.t1) {
-            c += sec(iv.t0, iv.t1);
-          }
-        }
-        sub.push_back(c);
-      }
-      if (sub.size() >= 2) {
-        const double lo = *std::min_element(sub.begin(), sub.end());
-        for (const double c : sub) {
-          rep.redundant_compute_s += c - lo;
-        }
-      }
-    }
-  }
-
   return rep;
 }
 
@@ -272,8 +218,6 @@ std::string analysis_json(const AnalysisReport& r) {
   os << "{\n\"analysis\": {\n";
   os << "  \"nranks\": " << r.nranks << ",\n";
   os << "  \"steps\": " << r.steps << ",\n";
-  os << "  \"strips\": " << r.strips << ",\n";
-  os << "  \"exchange_depth\": " << r.exchange_depth << ",\n";
   os << "  \"wall_seconds\": ";
   put(os, r.wall_s);
   os << ",\n  \"wait\": {\n";
@@ -341,13 +285,7 @@ std::string analysis_json(const AnalysisReport& r) {
     put(os, sl.mean_compute_s);
     os << ", \"critical_rank\": " << sl.critical_rank << "}";
   }
-  os << "\n    ]\n  },\n";
-  os << "  \"deep_halo\": {\n";
-  os << "    \"exchanges\": " << r.exchanges;
-  os << ",\n    \"saved_exchanges\": " << r.saved_exchanges;
-  os << ",\n    \"redundant_compute_seconds\": ";
-  put(os, r.redundant_compute_s);
-  os << "\n  }\n}\n}\n";
+  os << "\n    ]\n  }\n}\n}\n";
   return os.str();
 }
 
@@ -366,10 +304,6 @@ std::string analysis_summary(const AnalysisReport& r) {
   os.precision(3);
   os << std::fixed;
   os << "analysis: " << r.nranks << " ranks, " << r.steps << " steps";
-  if (r.strips > 0) {
-    os << " (" << r.strips << " strips, k=" << r.exchange_depth << ", "
-       << r.saved_exchanges << " exchanges saved)";
-  }
   os << ", wall " << r.wall_s * 1e3 << " ms\n";
   os << "  wait: late-sender " << r.late_sender_s * 1e3
      << " ms, late-receiver " << r.late_receiver_s * 1e3 << " ms, transfer "
@@ -391,11 +325,6 @@ std::string analysis_summary(const AnalysisReport& r) {
     os << " (critical-path rank " << r.critical_path_rank << ")";
   }
   os << "\n";
-  if (r.redundant_compute_s > 0.0) {
-    os << "  deep-halo: " << r.redundant_compute_s * 1e3
-       << " ms redundant compute for " << r.saved_exchanges
-       << " saved exchanges\n";
-  }
   return os.str();
 }
 
@@ -410,10 +339,6 @@ void export_metrics(const AnalysisReport& r) {
   metrics::gauge("analysis.imbalance_ratio").set(r.imbalance_ratio);
   metrics::gauge("analysis.max_compute_seconds").set(r.max_compute_s);
   metrics::gauge("analysis.mean_compute_seconds").set(r.mean_compute_s);
-  metrics::gauge("analysis.redundant_compute_seconds")
-      .set(r.redundant_compute_s);
-  metrics::gauge("analysis.saved_exchanges")
-      .set(static_cast<double>(r.saved_exchanges));
 }
 
 AnalysisReport TraceHandle::analysis() const { return analyze(data()); }

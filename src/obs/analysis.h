@@ -17,11 +17,6 @@
 //  * load imbalance — max/mean compute seconds across ranks, the
 //    critical-path rank, and (interpreter runs, whose compute spans
 //    carry the timestep in a0) a per-step breakdown.
-//  * deep-halo strip accounting — exchanges actually performed vs.
-//    steps covered, and redundant compute: within each k-deep strip the
-//    ghost-extended early sub-steps cost more than the last one; the
-//    excess is the price paid for the saved exchanges, comparable to
-//    perfmodel's t_redundant.
 //
 // Analysis is strictly offline: it runs over a collected snapshot after
 // the ranks have joined and touches no tracing hot path.
@@ -63,8 +58,7 @@ struct StepLoad {
 struct AnalysisReport {
   int nranks = 0;
   std::uint64_t steps = 0;   ///< Max "step" spans over ranks.
-  std::uint64_t strips = 0;  ///< Max "strip" spans over ranks (0 at k=1).
-  int exchange_depth = 1;    ///< Inferred: ceil(steps / strips).
+  std::uint64_t exchanges = 0;  ///< halo.update + halo.start (max over ranks).
   double wall_s = 0.0;       ///< Global extent (max end - min start).
 
   // -- Wait-state attribution ------------------------------------------
@@ -91,11 +85,6 @@ struct AnalysisReport {
   int critical_path_rank = -1;
   std::vector<RankLoad> rank_loads;  ///< Per-rank compute totals, by rank.
   std::vector<StepLoad> step_loads;
-
-  // -- Deep-halo strip accounting --------------------------------------
-  std::uint64_t exchanges = 0;  ///< halo.update + halo.start (max over ranks).
-  std::uint64_t saved_exchanges = 0;    ///< steps - strips when k > 1.
-  double redundant_compute_s = 0.0;  ///< Ghost-extension excess in strips.
 };
 
 /// Run the cross-rank analysis over a collected snapshot. Cheap on an
@@ -103,7 +92,7 @@ struct AnalysisReport {
 AnalysisReport analyze(const TraceData& data);
 
 /// Stable machine-readable export: one top-level "analysis" object with
-/// "wait" / "overlap" / "imbalance" / "deep_halo" sections
+/// "wait" / "overlap" / "imbalance" sections
 /// (validated by obs::validate_analysis_json / tools/trace_check).
 std::string analysis_json(const AnalysisReport& report);
 bool write_analysis_file(const std::string& path,

@@ -14,7 +14,7 @@
 //    thread's single-writer ring (keys are string literals, stored by
 //    pointer; values are doubles).
 //
-// One ring per thread; SMPI ranks are threads, so smpi::run tags each
+// One ring per thread; SMPI ranks are threads, so smpi::launch tags each
 // rank thread via set_thread_rank. collect()/reset() follow the same
 // quiescence contract as trace.h.
 #pragma once
@@ -85,7 +85,7 @@ class EnableScope {
   bool on_ = false;
 };
 
-/// Tag the calling thread's ring with an SMPI rank id (smpi::run calls
+/// Tag the calling thread's ring with an SMPI rank id (smpi::launch calls
 /// this on every rank thread; untagged threads record as rank 0).
 void set_thread_rank(int rank);
 

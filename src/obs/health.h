@@ -16,7 +16,7 @@
 //
 // OnNan::AbortDump writes the flight-recorder bundle and throws
 // DivergenceError on every rank (the reduced counts are identical
-// everywhere, so no rank is left blocked in a collective); smpi::run
+// everywhere, so no rank is left blocked in a collective); smpi::launch
 // rethrows it on the caller thread, turning divergence into a nonzero
 // process exit.
 #pragma once
@@ -96,7 +96,7 @@ struct Summary {
   bool healthy() const { return first_bad_step < 0; }
 };
 
-/// Thrown by OnNan::AbortDump (on every rank; smpi::run rethrows the
+/// Thrown by OnNan::AbortDump (on every rank; smpi::launch rethrows the
 /// lowest rank's copy after all ranks joined).
 class DivergenceError : public std::runtime_error {
  public:

@@ -488,8 +488,7 @@ SchemaCheck validate_analysis_json(std::string_view json) {
   if (a == nullptr) {
     return out;
   }
-  for (const char* key :
-       {"nranks", "steps", "strips", "exchange_depth", "wall_seconds"}) {
+  for (const char* key : {"nranks", "steps", "wall_seconds"}) {
     if (!want_num(*a, key, out.error, "\"analysis\"")) {
       return out;
     }
@@ -568,33 +567,19 @@ SchemaCheck validate_analysis_json(std::string_view json) {
     }
   }
   ++out.items;
-  const JsonValue* deep = want_obj(*a, "deep_halo", out.error, "\"analysis\"");
-  if (deep == nullptr) {
-    return out;
-  }
-  for (const char* key :
-       {"exchanges", "saved_exchanges", "redundant_compute_seconds"}) {
-    if (!want_num(*deep, key, out.error, "\"deep_halo\"")) {
-      return out;
-    }
-  }
-  ++out.items;
   out.ok = true;
   return out;
 }
 
 namespace {
 
-// One (mode, depth, tile) row shared by autotune "trials" and "best".
+// One (mode, tile) row shared by autotune "trials" and "best".
 bool check_autotune_key(const JsonValue& row, SchemaCheck& out,
                         const std::string& where) {
   const JsonValue* mode = row.find("mode");
   if (row.type != JsonValue::Type::Obj || mode == nullptr ||
       mode->type != JsonValue::Type::Str || mode->str.empty()) {
     out.error = where + " missing string \"mode\"";
-    return false;
-  }
-  if (!want_num(row, "depth", out.error, where)) {
     return false;
   }
   const JsonValue* tile = want_arr(row, "tile", out.error, where);
@@ -672,8 +657,8 @@ SchemaCheck validate_autotune_json(std::string_view json) {
       }
       for (const char* key :
            {"wait_seconds", "overlap_efficiency", "imbalance_ratio",
-            "critical_rank", "redundant_seconds",
-            "imbalance_penalty_seconds", "attributed_cost_seconds"}) {
+            "critical_rank", "imbalance_penalty_seconds",
+            "attributed_cost_seconds"}) {
         if (!want_num(*score, key, out.error, "trial score")) {
           return out;
         }

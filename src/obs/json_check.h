@@ -81,14 +81,13 @@ struct SchemaCheck {
 SchemaCheck validate_metrics_json(std::string_view json);
 
 /// Check the obs::analysis_json() schema: a top-level "analysis" object
-/// with numeric run fields and "wait" / "overlap" / "imbalance" /
-/// "deep_halo" sections (per-rank wait rows and per-step load rows
-/// included).
+/// with numeric run fields and "wait" / "overlap" / "imbalance" sections
+/// (per-rank wait rows and per-step load rows included).
 SchemaCheck validate_analysis_json(std::string_view json);
 
 /// Check the core::autotune_report_json() schema: a top-level "autotune"
 /// object with an "objective" of wall|attributed, a non-empty decision
-/// string "why", a "best" (mode, depth, tile) row, a "rebalance"
+/// string "why", a "best" (mode, tile) row, a "rebalance"
 /// recommendation, "trials" rows (each carrying the full AnalysisScore
 /// under the attributed objective), and "skipped" rows with non-empty
 /// clamp reasons. items counts trials.

@@ -14,7 +14,7 @@
 //
 // TraceHandle is the user-facing capability returned in a RunSummary:
 // a lazy view that snapshots the global buffers at call time, so it is
-// complete once every rank has finished (smpi::run joined, or a
+// complete once every rank has finished (smpi::launch joined, or a
 // barrier passed).
 #pragma once
 
@@ -94,7 +94,7 @@ class TraceHandle {
   RunProfile profile() const { return profile_from(data()); }
   std::string summary() const { return summary_table(data()); }
   /// Cross-rank analysis (wait-state attribution, overlap efficiency,
-  /// imbalance, strip accounting); callers include obs/analysis.h.
+  /// imbalance); callers include obs/analysis.h.
   AnalysisReport analysis() const;
   bool write_chrome(const std::string& path) const {
     return active_ && write_chrome_trace_file(path, data());

@@ -5,7 +5,7 @@
 // JIT builds, per-timestep compute, pack/send/wait/unpack, transport
 // deliveries) into a lock-free single-writer ring buffer owned by the
 // recording thread. SMPI ranks are threads, so one buffer per rank falls
-// out naturally; smpi::run tags each rank thread with its rank id.
+// out naturally; smpi::launch tags each rank thread with its rank id.
 //
 // Cost model:
 //  - compiled out      — configure with -DJITFD_OBS=OFF: enabled() is a
@@ -17,7 +17,7 @@
 //    exists) at span close.
 //
 // Collection (collect()/reset()) is meant for quiescent moments — after
-// smpi::run has joined its rank threads, or behind a barrier; readers do
+// smpi::launch has joined its rank threads, or behind a barrier; readers do
 // not synchronize with in-flight writers beyond an acquire on the ring
 // head. Exports (Chrome trace JSON, summary table, RunProfile) live in
 // obs/report.h.
@@ -108,7 +108,7 @@ class EnableScope {
 };
 
 /// Tag the calling thread's buffer (and future buffers it creates) with
-/// an SMPI rank id. smpi::run calls this on every rank thread; untagged
+/// an SMPI rank id. smpi::launch calls this on every rank thread; untagged
 /// threads record as rank 0.
 void set_thread_rank(int rank);
 

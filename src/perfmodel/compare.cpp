@@ -36,10 +36,8 @@ MeasuredRun measured_from(const obs::RunProfile& profile,
   MeasuredRun m =
       measured_from(profile, kernel, mode, so, points_updated, steps);
   m.has_analysis = true;
-  m.exchange_depth = analysis.exchange_depth;
   m.overlap_efficiency = analysis.overlap_efficiency;
   m.imbalance_ratio = analysis.imbalance_ratio;
-  m.redundant_seconds = analysis.redundant_compute_s;
   m.late_sender_seconds = analysis.late_sender_s;
   m.late_receiver_seconds = analysis.late_receiver_s;
   return m;
@@ -136,16 +134,11 @@ Comparison compare_run(const MeasuredRun& measured, const ScalingModel& model,
                                 static_cast<double>(measured.steps);
   }
 
-  // One exchange round per strip of `exchange_depth` steps: the deep
-  // halo of a communication-avoiding run carries the same message count
-  // per round as a depth-1 exchange (widths grow, directions do not).
-  const std::int64_t depth =
-      measured.exchange_depth > 1 ? measured.exchange_depth : 1;
+  // One exchange round per step.
   const std::int64_t steps = measured.steps > 0 ? measured.steps : 0;
-  const std::int64_t strips = (steps + depth - 1) / depth;
   c.expected_messages = table1_messages(topology, measured.mode) *
                         static_cast<std::uint64_t>(exchanges_per_step) *
-                        static_cast<std::uint64_t>(strips);
+                        static_cast<std::uint64_t>(steps);
 
   // Structural halo volume: every interior interface along dimension d
   // moves a width-deep slab of the domain cross-section, both ways.
@@ -172,9 +165,8 @@ Comparison compare_run(const MeasuredRun& measured, const ScalingModel& model,
   // term matches the compiled schedule (no-op when untiled).
   ScalingModel tiled_model = model;
   tiled_model.set_tile(measured.tile);
-  const ScalingPoint pt =
-      tiled_model.strong(measured.ranks, measured.so, measured.mode,
-                         domain_edge, static_cast<int>(depth));
+  const ScalingPoint pt = tiled_model.strong(measured.ranks, measured.so,
+                                             measured.mode, domain_edge);
   c.predicted_gpts = pt.gpts;
   c.predicted_step_seconds = pt.step_seconds;
   if (pt.step_seconds > 0.0) {
@@ -189,14 +181,6 @@ Comparison compare_run(const MeasuredRun& measured, const ScalingModel& model,
   if (measured.mode == ir::MpiMode::Full && pt.t_net > 0.0) {
     c.predicted_overlap_efficiency =
         std::clamp(std::min(pt.t_comp, pt.t_net) / pt.t_net, 0.0, 1.0);
-  }
-  c.predicted_redundant_step_seconds = pt.t_redundant;
-  if (measured.has_analysis && measured.steps > 0 && measured.ranks > 0) {
-    // The analyzer's total over all ranks and strips, normalized to the
-    // model's per-step per-rank convention.
-    c.measured_redundant_step_seconds =
-        measured.redundant_seconds /
-        static_cast<double>(measured.steps * measured.ranks);
   }
   return c;
 }
@@ -236,23 +220,13 @@ std::vector<DriftGate> drift_gates(const Comparison& row,
   }
   push("comm_fraction", row.measured.comm_fraction,
        row.predicted_comm_fraction, bands.comm_fraction);
-  const double measured_share =
-      row.measured_step_seconds > 0.0
-          ? row.measured_redundant_step_seconds / row.measured_step_seconds
-          : 0.0;
-  const double predicted_share =
-      row.predicted_step_seconds > 0.0
-          ? row.predicted_redundant_step_seconds / row.predicted_step_seconds
-          : 0.0;
-  push("redundant_share", measured_share, predicted_share,
-       bands.redundant_share);
   return gates;
 }
 
 std::string comparison_table(const std::vector<Comparison>& rows) {
   std::ostringstream os;
-  os << std::left << std::setw(10) << "pattern" << std::right << std::setw(4)
-     << "k" << std::setw(10) << "tile" << std::setw(12) << "GPts/s"
+  os << std::left << std::setw(10) << "pattern" << std::right
+     << std::setw(10) << "tile" << std::setw(12) << "GPts/s"
      << std::setw(12) << "model"
      << std::setw(11) << "comm%" << std::setw(11) << "model%" << std::setw(12)
      << "msgs" << std::setw(12) << "expected" << std::setw(14) << "MB/step"
@@ -261,8 +235,7 @@ std::string comparison_table(const std::vector<Comparison>& rows) {
   os << std::fixed;
   for (const Comparison& c : rows) {
     os << std::left << std::setw(10) << ir::to_string(c.measured.mode)
-       << std::right << std::setw(4) << c.measured.exchange_depth
-       << std::setw(10) << tile_str(c.measured.tile)
+       << std::right << std::setw(10) << tile_str(c.measured.tile)
        << std::setprecision(4) << std::setw(12)
        << c.measured_gpts << std::setw(12) << c.predicted_gpts
        << std::setprecision(1) << std::setw(10)
@@ -292,7 +265,6 @@ std::string comparison_json(const std::vector<Comparison>& rows) {
        << "      \"ranks\": " << c.measured.ranks << ",\n"
        << "      \"so\": " << c.measured.so << ",\n"
        << "      \"steps\": " << c.measured.steps << ",\n"
-       << "      \"exchange_depth\": " << c.measured.exchange_depth << ",\n"
        << "      \"tile\": [";
     for (std::size_t d = 0; d < c.measured.tile.size(); ++d) {
       os << (d > 0 ? ", " : "") << c.measured.tile[d];
@@ -322,11 +294,7 @@ std::string comparison_json(const std::vector<Comparison>& rows) {
        << "      \"late_sender_seconds\": " << c.measured.late_sender_seconds
        << ",\n"
        << "      \"late_receiver_seconds\": "
-       << c.measured.late_receiver_seconds << ",\n"
-       << "      \"measured_redundant_step_seconds\": "
-       << c.measured_redundant_step_seconds << ",\n"
-       << "      \"predicted_redundant_step_seconds\": "
-       << c.predicted_redundant_step_seconds << "\n"
+       << c.measured.late_receiver_seconds << "\n"
        << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";

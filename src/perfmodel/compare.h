@@ -38,9 +38,6 @@ struct MeasuredRun {
   int ranks = 1;
   int so = 2;
   std::int64_t steps = 0;
-  /// Communication-avoiding exchange depth the run was compiled with
-  /// (1 = one exchange round per step).
-  int exchange_depth = 1;
   /// Cache-tile shape the run was compiled with (CompileOptions::tile
   /// layout; empty = untiled). Feeds the model's cache-traffic term.
   std::vector<std::int64_t> tile;
@@ -54,7 +51,6 @@ struct MeasuredRun {
   bool has_analysis = false;
   double overlap_efficiency = 0.0;  ///< Full pattern: comm hidden / comm wall.
   double imbalance_ratio = 0.0;     ///< Max/mean compute across ranks.
-  double redundant_seconds = 0.0;   ///< Deep-halo ghost-extension excess.
   double late_sender_seconds = 0.0;
   double late_receiver_seconds = 0.0;
 };
@@ -67,7 +63,7 @@ MeasuredRun measured_from(const obs::RunProfile& profile,
                           std::int64_t steps = 0);
 
 /// As above, but also fold in the cross-rank AnalysisReport (overlap
-/// efficiency, imbalance, wait-state split, deep-halo redundancy) so
+/// efficiency, imbalance, wait-state split) so
 /// the comparison can juxtapose them against the model's predictions.
 MeasuredRun measured_from(const obs::RunProfile& profile,
                           const obs::AnalysisReport& analysis,
@@ -90,17 +86,13 @@ struct Comparison {
   double measured_step_seconds = 0.0;
   double predicted_step_seconds = 0.0;
   double predicted_comm_fraction = 0.0;
-  std::uint64_t expected_messages = 0;  ///< Table I x fields x spots x strips.
+  std::uint64_t expected_messages = 0;  ///< Table I x fields x spots x steps.
   double measured_bytes_per_step = 0.0;
   double predicted_bytes_per_step = 0.0;  ///< Model halo volume, all ranks.
   /// Model's overlap ceiling for the full pattern: the fraction of
   /// network time hideable under compute, min(t_comp, t_net) / t_net
   /// (0 for patterns without compute/comm overlap).
   double predicted_overlap_efficiency = 0.0;
-  /// Deep-halo redundancy per step per rank, measured (from the
-  /// analyzer's strip accounting) vs. the model's t_redundant.
-  double measured_redundant_step_seconds = 0.0;
-  double predicted_redundant_step_seconds = 0.0;
 
   bool messages_match() const {
     return expected_messages == measured.messages;
@@ -114,10 +106,6 @@ struct Comparison {
 /// message rounds per time step (fields x per-step spots, 1 for a
 /// single-field single-spot kernel); `domain_edge` feeds the model's
 /// strong-scaling evaluation (0 = the paper's default cube). When
-/// `measured.exchange_depth` > 1, one exchange round covers a strip of
-/// `depth` steps, so the structural expectation scales with
-/// ceil(steps / depth) strips rather than steps, and the model is
-/// evaluated with the matching communication-avoiding terms. When
 /// `measured.tile` is non-empty the model's cache-traffic term is
 /// evaluated with that tile shape (ScalingModel::set_tile).
 Comparison compare_run(const MeasuredRun& measured, const ScalingModel& model,
@@ -134,7 +122,6 @@ Comparison compare_run(const MeasuredRun& measured, const ScalingModel& model,
 struct DriftBands {
   double overlap_efficiency = 0.25;
   double comm_fraction = 0.25;
-  double redundant_share = 0.25;
 };
 
 /// One model-vs-measured drift gate evaluated from a Comparison row.
@@ -147,10 +134,9 @@ struct DriftGate {
   bool ok = false;         ///< drift <= band.
 };
 
-/// Evaluate the three drift gates for one comparison row: overlap
-/// efficiency (needs measured analysis data; skipped — no gate emitted —
-/// when the row carries none), communication fraction, and the
-/// redundant-compute share of a step. Callers fold the resulting
+/// Evaluate the drift gates for one comparison row: overlap efficiency
+/// (needs measured analysis data; skipped — no gate emitted — when the
+/// row carries none) and communication fraction. Callers fold the resulting
 /// `drift` values into a bench series (bench_util.h) so the sentinel
 /// gates them against committed bands.
 std::vector<DriftGate> drift_gates(const Comparison& row,

@@ -78,8 +78,7 @@ Local decompose(const std::vector<std::int64_t>& domain, int parts,
 
 ScalingPoint ScalingModel::evaluate(const std::vector<std::int64_t>& domain,
                                     int units, int so, ir::MpiMode mode,
-                                    bool weak_regime,
-                                    int exchange_depth) const {
+                                    bool weak_regime) const {
   ScalingPoint pt;
   pt.units = units;
 
@@ -160,30 +159,11 @@ ScalingPoint ScalingModel::evaluate(const std::vector<std::int64_t>& domain,
     const double overhead = machine_.msg_overhead_us / kMega;
     const double mem_bw = machine_.mem_bw_gbs * kGiga;
 
-    // Communication-avoiding amortization: one exchange (of k-fold
-    // depth) covers k timesteps, so the per-exchange costs — latency,
-    // per-message overhead, allocation/staging, straggler sync — divide
-    // by k. The wire volume per step is unchanged to first order (k
-    // times the depth at 1/k the frequency), while redundant ghost-zone
-    // compute grows with (k - 1): each rank recomputes a surface ring of
-    // average depth (k - 1)/2 * chain width per sub-step.
-    const double depth = static_cast<double>(std::max(1, exchange_depth));
-    const double amort = 1.0 / depth;
-
     // Pack/unpack cost at rank granularity (OpenMP-threaded in the
     // generated code, so it streams at memory bandwidth).
     pt.t_pack = 2.0 * v_rank_total / mem_bw;
     pt.t_sync = kSyncFraction * pt.t_comp * kernel_.nspots *
-                std::log2(static_cast<double>(ranks)) * amort;
-
-    // Redundant ghost points per unit per step: the one-point surface
-    // ring of each rank (surface_volume at width 1, divided back by the
-    // 4-byte scaling) times the average redundant depth.
-    const double rank_ring_points =
-        rank.surface_volume(1, kernel_.comm_fields, kernel_.comm_factor) /
-        4.0;
-    pt.t_redundant = (depth - 1.0) / 2.0 * (so / 2) * rank_ring_points *
-                     machine_.ranks_per_unit * t_point;
+                std::log2(static_cast<double>(ranks));
 
     // Wire messages per unit per step: every rank of the unit issues its
     // own exchanges, serialized at the unit's NIC(s). The message-rate
@@ -191,25 +171,24 @@ ScalingPoint ScalingModel::evaluate(const std::vector<std::int64_t>& domain,
     const int face_msgs = 2 * rank.split_dims() * kernel_.comm_fields *
                           machine_.ranks_per_unit;
     const int star_msgs = face_msgs * 4;  // ~26/6 message blow-up in 3D.
-    const double t_face_msgs = networked ? face_msgs * overhead * amort : 0.0;
-    const double t_star_msgs = networked ? star_msgs * overhead * amort : 0.0;
+    const double t_face_msgs = networked ? face_msgs * overhead : 0.0;
+    const double t_star_msgs = networked ? star_msgs * overhead : 0.0;
     const double t_volume = networked ? v_unit / net_bw : 0.0;
     if (!networked) {
       latency = 0.0;
     }
-    latency *= amort;
 
     switch (mode) {
       case ir::MpiMode::Basic: {
         // Multi-step: the per-dimension rounds serialize (no cross-round
         // overlap), and buffers are allocated and staged in C-land per
         // exchange (Table I, "runtime" allocation).
-        const double t_alloc = v_unit / mem_bw * amort;
+        const double t_alloc = v_unit / mem_bw;
         pt.t_net = unit.split_dims() * 2.0 * latency +
                    std::max(t_face_msgs, kMultiStepSerialization * t_volume) +
                    t_alloc;
         pt.step_seconds =
-            pt.t_comp + pt.t_net + pt.t_pack + pt.t_sync + pt.t_redundant;
+            pt.t_comp + pt.t_net + pt.t_pack + pt.t_sync;
         break;
       }
       case ir::MpiMode::Diagonal: {
@@ -218,7 +197,7 @@ ScalingPoint ScalingModel::evaluate(const std::vector<std::int64_t>& domain,
         // bandwidth — the acoustic low-order regime).
         pt.t_net = 2.0 * latency + std::max(t_star_msgs, t_volume);
         pt.step_seconds =
-            pt.t_comp + pt.t_net + pt.t_pack + pt.t_sync + pt.t_redundant;
+            pt.t_comp + pt.t_net + pt.t_pack + pt.t_sync;
         break;
       }
       case ir::MpiMode::Full: {
@@ -255,7 +234,7 @@ ScalingPoint ScalingModel::evaluate(const std::vector<std::int64_t>& domain,
         pt.t_net = 2.0 * latency +
                    std::max(t_star_msgs, t_volume) / kAsyncProgressQuality;
         pt.step_seconds = std::max(t_core, pt.t_net) + pt.t_remainder +
-                          pt.t_pack + pt.t_sync + pt.t_redundant;
+                          pt.t_pack + pt.t_sync;
         pt.t_comp = t_core;  // Report the overlapped-core time.
         break;
       }
@@ -276,13 +255,11 @@ ScalingPoint ScalingModel::evaluate(const std::vector<std::int64_t>& domain,
 }
 
 ScalingPoint ScalingModel::strong(int units, int so, ir::MpiMode mode,
-                                  std::int64_t domain_edge,
-                                  int exchange_depth) const {
+                                  std::int64_t domain_edge) const {
   const std::int64_t edge =
       domain_edge > 0 ? domain_edge : kernel_.strong_domain.at(target_);
   const std::vector<std::int64_t> domain{edge, edge, edge};
-  ScalingPoint pt =
-      evaluate(domain, units, so, mode, /*weak_regime=*/false, exchange_depth);
+  ScalingPoint pt = evaluate(domain, units, so, mode);
   const ScalingPoint base =
       evaluate(domain, 1, so, ir::MpiMode::None);
   pt.efficiency = pt.gpts / (base.gpts * units);
@@ -290,15 +267,13 @@ ScalingPoint ScalingModel::strong(int units, int so, ir::MpiMode mode,
 }
 
 ScalingPoint ScalingModel::weak(int units, int so, ir::MpiMode mode,
-                                std::int64_t per_unit_edge,
-                                int exchange_depth) const {
+                                std::int64_t per_unit_edge) const {
   const std::vector<int> udims = smpi::dims_create(units, 3, topology_);
   std::vector<std::int64_t> domain;
   for (const int d : udims) {
     domain.push_back(per_unit_edge * d);
   }
-  ScalingPoint pt = evaluate(domain, units, so, mode, /*weak_regime=*/true,
-                             exchange_depth);
+  ScalingPoint pt = evaluate(domain, units, so, mode, /*weak_regime=*/true);
   const std::vector<std::int64_t> one{per_unit_edge, per_unit_edge,
                                       per_unit_edge};
   const ScalingPoint base =

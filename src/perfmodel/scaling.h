@@ -42,9 +42,6 @@ struct ScalingPoint {
   double t_pack = 0.0;
   double t_sync = 0.0;
   double t_remainder = 0.0;
-  /// Redundant ghost-zone compute of communication-avoiding stepping
-  /// (zero at exchange depth 1).
-  double t_redundant = 0.0;
 };
 
 class ScalingModel {
@@ -55,19 +52,13 @@ class ScalingModel {
         target_(target) {}
 
   /// Strong scaling: the paper's fixed global cube (or a custom edge via
-  /// `domain_edge` > 0) on `units` nodes/devices. `exchange_depth` > 1
-  /// models communication-avoiding stepping: latency, per-message
-  /// overhead and sync terms amortize by 1/depth, volume stays (deeper
-  /// exchanges, 1/depth the frequency), and a redundant ghost-compute
-  /// term grows with (depth - 1).
+  /// `domain_edge` > 0) on `units` nodes/devices.
   ScalingPoint strong(int units, int so, ir::MpiMode mode,
-                      std::int64_t domain_edge = 0,
-                      int exchange_depth = 1) const;
+                      std::int64_t domain_edge = 0) const;
 
   /// Weak scaling: 256^3 points per unit (paper Section IV-E).
   ScalingPoint weak(int units, int so, ir::MpiMode mode,
-                    std::int64_t per_unit_edge = 256,
-                    int exchange_depth = 1) const;
+                    std::int64_t per_unit_edge = 256) const;
 
   /// Custom unit-level topology for the full-mode tuning experiment of
   /// Section IV-F (empty = dims_create default).
@@ -90,8 +81,8 @@ class ScalingModel {
 
  private:
   ScalingPoint evaluate(const std::vector<std::int64_t>& domain, int units,
-                        int so, ir::MpiMode mode, bool weak_regime = false,
-                        int exchange_depth = 1) const;
+                        int so, ir::MpiMode mode,
+                        bool weak_regime = false) const;
 
   MachineSpec machine_;
   KernelSpec kernel_;

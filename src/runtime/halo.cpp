@@ -54,11 +54,9 @@ HaloExchange::HaloExchange(const grid::Grid& grid, ir::MpiMode mode)
     : grid_(&grid), mode_(mode) {}
 
 void HaloExchange::set_exchange_depth(int depth) {
-  if (depth < 1) {
-    throw std::invalid_argument("HaloExchange: exchange depth must be >= 1");
+  if (depth != 1) {
+    throw std::invalid_argument("HaloExchange: exchange depth must be 1");
   }
-  exchange_depth_ = depth;
-  stats_.exchange_depth = depth;
 }
 
 namespace {
@@ -181,7 +179,6 @@ int HaloExchange::register_spot(const ir::SpotInfo& spot,
     throw std::logic_error("HaloExchange: spots must register in id order");
   }
   Spot s;
-  s.hoisted = spot.hoisted;
   const bool star =
       mode_ == ir::MpiMode::Diagonal || mode_ == ir::MpiMode::Full;
   for (std::size_t slot = 0; slot < spot.needs.size(); ++slot) {
@@ -315,9 +312,6 @@ void HaloExchange::update(int spot, std::int64_t time) {
   ++stats_.updates;
   static obs::metrics::Counter& ex = obs::metrics::counter("halo.exchanges");
   ex.add(1);
-  if (!s.hoisted) {
-    stats_.steps_covered += static_cast<std::uint64_t>(exchange_depth_);
-  }
   sync_transport_stats();
 }
 
@@ -483,9 +477,6 @@ void HaloExchange::start(int spot, std::int64_t time) {
   ++stats_.starts;
   static obs::metrics::Counter& ex = obs::metrics::counter("halo.exchanges");
   ex.add(1);
-  if (!s.hoisted) {
-    stats_.steps_covered += static_cast<std::uint64_t>(exchange_depth_);
-  }
   sync_transport_stats();
 }
 

@@ -46,13 +46,6 @@ struct HaloStats {
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;  ///< Sum of matched receive sizes.
   std::uint64_t progress_calls = 0;
-  /// Timesteps amortized by per-step exchanges so far: each non-hoisted
-  /// update()/start() covers exchange_depth steps. With communication-
-  /// avoiding stepping, messages/steps_covered stays at the depth-1
-  /// per-step message count while messages/updates grows with depth.
-  std::uint64_t steps_covered = 0;
-  /// Gauge: the operator's effective exchange depth (1 = per-step).
-  int exchange_depth = 1;
   // Transport-level counters sampled from the World (shared across the
   // ranks of one run; see smpi::TransportCounters).
   std::uint64_t pool_hits = 0;    ///< Unexpected payloads served pooled.
@@ -68,10 +61,7 @@ class HaloExchange {
 
   ir::MpiMode mode() const { return mode_; }
 
-  /// Declare the operator's effective exchange depth (see
-  /// CompileOptions::exchange_depth) before registering spots: each
-  /// non-hoisted exchange is then accounted as covering `depth`
-  /// timesteps in HaloStats::steps_covered.
+  /// Throws std::invalid_argument unless depth is 1; only propbench calls it.
   void set_exchange_depth(int depth);
 
   /// Register one lowered halo spot. Must be called in spot-id order
@@ -143,7 +133,6 @@ class HaloExchange {
     std::vector<smpi::Request> pending;  ///< Receive requests in flight.
     std::vector<smpi::Request> sends;    ///< Star-pattern sends in flight.
     bool in_flight = false;
-    bool hoisted = false;  ///< One-off pre-loop exchange (no step credit).
   };
 
   int buffer_index(const grid::Function& fn, int time_offset,
@@ -158,7 +147,6 @@ class HaloExchange {
 
   const grid::Grid* grid_;
   ir::MpiMode mode_;
-  int exchange_depth_ = 1;
   bool post_fence_ = false;
   std::vector<Spot> spots_;
   std::vector<std::int64_t> inflight_time_;  ///< Per spot, for unpack.

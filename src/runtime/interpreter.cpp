@@ -320,18 +320,14 @@ void Interpreter::execute_loop(const ir::Node& node) {
   const grid::Grid& grid = fields_->all().front()->grid();
   const auto& shape = grid.local_shape();
   const std::int64_t size = shape[static_cast<std::size_t>(node.dim)];
-  // Ghost extensions (communication-avoiding stepping) apply per side,
-  // and only toward ranks that exist: ghosts at physical boundaries hold
-  // boundary-condition data and must not be touched.
-  std::int64_t lo = node.lo.resolve_lo(size, grid.has_neighbor_low(node.dim));
-  std::int64_t hi = node.hi.resolve_hi(size, grid.has_neighbor_high(node.dim));
+  std::int64_t lo = node.lo.resolve(size);
+  std::int64_t hi = node.hi.resolve(size);
   // Inside an enclosing tile loop over the same dimension: execute the
-  // intersection of the bounds with the active window, widened by
-  // tile_expand for time-tiled sub-steps.
+  // intersection of the bounds with the active window.
   const auto win = block_win_.find(node.dim);
   if (win != block_win_.end()) {
-    lo = std::max(lo, win->second.first - node.tile_expand);
-    hi = std::min(hi, win->second.second + node.tile_expand);
+    lo = std::max(lo, win->second.first);
+    hi = std::min(hi, win->second.second);
   }
 
   const bool leaf = !node.body.empty() &&
@@ -351,10 +347,8 @@ void Interpreter::execute_loop(const ir::Node& node) {
 void Interpreter::execute_block_loop(const ir::Node& node) {
   const grid::Grid& grid = fields_->all().front()->grid();
   const std::int64_t size = grid.local_shape()[static_cast<std::size_t>(node.dim)];
-  const std::int64_t lo =
-      node.lo.resolve_lo(size, grid.has_neighbor_low(node.dim));
-  const std::int64_t hi =
-      node.hi.resolve_hi(size, grid.has_neighbor_high(node.dim));
+  const std::int64_t lo = node.lo.resolve(size);
+  const std::int64_t hi = node.hi.resolve(size);
   for (std::int64_t b = lo; b < hi; b += node.tile) {
     block_win_[node.dim] = {b, b + node.tile};
     for (const ir::NodePtr& child : node.body) {
@@ -524,107 +518,43 @@ void Interpreter::run(std::int64_t time_m, std::int64_t time_M,
       delay_us = env::get_int("JITFD_DELAY_US", 0);
     }
   }
-  const auto step_delay = [&](std::int64_t t) {
-    if (delay_us > 0) {
-      const obs::Span span("compute.delay", obs::Cat::Compute, t);
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
-  };
 
   // Execute: prologue statements and hoisted exchanges, then the time loop.
   time_ = time_m;
-  // Halo and sparse nodes trace themselves; everything else in a step
-  // body is stencil computation.
-  const auto run_step_children = [&](const std::vector<ir::NodePtr>& children,
-                                     std::int64_t t) {
-    for (const ir::NodePtr& child : children) {
-      if (child->type == ir::NodeType::HaloComm ||
-          child->type == ir::NodeType::SparseOp ||
-          child->type == ir::NodeType::HealthCheck) {
-        execute(*child);
-        continue;
-      }
-      const char* name = "compute";
-      if (child->type == ir::NodeType::Section) {
-        if (child->name == "core") {
-          name = "compute.core";
-        } else if (child->name == "remainder") {
-          name = "compute.remainder";
-        }
-      }
-      const obs::Span span(name, obs::Cat::Compute, t);
-      execute(*child);
-    }
-  };
-
   for (const ir::NodePtr& top : root_->body) {
     if (top->type != ir::NodeType::TimeLoop) {
       execute(*top);
       continue;
     }
-    if (top->time_stride <= 1) {
-      for (std::int64_t t = time_m; t <= time_M; ++t) {
-        time_ = t;
-        if (health_sink_ != nullptr) {
-          health_sink_->on_step(t);
-        }
-        const obs::Span step("step", obs::Cat::Run, t);
-        step_delay(t);
-        run_step_children(top->body, t);
+    for (std::int64_t t = time_m; t <= time_M; ++t) {
+      time_ = t;
+      if (health_sink_ != nullptr) {
+        health_sink_->on_step(t);
       }
-      continue;
-    }
-    // Communication-avoiding strips: one exchange per strip, then the
-    // sub-steps; shifted sub-steps are skipped when the final strip runs
-    // past time_M (their full-depth redundancy makes that safe).
-    for (std::int64_t strip = time_m; strip <= time_M;
-         strip += top->time_stride) {
-      const obs::Span strip_span("strip", obs::Cat::Run, strip);
+      const obs::Span step("step", obs::Cat::Run, t);
+      if (delay_us > 0) {
+        const obs::Span span("compute.delay", obs::Cat::Compute, t);
+        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+      }
+      // Halo and sparse nodes trace themselves; everything else in a step
+      // body is stencil computation.
       for (const ir::NodePtr& child : top->body) {
-        if (child->type == ir::NodeType::HaloComm) {
-          time_ = strip;
+        if (child->type == ir::NodeType::HaloComm ||
+            child->type == ir::NodeType::SparseOp ||
+            child->type == ir::NodeType::HealthCheck) {
           execute(*child);
           continue;
         }
-        if (child->type == ir::NodeType::BlockLoop) {
-          // Time-tiled walker: the sub-step sequence advances inside each
-          // tile window, with the usual partial-strip guard and time
-          // binding replicated per window. Per-step sinks/spans stay with
-          // the trailing health sub-steps (a sub-step only completes once
-          // all windows have run).
-          const obs::Span walk_span("compute", obs::Cat::Compute, strip);
-          const grid::Grid& g = fields_->all().front()->grid();
-          const std::int64_t bsize =
-              g.local_shape()[static_cast<std::size_t>(child->dim)];
-          const std::int64_t blo =
-              child->lo.resolve_lo(bsize, g.has_neighbor_low(child->dim));
-          const std::int64_t bhi =
-              child->hi.resolve_hi(bsize, g.has_neighbor_high(child->dim));
-          for (std::int64_t b = blo; b < bhi; b += child->tile) {
-            block_win_[child->dim] = {b, b + child->tile};
-            for (const ir::NodePtr& sub : child->body) {
-              if (strip + sub->time_shift > time_M) {
-                continue;
-              }
-              time_ = strip + sub->time_shift;
-              for (const ir::NodePtr& inner : sub->body) {
-                execute(*inner);
-              }
-            }
+        const char* name = "compute";
+        if (child->type == ir::NodeType::Section) {
+          if (child->name == "core") {
+            name = "compute.core";
+          } else if (child->name == "remainder") {
+            name = "compute.remainder";
           }
-          block_win_.erase(child->dim);
-          continue;
         }
-        if (strip + child->time_shift > time_M) {
-          continue;
-        }
-        time_ = strip + child->time_shift;
-        if (health_sink_ != nullptr) {
-          health_sink_->on_step(time_);
-        }
-        const obs::Span step("step", obs::Cat::Run, time_);
-        step_delay(time_);
-        run_step_children(child->body, time_);
+        const obs::Span span(name, obs::Cat::Compute, t);
+        execute(*child);
       }
     }
   }

@@ -71,8 +71,4 @@ void launch(const LaunchOptions& opts,
   }
 }
 
-void run(int nranks, const std::function<void(Communicator&)>& body) {
-  launch(LaunchOptions{.nranks = nranks}, body);
-}
-
 }  // namespace smpi

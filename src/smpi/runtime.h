@@ -34,7 +34,7 @@ struct LaunchOptions {
 
   /// Unset: resolve from JITFD_TRANSPORT (strictly parsed; default
   /// threads).
-  std::optional<TransportKind> transport;
+  std::optional<TransportKind> transport{};
 
   /// process_shm only: per-direction ring capacity in KiB, rounded up to
   /// a power of two; 0 means 256. A send that does not fit waits in its
@@ -48,11 +48,5 @@ struct LaunchOptions {
 /// first error by rank order (see the contract above).
 void launch(const LaunchOptions& opts,
             const std::function<void(Communicator&)>& body);
-
-/// Pre-transport spelling, kept for existing call sites; equivalent to
-/// launch({.nranks = nranks}) — which means the transport follows
-/// JITFD_TRANSPORT, no longer unconditionally threads. Prefer launch()
-/// in new code.
-void run(int nranks, const std::function<void(Communicator&)>& body);
 
 }  // namespace smpi

@@ -2,12 +2,11 @@
 // JSON schema validators, and the perf-regression sentinel.
 //
 // The analyzer tests run on hand-built TraceData snapshots with exact
-// nanosecond timestamps, so the wait-state split, overlap pairing and
-// strip accounting are asserted to the nanosecond rather than within
-// noise bands; the constructed-imbalance tests then drive the real
-// interpreter with the env-gated per-rank delay hook and check the
-// analyzer pins the slow rank across all three patterns and both
-// exchange depths.
+// nanosecond timestamps, so the wait-state split and overlap pairing are
+// asserted to the nanosecond rather than within noise bands; the
+// constructed-imbalance tests then drive the real interpreter with the
+// env-gated per-rank delay hook and check the analyzer pins the slow
+// rank across all three patterns.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -78,7 +77,7 @@ TEST(Analysis, EmptySnapshotYieldsZeroReport) {
   const obs::SchemaCheck check =
       obs::validate_analysis_json(obs::analysis_json(rep));
   EXPECT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.items, 4);
+  EXPECT_EQ(check.items, 3);
 }
 
 TEST(Analysis, LateSenderSplitIsExact) {
@@ -160,34 +159,6 @@ TEST(Analysis, OverlapEfficiencyFromStartFinishPairs) {
   EXPECT_EQ(rep.exchanges, 1U);  // halo.start counts as one exchange.
 }
 
-TEST(Analysis, DeepHaloStripAccountingAndRedundancy) {
-  // One rank, two 2-step strips. In each strip the first sub-step's
-  // compute (300 ns, ghost-extended bounds) exceeds the second's
-  // (200 ns): 100 ns of redundancy per strip.
-  obs::TraceData data;
-  data.events.push_back(rec("strip", obs::Cat::Run, 0, 0, 1000, 0));
-  data.events.push_back(rec("step", obs::Cat::Run, 0, 0, 400, 0));
-  data.events.push_back(rec("compute", obs::Cat::Compute, 0, 10, 310, 0));
-  data.events.push_back(rec("step", obs::Cat::Run, 0, 500, 1000, 1));
-  data.events.push_back(rec("compute", obs::Cat::Compute, 0, 510, 710, 1));
-  data.events.push_back(rec("strip", obs::Cat::Run, 0, 1000, 2000, 1));
-  data.events.push_back(rec("step", obs::Cat::Run, 0, 1000, 1400, 2));
-  data.events.push_back(rec("compute", obs::Cat::Compute, 0, 1010, 1310, 2));
-  data.events.push_back(rec("step", obs::Cat::Run, 0, 1500, 2000, 3));
-  data.events.push_back(rec("compute", obs::Cat::Compute, 0, 1510, 1710, 3));
-  const obs::AnalysisReport rep = obs::analyze(data);
-
-  EXPECT_EQ(rep.steps, 4U);
-  EXPECT_EQ(rep.strips, 2U);
-  EXPECT_EQ(rep.exchange_depth, 2);
-  EXPECT_EQ(rep.saved_exchanges, 2U);
-  EXPECT_NEAR(rep.redundant_compute_s, 200 * kNs, 1e-12);
-  // Per-step loads carried the timestep from compute a0.
-  ASSERT_EQ(rep.step_loads.size(), 4U);
-  EXPECT_EQ(rep.step_loads[0].step, 0);
-  EXPECT_NEAR(rep.step_loads[0].max_compute_s, 300 * kNs, 1e-12);
-}
-
 TEST(Analysis, ImbalanceFindsCriticalRankPerStepAndOverall) {
   // Two ranks, one step: rank 1 computes 600 ns vs rank 0's 300 ns.
   obs::TraceData data;
@@ -265,7 +236,7 @@ TEST(Analysis, JsonExportValidatesAndCarriesSections) {
   EXPECT_TRUE(obs::json_valid(json, &err)) << err;
   const obs::SchemaCheck check = obs::validate_analysis_json(json);
   EXPECT_TRUE(check.ok) << check.error << "\n" << json;
-  EXPECT_EQ(check.items, 4);
+  EXPECT_EQ(check.items, 3);
   EXPECT_NE(json.find("\"culprit_rank\": 0"), std::string::npos) << json;
 
   // The human digest names the culprit too.
@@ -592,19 +563,16 @@ class ScopedEnv {
 };
 
 jitfd::core::RunSummary traced_diffusion(int nranks, ir::MpiMode mode,
-                                         std::int64_t n, int steps,
-                                         int exchange_depth) {
+                                         std::int64_t n, int steps) {
   jitfd::core::RunSummary rank0;
   obs::reset();
-  jitfd::grid::Function::set_default_exchange_depth(exchange_depth);
-  smpi::run(nranks, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{1, 1},
                       std::vector<std::int64_t>{n - 1, n - 1}, 1.0F);
     ir::CompileOptions opts;
     opts.mode = mode;
-    opts.exchange_depth = exchange_depth;
     Operator op({ir::Eq(u.forward(), sym::solve(u.dt() - u.laplace(),
                                                 sym::Ex(0), u.forward()))},
                 opts);
@@ -616,7 +584,6 @@ jitfd::core::RunSummary traced_diffusion(int nranks, ir::MpiMode mode,
       rank0 = run;
     }
   });
-  jitfd::grid::Function::set_default_exchange_depth(1);
   return rank0;
 }
 
@@ -636,46 +603,35 @@ TEST_P(ConstructedImbalance, AnalyzerPinsTheSlowRank) {
   ScopedEnv delay_rank("JITFD_DELAY_RANK", std::to_string(kSlowRank));
   ScopedEnv delay_us("JITFD_DELAY_US", "6000");
 
-  for (const int depth : {1, 2}) {
-    const int steps = 4;
-    const auto run = traced_diffusion(4, mode, 12, steps, depth);
-    ASSERT_TRUE(run.trace.active());
-    const obs::AnalysisReport rep = run.trace.analysis();
+  const int steps = 4;
+  const auto run = traced_diffusion(4, mode, 12, steps);
+  ASSERT_TRUE(run.trace.active());
+  const obs::AnalysisReport rep = run.trace.analysis();
 
-    EXPECT_EQ(rep.nranks, 4) << "depth " << depth;
-    EXPECT_EQ(rep.steps, static_cast<std::uint64_t>(steps));
-    // The padded rank dominates compute: it is the critical path and
-    // clearly above the mean.
-    EXPECT_EQ(rep.critical_path_rank, kSlowRank)
-        << "mode " << ir::to_string(mode) << " depth " << depth;
-    EXPECT_GT(rep.imbalance_ratio, 2.0);
-    // Every pattern blocks on the slow rank's sends: wait matching must
-    // find pairs and late-sender attribution must blame the slow rank.
-    EXPECT_GT(rep.matched_waits, 0U);
-    EXPECT_GT(rep.late_sender_s, 0.0);
-    EXPECT_EQ(rep.late_sender_culprit, kSlowRank)
-        << "mode " << ir::to_string(mode) << " depth " << depth << "\n"
-        << obs::analysis_summary(rep);
-    // The per-step loads see the same culprit on every step.
-    ASSERT_FALSE(rep.step_loads.empty());
-    for (const obs::StepLoad& sl : rep.step_loads) {
-      EXPECT_EQ(sl.critical_rank, kSlowRank) << "step " << sl.step;
-    }
-
-    if (depth == 2) {
-      EXPECT_EQ(rep.strips, 2U);
-      EXPECT_EQ(rep.exchange_depth, 2);
-      EXPECT_EQ(rep.saved_exchanges, 2U);
-    } else {
-      EXPECT_EQ(rep.strips, 0U);
-      EXPECT_EQ(rep.exchange_depth, 1);
-    }
-
-    // The full report exports schema-valid JSON end to end.
-    const obs::SchemaCheck check =
-        obs::validate_analysis_json(obs::analysis_json(rep));
-    EXPECT_TRUE(check.ok) << check.error;
+  EXPECT_EQ(rep.nranks, 4);
+  EXPECT_EQ(rep.steps, static_cast<std::uint64_t>(steps));
+  // The padded rank dominates compute: it is the critical path and
+  // clearly above the mean.
+  EXPECT_EQ(rep.critical_path_rank, kSlowRank)
+      << "mode " << ir::to_string(mode);
+  EXPECT_GT(rep.imbalance_ratio, 2.0);
+  // Every pattern blocks on the slow rank's sends: wait matching must
+  // find pairs and late-sender attribution must blame the slow rank.
+  EXPECT_GT(rep.matched_waits, 0U);
+  EXPECT_GT(rep.late_sender_s, 0.0);
+  EXPECT_EQ(rep.late_sender_culprit, kSlowRank)
+      << "mode " << ir::to_string(mode) << "\n"
+      << obs::analysis_summary(rep);
+  // The per-step loads see the same culprit on every step.
+  ASSERT_FALSE(rep.step_loads.empty());
+  for (const obs::StepLoad& sl : rep.step_loads) {
+    EXPECT_EQ(sl.critical_rank, kSlowRank) << "step " << sl.step;
   }
+
+  // The full report exports schema-valid JSON end to end.
+  const obs::SchemaCheck check =
+      obs::validate_analysis_json(obs::analysis_json(rep));
+  EXPECT_TRUE(check.ok) << check.error;
 }
 
 INSTANTIATE_TEST_SUITE_P(Patterns, ConstructedImbalance,

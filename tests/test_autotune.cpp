@@ -70,7 +70,7 @@ TEST(Autotune, SerialGridSkipsTrialsAndUsesNoComm) {
 }
 
 TEST(Autotune, TrialsAllPatternsAndRestoresData) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
@@ -91,6 +91,22 @@ TEST(Autotune, TrialsAllPatternsAndRestoresData) {
     for (const auto& [mode, secs] : report.seconds) {
       EXPECT_GE(secs, report.seconds.at(op->options().mode));
     }
+    // The full grid ran 6 trials: {basic, diagonal, full} x {untiled,
+    // {4, 0}} — nothing clamped here (the 16x16 grid over a 2x2 topology
+    // admits a 4-row outer tile) — and the per-pattern summary is the
+    // best over tiles.
+    EXPECT_EQ(report.seconds_by_trial.size(), 6U);
+    EXPECT_TRUE(report.skipped.empty());
+    for (const auto& [key, secs] : report.seconds_by_trial) {
+      EXPECT_GT(secs, 0.0);
+      EXPECT_LE(report.seconds.at(key.first), secs);
+    }
+    // The winner carries both the pattern and the tile into the returned
+    // operator.
+    EXPECT_EQ(op->options().mode, report.best);
+    EXPECT_EQ(op->options().tile, report.best_tile);
+    EXPECT_EQ(report.seconds_by_trial.at({report.best, report.best_tile}),
+              report.seconds.at(report.best));
     // Trial side effects were rolled back.
     const std::vector<float> after(u.raw_storage().begin(),
                                    u.raw_storage().end());
@@ -103,111 +119,32 @@ TEST(Autotune, TrialsAllPatternsAndRestoresData) {
   });
 }
 
-TEST(Autotune, TrialsExchangeDepthsJointlyWithPatterns) {
-  // With halos deep enough for depth 4, the trial grid covers
-  // {basic, diagonal, full} x {1, 2, 4} and the winner carries both the
-  // pattern and the depth into the returned operator.
-  jitfd::grid::Function::set_default_exchange_depth(4);
-  smpi::run(4, [](smpi::Communicator& comm) {
-    const Grid g({16, 16}, {1.0, 1.0}, comm);
-    TimeFunction u("u", g, 2, 1);
-    u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
-                      std::vector<std::int64_t>{12, 12}, 1.0F);
-    AutotuneReport report;
-    auto op = autotune_operator({diffusion_eq(u)}, {}, {{"dt", 1e-3}}, 0, 2,
-                                &report);
-    // Per-pattern summary stays 3 rows (best over depths and tiles)...
-    ASSERT_EQ(report.seconds.size(), 3U);
-    // ...and the full grid ran 18 trials: {basic, diagonal, full} x
-    // {1, 2, 4} x {untiled, {4, 0}} — nothing clamped here (the 16x16
-    // grid over a 2x2 topology admits a 4-row outer tile).
-    EXPECT_EQ(report.seconds_by_depth.size(), 18U);
-    EXPECT_TRUE(report.skipped.empty());
-    for (const auto& [key, secs] : report.seconds_by_depth) {
-      EXPECT_GT(secs, 0.0);
-      EXPECT_LE(report.seconds.at(std::get<0>(key)), secs);
-    }
-    EXPECT_TRUE(report.best_depth == 1 || report.best_depth == 2 ||
-                report.best_depth == 4);
-    EXPECT_EQ(op->options().exchange_depth, report.best_depth);
-    EXPECT_EQ(op->options().mode, report.best);
-    EXPECT_EQ(op->options().tile, report.best_tile);
-    EXPECT_EQ(report.seconds_by_depth.at(
-                  {report.best, report.best_depth, report.best_tile}),
-              report.seconds.at(report.best));
-    // Every rank agrees on the winning depth.
-    std::vector<std::int64_t> depth{report.best_depth};
-    std::vector<std::int64_t> depth_max = depth;
-    comm.allreduce(std::span<std::int64_t>(depth_max), smpi::ReduceOp::Max);
-    EXPECT_EQ(depth[0], depth_max[0]);
-  });
-  jitfd::grid::Function::set_default_exchange_depth(1);
-}
-
-TEST(Autotune, ClampedDepthsAreSkippedNotDuplicated) {
-  // Default halo capacity (depth 1 allocation, space order 2) admits
-  // depth 2 but not depth 4: the depth-4 trials must be skipped as
-  // duplicates — with a recorded reason — leaving a 3x2x2 grid.
-  smpi::run(4, [](smpi::Communicator& comm) {
-    const Grid g({16, 16}, {1.0, 1.0}, comm);
-    TimeFunction u("u", g, 2, 1);
-    AutotuneReport report;
-    auto op = autotune_operator({diffusion_eq(u)}, {}, {{"dt", 1e-3}}, 0, 2,
-                                &report);
-    EXPECT_EQ(report.seconds_by_depth.size(), 12U);
-    for (const auto& [key, secs] : report.seconds_by_depth) {
-      EXPECT_NE(std::get<1>(key), 4) << "clamped depth was trialled";
-    }
-    // The depth-4 requests surface in `skipped` with the clamp reason.
-    EXPECT_EQ(report.skipped.size(), 6U);
-    for (const auto& [key, reason] : report.skipped) {
-      EXPECT_EQ(std::get<1>(key), 4);
-      EXPECT_FALSE(reason.empty());
-    }
-    EXPECT_NE(report.best_depth, 4);
-    (void)op;
-  });
-}
-
 // ---------------------------------------------------------------------
 // Attributed objective: pure decision kernel on synthetic scores.
 // ---------------------------------------------------------------------
 
-AnalysisScore score(double wait, double redundant, double penalty,
-                    int nranks, double ratio = 1.0, int critical = -1) {
+AnalysisScore score(double wait, double penalty, int nranks,
+                    double ratio = 1.0, int critical = -1) {
   AnalysisScore s;
   s.wait_s = wait;
-  s.redundant_s = redundant;
   s.imbalance_penalty_s = penalty;
   s.imbalance_ratio = ratio;
   s.critical_rank = critical;
-  s.attributed_cost_s = (wait + redundant) / nranks + penalty;
+  s.attributed_cost_s = wait / nranks + penalty;
   return s;
 }
 
-AutotuneReport::TrialKey key(ir::MpiMode mode, int depth) {
-  return {mode, depth, {}};
-}
+AutotuneReport::TrialKey key(ir::MpiMode mode) { return {mode, {}}; }
 
 TEST(Autotune, ChooseAttributedPicksMinCostAndNamesDecisiveTerm) {
   std::map<AutotuneReport::TrialKey, AnalysisScore> scores;
   // Basic waits hard; full hides the exchange: full must win on wait.
-  scores[key(ir::MpiMode::Basic, 1)] = score(0.40, 0.0, 0.0, 4);
-  scores[key(ir::MpiMode::Full, 1)] = score(0.04, 0.0, 0.0, 4);
+  scores[key(ir::MpiMode::Basic)] = score(0.40, 0.0, 4);
+  scores[key(ir::MpiMode::Full)] = score(0.04, 0.0, 4);
   const AttributedChoice choice = choose_attributed(scores, 4);
-  EXPECT_EQ(std::get<0>(choice.best), ir::MpiMode::Full);
+  EXPECT_EQ(choice.best.first, ir::MpiMode::Full);
   EXPECT_NE(choice.why.find("full"), std::string::npos) << choice.why;
   EXPECT_NE(choice.why.find("wait"), std::string::npos) << choice.why;
-
-  // Deep halo trades wait for redundant ghost compute; when the
-  // redundant term dominates the diff, the why must say so.
-  scores.clear();
-  scores[key(ir::MpiMode::Basic, 1)] = score(0.05, 0.0, 0.0, 4);
-  scores[key(ir::MpiMode::Basic, 4)] = score(0.01, 0.30, 0.0, 4);
-  const AttributedChoice depth_choice = choose_attributed(scores, 4);
-  EXPECT_EQ(std::get<1>(depth_choice.best), 1);
-  EXPECT_NE(depth_choice.why.find("redundant compute"), std::string::npos)
-      << depth_choice.why;
 }
 
 TEST(Autotune, ChooseAttributedChargesHiddenImbalance) {
@@ -216,21 +153,19 @@ TEST(Autotune, ChooseAttributedChargesHiddenImbalance) {
   // but only because one rank is overloaded — its imbalance penalty
   // makes it the worse choice, and the why names the penalty.
   std::map<AutotuneReport::TrialKey, AnalysisScore> scores;
-  scores[key(ir::MpiMode::Full, 1)] =
-      score(0.01, 0.0, 0.20, 4, 3.0, 2);
-  scores[key(ir::MpiMode::Basic, 1)] =
-      score(0.10, 0.0, 0.01, 4, 1.1, -1);
+  scores[key(ir::MpiMode::Full)] = score(0.01, 0.20, 4, 3.0, 2);
+  scores[key(ir::MpiMode::Basic)] = score(0.10, 0.01, 4, 1.1, -1);
   const AttributedChoice choice = choose_attributed(scores, 4);
-  EXPECT_EQ(std::get<0>(choice.best), ir::MpiMode::Basic);
+  EXPECT_EQ(choice.best.first, ir::MpiMode::Basic);
   EXPECT_NE(choice.why.find("imbalance penalty"), std::string::npos)
       << choice.why;
 
   // Empty and single-candidate inputs still explain themselves.
   EXPECT_FALSE(choose_attributed({}, 4).why.empty());
   std::map<AutotuneReport::TrialKey, AnalysisScore> one;
-  one[key(ir::MpiMode::Diagonal, 1)] = score(0.1, 0.0, 0.0, 4);
+  one[key(ir::MpiMode::Diagonal)] = score(0.1, 0.0, 4);
   const AttributedChoice only = choose_attributed(one, 4);
-  EXPECT_EQ(std::get<0>(only.best), ir::MpiMode::Diagonal);
+  EXPECT_EQ(only.best.first, ir::MpiMode::Diagonal);
   EXPECT_NE(only.why.find("only scored candidate"), std::string::npos)
       << only.why;
 }
@@ -246,7 +181,7 @@ TEST(Autotune, ObjectiveResolvesFromEnvRegistry) {
   // JITFD_AUTOTUNE_OBJECTIVE drives the default (FromEnv) resolution;
   // the report records which objective actually scored the trials.
   ScopedEnv objective("JITFD_AUTOTUNE_OBJECTIVE", "attributed");
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
@@ -264,7 +199,7 @@ TEST(Autotune, AttributedRunScoresEveryTrialAndExportsValidJson) {
   if (!obs_built()) {
     GTEST_SKIP() << "built with JITFD_OBS=OFF";
   }
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
@@ -274,19 +209,19 @@ TEST(Autotune, AttributedRunScoresEveryTrialAndExportsValidJson) {
                                 &report, {}, Objective::Attributed);
     EXPECT_EQ(report.objective, Objective::Attributed);
     // Every measured trial carries a score; the trial set is unchanged
-    // from the wall objective (12 trials, 6 depth-4 skips — the
-    // objective must never change WHICH trials run).
-    EXPECT_EQ(report.seconds_by_depth.size(), 12U);
-    EXPECT_EQ(report.skipped.size(), 6U);
-    EXPECT_EQ(report.scores.size(), report.seconds_by_depth.size());
+    // from the wall objective (6 trials, no skips — the objective must
+    // never change WHICH trials run).
+    EXPECT_EQ(report.seconds_by_trial.size(), 6U);
+    EXPECT_TRUE(report.skipped.empty());
+    EXPECT_EQ(report.scores.size(), report.seconds_by_trial.size());
     for (const auto& [k, sc] : report.scores) {
       EXPECT_GE(sc.attributed_cost_s, 0.0);
       EXPECT_GE(sc.imbalance_ratio, 1.0);
     }
     EXPECT_FALSE(report.why.empty());
     // The winner is the minimum attributed cost.
-    const auto best_key = AutotuneReport::TrialKey{
-        report.best, report.best_depth, report.best_tile};
+    const auto best_key =
+        AutotuneReport::TrialKey{report.best, report.best_tile};
     for (const auto& [k, sc] : report.scores) {
       EXPECT_GE(sc.attributed_cost_s,
                 report.scores.at(best_key).attributed_cost_s);
@@ -301,7 +236,7 @@ TEST(Autotune, AttributedRunScoresEveryTrialAndExportsValidJson) {
       const std::string json = jitfd::core::autotune_report_json(report);
       const obs::SchemaCheck check = obs::validate_autotune_json(json);
       EXPECT_TRUE(check.ok) << check.error << "\n" << json;
-      EXPECT_EQ(check.items, 12);
+      EXPECT_EQ(check.items, 6);
     }
     (void)op;
   });
@@ -317,7 +252,7 @@ TEST(Autotune, InjectedImbalancePinsRankAndRecommendsRebalance) {
   // a loaded one-core box.
   ScopedEnv delay_rank("JITFD_DELAY_RANK", std::to_string(kSlowRank));
   ScopedEnv delay_us("JITFD_DELAY_US", "4000");
-  smpi::run(4, [kSlowRank](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [kSlowRank](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
@@ -347,8 +282,8 @@ TEST(Autotune, InjectedImbalancePinsRankAndRecommendsRebalance) {
 
 TEST(Autotune, ReportJsonRejectsMissingWhy) {
   AutotuneReport report;
-  report.why = "wall objective: basic depth 1 untiled wins";
-  report.seconds_by_depth[{ir::MpiMode::Basic, 1, {}}] = 0.5;
+  report.why = "wall objective: basic untiled wins";
+  report.seconds_by_trial[{ir::MpiMode::Basic, {}}] = 0.5;
   const std::string good = jitfd::core::autotune_report_json(report);
   EXPECT_TRUE(obs::validate_autotune_json(good).ok)
       << obs::validate_autotune_json(good).error << "\n" << good;
@@ -374,7 +309,7 @@ TEST(Autotune, TunedOperatorMatchesSerialReference) {
     op.apply({.time_m = 0, .time_M = steps - 1, .scalars = {{"dt", dt}}});
     expected = u.gather(steps % 2);
   }
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{1, 1},

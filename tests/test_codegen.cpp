@@ -8,12 +8,17 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
+#include <string>
 
 #include "codegen/jit.h"
 #include "core/operator.h"
 #include "grid/function.h"
+#include "models/acoustic.h"
+#include "models/elastic.h"
 #include "models/tti.h"
+#include "models/viscoelastic.h"
 #include "smpi/runtime.h"
 #include "symbolic/fd_ops.h"
 #include "symbolic/manip.h"
@@ -64,7 +69,7 @@ TEST(Codegen, DiffusionKernelStructureMatchesListing11) {
 }
 
 TEST(Codegen, BasicModeEmitsHaloUpdateInsideTimeLoop) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     ir::CompileOptions opts;
@@ -81,7 +86,7 @@ TEST(Codegen, BasicModeEmitsHaloUpdateInsideTimeLoop) {
 }
 
 TEST(Codegen, FullModeEmitsStartCoreWaitRemainderAndProgress) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({32, 32}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     ir::CompileOptions opts;
@@ -101,89 +106,6 @@ TEST(Codegen, FullModeEmitsStartCoreWaitRemainderAndProgress) {
     EXPECT_LT(progress, wait);
     EXPECT_LT(wait, remainder);
   });
-}
-
-TEST(Codegen, DeepHaloEmitsStripLoopWithGuardedSubSteps) {
-  // exchange_depth 2: the time loop strides by 2, one exchange happens
-  // at the strip top, and each sub-step is a guarded block with its own
-  // `time` constant (the last strip may be partial).
-  jitfd::grid::Function::set_default_exchange_depth(2);
-  smpi::run(4, [](smpi::Communicator& comm) {
-    const Grid g({16, 16}, {1.0, 1.0}, comm);
-    TimeFunction u("u", g, 2, 1);
-    ir::CompileOptions opts;
-    opts.mode = ir::MpiMode::Basic;
-    opts.exchange_depth = 2;
-    Operator op = diffusion_operator(g, u, opts);
-    ASSERT_EQ(op.info().exchange_depth, 2)
-        << op.info().exchange_depth_clamp_reason;
-    const std::string& code = op.ccode();
-    const auto strip = code.find(
-        "for (long strip_t = time_m; strip_t <= time_M; strip_t += 2)");
-    const auto update = code.find("ops->update(hctx, 0, time);");
-    const auto sub0 = code.find("/* sub-step 0 */");
-    const auto sub1 = code.find("/* sub-step 1 */");
-    const auto guard = code.find("if (strip_t + 1 <= time_M)");
-    ASSERT_NE(strip, std::string::npos) << code;
-    ASSERT_NE(update, std::string::npos) << code;
-    ASSERT_NE(sub0, std::string::npos) << code;
-    ASSERT_NE(sub1, std::string::npos) << code;
-    ASSERT_NE(guard, std::string::npos) << code;
-    EXPECT_LT(strip, update);
-    EXPECT_LT(update, sub0);
-    EXPECT_LT(sub0, sub1);
-    // Sub-step 0 is unguarded (the strip exists, so its first step does);
-    // the guard belongs to sub-step 1.
-    EXPECT_LT(sub1, guard);
-  });
-  jitfd::grid::Function::set_default_exchange_depth(1);
-}
-
-TEST(CodegenJit, DeepHaloJitMatchesPerStepInterpreter) {
-  if (!have_cc()) {
-    GTEST_SKIP() << "no C compiler available";
-  }
-  // The strided strip loop emitted for exchange_depth 2 must produce the
-  // same field as the per-step interpreter schedule, including a partial
-  // final strip (5 steps at depth 2).
-  const std::int64_t n = 16;
-  const double dt = 1e-3;
-  const int steps = 5;
-  for (const ir::MpiMode mode : {ir::MpiMode::Basic, ir::MpiMode::Full}) {
-    std::vector<float> expected;
-    std::vector<float> got;
-    for (const int depth : {1, 2}) {
-      jitfd::grid::Function::set_default_exchange_depth(2);
-      smpi::run(4, [&](smpi::Communicator& comm) {
-        const Grid g({n, n}, {1.0, 1.0}, comm);
-        TimeFunction u("u", g, 2, 1);
-        u.fill_global_box(0, std::vector<std::int64_t>{n / 4, n / 4},
-                          std::vector<std::int64_t>{n / 2, n / 2}, 1.0F);
-        ir::CompileOptions opts;
-        opts.mode = mode;
-        opts.exchange_depth = depth;
-        Operator op = diffusion_operator(g, u, opts);
-        ASSERT_EQ(op.info().exchange_depth, depth)
-            << op.info().exchange_depth_clamp_reason;
-        const auto run = op.apply({.time_m = 0,
-                                   .time_M = steps - 1,
-                                   .scalars = {{"dt", dt}},
-                                   .backend = depth == 1
-                                       ? core::Backend::Interpret
-                                       : core::Backend::Jit});
-        const auto gathered = u.gather(steps % 2);
-        if (comm.rank() == 0) {
-          (depth == 1 ? expected : got) = gathered;
-        }
-      });
-      jitfd::grid::Function::set_default_exchange_depth(1);
-    }
-    ASSERT_EQ(expected.size(), got.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_NEAR(expected[i], got[i], 1e-6)
-          << "mode " << ir::to_string(mode) << " at " << i;
-    }
-  }
 }
 
 TEST(Codegen, OpenAccVariantUsesAccPragmas) {
@@ -272,7 +194,7 @@ TEST(CodegenJit, JitRunsDistributedBasicMode) {
     op.apply({.time_m = 0, .time_M = 3, .scalars = {{"dt", dt}}});
     expected = u.gather(0);
   }
-  smpi::run(2, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 2}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     const std::vector<std::int64_t> lo{1, 1};
@@ -305,18 +227,129 @@ TEST(Codegen, ThreeDimensionalEmissionIndexesAllDims) {
 }
 
 TEST(Codegen, EnvVarSelectsPattern) {
-  smpi::run(2, [](smpi::Communicator& comm) {
+  // Set around the launch, not inside it: the ranks are threads, and one
+  // rank's unsetenv must not race another rank's operator construction.
+  ::setenv("JITFD_MPI", "diag", 1);
+  smpi::launch({.nranks = 2}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
-    ::setenv("JITFD_MPI", "diag", 1);
     Operator op = diffusion_operator(g, u);  // Mode None requested.
-    ::unsetenv("JITFD_MPI");
     EXPECT_EQ(op.options().mode, ir::MpiMode::Diagonal);
   });
+  ::unsetenv("JITFD_MPI");
   EXPECT_EQ(ir::mode_from_string("full"), ir::MpiMode::Full);
   EXPECT_EQ(ir::mode_from_string("1"), ir::MpiMode::Basic);
   EXPECT_THROW(ir::mode_from_string("bogus"), std::invalid_argument);
 }
+
+// Every pattern on every wave model compiles to one schedule: a time
+// loop that advances one step per iteration and exchanges each of its
+// halo spots exactly once per step (a blocking update, or a start/wait
+// pair under the full pattern), while hoisted parameter exchanges run
+// once, before the loop.
+enum class Wave { Acoustic, Elastic, Tti, Viscoelastic };
+
+std::unique_ptr<jitfd::models::WaveModel> make_wave(Wave kind,
+                                                    const Grid& g) {
+  switch (kind) {
+    case Wave::Acoustic:
+      return std::make_unique<jitfd::models::AcousticModel>(g, 4);
+    case Wave::Elastic:
+      return std::make_unique<jitfd::models::ElasticModel>(g, 4);
+    case Wave::Tti:
+      return std::make_unique<jitfd::models::TtiModel>(g, 4);
+    case Wave::Viscoelastic:
+      return std::make_unique<jitfd::models::ViscoelasticModel>(g, 4);
+  }
+  return nullptr;
+}
+
+std::string wave_name(Wave kind) {
+  switch (kind) {
+    case Wave::Acoustic:
+      return "acoustic";
+    case Wave::Elastic:
+      return "elastic";
+    case Wave::Tti:
+      return "tti";
+    case Wave::Viscoelastic:
+      return "viscoelastic";
+  }
+  return "";
+}
+
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+class EmittedSchedule
+    : public ::testing::TestWithParam<std::tuple<Wave, ir::MpiMode>> {};
+
+TEST_P(EmittedSchedule, ExchangesEverySpotOncePerStep) {
+  const auto [kind, mode] = GetParam();
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
+    const Grid g({16, 16}, {1.0, 1.0}, comm);
+    const auto model = make_wave(kind, g);
+    ir::CompileOptions opts;
+    opts.mode = mode;
+    const auto op = model->make_operator(opts);
+    const std::string& code = op->ccode();
+    ASSERT_EQ(occurrences(code, "for (long time"), 1U) << code;
+    const auto loop =
+        code.find("for (long time = time_m; time <= time_M; time += 1)");
+    ASSERT_NE(loop, std::string::npos) << code;
+
+    std::size_t starts = 0;
+    std::size_t in_loop = 0;
+    for (const ir::SpotInfo& spot : op->info().spots) {
+      const std::string id = std::to_string(spot.id);
+      if (spot.hoisted) {
+        const std::string call = "ops->update(hctx, " + id + ", 0);";
+        EXPECT_EQ(occurrences(code, call), 1U) << "spot " << id;
+        EXPECT_LT(code.find(call), loop) << "spot " << id;
+        continue;
+      }
+      ++in_loop;
+      const std::string update = "ops->update(hctx, " + id + ", time);";
+      const std::string start = "ops->start(hctx, " + id + ", time);";
+      const std::string wait = "ops->wait(hctx, " + id + ");";
+      const std::size_t n_update = occurrences(code, update);
+      const std::size_t n_start = occurrences(code, start);
+      EXPECT_EQ(n_update + n_start, 1U) << "spot " << id << "\n" << code;
+      EXPECT_EQ(occurrences(code, wait), n_start) << "spot " << id;
+      const auto call = code.find(n_start == 1 ? start : update);
+      EXPECT_GT(call, loop) << "spot " << id;
+      if (n_start == 1) {
+        EXPECT_GT(code.find(wait), call) << "spot " << id;
+      }
+      starts += n_start;
+    }
+    EXPECT_GT(in_loop, 0U);
+    // Only the full pattern overlaps an exchange with compute.
+    if (mode == ir::MpiMode::Full) {
+      EXPECT_GT(starts, 0U) << code;
+    } else {
+      EXPECT_EQ(starts, 0U) << code;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsAndPatterns, EmittedSchedule,
+    ::testing::Combine(::testing::Values(Wave::Acoustic, Wave::Elastic,
+                                         Wave::Tti, Wave::Viscoelastic),
+                       ::testing::Values(ir::MpiMode::Basic,
+                                         ir::MpiMode::Diagonal,
+                                         ir::MpiMode::Full)),
+    [](const auto& info) {
+      return wave_name(std::get<0>(info.param)) + "_" +
+             ir::to_string(std::get<1>(info.param));
+    });
 
 TEST(CodegenJit, TiledKernelMatchesUntiled) {
   if (!have_cc()) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include <omp.h>
 #endif
 
+#include "core/env.h"
 #include "grid/function.h"
 #include "grid/grid.h"
 #include "models/common.h"
@@ -104,7 +106,7 @@ TEST(Grid, RejectsInvalidShapes) {
 }
 
 TEST(Grid, DistributedDefaultTopology) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     EXPECT_TRUE(g.distributed());
     EXPECT_EQ(g.topology(), (std::vector<int>{2, 2}));
@@ -113,42 +115,9 @@ TEST(Grid, DistributedDefaultTopology) {
   });
 }
 
-TEST(Grid, NeighborPredicatesFollowCartesianTopology) {
-  // 2x2 ranks on a non-periodic grid: each rank has exactly one
-  // neighbour per dimension, on the side facing the domain interior.
-  smpi::run(4, [](smpi::Communicator& comm) {
-    const Grid g({8, 8}, {1.0, 1.0}, comm);
-    const auto& coords = g.cart()->my_coords();
-    for (int d = 0; d < 2; ++d) {
-      EXPECT_EQ(g.has_neighbor_low(d), coords[static_cast<std::size_t>(d)] == 1);
-      EXPECT_EQ(g.has_neighbor_high(d),
-                coords[static_cast<std::size_t>(d)] == 0);
-    }
-  });
-  // Serial grids have no neighbours anywhere.
-  const Grid serial({8, 8}, {1.0, 1.0});
-  EXPECT_FALSE(serial.has_neighbor_low(0));
-  EXPECT_FALSE(serial.has_neighbor_high(1));
-}
-
-TEST(Function, DefaultExchangeDepthScalesHaloCapacity) {
-  // Deep-halo stepping needs room for k stencil radii; the process-wide
-  // default depth multiplies the allocated halo at construction time.
-  using jitfd::grid::Function;
-  const Grid g({8, 8}, {1.0, 1.0});
-  Function::set_default_exchange_depth(3);
-  const Function deep("deep", g, /*space_order=*/4);
-  Function::set_default_exchange_depth(1);
-  const Function shallow("shallow", g, /*space_order=*/4);
-  EXPECT_EQ(deep.halo(), 12);
-  EXPECT_EQ(shallow.halo(), 4);
-  EXPECT_THROW(Function::set_default_exchange_depth(0),
-               std::invalid_argument);
-}
-
 TEST(Grid, CustomTopologyMatchesPaperFigure2) {
   // Paper Figure 2: 16 ranks decomposed as (4,2,2), (2,2,4), (4,4,1).
-  smpi::run(16, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 16}, [](smpi::Communicator& comm) {
     for (const auto& topo :
          {std::vector<int>{4, 2, 2}, {2, 2, 4}, {4, 4, 1}}) {
       const Grid g({16, 16, 16}, {1., 1., 1.}, comm, topo);
@@ -171,6 +140,26 @@ TEST(Function, StorageLayoutIncludesHaloAndPadding) {
   EXPECT_EQ(f.time_buffers(), 1);
 }
 
+TEST(Function, HaloAndTimeBuffersFollowOnlyTheFunctionsOwnOrders) {
+  // Storage depends on nothing process-global: stale JITFD_EXCHANGE_DEPTH
+  // or JITFD_TIME_SLACK settings name no registered variable and change
+  // neither the halo nor the number of time buffers.
+  ::setenv("JITFD_EXCHANGE_DEPTH", "3", 1);
+  ::setenv("JITFD_TIME_SLACK", "2", 1);
+  for (const jitfd::env::Var& v : jitfd::env::vars()) {
+    EXPECT_STRNE(v.name, "JITFD_EXCHANGE_DEPTH");
+    EXPECT_STRNE(v.name, "JITFD_TIME_SLACK");
+  }
+  const Grid g({8, 8}, {1.0, 1.0});
+  for (const int so : {2, 4, 8}) {
+    const TimeFunction u("u", g, so, 2);
+    EXPECT_EQ(u.halo(), so);
+    EXPECT_EQ(u.time_buffers(), 3);
+  }
+  ::unsetenv("JITFD_EXCHANGE_DEPTH");
+  ::unsetenv("JITFD_TIME_SLACK");
+}
+
 TEST(Function, LocalAccessReachesHalo) {
   const Grid g({4, 4}, {1.0, 1.0});
   Function f("f", g, 2);
@@ -191,7 +180,7 @@ TEST(Function, RejectsOddSpaceOrder) {
 TEST(Function, FillGlobalBoxMatchesListing2) {
   // The paper's Listing 1, line 14: u.data[1:-1, 1:-1] = 1 on a 4x4 grid
   // over 4 ranks, each owning a 2x2 block (Listing 2 output).
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({4, 4}, {2.0, 2.0}, comm);
     TimeFunction u("u", g, 2, 2);
     const std::array<std::int64_t, 2> lo{1, 1};
@@ -221,7 +210,7 @@ TEST(Function, FillGlobalBoxMatchesListing2) {
 }
 
 TEST(Function, SetAndGetGlobalRespectOwnership) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     Function f("f", g, 2);
     const std::array<std::int64_t, 2> pt{5, 2};
@@ -235,7 +224,7 @@ TEST(Function, SetAndGetGlobalRespectOwnership) {
 }
 
 TEST(Function, GatherReassemblesGlobalArray) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({6, 6}, {1.0, 1.0}, comm);
     Function f("f", g, 2);
     // Initialize with a recognizable global pattern.
@@ -258,7 +247,7 @@ TEST(Function, GatherReassemblesGlobalArray) {
 }
 
 TEST(Function, Norm2ReducesAcrossRanks) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({4, 4}, {1.0, 1.0}, comm);
     Function f("f", g, 2);
     f.fill(2.0F);
@@ -326,7 +315,7 @@ TEST(Function, DerivativeOfProductExpressionShiftsWholeSubtree) {
 
 TEST(Function, UnevenDistributionStillCoversDomain) {
   // 7x5 grid over 3 ranks in one dimension: sizes 3,2,2.
-  smpi::run(3, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 3}, [](smpi::Communicator& comm) {
     const Grid g({7, 5}, {1.0, 1.0}, comm, {3, 1});
     Function f("f", g, 2);
     f.init([](std::span<const std::int64_t> gi) {

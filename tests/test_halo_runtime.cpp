@@ -66,7 +66,7 @@ TEST_P(HaloModeGeometry, FacesAndCornersCarryNeighbourData) {
   // including the corner regions (basic gets them via the multi-step
   // sweep, diagonal/full via explicit corner messages).
   const ir::MpiMode mode = GetParam();
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     Function f("f", g, 4);
     fill_coded(f, 0);
@@ -115,7 +115,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, HaloModeGeometry,
 
 TEST(HaloRuntime, WidthLimitsExchangedRing) {
   // Width 1 with halo 4: only the innermost ghost ring is filled.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     Function f("f", g, 8);  // halo() == 8.
     fill_coded(f, 0);
@@ -142,7 +142,7 @@ TEST(HaloRuntime, WidthLimitsExchangedRing) {
 TEST(HaloRuntime, TimeOffsetsSelectModuloBuffer) {
   // Exchanging u@+1 at time=1 must move buffer (1+1)%3 = 2 and leave the
   // other buffers' halos untouched.
-  smpi::run(2, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm, {2, 1});
     TimeFunction u("u", g, 2, 2);
     for (int b = 0; b < 3; ++b) {
@@ -166,7 +166,7 @@ TEST(HaloRuntime, TimeOffsetsSelectModuloBuffer) {
 }
 
 TEST(HaloRuntime, MultiFieldSpotMovesEveryField) {
-  smpi::run(2, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](smpi::Communicator& comm) {
     const Grid g({6, 6}, {1.0, 1.0}, comm, {2, 1});
     Function a("a", g, 2);
     Function b("b", g, 2);
@@ -193,7 +193,7 @@ TEST(HaloRuntime, MultiFieldSpotMovesEveryField) {
 TEST(HaloRuntime, UnevenBlocksExchangeConsistently) {
   // 9 points over 2 ranks (5/4): face sizes along the undecomposed
   // dimension are equal, and the exchange must still be exact.
-  smpi::run(2, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](smpi::Communicator& comm) {
     const Grid g({9, 7}, {1.0, 1.0}, comm, {2, 1});
     Function f("f", g, 4);
     fill_coded(f, 0);
@@ -217,7 +217,7 @@ TEST(HaloRuntime, UnevenBlocksExchangeConsistently) {
 }
 
 TEST(HaloRuntime, StartWithoutWaitThenWaitCompletes) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     Function f("f", g, 2);
     fill_coded(f, 0);
@@ -239,7 +239,7 @@ TEST(HaloRuntime, StartWithoutWaitThenWaitCompletes) {
 }
 
 TEST(HaloRuntime, StatsCountMessagesAndBytes) {
-  smpi::run(2, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm, {2, 1});
     Function f("f", g, 2);
     ir::FieldTable table;
@@ -276,7 +276,7 @@ TEST_P(HaloZeroCopy, PostFenceMakesEveryDeliveryRendezvous) {
   // touched. This is the PR's zero-copy claim, asserted end to end for
   // all three patterns on a 2x2x2 decomposition.
   const ir::MpiMode mode = GetParam();
-  smpi::run(8, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 8}, [&](smpi::Communicator& comm) {
     const Grid g({8, 8, 8}, {1.0, 1.0, 1.0}, comm);
     Function f("f", g, 2);
     fill_coded(f, 0);
@@ -339,7 +339,7 @@ TEST(HaloRuntime, TableOneMessageCountsPerCornerRank3D) {
   // corner-rank column of the paper's Table I.
   for (const ir::MpiMode mode :
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    smpi::run(8, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 8}, [&](smpi::Communicator& comm) {
       const Grid g({8, 8, 8}, {1.0, 1.0, 1.0}, comm);
       Function f("f", g, 2);
       ir::FieldTable table;
@@ -361,7 +361,7 @@ TEST(HaloRuntime, TableOneMessageCountsPerCornerRank3D) {
 }
 
 TEST(HaloRuntime, RejectsOutOfOrderRegistration) {
-  smpi::run(2, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm, {2, 1});
     Function f("f", g, 2);
     ir::FieldTable table;
@@ -371,6 +371,17 @@ TEST(HaloRuntime, RejectsOutOfOrderRegistration) {
     wrong.id = 3;
     EXPECT_THROW(halo.register_spot(wrong, table), std::logic_error);
   });
+}
+
+TEST(HaloRuntime, SetExchangeDepthAcceptsOnlyOne) {
+  // Every schedule exchanges once per step: depth 1 is the only legal
+  // value, and the lowering info reports exactly that.
+  const Grid g({8, 8}, {1.0, 1.0});
+  HaloExchange halo(g, ir::MpiMode::Basic);
+  EXPECT_NO_THROW(halo.set_exchange_depth(ir::LoweringInfo::exchange_depth));
+  EXPECT_NO_THROW(halo.set_exchange_depth(1));
+  EXPECT_THROW(halo.set_exchange_depth(2), std::invalid_argument);
+  EXPECT_THROW(halo.set_exchange_depth(0), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Numerical-health layer tests: the compiler-generated per-field
-// reduction kernels (interpreter and JIT, every MPI pattern, shallow
-// and deep halos), the OnNan policies, the flight-recorder bundle, the
+// reduction kernels (interpreter and JIT, every MPI pattern), the OnNan
+// policies, the flight-recorder bundle, the
 // JITFD_INJECT_NAN fault hook, and bitwise neutrality of the checks.
 #include <gtest/gtest.h>
 
@@ -76,21 +76,20 @@ std::string slurp(const std::string& path) {
 }
 
 // A NaN seeded in one rank's owned interior must be reported by the
-// next health check, on every pattern, both backends, and both halo
-// depths — and the reduced summary must agree on every rank, naming
-// the owning rank.
+// next health check, on every pattern, both backends, and both a one-
+// and a two-point-wide halo (SO 2 and 4) — and the reduced summary must
+// agree on every rank, naming the owning rank.
 class SeededNan
     : public ::testing::TestWithParam<
           std::tuple<ir::MpiMode, int, core::Backend>> {};
 
 TEST_P(SeededNan, DetectedOnNextCheckAndCulpritRankNamed) {
   SKIP_WITHOUT_OBS();
-  const auto [mode, depth, backend] = GetParam();
-  jitfd::grid::Function::set_default_exchange_depth(depth);
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  const auto [mode, so, backend] = GetParam();
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const std::int64_t n = 16;
     const Grid g({n, n}, {1.0, 1.0}, comm);
-    Diffusion d(g);
+    Diffusion d(g, so);
     d.u.fill(0.5F);
     // Interior point far from any rank boundary, so at step 0 only the
     // owning rank's region is poisoned.
@@ -102,7 +101,6 @@ TEST_P(SeededNan, DetectedOnNextCheckAndCulpritRankNamed) {
 
     ir::CompileOptions opts;
     opts.mode = mode;
-    opts.exchange_depth = depth;
     Operator op({d.eq}, opts);
     op.set_default_backend(backend);
     const auto run = op.apply({.time_m = 0,
@@ -121,15 +119,14 @@ TEST_P(SeededNan, DetectedOnNextCheckAndCulpritRankNamed) {
     ASSERT_FALSE(run.health.series.empty());
     EXPECT_TRUE(run.health.series.front().bad());
   });
-  jitfd::grid::Function::set_default_exchange_depth(1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PatternsBackendsDepths, SeededNan,
+    PatternsOrdersBackends, SeededNan,
     ::testing::Combine(::testing::Values(ir::MpiMode::Basic,
                                          ir::MpiMode::Diagonal,
                                          ir::MpiMode::Full),
-                       ::testing::Values(1, 2),
+                       ::testing::Values(2, 4),
                        ::testing::Values(core::Backend::Interpret,
                                          core::Backend::Jit)));
 
@@ -272,7 +269,7 @@ TEST(Health, AbortDumpThrowsOnEveryRankAndWritesValidBundle) {
 
   std::int64_t owner = -1;
   try {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({16, 16}, {1.0, 1.0}, comm);
       Diffusion d(g);
       d.u.fill(1.0F);
@@ -322,7 +319,7 @@ TEST(Health, InjectNanHookPoisonsConfiguredRankAndStep) {
   // poisons one interior point of the checked field at the top of that
   // step on that rank; the same step's check must catch it.
   ::setenv("JITFD_INJECT_NAN", "2:1", 1);
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     Diffusion d(g);
     d.u.fill(1.0F);

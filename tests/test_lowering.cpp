@@ -64,7 +64,7 @@ TEST(Lowering, SerialDiffusionSchedule) {
 TEST(Lowering, ScheduleDumpShowsHaloSpotInsideTimeLoop) {
   // The paper's Listing 4/5: the halo exchange is scheduled inside the
   // time loop, before the stencil loop nest.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     ir::LoweringInfo info;
@@ -84,119 +84,11 @@ TEST(Lowering, ScheduleDumpShowsHaloSpotInsideTimeLoop) {
   });
 }
 
-TEST(Lowering, DeepHaloStripScheduleForDiffusion) {
-  // exchange_depth 2 on diffusion: the time loop strides by 2, ONE
-  // depth-2 exchange sits at the strip top, and the two sub-steps are
-  // substep sections whose loop bounds carry the ghost extension —
-  // sub-step 0 computes one point into the ghost zone, sub-step 1 none.
-  jitfd::grid::Function::set_default_exchange_depth(2);
-  smpi::run(4, [](smpi::Communicator& comm) {
-    const Grid g({8, 8}, {1.0, 1.0}, comm);
-    const TimeFunction u("u", g, 2, 1);
-    ir::LoweringInfo info;
-    ir::CompileOptions opts;
-    opts.mode = ir::MpiMode::Basic;
-    opts.exchange_depth = 2;
-    const auto iet = ir::lower_to_iet({diffusion_eq(u)}, g, opts, {}, info);
-
-    EXPECT_EQ(info.exchange_depth, 2);
-    EXPECT_TRUE(info.exchange_depth_clamp_reason.empty())
-        << info.exchange_depth_clamp_reason;
-    // One exchange per strip, widened to cover both sub-steps.
-    EXPECT_EQ(count_nodes(iet, ir::NodeType::HaloComm), 1);
-    ASSERT_EQ(info.spots.size(), 1U);
-    ASSERT_EQ(info.spots[0].needs.size(), 1U);
-    EXPECT_EQ(info.spots[0].needs[0].time_offset, 0);
-    EXPECT_EQ(info.spots[0].needs[0].widths, (std::vector<int>{2, 2}));
-
-    // Structure: TimeLoop(stride 2) -> [HaloComm, substep t+0, substep t+1].
-    const ir::NodePtr* time_loop = nullptr;
-    for (const ir::NodePtr& c : iet->body) {
-      if (c->type == ir::NodeType::TimeLoop) {
-        time_loop = &c;
-      }
-    }
-    ASSERT_NE(time_loop, nullptr);
-    EXPECT_EQ((*time_loop)->time_stride, 2);
-    ASSERT_EQ((*time_loop)->body.size(), 3U);
-    EXPECT_EQ((*time_loop)->body[0]->type, ir::NodeType::HaloComm);
-    for (const std::int64_t shift : {0, 1}) {
-      const ir::NodePtr& sub = (*time_loop)->body[1 + shift];
-      ASSERT_EQ(sub->type, ir::NodeType::Section);
-      EXPECT_EQ(sub->name, "substep");
-      EXPECT_EQ(sub->time_shift, shift);
-      // The loop nest under the sub-step carries ghost extension
-      // (k - 1 - j) * width: 1 for sub-step 0, 0 for sub-step 1. Each
-      // sub-step also ends with the per-field health check so a check
-      // inside a guarded sub-step is skipped along with its compute
-      // (unless the obs layer is compiled out entirely).
-#ifdef JITFD_OBS_DISABLED
-      ASSERT_EQ(sub->body.size(), 1U);
-#else
-      ASSERT_EQ(sub->body.size(), 2U);
-      EXPECT_EQ(sub->body[1]->type, ir::NodeType::HealthCheck);
-#endif
-      const ir::NodePtr& x_loop = sub->body[0];
-      ASSERT_EQ(x_loop->type, ir::NodeType::Iteration);
-      EXPECT_EQ(x_loop->lo.ghost, 1 - shift);
-      EXPECT_EQ(x_loop->hi.ghost, 1 - shift);
-    }
-    if (comm.rank() == 0) {
-      EXPECT_NE(info.schedule_dump.find("stride 2"), std::string::npos)
-          << info.schedule_dump;
-      EXPECT_NE(info.schedule_dump.find("substep"), std::string::npos);
-    }
-  });
-  jitfd::grid::Function::set_default_exchange_depth(1);
-}
-
-TEST(Lowering, DeepHaloDowngradesWhenHaloCapacityTooShallow) {
-  // Space order 2 with halos allocated for depth 2 (4 points): depth 8
-  // would need an 8-point-deep exchange, so the planner walks the
-  // request down to the deepest feasible depth (4: one stencil radius
-  // per sub-step fills the 4-point halo) and records why it could not
-  // go deeper.
-  jitfd::grid::Function::set_default_exchange_depth(2);
-  smpi::run(4, [](smpi::Communicator& comm) {
-    const Grid g({8, 8}, {1.0, 1.0}, comm);
-    const TimeFunction u("u", g, 2, 1);
-    ir::LoweringInfo info;
-    ir::CompileOptions opts;
-    opts.mode = ir::MpiMode::Diagonal;
-    opts.exchange_depth = 8;
-    (void)ir::lower_to_iet({diffusion_eq(u)}, g, opts, {}, info);
-    EXPECT_EQ(info.exchange_depth, 4);
-    EXPECT_FALSE(info.exchange_depth_clamp_reason.empty());
-  });
-  jitfd::grid::Function::set_default_exchange_depth(1);
-}
-
-TEST(Lowering, DeepHaloClampsOnSparseOps) {
-  // Sparse injections update owned points only; ghost-zone recompute
-  // would miss them, so any sparse op forces depth 1.
-  jitfd::grid::Function::set_default_exchange_depth(4);
-  smpi::run(4, [](smpi::Communicator& comm) {
-    const Grid g({8, 8}, {1.0, 1.0}, comm);
-    const TimeFunction u("u", g, 2, 1);
-    ir::LoweringInfo info;
-    ir::CompileOptions opts;
-    opts.mode = ir::MpiMode::Basic;
-    opts.exchange_depth = 4;
-    (void)ir::lower_to_iet({diffusion_eq(u)}, g, opts,
-                           {ir::SparseOpDesc{0}}, info);
-    EXPECT_EQ(info.exchange_depth, 1);
-    EXPECT_NE(info.exchange_depth_clamp_reason.find("sparse"),
-              std::string::npos)
-        << info.exchange_depth_clamp_reason;
-  });
-  jitfd::grid::Function::set_default_exchange_depth(1);
-}
-
 TEST(Lowering, CoupledSystemSplitsIntoTwoClusters) {
   // v is updated from tau and tau from the *new* v at nonzero offsets:
   // the flow dependence forces loop fission, and the second cluster needs
   // a halo exchange of v at t+1.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction v("v", g, 4, 1);
     const TimeFunction tau("tau", g, 4, 1);
@@ -238,7 +130,7 @@ TEST(Lowering, PointwiseCoupledEquationsStayFused) {
 TEST(Lowering, ParameterFieldExchangeIsHoisted) {
   // A time-invariant field read at offsets (the TTI trig-coefficient
   // pattern) is exchanged once, before the time loop.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     const Function c("c", g, 2);
@@ -277,7 +169,7 @@ TEST(Lowering, ParameterFieldExchangeIsHoisted) {
 TEST(Lowering, RedundantExchangeIsDropped) {
   // Two clusters read u@t at offsets but nothing writes u@t in between:
   // the second HaloSpot must be dropped (paper Section III-g).
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     const TimeFunction a("a", g, 2, 1);
@@ -309,7 +201,7 @@ TEST(Lowering, RedundantExchangeIsDropped) {
 }
 
 TEST(Lowering, FullModeSplitsCoreAndRemainder) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 4, 1);
     ir::LoweringInfo info;
@@ -471,7 +363,7 @@ TEST(Lowering, RejectsReservedSymbolNamesAndDuplicateFieldNames) {
 
 TEST(Lowering, UndecomposedDimensionNeedsNoExchange) {
   // topology (4,1): reads at y-offsets only cross no rank boundary.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm, {4, 1});
     const TimeFunction u("u", g, 2, 1);
     const sym::Ex rhs = u.now() + sym::diff(u.now(), 1, 2, 2);  // d2/dy2.

@@ -178,7 +178,7 @@ void run_mode_equivalence(int so, std::int64_t n, int steps,
 
   for (const ir::MpiMode mode :
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       Model model(g, so);
       const SparseFunction src(
@@ -243,7 +243,7 @@ TEST(Models, Acoustic3DDistributedSmoke) {
                .scalars = model.scalars(model.critical_dt())});
     expected = model.wavefield().gather((steps + 1) % 3);
   }
-  smpi::run(8, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 8}, [&](smpi::Communicator& comm) {
     const Grid g({n, n, n}, {1.0, 1.0, 1.0}, comm);
     AcousticModel model(g, 4);
     model.wavefield().fill_global_box(
@@ -273,7 +273,7 @@ TEST(Models, TtiExchangesCireTemporariesEveryStep) {
   // per-step (never hoisted) halo exchange, after the p/q exchange of
   // the first cluster. The direction-cosine fields are only read at the
   // iteration point and need no exchange at all.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({12, 12}, {1.0, 1.0}, comm);
     TtiModel model(g, 4);
     ir::CompileOptions opts;
@@ -312,7 +312,7 @@ void run_3d_equivalence(ir::MpiMode mode, int so, std::int64_t n, int steps) {
     const int nb = model.wavefield().time_buffers();
     expected = model.wavefield().gather(steps % nb);
   }
-  smpi::run(8, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 8}, [&](smpi::Communicator& comm) {
     const Grid g({n, n, n}, {1.0, 1.0, 1.0}, comm);
     Model model(g, so);
     model.wavefield().fill_global_box(
@@ -348,82 +348,6 @@ TEST(Models, Viscoelastic3DDistributedMatchesSerial) {
 
 TEST(Models, Tti3DDistributedMatchesSerial) {
   run_3d_equivalence<TtiModel>(ir::MpiMode::Basic, 4, 12, 3);
-}
-
-template <typename Model>
-void run_deep_halo_equivalence(int so, std::int64_t n, int steps, int depth) {
-  // Communication-avoiding stepping must be a pure schedule change: with
-  // exchange depth k the ghost zones are recomputed redundantly from
-  // deeper halos instead of being refreshed every step, and the owned
-  // values must come out bitwise identical to the per-step schedule.
-  // Serial reference (depth clamps to 1 there; it IS the k=1 answer).
-  std::vector<float> expected;
-  {
-    const Grid g({n, n}, {1.0, 1.0});
-    Model model(g, so);
-    model.wavefield().fill_global_box(
-        0, std::vector<std::int64_t>{n / 2 - 1, n / 2 - 1},
-        std::vector<std::int64_t>{n / 2 + 1, n / 2 + 1}, 1.0F);
-    auto op = model.make_operator({});
-    op->apply({.time_m = 0, .time_M = steps - 1,
-               .scalars = model.scalars(model.critical_dt())});
-    const int nb = model.wavefield().time_buffers();
-    expected = model.wavefield().gather(steps % nb);
-  }
-
-  for (const ir::MpiMode mode :
-       {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    // Halo capacity is fixed at Function construction; allocate deeper
-    // than the requested depth needs so the planner never clamps on
-    // capacity. Set outside smpi::run: the default is process-wide and
-    // ranks construct their fields concurrently.
-    jitfd::grid::Function::set_default_exchange_depth(2 * depth);
-    smpi::run(4, [&](smpi::Communicator& comm) {
-      const Grid g({n, n}, {1.0, 1.0}, comm);
-      Model model(g, so);
-      model.wavefield().fill_global_box(
-          0, std::vector<std::int64_t>{n / 2 - 1, n / 2 - 1},
-          std::vector<std::int64_t>{n / 2 + 1, n / 2 + 1}, 1.0F);
-      ir::CompileOptions opts;
-      opts.mode = mode;
-      opts.exchange_depth = depth;
-      auto op = model.make_operator(opts);
-      ASSERT_EQ(op->info().exchange_depth, depth)
-          << "clamped: " << op->info().exchange_depth_clamp_reason;
-      op->apply({.time_m = 0, .time_M = steps - 1,
-                 .scalars = model.scalars(model.critical_dt())});
-      const int nb = model.wavefield().time_buffers();
-      const auto got = model.wavefield().gather(steps % nb);
-      if (comm.rank() == 0) {
-        ASSERT_EQ(got.size(), expected.size());
-        double mass = 0.0;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          ASSERT_NEAR(got[i], expected[i], 1e-6)
-              << "mode " << ir::to_string(mode) << " depth " << depth
-              << " at " << i;
-          mass += std::abs(expected[i]);
-        }
-        EXPECT_GT(mass, 0.0) << "reference field is empty";
-      }
-    });
-    jitfd::grid::Function::set_default_exchange_depth(1);
-  }
-}
-
-TEST(Models, AcousticDeepHaloMatchesPerStepExchange) {
-  run_deep_halo_equivalence<AcousticModel>(4, 20, 12, 2);
-}
-
-TEST(Models, AcousticDeepHaloDepth4WithPartialStrip) {
-  // 10 steps at depth 4: the last strip covers only 2 steps and must
-  // skip its out-of-range sub-steps.
-  run_deep_halo_equivalence<AcousticModel>(4, 24, 10, 4);
-}
-
-TEST(Models, ElasticDeepHaloMatchesPerStepExchange) {
-  // Multi-cluster kernel: in-strip cross-field reads (stress from
-  // just-updated velocities) exercise the coverage analysis.
-  run_deep_halo_equivalence<ElasticModel>(4, 20, 10, 2);
 }
 
 TEST(Models, ViscoelasticEnergyDecaysOverTime) {

@@ -137,7 +137,7 @@ TEST(OneDimensional, DistributedMatchesSerial) {
     op.apply({.time_m = 0, .time_M = steps - 1, .scalars = {{"dt", 1e-4}}});
     expected = u.gather(steps % 2);
   }
-  smpi::run(3, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 3}, [&](smpi::Communicator& comm) {
     const Grid g({n}, {1.0}, comm);
     TimeFunction u("u", g, 4, 1);
     u.set_global(0, std::vector<std::int64_t>{18}, 1.0F);

@@ -8,6 +8,7 @@
 
 #include "core/operator.h"
 #include "grid/function.h"
+#include "perfmodel/compare.h"
 #include "smpi/runtime.h"
 #include "symbolic/fd_ops.h"
 #include "symbolic/manip.h"
@@ -107,7 +108,7 @@ TEST_P(ModeEquivalence, DistributedDiffusionMatchesSerial) {
   const Grid serial({n, n}, {1.0, 1.0});
   const auto expected = run_diffusion(serial, {}, steps, dt);
 
-  smpi::run(nranks, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     ir::CompileOptions opts;
     opts.mode = mode;
@@ -152,7 +153,7 @@ TEST(Operator, HigherOrderStencilAcrossRanks) {
 
   for (const ir::MpiMode mode :
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       TimeFunction u("u", g, 8, 1);
       const std::vector<std::int64_t> lo{n / 2 - 1, n / 2 - 1};
@@ -287,7 +288,7 @@ TEST(Operator, CoupledFirstOrderSystemDistributed) {
 
   for (const ir::MpiMode mode :
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       ir::CompileOptions opts;
       opts.mode = mode;
@@ -304,7 +305,7 @@ TEST(Operator, CoupledFirstOrderSystemDistributed) {
 }
 
 TEST(Operator, AutoUpgradesModeOnDistributedGrids) {
-  smpi::run(2, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     Diffusion d(g);
     Operator op({d.eq});  // mode None requested.
@@ -313,7 +314,7 @@ TEST(Operator, AutoUpgradesModeOnDistributedGrids) {
 }
 
 TEST(Operator, DescribeReportsCompilationSummary) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     Diffusion d(g);
     ir::CompileOptions opts;
@@ -333,28 +334,6 @@ TEST(Operator, DescribeReportsCompilationSummary) {
   });
 }
 
-TEST(Operator, ExchangeDepthClampsOnSerialGrids) {
-  // Communication-avoiding stepping is pointless without exchanges: a
-  // serial grid clamps any requested depth back to 1, with the reason
-  // surfaced through the lowering info and describe().
-  const Grid g({8, 8}, {1.0, 1.0});
-  Diffusion d(g);
-  ir::CompileOptions opts;
-  opts.exchange_depth = 4;
-  Operator op({d.eq}, opts);
-  EXPECT_EQ(op.info().exchange_depth, 1);
-  EXPECT_NE(op.info().exchange_depth_clamp_reason.find("serial"),
-            std::string::npos)
-      << op.info().exchange_depth_clamp_reason;
-  EXPECT_NE(op.describe().find("clamped"), std::string::npos)
-      << op.describe();
-  // The clamped operator still runs as a plain depth-1 schedule.
-  const auto run = op.apply({.time_m = 0, .time_M = 4,
-                             .scalars = {{"dt", 1e-3}}});
-  EXPECT_EQ(run.points_updated, 64 * 5);
-  EXPECT_EQ(run.halo.messages, 0U);  // Serial grid: no exchanges.
-}
-
 TEST(Operator, HaloStatsMatchTableOneMessageCounts) {
   // 2D, 2x2 ranks: every rank has 2 face neighbours (basic) and 3 star
   // neighbours (diagonal) -> totals 8 vs 12 messages per exchange.
@@ -366,7 +345,7 @@ TEST(Operator, HaloStatsMatchTableOneMessageCounts) {
            {ir::MpiMode::Full, 12}}) {
     const ir::MpiMode m = mode;
     const std::uint64_t expect = expected_total;
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       ir::CompileOptions opts;
       opts.mode = m;
@@ -388,49 +367,67 @@ TEST(Operator, HaloStatsMatchTableOneMessageCounts) {
   }
 }
 
-TEST(Operator, DeepHaloAmortizesTableOneMessagesOverStrips) {
-  // The communication-avoiding acceptance check: with exchange_depth k,
-  // the p2p messages for k timesteps equal the Table I count for ONE
-  // timestep of the depth-1 schedule — the deep exchange changes widths,
-  // not the message structure.
-  const std::int64_t n = 8;
-  const int depth = 2;
-  for (const auto& [mode, expected_per_strip] :
-       std::initializer_list<std::pair<ir::MpiMode, std::uint64_t>>{
-           {ir::MpiMode::Basic, 8},
-           {ir::MpiMode::Diagonal, 12},
-           {ir::MpiMode::Full, 12}}) {
-    const ir::MpiMode m = mode;
-    const std::uint64_t expect = expected_per_strip;
-    jitfd::grid::Function::set_default_exchange_depth(depth);
-    smpi::run(4, [&](smpi::Communicator& comm) {
-      const Grid g({n, n}, {1.0, 1.0}, comm);
-      ir::CompileOptions opts;
-      opts.mode = m;
-      opts.exchange_depth = depth;
-      jitfd::runtime::HaloStats stats;
-      // Two strips: 2 * depth steps -> exactly 2x the one-step Table I
-      // count, where the depth-1 schedule would send 4x.
-      run_diffusion(g, opts, /*steps=*/2 * depth, 1e-3,
-                    core::Backend::Interpret, &stats);
-      EXPECT_EQ(stats.exchange_depth, depth);
-      // Each rank's exchanges covered every timestep exactly once.
-      EXPECT_EQ(stats.steps_covered, static_cast<std::uint64_t>(2 * depth));
-      std::vector<std::int64_t> total{
-          static_cast<std::int64_t>(stats.messages)};
-      comm.allreduce(std::span<std::int64_t>(total), smpi::ReduceOp::Sum);
-      if (comm.rank() == 0) {
-        EXPECT_EQ(static_cast<std::uint64_t>(total[0]), 2 * expect)
-            << "mode " << ir::to_string(m);
+// Every schedule exchanges once per time step. On each 4-rank process
+// grid, both backends must issue one halo update (basic, diagonal) or one
+// start (full) per step on every rank, and the messages summed over the
+// ranks must be Table I's count for one exchange times the step count,
+// while the field still matches the serial run.
+class ExchangeOncePerStep
+    : public ::testing::TestWithParam<
+          std::tuple<ir::MpiMode, core::Backend, std::vector<int>>> {};
+
+TEST_P(ExchangeOncePerStep, TableOneMessagesEveryStepAndSerialField) {
+  const auto& [mode, backend, topology] = GetParam();
+  const std::int64_t n = 12;
+  const int steps = 3;
+  const double dt = 1e-3;
+
+  const Grid serial({n, n}, {1.0, 1.0});
+  const auto expected = run_diffusion(serial, {}, steps, dt, backend);
+
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
+    const Grid g({n, n}, {1.0, 1.0}, comm, topology);
+    ir::CompileOptions opts;
+    opts.mode = mode;
+    jitfd::runtime::HaloStats stats;
+    const auto got = run_diffusion(g, opts, steps, dt, backend, &stats);
+    const auto per_step = static_cast<std::uint64_t>(steps);
+    if (mode == ir::MpiMode::Full) {
+      EXPECT_EQ(stats.starts, per_step);
+      EXPECT_EQ(stats.updates, 0U);
+    } else {
+      EXPECT_EQ(stats.updates, per_step);
+      EXPECT_EQ(stats.starts, 0U);
+    }
+    std::vector<std::int64_t> total{
+        static_cast<std::int64_t>(stats.messages)};
+    comm.allreduce(std::span<std::int64_t>(total), smpi::ReduceOp::Sum);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(static_cast<std::uint64_t>(total[0]),
+                jitfd::perf::table1_messages(topology, mode) * per_step);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_NEAR(got[i], expected[i], 1e-6) << "at " << i;
       }
-      if (m == ir::MpiMode::Full) {
-        // One start per strip, overlapped with the widened core.
-        EXPECT_EQ(stats.starts, 2U);
-        EXPECT_GT(stats.progress_calls, 0U);
-      }
-    });
-    jitfd::grid::Function::set_default_exchange_depth(1);
-  }
+    }
+  });
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PatternsBackendsTopologies, ExchangeOncePerStep,
+    ::testing::Combine(
+        ::testing::Values(ir::MpiMode::Basic, ir::MpiMode::Diagonal,
+                          ir::MpiMode::Full),
+        ::testing::Values(core::Backend::Interpret, core::Backend::Jit),
+        ::testing::Values(std::vector<int>{2, 2}, std::vector<int>{4, 1},
+                          std::vector<int>{1, 4})),
+    [](const auto& info) {
+      const std::vector<int>& topology = std::get<2>(info.param);
+      return std::string(ir::to_string(std::get<0>(info.param))) + "_" +
+             (std::get<1>(info.param) == core::Backend::Jit ? "jit"
+                                                            : "interpret") +
+             "_" + std::to_string(topology[0]) + "x" +
+             std::to_string(topology[1]);
+    });
 
 }  // namespace

@@ -112,36 +112,6 @@ TEST(ScalingModel, TtiScalesBestAcousticBeatsElastic) {
   EXPECT_GE(eff("elastic"), eff("viscoelastic") - 0.02);
 }
 
-TEST(ScalingModel, CommAvoidingDepthOneIsIdentity) {
-  // exchange_depth defaults to 1 and must not change any prediction.
-  const ScalingModel m(archer2_node(), acoustic_spec(), Target::Cpu);
-  for (const ir::MpiMode mode :
-       {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    const auto implicit = m.strong(128, 8, mode);
-    const auto explicit1 = m.strong(128, 8, mode, 0, 1);
-    EXPECT_EQ(implicit.step_seconds, explicit1.step_seconds);
-    EXPECT_EQ(implicit.t_redundant, 0.0);
-  }
-}
-
-TEST(ScalingModel, CommAvoidingTradesMessagesForRedundantCompute) {
-  const ScalingModel m(archer2_node(), acoustic_spec(), Target::Cpu);
-  const auto k1 = m.strong(128, 8, ir::MpiMode::Basic);
-  const auto k2 = m.strong(128, 8, ir::MpiMode::Basic, 0, 2);
-  const auto k4 = m.strong(128, 8, ir::MpiMode::Basic, 0, 4);
-  // The redundant ghost-zone compute term appears and grows with depth.
-  EXPECT_GT(k2.t_redundant, 0.0);
-  EXPECT_GT(k4.t_redundant, k2.t_redundant);
-  // Per-step network and sync time amortize: latency and per-message
-  // overhead divide by k while the (deeper) volume stays first-order
-  // constant.
-  EXPECT_LT(k2.t_net, k1.t_net);
-  EXPECT_LT(k4.t_net, k2.t_net);
-  EXPECT_LT(k2.t_sync, k1.t_sync);
-  // The owned-region compute term is untouched.
-  EXPECT_EQ(k2.t_comp, k1.t_comp);
-}
-
 TEST(ScalingModel, AcousticModeCrossoverWithSpaceOrder) {
   // Paper Tables III vs VI: basic wins the low-order acoustic regime
   // (message rate binds diagonal's 26 small messages); diagonal wins at

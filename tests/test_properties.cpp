@@ -299,7 +299,7 @@ TEST(SmpiProperties, MessageStormDeliversExactlyOnceInOrder) {
   // duplication or reordering detectable.
   constexpr int kRanks = 4;
   constexpr int kMsgs = 50;
-  smpi::run(kRanks, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = kRanks}, [](smpi::Communicator& comm) {
     const int me = comm.rank();
     for (int dst = 0; dst < kRanks; ++dst) {
       if (dst == me) {
@@ -334,7 +334,7 @@ TEST(SmpiProperties, MessageStormDeliversExactlyOnceInOrder) {
 }
 
 TEST(SmpiProperties, ConcurrentCollectivesStayCoherent) {
-  smpi::run(6, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 6}, [](smpi::Communicator& comm) {
     for (int round = 0; round < 25; ++round) {
       std::vector<double> v{static_cast<double>(comm.rank() + round)};
       comm.allreduce(std::span<double>(v), smpi::ReduceOp::Sum);

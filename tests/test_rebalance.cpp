@@ -2,7 +2,7 @@
 // (rate-proportional biased splits, clamps, deterministic rounding) and
 // the correctness bar behind it — a biased dimension-0 split must
 // produce bitwise-identical wavefields to the uniform split on every
-// pattern, exchange depth and transport, because decomposition
+// pattern, halo width and transport, because decomposition
 // placement is never allowed to change the model.
 #include <gtest/gtest.h>
 
@@ -183,10 +183,9 @@ constexpr int kSteps = 4;
 // on rank 0 (the parent under both transports, so the returned field is
 // valid in the caller). Empty `dim0_sizes` = uniform split.
 std::vector<float> gathered_diffusion(
-    smpi::TransportKind transport, ir::MpiMode mode, int depth,
+    smpi::TransportKind transport, ir::MpiMode mode, int so,
     const std::vector<std::int64_t>& dim0_sizes) {
   std::vector<float> out;
-  jitfd::grid::Function::set_default_exchange_depth(depth);
   smpi::launch({.nranks = 4, .transport = transport},
                [&](smpi::Communicator& comm) {
     const std::vector<int> topo{4, 1};
@@ -198,12 +197,11 @@ std::vector<float> gathered_diffusion(
       g.emplace(std::vector<std::int64_t>{kEdge, kEdge},
                 std::vector<double>{1.0, 1.0}, comm, topo, dim0_sizes);
     }
-    TimeFunction u("u", *g, 2, 1);
+    TimeFunction u("u", *g, so, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{1, 1},
                       std::vector<std::int64_t>{kEdge - 1, kEdge - 1}, 1.0F);
     ir::CompileOptions opts;
     opts.mode = mode;
-    opts.exchange_depth = depth;
     Operator op({ir::Eq(u.forward(), sym::solve(u.dt() - u.laplace(),
                                                 sym::Ex(0), u.forward()))},
                 opts);
@@ -215,47 +213,48 @@ std::vector<float> gathered_diffusion(
       out = data;
     }
                });
-  jitfd::grid::Function::set_default_exchange_depth(1);
   return out;
 }
 
+// SO 2 and SO 4 read one and two points across each rank boundary; even
+// the biased split's 4-row rank owns more rows than that.
 class BiasedSplitEquality
     : public ::testing::TestWithParam<std::tuple<ir::MpiMode, int>> {};
 
 TEST_P(BiasedSplitEquality, BitwiseEqualToUniformOnBothTransports) {
-  const auto [mode, depth] = GetParam();
+  const auto [mode, so] = GetParam();
   // An aggressively skewed dimension-0 split of 24 rows: {8, 4, 6, 6}
   // (uniform would be {6, 6, 6, 6}).
   const std::vector<std::int64_t> biased{8, 4, 6, 6};
   for (const smpi::TransportKind transport :
        {smpi::TransportKind::Threads, smpi::TransportKind::ProcessShm}) {
     const std::vector<float> uniform =
-        gathered_diffusion(transport, mode, depth, {});
+        gathered_diffusion(transport, mode, so, {});
     const std::vector<float> rebalanced =
-        gathered_diffusion(transport, mode, depth, biased);
+        gathered_diffusion(transport, mode, so, biased);
     ASSERT_EQ(uniform.size(),
               static_cast<std::size_t>(kEdge * kEdge));
     ASSERT_EQ(rebalanced.size(), uniform.size());
     EXPECT_EQ(std::memcmp(uniform.data(), rebalanced.data(),
                           uniform.size() * sizeof(float)),
               0)
-        << "mode " << ir::to_string(mode) << " depth " << depth
-        << " transport " << smpi::to_string(transport);
+        << "mode " << ir::to_string(mode) << " so " << so << " transport "
+        << smpi::to_string(transport);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PatternsAndDepths, BiasedSplitEquality,
+    PatternsAndOrders, BiasedSplitEquality,
     ::testing::Combine(::testing::Values(ir::MpiMode::Basic,
                                          ir::MpiMode::Diagonal,
                                          ir::MpiMode::Full),
-                       ::testing::Values(1, 2)));
+                       ::testing::Values(2, 4)));
 
 TEST(GridRebalance, RankDivergentSizesRejectedOnAllRanks) {
   // Each rank requests a different biased split: the allreduce check
   // must reject the bias on EVERY rank (uniform fallback, recorded
   // clamp reason) instead of deadlocking or diverging.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     std::vector<std::int64_t> sizes{8, 4, 6, 6};
     if (comm.rank() % 2 == 1) {
       sizes = {4, 8, 6, 6};
@@ -271,7 +270,7 @@ TEST(GridRebalance, RankDivergentSizesRejectedOnAllRanks) {
 }
 
 TEST(GridRebalance, UniformRequestIsAppliedAndShrinksMinLocalSize) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const std::vector<std::int64_t> sizes{8, 4, 6, 6};
     const Grid g({kEdge, kEdge}, {1.0, 1.0}, comm, {4, 1}, sizes);
     EXPECT_TRUE(g.rebalance_clamp_reason().empty())
@@ -292,7 +291,7 @@ TEST(GridRebalance, PlanRebalanceClampsOnSerialAndArityMismatch) {
   EXPECT_FALSE(plan.changed);
   EXPECT_FALSE(plan.reason.empty());
 
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({kEdge, kEdge}, {1.0, 1.0}, comm, {4, 1});
     obs::AnalysisReport bad;
     bad.rank_loads.push_back({0, 1.0});  // 1 load for 4 ranks.
@@ -305,7 +304,7 @@ TEST(GridRebalance, PlanRebalanceClampsOnSerialAndArityMismatch) {
 TEST(GridRebalance, PlanRebalancePinsTheLoadedSlab) {
   // Rank-uniform loads with rank 2 three times slower: the plan must
   // shrink part 2 of the dimension-0 decomposition.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({kEdge, kEdge}, {1.0, 1.0}, comm, {4, 1});
     obs::AnalysisReport rep;
     for (int r = 0; r < 4; ++r) {

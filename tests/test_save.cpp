@@ -129,7 +129,7 @@ TEST(Save, DistributedSavedHistoryMatchesSerial) {
       expected.push_back(u.gather(t));
     }
   }
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1, 0, steps + 1);
     u.fill_global_box(0, std::vector<std::int64_t>{4, 4},

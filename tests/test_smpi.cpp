@@ -21,7 +21,7 @@ using smpi::Request;
 
 TEST(SmpiRuntime, SingleRankRuns) {
   int visits = 0;
-  smpi::run(1, [&](Communicator& comm) {
+  smpi::launch({.nranks = 1}, [&](Communicator& comm) {
     EXPECT_EQ(comm.rank(), 0);
     EXPECT_EQ(comm.size(), 1);
     ++visits;
@@ -43,7 +43,7 @@ TEST(SmpiRuntime, AllRanksRunExactlyOnce) {
 
 TEST(SmpiRuntime, ExceptionsPropagateAfterJoin) {
   EXPECT_THROW(
-      smpi::run(2,
+      smpi::launch({.nranks = 2},
                 [](Communicator& comm) {
                   if (comm.rank() == 1) {
                     throw std::runtime_error("boom");
@@ -53,7 +53,7 @@ TEST(SmpiRuntime, ExceptionsPropagateAfterJoin) {
 }
 
 TEST(SmpiP2P, BlockingSendRecvRoundTrip) {
-  smpi::run(2, [](Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](Communicator& comm) {
     const int tag = 7;
     if (comm.rank() == 0) {
       const double payload = 3.25;
@@ -71,7 +71,7 @@ TEST(SmpiP2P, BlockingSendRecvRoundTrip) {
 
 TEST(SmpiP2P, MessagesAreNonOvertakingPerSourceAndTag) {
   // Two messages with the same (source, tag) must be received in send order.
-  smpi::run(2, [](Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](Communicator& comm) {
     if (comm.rank() == 0) {
       for (int i = 0; i < 16; ++i) {
         comm.send_n(&i, 1, 1, 3);
@@ -87,7 +87,7 @@ TEST(SmpiP2P, MessagesAreNonOvertakingPerSourceAndTag) {
 }
 
 TEST(SmpiP2P, TagSelectsAmongPendingMessages) {
-  smpi::run(2, [](Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](Communicator& comm) {
     if (comm.rank() == 0) {
       const int a = 10;
       const int b = 20;
@@ -106,7 +106,7 @@ TEST(SmpiP2P, TagSelectsAmongPendingMessages) {
 }
 
 TEST(SmpiP2P, AnySourceAndAnyTagMatch) {
-  smpi::run(3, [](Communicator& comm) {
+  smpi::launch({.nranks = 3}, [](Communicator& comm) {
     if (comm.rank() != 0) {
       const int payload = comm.rank() * 100;
       comm.send_n(&payload, 1, 0, comm.rank());
@@ -125,7 +125,7 @@ TEST(SmpiP2P, AnySourceAndAnyTagMatch) {
 }
 
 TEST(SmpiP2P, NonblockingRecvCompletesViaWait) {
-  smpi::run(2, [](Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](Communicator& comm) {
     if (comm.rank() == 1) {
       std::vector<float> buf(128, 0.0F);
       Request rx = comm.irecv(buf.data(), buf.size() * sizeof(float), 0, 5);
@@ -143,7 +143,7 @@ TEST(SmpiP2P, NonblockingRecvCompletesViaWait) {
 }
 
 TEST(SmpiP2P, TestReportsCompletionWithoutBlocking) {
-  smpi::run(2, [](Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](Communicator& comm) {
     if (comm.rank() == 1) {
       int got = 0;
       Request rx = comm.irecv(&got, sizeof(int), 0, 9);
@@ -162,7 +162,7 @@ TEST(SmpiP2P, TestReportsCompletionWithoutBlocking) {
 }
 
 TEST(SmpiP2P, SendToProcNullIsNoOp) {
-  smpi::run(1, [](Communicator& comm) {
+  smpi::launch({.nranks = 1}, [](Communicator& comm) {
     const int v = 1;
     comm.send_n(&v, 1, smpi::kProcNull, 0);
     int dummy = 7;
@@ -173,7 +173,7 @@ TEST(SmpiP2P, SendToProcNullIsNoOp) {
 }
 
 TEST(SmpiP2P, SendRecvExchangesBetweenNeighbours) {
-  smpi::run(4, [](Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](Communicator& comm) {
     const int right = (comm.rank() + 1) % comm.size();
     const int left = (comm.rank() + comm.size() - 1) % comm.size();
     const int mine = comm.rank() * 11;
@@ -184,7 +184,7 @@ TEST(SmpiP2P, SendRecvExchangesBetweenNeighbours) {
 }
 
 TEST(SmpiCollectives, AllreduceSumMinMaxProd) {
-  smpi::run(4, [](Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](Communicator& comm) {
     const double r = comm.rank() + 1.0;  // 1..4
 
     std::vector<double> sum{r};
@@ -206,7 +206,7 @@ TEST(SmpiCollectives, AllreduceSumMinMaxProd) {
 }
 
 TEST(SmpiCollectives, AllreduceVectorInt64) {
-  smpi::run(3, [](Communicator& comm) {
+  smpi::launch({.nranks = 3}, [](Communicator& comm) {
     std::vector<std::int64_t> v{comm.rank(), 10 * comm.rank()};
     comm.allreduce(std::span<std::int64_t>(v), ReduceOp::Sum);
     EXPECT_EQ(v[0], 3);
@@ -215,7 +215,7 @@ TEST(SmpiCollectives, AllreduceVectorInt64) {
 }
 
 TEST(SmpiCollectives, BcastFromNonzeroRoot) {
-  smpi::run(4, [](Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](Communicator& comm) {
     int value = (comm.rank() == 2) ? 123 : 0;
     comm.bcast(&value, sizeof(int), 2);
     EXPECT_EQ(value, 123);
@@ -223,7 +223,7 @@ TEST(SmpiCollectives, BcastFromNonzeroRoot) {
 }
 
 TEST(SmpiCollectives, GatherCollectsInRankOrder) {
-  smpi::run(4, [](Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](Communicator& comm) {
     const int mine = comm.rank() + 1;
     std::vector<int> all(comm.rank() == 0 ? 4 : 0);
     comm.gather(&mine, sizeof(int), all.data(), 0);
@@ -234,7 +234,7 @@ TEST(SmpiCollectives, GatherCollectsInRankOrder) {
 }
 
 TEST(SmpiCollectives, BackToBackCollectivesDoNotCrossMatch) {
-  smpi::run(4, [](Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](Communicator& comm) {
     for (int round = 0; round < 8; ++round) {
       std::vector<double> v{static_cast<double>(round)};
       comm.allreduce(std::span<double>(v), ReduceOp::Sum);
@@ -247,7 +247,7 @@ TEST(SmpiP2P, SimultaneousBidirectionalLargeMessagesDoNotDeadlock) {
   // Buffered-send semantics: both ranks send a large payload before
   // either posts its receive — this must not deadlock (the basic halo
   // pattern relies on it).
-  smpi::run(2, [](Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](Communicator& comm) {
     const int other = 1 - comm.rank();
     std::vector<double> out(1 << 16, comm.rank() + 1.0);
     std::vector<double> in(1 << 16, 0.0);
@@ -259,7 +259,7 @@ TEST(SmpiP2P, SimultaneousBidirectionalLargeMessagesDoNotDeadlock) {
 }
 
 TEST(SmpiRuntime, WorldCountsDeliveredMessages) {
-  smpi::run(3, [](Communicator& comm) {
+  smpi::launch({.nranks = 3}, [](Communicator& comm) {
     // Capture the baseline before the barrier: every send below happens
     // after all ranks passed the barrier, hence after every capture.
     // (Capturing after the barrier races with rank 0's sends.)
@@ -293,7 +293,7 @@ TEST(SmpiDims, DimsCreateHonoursFixedEntries) {
 }
 
 TEST(SmpiCart, CoordsRoundTrip) {
-  smpi::run(8, [](Communicator& comm) {
+  smpi::launch({.nranks = 8}, [](Communicator& comm) {
     CartComm cart(comm, {2, 2, 2});
     for (int r = 0; r < cart.size(); ++r) {
       EXPECT_EQ(cart.rank_of(cart.coords(r)), r);
@@ -305,7 +305,7 @@ TEST(SmpiCart, CoordsRoundTrip) {
 }
 
 TEST(SmpiCart, ShiftAtBoundaryIsProcNull) {
-  smpi::run(4, [](Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](Communicator& comm) {
     CartComm cart(comm, {4});
     const auto sh = cart.shift(0, 1);
     if (comm.rank() == 0) {
@@ -324,7 +324,7 @@ TEST(SmpiCart, ShiftAtBoundaryIsProcNull) {
 TEST(SmpiCart, NeighborhoodCountsMatchPaperTableI) {
   // Paper Table I: 6 face messages (basic) and 26 messages (diagonal/full)
   // per interior rank of a 3D decomposition.
-  smpi::run(27, [](Communicator& comm) {
+  smpi::launch({.nranks = 27}, [](Communicator& comm) {
     CartComm cart(comm, {3, 3, 3});
     if (cart.my_coords() == std::vector<int>{1, 1, 1}) {
       EXPECT_EQ(cart.face_neighborhood().size(), 6U);
@@ -338,7 +338,7 @@ TEST(SmpiCart, NeighborhoodCountsMatchPaperTableI) {
 }
 
 TEST(SmpiCart, TopologyValidation) {
-  smpi::run(4, [](Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](Communicator& comm) {
     EXPECT_THROW(CartComm(comm, {3, 1}), std::invalid_argument);
     EXPECT_THROW(CartComm(comm, {0, 4}), std::invalid_argument);
   });
@@ -397,7 +397,7 @@ TEST(BufferPool, TrimFreesIdleBuffers) {
 }
 
 TEST(SmpiTransport, PrePostedReceiveIsSingleCopyRendezvous) {
-  smpi::run(2, [](Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](Communicator& comm) {
     const auto& tc = comm.world().transport();
     std::vector<float> payload(1024, 2.5F);
     std::vector<float> sink(1024, 0.0F);

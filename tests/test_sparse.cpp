@@ -67,7 +67,7 @@ TEST(SparseFunction, RejectsOutOfDomainPoints) {
 TEST(SparseFunction, SharedBoundaryPointIsLocalToAllAdjacentRanks) {
   // Paper Figure 3: a point on the cross-point of 4 ranks is local to all
   // four; a clearly interior point is local to exactly one.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {7.0, 7.0}, comm);  // h = 1; ranks own 4x4 blocks.
     // Point C: dead centre, between nodes 3 and 4 in both dims.
     // Point A: inside rank 0's block.
@@ -105,7 +105,7 @@ TEST(Injection, DistributedInjectionEqualsSerial) {
   }
   EXPECT_NEAR(total, 2.0 * 2, 1e-5);
 
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {8.0, 8.0}, comm);
     const auto got = run(g);
     if (comm.rank() == 0) {
@@ -152,7 +152,7 @@ TEST(Interpolation, DistributedAssembleMatchesSerial) {
   // Linear field: multilinear interpolation is exact.
   EXPECT_NEAR(expected[0][0], 3.7 + 0.5 * 2.1, 1e-5);
 
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {8.0, 8.0}, comm);
     const auto got = run(g);
     for (int t = 0; t < steps; ++t) {
@@ -254,7 +254,7 @@ TEST(SparseInOperator, SourceDrivenWavePropagatesIdenticallyAcrossModes) {
 
   for (const ir::MpiMode mode :
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {15.0, 15.0}, comm);
       ir::CompileOptions opts;
       opts.mode = mode;

@@ -169,20 +169,17 @@ struct TracedRun {
 
 TracedRun traced_diffusion(
     int nranks, ir::MpiMode mode, std::int64_t n, int steps,
-    int exchange_depth = 1,
     core::Backend backend = core::Backend::Interpret) {
   TracedRun out;
   out.global_points = n * n;
   obs::reset();
-  jitfd::grid::Function::set_default_exchange_depth(exchange_depth);
-  smpi::run(nranks, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{1, 1},
                       std::vector<std::int64_t>{n - 1, n - 1}, 1.0F);
     ir::CompileOptions opts;
     opts.mode = mode;
-    opts.exchange_depth = exchange_depth;
     Operator op({ir::Eq(u.forward(), sym::solve(u.dt() - u.laplace(),
                                                 sym::Ex(0), u.forward()))},
                 opts);
@@ -195,7 +192,6 @@ TracedRun traced_diffusion(
       out.rank0 = run;
     }
   });
-  jitfd::grid::Function::set_default_exchange_depth(1);
   return out;
 }
 
@@ -326,56 +322,6 @@ TEST(Table1, StructuralMessageCounts) {
   EXPECT_EQ(perf::table1_messages({1, 1}, ir::MpiMode::Full), 0U);
 }
 
-TEST(TraceExport, DeepHaloRunTracesStripsAndRealSteps) {
-  if (!obs_built()) {
-    GTEST_SKIP() << "built with JITFD_OBS=OFF";
-  }
-  // exchange_depth 2 over 5 steps: the profile still counts 5 real
-  // timesteps (per-sub-step "step" spans), wrapped in 3 "strip" spans,
-  // and messages amortize to one Table I round per strip.
-  const int steps = 5;
-  const TracedRun traced =
-      traced_diffusion(4, ir::MpiMode::Basic, 12, steps, /*exchange_depth=*/2);
-  const obs::RunProfile profile = traced.rank0.trace.profile();
-  ASSERT_EQ(profile.ranks.size(), 4U);
-  EXPECT_EQ(profile.steps(), static_cast<std::uint64_t>(steps));
-  // 2x2 basic: 8 messages per exchange round, one round per strip.
-  EXPECT_EQ(profile.messages(), 8U * 3U);
-  const std::string json = obs::chrome_trace_string(traced.rank0.trace.data());
-  EXPECT_NE(json.find("\"strip\""), std::string::npos);
-  EXPECT_NE(json.find("\"step\""), std::string::npos);
-}
-
-TEST(Table1, DeepHaloExpectationScalesWithStrips) {
-  // A communication-avoiding run exchanges once per strip of
-  // `exchange_depth` steps, so the structural expectation is
-  // Table I x ceil(steps / depth) — including a partial final strip.
-  const perf::ScalingModel model(perf::archer2_node(), perf::acoustic_spec(),
-                                 perf::Target::Cpu);
-  const std::vector<int> topology{2, 2};
-  perf::MeasuredRun measured;
-  measured.kernel = "diffusion";
-  measured.mode = ir::MpiMode::Diagonal;
-  measured.ranks = 4;
-  measured.so = 2;
-  measured.steps = 5;
-  measured.exchange_depth = 2;
-  measured.points_updated = 16 * 16 * 5;
-  measured.wall_seconds = 0.1;
-  measured.messages = 12 * 3;  // 3 strips: 2 full + 1 partial.
-  const perf::Comparison cmp =
-      perf::compare_run(measured, model, topology, {16, 16});
-  EXPECT_EQ(cmp.expected_messages, 12U * 3U);
-  EXPECT_TRUE(cmp.messages_match());
-  // The report formats surface the depth.
-  const std::string json = perf::comparison_json({cmp});
-  EXPECT_NE(json.find("\"exchange_depth\": 2"), std::string::npos) << json;
-  std::string err;
-  EXPECT_TRUE(obs::json_valid(json, &err)) << err;
-  const std::string table = perf::comparison_table({cmp});
-  EXPECT_NE(table.find("diagonal"), std::string::npos) << table;
-}
-
 TEST(Trace, CatToStringIsExhaustiveAndDistinct) {
   // Every enumerator in [0, kCatCount) must map to a real name — "?" is
   // the out-of-range fallback — and no two categories may share one
@@ -410,10 +356,10 @@ TEST(TraceExport, JitProfileAttributionMatchesInterpreter) {
   const std::int64_t n = 12;
   const int steps = 4;
   const TracedRun interp =
-      traced_diffusion(4, ir::MpiMode::Basic, n, steps, 1,
+      traced_diffusion(4, ir::MpiMode::Basic, n, steps,
                        core::Backend::Interpret);
   const obs::RunProfile pi = interp.rank0.trace.profile();
-  const TracedRun jit = traced_diffusion(4, ir::MpiMode::Basic, n, steps, 1,
+  const TracedRun jit = traced_diffusion(4, ir::MpiMode::Basic, n, steps,
                                          core::Backend::Jit);
   const obs::RunProfile pj = jit.rank0.trace.profile();
 

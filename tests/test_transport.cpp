@@ -570,7 +570,7 @@ struct RunSize {
 /// transport and returns the rank-0 gather of the final wavefield.
 template <typename Model>
 std::vector<float> run_distributed(TransportKind kind, ir::MpiMode mode,
-                                   int exchange_depth, const RunSize& size) {
+                                   const RunSize& size) {
   const int steps = 8;
   const auto nd = static_cast<std::size_t>(size.ndims);
   std::vector<float> out;
@@ -592,7 +592,6 @@ std::vector<float> run_distributed(TransportKind kind, ir::MpiMode mode,
         nullptr, 1);
     ir::CompileOptions opts;
     opts.mode = mode;
-    opts.exchange_depth = exchange_depth;
     auto op = model.make_operator(opts, {&inj});
     op->apply({.time_m = 1, .time_M = steps, .scalars = model.scalars(dt)});
     const int nb = model.wavefield().time_buffers();
@@ -606,29 +605,26 @@ std::vector<float> run_distributed(TransportKind kind, ir::MpiMode mode,
 
 /// The acceptance gate: identical rank counts and compile options must
 /// produce byte-identical wavefields on both transports, for every halo
-/// pattern and exchange depth.
+/// pattern.
 template <typename Model>
 void expect_bitwise_transport_equivalence(const RunSize& size = {}) {
   for (const ir::MpiMode mode :
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    for (const int depth : {1, 2}) {
-      SCOPED_TRACE(std::string("mode=") + ir::to_string(mode) +
-                   " depth=" + std::to_string(depth));
-      const std::vector<float> threads =
-          run_distributed<Model>(TransportKind::Threads, mode, depth, size);
-      const std::vector<float> procs =
-          run_distributed<Model>(TransportKind::ProcessShm, mode, depth, size);
-      ASSERT_FALSE(threads.empty());
-      ASSERT_EQ(threads.size(), procs.size());
-      const int cmp = std::memcmp(threads.data(), procs.data(),
-                                  threads.size() * sizeof(float));
-      if (cmp != 0) {
-        for (std::size_t i = 0; i < threads.size(); ++i) {
-          ASSERT_EQ(threads[i], procs[i]) << "first divergence at " << i;
-        }
+    SCOPED_TRACE(std::string("mode=") + ir::to_string(mode));
+    const std::vector<float> threads =
+        run_distributed<Model>(TransportKind::Threads, mode, size);
+    const std::vector<float> procs =
+        run_distributed<Model>(TransportKind::ProcessShm, mode, size);
+    ASSERT_FALSE(threads.empty());
+    ASSERT_EQ(threads.size(), procs.size());
+    const int cmp = std::memcmp(threads.data(), procs.data(),
+                                threads.size() * sizeof(float));
+    if (cmp != 0) {
+      for (std::size_t i = 0; i < threads.size(); ++i) {
+        ASSERT_EQ(threads[i], procs[i]) << "first divergence at " << i;
       }
-      EXPECT_EQ(cmp, 0);
     }
+    EXPECT_EQ(cmp, 0);
   }
 }
 
@@ -646,7 +642,7 @@ TEST(TransportEquivalence, TtiBitwiseAcrossTransports) {
 
 TEST(TransportEquivalence, AcousticBitwiseWhenHaloFacesOverflowTheRing) {
   // 2 ranks split 32^3 into 16x32x32 blocks: at SO 8 each face is
-  // 4x32x32 floats = 16 KiB (32 KiB at depth 2), through 4 KiB rings, so
+  // 4x32x32 floats = 16 KiB, through 4 KiB rings, so
   // every halo message waits in its sender's queue.
   expect_bitwise_transport_equivalence<AcousticModel>(
       {.nranks = 2, .edge = 32, .ndims = 3, .so = 8, .ring_kb = 4});
