@@ -22,7 +22,6 @@
 
 #include "core/operator.h"
 #include "grid/function.h"
-#include "obs/events.h"
 #include "smpi/runtime.h"
 #include "sparse/sparse_function.h"
 #include "symbolic/manip.h"
@@ -146,12 +145,10 @@ void run(const Grid& grid, int rank) {
       // Inject the residual of forward time t_fwd into the freshly
       // written buffer (stencil update first, then sources — the same
       // ordering the compiler gives SparseOp nodes).
-      double resid_sq = 0.0;
       for (int p = 0; p < receivers.npoints(); ++p) {
         const double resid =
             predicted[static_cast<std::size_t>(t_fwd)][static_cast<std::size_t>(p)] -
             observed[static_cast<std::size_t>(t_fwd)][static_cast<std::size_t>(p)];
-        resid_sq += resid * resid;
         for (const auto& nw : receivers.support(p)) {
           const float cur = adj.u.get_global_or(
               static_cast<int>((s + 1) % 3), nw.node, 0.0F);
@@ -159,17 +156,6 @@ void run(const Grid& grid, int rank) {
                            cur + static_cast<float>(resid * nw.weight));
         }
       }
-      // Structured solver event: the data-residual norm driving this
-      // adjoint step (the quantity an inversion loop would watch). Every
-      // rank computes the same value from the assembled data; rank 0
-      // reports, mirroring the health monitor's convention.
-      if (rank == 0) {
-        jitfd::obs::events::emit(
-            "fwi.residual", jitfd::obs::events::EvCat::Solver, s,
-            {{"t_fwd", static_cast<double>(t_fwd)},
-             {"norm", std::sqrt(resid_sq)}});
-      }
-
       // Imaging condition: grad += v(s) * d2u/dt2 (t_fwd), correlating
       // the adjoint field with the forward second time derivative read
       // straight out of the saved history.
@@ -197,8 +183,6 @@ void run(const Grid& grid, int rank) {
     }
   }
   if (rank == 0) {
-    jitfd::obs::events::emit("fwi.misfit", jitfd::obs::events::EvCat::Solver,
-                             kSteps, {{"misfit", misfit}});
     std::printf("FWI gradient, one shot: %lldx%lld grid, %d steps, "
                 "24 receivers\n",
                 static_cast<long long>(kN), static_cast<long long>(kN),

@@ -9,6 +9,7 @@
 
 #include "core/env.h"
 #include "obs/analysis.h"
+#include "obs/json.h"
 #include "symbolic/manip.h"
 
 namespace jitfd::core {
@@ -159,23 +160,14 @@ Objective resolve_objective(Objective requested) {
              : Objective::Wall;
 }
 
-void put(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    v = 0.0;
+// The (mode, tile) members shared by autotune "best", "trials" and
+// "skipped" rows.
+void write_key(obs::JsonWriter& w, const AutotuneReport::TrialKey& key) {
+  w.field("mode", ir::to_string(key.first)).key("tile").begin_array();
+  for (const std::int64_t t : key.second) {
+    w.value(t);
   }
-  std::ostringstream tmp;
-  tmp.precision(9);
-  tmp << v;
-  os << tmp.str();
-}
-
-void put_key(std::ostringstream& os, const AutotuneReport::TrialKey& key) {
-  os << "\"mode\": \"" << ir::to_string(key.first) << "\", \"tile\": [";
-  const std::vector<std::int64_t>& tile = key.second;
-  for (std::size_t i = 0; i < tile.size(); ++i) {
-    os << (i > 0 ? ", " : "") << tile[i];
-  }
-  os << "]";
+  w.end();
 }
 
 }  // namespace
@@ -208,11 +200,11 @@ AttributedChoice choose_attributed(
     }
   }
   std::ostringstream os;
+  os.precision(9);
   os << "attributed objective: " << trial_text(best->first) << " wins";
   if (runner == nullptr) {
-    os << " as the only scored candidate (cost ";
-    put(os, best->second.attributed_cost_s);
-    os << " s)";
+    os << " as the only scored candidate (cost "
+       << best->second.attributed_cost_s << " s)";
     choice.why = os.str();
     return choice;
   }
@@ -232,85 +224,55 @@ AttributedChoice choose_attributed(
     term = "imbalance penalty";
     delta = d_imbalance;
   }
-  os << " on " << term << " (cost ";
-  put(os, best->second.attributed_cost_s);
-  os << " s vs ";
-  put(os, runner->second.attributed_cost_s);
-  os << " s for " << trial_text(runner->first) << ")";
+  os << " on " << term << " (cost " << best->second.attributed_cost_s
+     << " s vs " << runner->second.attributed_cost_s << " s for "
+     << trial_text(runner->first) << ")";
   choice.why = os.str();
   return choice;
 }
 
 std::string autotune_report_json(const AutotuneReport& r) {
-  std::ostringstream os;
   const bool attributed = r.objective == Objective::Attributed;
-  os << "{\n\"autotune\": {\n";
-  os << "  \"objective\": \"" << (attributed ? "attributed" : "wall")
-     << "\",\n";
-  std::string why = r.why;
-  std::string escaped;
-  for (const char c : why) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  os << "  \"why\": \"" << escaped << "\",\n";
-  os << "  \"trial_steps\": " << r.trial_steps << ",\n";
-  os << "  \"best\": {";
-  put_key(os, {r.best, r.best_tile});
-  os << "},\n";
-  os << "  \"rebalance\": {\"recommended\": "
-     << (r.rebalance_recommended ? "true" : "false")
-     << ", \"rank\": " << r.rebalance_rank << ", \"threshold\": ";
-  put(os, r.rebalance_threshold);
-  os << "},\n";
-  os << "  \"trials\": [";
-  bool first = true;
+  obs::JsonWriter w;
+  w.begin_object().key("autotune").begin_object();
+  w.field("objective", attributed ? "attributed" : "wall")
+      .field("why", r.why)
+      .field("trial_steps", r.trial_steps)
+      .key("best")
+      .begin_object();
+  write_key(w, {r.best, r.best_tile});
+  w.end().key("rebalance").begin_object();
+  w.field("recommended", r.rebalance_recommended)
+      .field("rank", r.rebalance_rank)
+      .field("threshold", r.rebalance_threshold)
+      .end();
+  w.key("trials").begin_array();
   for (const auto& [key, secs] : r.seconds_by_trial) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    {";
-    put_key(os, key);
-    os << ", \"seconds\": ";
-    put(os, secs);
+    w.begin_object();
+    write_key(w, key);
+    w.field("seconds", secs);
     const auto sit = r.scores.find(key);
     if (attributed && sit != r.scores.end()) {
       const AnalysisScore& sc = sit->second;
-      os << ", \"score\": {\"wait_seconds\": ";
-      put(os, sc.wait_s);
-      os << ", \"overlap_efficiency\": ";
-      put(os, sc.overlap_efficiency);
-      os << ", \"imbalance_ratio\": ";
-      put(os, sc.imbalance_ratio);
-      os << ", \"critical_rank\": " << sc.critical_rank;
-      os << ", \"imbalance_penalty_seconds\": ";
-      put(os, sc.imbalance_penalty_s);
-      os << ", \"attributed_cost_seconds\": ";
-      put(os, sc.attributed_cost_s);
-      os << "}";
+      w.key("score").begin_object();
+      w.field("wait_seconds", sc.wait_s)
+          .field("overlap_efficiency", sc.overlap_efficiency)
+          .field("imbalance_ratio", sc.imbalance_ratio)
+          .field("critical_rank", sc.critical_rank)
+          .field("imbalance_penalty_seconds", sc.imbalance_penalty_s)
+          .field("attributed_cost_seconds", sc.attributed_cost_s)
+          .end();
     }
-    os << "}";
+    w.end();
   }
-  os << "\n  ],\n";
-  os << "  \"skipped\": [";
-  first = true;
+  w.end().key("skipped").begin_array();
   for (const auto& [key, reason] : r.skipped) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    {";
-    put_key(os, key);
-    std::string esc;
-    for (const char c : reason) {
-      if (c == '"' || c == '\\') {
-        esc += '\\';
-      }
-      esc += c;
-    }
-    os << ", \"reason\": \"" << esc << "\"}";
+    w.begin_object();
+    write_key(w, key);
+    w.field("reason", reason).end();
   }
-  os << "\n  ]\n}\n}\n";
-  return os.str();
+  w.end().end().end();
+  return w.take();
 }
 
 bool write_autotune_file(const std::string& path,
@@ -487,11 +449,10 @@ std::unique_ptr<Operator> autotune_operator(
     }
   } else {
     std::ostringstream os;
+    os.precision(9);
     os << "wall objective: "
        << trial_text({local_report.best, local_report.best_tile})
-       << " fastest at ";
-    put(os, best_seconds);
-    os << " s" << fallback_note;
+       << " fastest at " << best_seconds << " s" << fallback_note;
     local_report.why = os.str();
   }
 

@@ -98,7 +98,7 @@ AttributedChoice choose_attributed(
 
 /// Stable machine-readable export of a report: one top-level "autotune"
 /// object with objective / why / best / rebalance / trials / skipped
-/// (validated by obs::validate_autotune_json / tools/trace_check).
+/// (validated against obs::autotune_schema() by tools/trace_check).
 std::string autotune_report_json(const AutotuneReport& report);
 bool write_autotune_file(const std::string& path,
                          const AutotuneReport& report);

@@ -25,10 +25,6 @@ const Var kVars[] = {
      "by JITFD_DELAY_US microseconds (wait-state analyzer tests)"},
     {"JITFD_DELAY_US", "int", "unset",
      "Per-step compute padding in microseconds on JITFD_DELAY_RANK"},
-    {"JITFD_EVENTS", "bool", "0",
-     "Enable the structured event log (obs/events) from process start"},
-    {"JITFD_EVENTS_RING", "int", "1024",
-     "Event-log ring capacity (events per thread, rounded to power of 2)"},
     {"JITFD_FLIGHT_DIR", "string", ".",
      "Directory receiving flight-recorder post-mortem bundles "
      "(jitfd_flight.json)"},

@@ -45,7 +45,7 @@ bool is_set(const char* name);
 std::optional<std::string> raw(const char* name);
 
 /// Truthy parse: unset -> def; "" and "0" -> false; anything else ->
-/// true (mirrors the historical JITFD_TRACE / JITFD_EVENTS semantics).
+/// true (mirrors the historical JITFD_TRACE semantics).
 bool get_bool(const char* name, bool def);
 
 /// Integer parse; unset -> def; non-integer text -> hard error.

@@ -1,13 +1,10 @@
 #include "obs/analysis.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <map>
-#include <sstream>
 
-#include "obs/metrics.h"
+#include "obs/json.h"
 #include "obs/report.h"
 
 namespace jitfd::obs {
@@ -199,146 +196,60 @@ AnalysisReport analyze(const TraceData& data) {
   return rep;
 }
 
-namespace {
-
-void put(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    v = 0.0;
-  }
-  std::ostringstream tmp;
-  tmp.precision(9);
-  tmp << v;
-  os << tmp.str();
-}
-
-}  // namespace
-
 std::string analysis_json(const AnalysisReport& r) {
-  std::ostringstream os;
-  os << "{\n\"analysis\": {\n";
-  os << "  \"nranks\": " << r.nranks << ",\n";
-  os << "  \"steps\": " << r.steps << ",\n";
-  os << "  \"wall_seconds\": ";
-  put(os, r.wall_s);
-  os << ",\n  \"wait\": {\n";
-  os << "    \"late_sender_seconds\": ";
-  put(os, r.late_sender_s);
-  os << ",\n    \"late_receiver_seconds\": ";
-  put(os, r.late_receiver_s);
-  os << ",\n    \"transfer_seconds\": ";
-  put(os, r.transfer_s);
-  os << ",\n    \"matched\": " << r.matched_waits;
-  os << ",\n    \"unmatched\": " << r.unmatched_waits;
-  os << ",\n    \"culprit_rank\": " << r.late_sender_culprit;
-  os << ",\n    \"rendezvous_messages\": " << r.rendezvous_msgs;
-  os << ",\n    \"queued_messages\": " << r.queued_msgs;
-  os << ",\n    \"ranks\": [";
-  bool first = true;
-  for (const RankWaitStats& w : r.rank_waits) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "      {\"rank\": " << w.rank << ", \"wait_seconds\": ";
-    put(os, w.wait_s);
-    os << ", \"late_sender_seconds\": ";
-    put(os, w.late_sender_s);
-    os << ", \"late_receiver_seconds\": ";
-    put(os, w.late_receiver_s);
-    os << ", \"blamed_seconds\": ";
-    put(os, w.blamed_s);
-    os << "}";
+  JsonWriter w;
+  w.begin_object().key("analysis").begin_object();
+  w.field("nranks", r.nranks).field("steps", r.steps);
+  w.field("wall_seconds", r.wall_s).key("wait").begin_object();
+  w.field("late_sender_seconds", r.late_sender_s)
+      .field("late_receiver_seconds", r.late_receiver_s)
+      .field("transfer_seconds", r.transfer_s)
+      .field("matched", r.matched_waits)
+      .field("unmatched", r.unmatched_waits)
+      .field("culprit_rank", r.late_sender_culprit)
+      .field("rendezvous_messages", r.rendezvous_msgs)
+      .field("queued_messages", r.queued_msgs)
+      .key("ranks")
+      .begin_array();
+  for (const RankWaitStats& ws : r.rank_waits) {
+    w.begin_object()
+        .field("rank", ws.rank)
+        .field("wait_seconds", ws.wait_s)
+        .field("late_sender_seconds", ws.late_sender_s)
+        .field("late_receiver_seconds", ws.late_receiver_s)
+        .field("blamed_seconds", ws.blamed_s)
+        .end();
   }
-  os << "\n    ]\n  },\n";
-  os << "  \"overlap\": {\n";
-  os << "    \"async_exchanges\": " << r.async_exchanges;
-  os << ",\n    \"window_seconds\": ";
-  put(os, r.overlap_window_s);
-  os << ",\n    \"hidden_seconds\": ";
-  put(os, r.overlap_hidden_s);
-  os << ",\n    \"efficiency\": ";
-  put(os, r.overlap_efficiency);
-  os << "\n  },\n";
-  os << "  \"imbalance\": {\n";
-  os << "    \"max_compute_seconds\": ";
-  put(os, r.max_compute_s);
-  os << ",\n    \"mean_compute_seconds\": ";
-  put(os, r.mean_compute_s);
-  os << ",\n    \"ratio\": ";
-  put(os, r.imbalance_ratio);
-  os << ",\n    \"critical_rank\": " << r.critical_path_rank;
-  os << ",\n    \"ranks\": [";
-  first = true;
+  w.end().end().key("overlap").begin_object();
+  w.field("async_exchanges", r.async_exchanges)
+      .field("window_seconds", r.overlap_window_s)
+      .field("hidden_seconds", r.overlap_hidden_s)
+      .field("efficiency", r.overlap_efficiency)
+      .end();
+  w.key("imbalance").begin_object();
+  w.field("max_compute_seconds", r.max_compute_s)
+      .field("mean_compute_seconds", r.mean_compute_s)
+      .field("ratio", r.imbalance_ratio)
+      .field("critical_rank", r.critical_path_rank)
+      .key("ranks")
+      .begin_array();
   for (const RankLoad& rl : r.rank_loads) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "      {\"rank\": " << rl.rank << ", \"compute_seconds\": ";
-    put(os, rl.compute_s);
-    os << "}";
+    w.begin_object()
+        .field("rank", rl.rank)
+        .field("compute_seconds", rl.compute_s)
+        .end();
   }
-  os << "\n    ],\n    \"steps\": [";
-  first = true;
+  w.end().key("steps").begin_array();
   for (const StepLoad& sl : r.step_loads) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "      {\"step\": " << sl.step << ", \"max\": ";
-    put(os, sl.max_compute_s);
-    os << ", \"mean\": ";
-    put(os, sl.mean_compute_s);
-    os << ", \"critical_rank\": " << sl.critical_rank << "}";
+    w.begin_object()
+        .field("step", sl.step)
+        .field("max", sl.max_compute_s)
+        .field("mean", sl.mean_compute_s)
+        .field("critical_rank", sl.critical_rank)
+        .end();
   }
-  os << "\n    ]\n  }\n}\n}\n";
-  return os.str();
-}
-
-bool write_analysis_file(const std::string& path,
-                         const AnalysisReport& report) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  out << analysis_json(report);
-  return static_cast<bool>(out);
-}
-
-std::string analysis_summary(const AnalysisReport& r) {
-  std::ostringstream os;
-  os.precision(3);
-  os << std::fixed;
-  os << "analysis: " << r.nranks << " ranks, " << r.steps << " steps";
-  os << ", wall " << r.wall_s * 1e3 << " ms\n";
-  os << "  wait: late-sender " << r.late_sender_s * 1e3
-     << " ms, late-receiver " << r.late_receiver_s * 1e3 << " ms, transfer "
-     << r.transfer_s * 1e3 << " ms (" << r.matched_waits << " matched, "
-     << r.unmatched_waits << " unmatched";
-  if (r.late_sender_culprit >= 0) {
-    os << ", culprit rank " << r.late_sender_culprit;
-  }
-  os << ")\n";
-  os << "  transport: " << r.rendezvous_msgs << " rendezvous, "
-     << r.queued_msgs << " queued\n";
-  if (r.async_exchanges > 0) {
-    os << "  overlap: " << r.overlap_efficiency * 100.0 << "% of "
-       << r.overlap_window_s * 1e3 << " ms exchange wall hidden ("
-       << r.async_exchanges << " async exchanges)\n";
-  }
-  os << "  imbalance: max/mean compute " << r.imbalance_ratio;
-  if (r.critical_path_rank >= 0) {
-    os << " (critical-path rank " << r.critical_path_rank << ")";
-  }
-  os << "\n";
-  return os.str();
-}
-
-void export_metrics(const AnalysisReport& r) {
-  metrics::gauge("analysis.wall_seconds").set(r.wall_s);
-  metrics::gauge("analysis.late_sender_seconds").set(r.late_sender_s);
-  metrics::gauge("analysis.late_receiver_seconds").set(r.late_receiver_s);
-  metrics::gauge("analysis.transfer_seconds").set(r.transfer_s);
-  metrics::gauge("analysis.matched_waits")
-      .set(static_cast<double>(r.matched_waits));
-  metrics::gauge("analysis.overlap_efficiency").set(r.overlap_efficiency);
-  metrics::gauge("analysis.imbalance_ratio").set(r.imbalance_ratio);
-  metrics::gauge("analysis.max_compute_seconds").set(r.max_compute_s);
-  metrics::gauge("analysis.mean_compute_seconds").set(r.mean_compute_s);
+  w.end().end().end().end();
+  return w.take();
 }
 
 AnalysisReport TraceHandle::analysis() const { return analyze(data()); }

@@ -92,17 +92,8 @@ struct AnalysisReport {
 AnalysisReport analyze(const TraceData& data);
 
 /// Stable machine-readable export: one top-level "analysis" object with
-/// "wait" / "overlap" / "imbalance" sections
-/// (validated by obs::validate_analysis_json / tools/trace_check).
+/// "wait" / "overlap" / "imbalance" sections (validated against
+/// obs::analysis_schema() by tools/trace_check).
 std::string analysis_json(const AnalysisReport& report);
-bool write_analysis_file(const std::string& path,
-                         const AnalysisReport& report);
-
-/// Human-readable digest (a few lines), for logs and examples.
-std::string analysis_summary(const AnalysisReport& report);
-
-/// Publish the report into the obs::metrics registry as
-/// "analysis.*" gauges (no-op while metrics are disabled).
-void export_metrics(const AnalysisReport& report);
 
 }  // namespace jitfd::obs

@@ -1,20 +1,20 @@
 #include "obs/flight.h"
 
 #include <atomic>
-#include <cmath>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <exception>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <vector>
 
 #include "core/env.h"
-#include "obs/events.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -22,20 +22,20 @@ namespace jitfd::obs::flight {
 
 namespace {
 
-/// Trace/event tail lengths per bundle: enough for a story, small
-/// enough that a dump stays a few hundred KB.
+/// Trace tail length per rank: enough for a story, small enough that
+/// a dump stays a few hundred KB.
 constexpr std::size_t kTraceTailPerRank = 128;
-constexpr std::size_t kEventTail = 256;
 
 /// Per-rank current-step slots (ranks are threads of one process; the
 /// SMPI substrate caps world sizes far below this).
 constexpr int kMaxRanks = 256;
 
 struct State {
-  std::mutex mtx;
+  std::mutex mtx;  ///< Guards config and health.
   std::map<std::string, std::string> config;
   std::deque<HealthRec> health;
-  std::string dump_path;
+  std::mutex dump_mtx;    ///< Serializes dump(); guards dump_path.
+  std::string dump_path;  ///< Set once the bundle is written.
 };
 
 State& state() {
@@ -47,138 +47,77 @@ std::atomic<std::int64_t> g_steps[kMaxRanks];
 std::atomic<int> g_max_rank{-1};
 std::atomic<bool> g_dumped{false};
 
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  return os.str();
-}
-
 std::string build_bundle(const std::string& reason, int rank,
                          std::int64_t step, const std::string& detail) {
-  std::ostringstream os;
-  os << "{\n\"flight\": {\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"reason\": \"" << json_escape(reason) << "\",\n";
-  os << "  \"rank\": " << rank << ",\n";
-  os << "  \"step\": " << step << ",\n";
-  os << "  \"detail\": \"" << json_escape(detail) << "\",\n";
+  JsonWriter w;
+  w.begin_object().key("flight").begin_object();
+  w.field("schema_version", 2)
+      .field("reason", reason)
+      .field("rank", rank)
+      .field("step", step)
+      .field("detail", detail);
 
   State& s = state();
   {
     const std::lock_guard<std::mutex> lock(s.mtx);
-    os << "  \"config\": {";
-    bool first = true;
+    w.key("config").begin_object();
     for (const auto& [k, v] : s.config) {
-      os << (first ? "\n" : ",\n") << "    \"" << json_escape(k)
-         << "\": " << v;
-      first = false;
+      w.key(k).raw(v);
     }
-    os << (first ? "" : "\n  ") << "},\n";
-
-    os << "  \"health\": [";
-    first = true;
-    auto finite_or_null = [&os](double v) {
-      if (std::isfinite(v)) {
-        os << v;
-      } else {
-        os << "null";
-      }
-    };
+    w.end().key("health").begin_array();
     for (const HealthRec& h : s.health) {
-      os << (first ? "\n" : ",\n") << "    {\"step\": " << h.step
-         << ", \"field\": \"" << json_escape(h.field)
-         << "\", \"field_id\": " << h.field_id << ", \"nan\": "
-         << h.nan_count << ", \"inf\": " << h.inf_count << ", \"min\": ";
-      finite_or_null(h.min);
-      os << ", \"max\": ";
-      finite_or_null(h.max);
-      os << ", \"l2\": ";
-      finite_or_null(h.l2);
-      os << ", \"bad_rank\": " << h.bad_rank << "}";
-      first = false;
+      w.begin_object()
+          .field("step", h.step)
+          .field("field", h.field)
+          .field("field_id", h.field_id)
+          .field("nan", h.nan_count)
+          .field("inf", h.inf_count)
+          .field("min", h.min)
+          .field("max", h.max)
+          .field("l2", h.l2)
+          .field("bad_rank", h.bad_rank)
+          .end();
     }
-    os << (first ? "" : "\n  ") << "],\n";
+    w.end();
   }
 
-  os << "  \"steps\": [";
-  {
-    bool first = true;
-    const int max_rank = g_max_rank.load(std::memory_order_relaxed);
-    for (int r = 0; r <= max_rank && r < kMaxRanks; ++r) {
-      os << (first ? "\n" : ",\n") << "    {\"rank\": " << r
-         << ", \"step\": " << g_steps[r].load(std::memory_order_relaxed)
-         << "}";
-      first = false;
-    }
-    os << (first ? "" : "\n  ") << "],\n";
+  w.key("steps").begin_array();
+  const int max_rank = g_max_rank.load(std::memory_order_relaxed);
+  for (int r = 0; r <= max_rank && r < kMaxRanks; ++r) {
+    w.begin_object()
+        .field("rank", r)
+        .field("step", g_steps[r].load(std::memory_order_relaxed))
+        .end();
   }
-
-  // Recent structured events (bounded tail of the per-thread rings).
-  {
-    events::EventData ev = events::collect();
-    if (ev.events.size() > kEventTail) {
-      ev.events.erase(ev.events.begin(),
-                      ev.events.end() -
-                          static_cast<std::ptrdiff_t>(kEventTail));
-    }
-    os << "  \"events\": " << events::to_json(ev) << ",\n";
-  }
+  w.end();
 
   // Trace-ring tail, newest kTraceTailPerRank spans per rank.
-  {
-    const TraceData trace = obs::collect();
-    std::map<int, std::vector<const TraceData::Rec*>> by_rank;
-    for (const TraceData::Rec& rec : trace.events) {
-      by_rank[rec.rank].push_back(&rec);
-    }
-    os << "  \"trace\": [";
-    bool first = true;
-    for (const auto& [r, recs] : by_rank) {
-      const std::size_t begin =
-          recs.size() > kTraceTailPerRank ? recs.size() - kTraceTailPerRank
-                                          : 0;
-      for (std::size_t i = begin; i < recs.size(); ++i) {
-        const TraceData::Rec& rec = *recs[i];
-        os << (first ? "\n" : ",\n") << "    {\"name\": \""
-           << json_escape(rec.name) << "\", \"cat\": \""
-           << obs::to_string(rec.cat) << "\", \"rank\": " << rec.rank
-           << ", \"t0_ns\": " << rec.t0_ns << ", \"t1_ns\": " << rec.t1_ns
-           << ", \"a0\": " << rec.a0 << ", \"a1\": " << rec.a1 << "}";
-        first = false;
-      }
-    }
-    os << (first ? "" : "\n  ") << "],\n";
+  const TraceData trace = obs::collect();
+  std::map<int, std::vector<const TraceData::Rec*>> by_rank;
+  for (const TraceData::Rec& rec : trace.events) {
+    by_rank[rec.rank].push_back(&rec);
   }
-
-  os << "  \"metrics\": " << metrics::to_json();
-  os << "}\n}\n";
-  return os.str();
+  w.key("trace").begin_array();
+  for (const auto& [r, recs] : by_rank) {
+    const std::size_t begin =
+        recs.size() > kTraceTailPerRank ? recs.size() - kTraceTailPerRank : 0;
+    for (std::size_t i = begin; i < recs.size(); ++i) {
+      const TraceData::Rec& rec = *recs[i];
+      w.begin_object()
+          .field("name", rec.name)
+          .field("cat", obs::to_string(rec.cat))
+          .field("rank", rec.rank)
+          .field("t0_ns", rec.t0_ns)
+          .field("t1_ns", rec.t1_ns)
+          .field("a0", rec.a0)
+          .field("a1", rec.a1)
+          .end();
+    }
+  }
+  w.end().key("metrics");
+  metrics::write_json(w);
+  w.end().end();
+  return w.take();
 }
 
 void signal_handler(int sig) {
@@ -239,24 +178,31 @@ void note_step(int rank, std::int64_t step) {
 
 std::string dump(const std::string& reason, int rank, std::int64_t step,
                  const std::string& detail) {
+  // A fault while this thread writes the bundle re-enters through the
+  // crash handlers; it must not wait on itself.
+  thread_local bool t_writing = false;
+  if (t_writing) {
+    return "";
+  }
   State& s = state();
+  const std::lock_guard<std::mutex> lock(s.dump_mtx);
+  if (g_dumped.exchange(true, std::memory_order_acq_rel)) {
+    return s.dump_path;  // First reason wins; "" if its write failed.
+  }
   const std::string dir = jitfd::env::get_string("JITFD_FLIGHT_DIR", "");
-  std::string path = !dir.empty() ? dir + "/jitfd_flight.json"
-                                  : std::string("jitfd_flight.json");
-  bool expected = false;
-  if (!g_dumped.compare_exchange_strong(expected, true,
-                                        std::memory_order_acq_rel)) {
-    // A bundle exists or is being written; the path is deterministic,
-    // so report it even if the winner has not finished recording it.
-    const std::lock_guard<std::mutex> lock(s.mtx);
-    return s.dump_path.empty() ? path : s.dump_path;
-  }
+  const std::string path = !dir.empty() ? dir + "/jitfd_flight.json"
+                                        : std::string("jitfd_flight.json");
+  t_writing = true;
   const std::string bundle = build_bundle(reason, rank, step, detail);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bundle;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bundle;
+  out.close();
+  t_writing = false;
+  if (!out) {
+    std::fprintf(stderr, "jitfd: flight bundle not written to %s: %s\n",
+                 path.c_str(), std::strerror(errno));
+    return "";
   }
-  const std::lock_guard<std::mutex> lock(s.mtx);
   s.dump_path = path;
   return path;
 }
@@ -265,6 +211,7 @@ bool dumped() { return g_dumped.load(std::memory_order_acquire); }
 
 void reset_for_testing() {
   State& s = state();
+  const std::lock_guard<std::mutex> dump_lock(s.dump_mtx);
   const std::lock_guard<std::mutex> lock(s.mtx);
   g_dumped.store(false, std::memory_order_release);
   s.dump_path.clear();

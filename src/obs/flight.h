@@ -3,20 +3,19 @@
 // Long-lived solver processes need more than a stack trace when things
 // go wrong: which step each rank was on, what the health time-series
 // looked like leading up to the NaN, what the run was configured as,
-// and what the last recorded events were. This module accumulates that
+// and what the last traced spans were. This module accumulates that
 // state cheaply during a run (a relaxed per-step store, bounded health
 // ring, config map written once per apply) and, on demand — NaN/Inf
 // detection under on_nan=abort_dump, an uncaught exception, or a fatal
 // signal — dumps one schema-validated JSON bundle:
 //
-//   {"flight": {"schema_version": 1, "reason": ..., "rank": N,
+//   {"flight": {"schema_version": 2, "reason": ..., "rank": N,
 //               "step": N, "detail": ..., "config": {...},
-//               "steps": [{"rank": N, "step": N}, ...],
-//               "health": [...], "events": {...}, "trace": [...],
-//               "metrics": {...}}}
+//               "health": [...], "steps": [{"rank": N, "step": N}, ...],
+//               "trace": [...], "metrics": {...}}}
 //
 // The dump is once-per-process (first reason wins; later calls return
-// the existing path) and lands in $JITFD_FLIGHT_DIR (default ".") as
+// the same result) and lands in $JITFD_FLIGHT_DIR (default ".") as
 // jitfd_flight.json. tools/trace_check --flight validates the schema.
 //
 // The signal/terminate handlers are best-effort: JSON serialization is
@@ -57,9 +56,11 @@ inline constexpr std::size_t kHealthRing = 512;
 /// generated per-step hook and the interpreter call this every step).
 void note_step(int rank, std::int64_t step);
 
-/// Write the post-mortem bundle and return its path. Idempotent: only
-/// the first call writes; later calls return the first path. `rank` and
-/// `step` may be -1 when unknown (crash handlers).
+/// Write the post-mortem bundle and return its path once it is written
+/// and flushed, or "" (with the reason on stderr) when it could not be.
+/// Idempotent: only the first call writes; later calls wait for it and
+/// return its result. `rank` and `step` may be -1 when unknown (crash
+/// handlers).
 std::string dump(const std::string& reason, int rank, std::int64_t step,
                  const std::string& detail);
 

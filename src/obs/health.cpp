@@ -6,7 +6,6 @@
 #include <limits>
 #include <sstream>
 
-#include "obs/events.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 
@@ -35,35 +34,6 @@ OnNan on_nan_from_string(const std::string& name) {
     return OnNan::AbortDump;
   }
   throw std::invalid_argument("unknown on_nan policy '" + name + "'");
-}
-
-namespace {
-
-void append_finite_or_null(std::ostringstream& os, double v) {
-  if (std::isfinite(v)) {
-    std::ostringstream tmp;
-    tmp.precision(17);
-    tmp << v;
-    os << tmp.str();
-  } else {
-    os << "null";
-  }
-}
-
-}  // namespace
-
-std::string Sample::to_json() const {
-  std::ostringstream os;
-  os << "{\"step\": " << step << ", \"field\": \"" << field
-     << "\", \"field_id\": " << field_id << ", \"nan\": " << nan_count
-     << ", \"inf\": " << inf_count << ", \"min\": ";
-  append_finite_or_null(os, min);
-  os << ", \"max\": ";
-  append_finite_or_null(os, max);
-  os << ", \"l2\": ";
-  append_finite_or_null(os, l2);
-  os << ", \"bad_rank\": " << first_bad_rank << "}";
-  return os.str();
 }
 
 Monitor::Monitor(Options opts) : opts_(std::move(opts)) {}
@@ -119,7 +89,7 @@ void Monitor::on_check(int field_id, std::int64_t time,
   }
   summary_.series.push_back(s);
 
-  // Process-wide sinks (metrics, events, flight ring) see each global
+  // Process-wide sinks (metrics, flight ring) see each global
   // sample once: rank 0 reports for everyone.
   if (opts_.rank == 0) {
     static metrics::Counter& checks = metrics::counter(
@@ -137,17 +107,6 @@ void Monitor::on_check(int field_id, std::int64_t time,
     inf_points.set(static_cast<double>(s.inf_count));
     if (newly_bad) {
       divergences.add(1);
-    }
-    events::emit("health.check", events::EvCat::Health, s.step,
-                 {{"field", static_cast<double>(s.field_id)},
-                  {"nan", static_cast<double>(s.nan_count)},
-                  {"inf", static_cast<double>(s.inf_count)},
-                  {"l2", s.l2}});
-    if (newly_bad) {
-      events::emit("health.divergence", events::EvCat::Health, s.step,
-                   {{"field", static_cast<double>(s.field_id)},
-                    {"rank", static_cast<double>(s.first_bad_rank)},
-                    {"nan", static_cast<double>(s.nan_count)}});
     }
     flight::HealthRec rec;
     rec.step = s.step;

@@ -10,7 +10,7 @@
 // guarded by `time % interval` identically on every rank, so the
 // collectives stay in lockstep — and:
 //   - appends a Sample to the run's Summary time-series,
-//   - updates the obs/metrics registry and emits a structured event,
+//   - updates the obs/metrics registry,
 //   - feeds the flight recorder's bounded health ring,
 //   - applies the OnNan policy when NaN/Inf points appear.
 //
@@ -59,7 +59,7 @@ class Sink {
 /// What to do when a health check finds NaN/Inf points.
 enum class OnNan {
   Ignore,     ///< Sample only; the run continues silently.
-  Record,     ///< Mark the RunSummary and emit a divergence event.
+  Record,     ///< Mark the RunSummary with the first bad step and rank.
   AbortDump,  ///< Dump the flight bundle and throw DivergenceError.
 };
 
@@ -80,7 +80,6 @@ struct Sample {
   int first_bad_rank = -1;  ///< Lowest rank with NaN/Inf (-1 = clean).
 
   bool bad() const { return nan_count + inf_count > 0; }
-  std::string to_json() const;
 };
 
 /// Per-run health outcome, carried in core::RunSummary.

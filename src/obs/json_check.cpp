@@ -1,16 +1,16 @@
 #include "obs/json_check.h"
 
+#include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdlib>
-#include <memory>
+#include <initializer_list>
+#include <sstream>
 #include <utility>
 #include <vector>
 
 namespace jitfd::obs {
 
 namespace {
-
 
 class Parser {
  public:
@@ -57,9 +57,17 @@ class Parser {
     }
     switch (s_[pos_]) {
       case '{':
-        return object(out, err);
-      case '[':
-        return array(out, err);
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          err = at("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                   " levels");
+          return false;
+        }
+        ++depth_;
+        const bool ok = container(out, err);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.type = JsonValue::Type::Str;
         return string(out.str, err);
@@ -92,42 +100,36 @@ class Parser {
 
   bool number(JsonValue& out, std::string& err) {
     const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') {
-      ++pos_;
-    }
-    if (pos_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
+    // Consumes a run of digits; false when there is none.
+    const auto digits = [this] {
+      const std::size_t from = pos_;
+      while (pos_ < s_.size() &&
+             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
+        ++pos_;
+      }
+      return pos_ > from;
+    };
+    const auto accept = [this](std::string_view chars) {
+      if (pos_ < s_.size() && chars.find(s_[pos_]) != std::string_view::npos) {
+        ++pos_;
+        return true;
+      }
+      return false;
+    };
+    accept("-");
+    if (!digits()) {
       err = at("invalid number");
       return false;
     }
-    while (pos_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
+    if (accept(".") && !digits()) {
+      err = at("invalid fraction");
+      return false;
     }
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= s_.size() ||
-          !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        err = at("invalid fraction");
-        return false;
-      }
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= s_.size() ||
-          !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
+    if (accept("eE")) {
+      accept("+-");
+      if (!digits()) {
         err = at("invalid exponent");
         return false;
-      }
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
       }
     }
     out.type = JsonValue::Type::Num;
@@ -154,39 +156,27 @@ class Parser {
         if (pos_ >= s_.size()) {
           break;
         }
-        switch (s_[pos_]) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'b':
-          case 'f':
-          case 'n':
-          case 'r':
-          case 't':
-            out += ' ';
-            break;
-          case 'u': {
-            for (int i = 1; i <= 4; ++i) {
-              if (pos_ + static_cast<std::size_t>(i) >= s_.size() ||
-                  !std::isxdigit(static_cast<unsigned char>(
-                      s_[pos_ + static_cast<std::size_t>(i)]))) {
-                err = at("invalid \\u escape");
-                return false;
-              }
+        static constexpr std::string_view kEscaped = "\"\\/bfnrt";
+        static constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
+        const std::size_t k = kEscaped.find(s_[pos_]);
+        if (k != std::string_view::npos) {
+          out += kDecoded[k];
+        } else if (s_[pos_] == 'u') {
+          for (int i = 1; i <= 4; ++i) {
+            if (pos_ + static_cast<std::size_t>(i) >= s_.size() ||
+                !std::isxdigit(static_cast<unsigned char>(
+                    s_[pos_ + static_cast<std::size_t>(i)]))) {
+              err = at("invalid \\u escape");
+              return false;
             }
-            pos_ += 4;
-            out += '?';
-            break;
           }
-          default:
-            err = at("invalid escape");
-            return false;
+          const unsigned long code = std::strtoul(
+              std::string(s_.substr(pos_ + 1, 4)).c_str(), nullptr, 16);
+          pos_ += 4;
+          out += code < 0x80 ? static_cast<char>(code) : '?';
+        } else {
+          err = at("invalid escape");
+          return false;
         }
         ++pos_;
         continue;
@@ -198,100 +188,254 @@ class Parser {
     return false;
   }
 
-  bool array(JsonValue& out, std::string& err) {
-    out.type = JsonValue::Type::Arr;
-    ++pos_;  // '['.
+  // An array or an object: items separated by ',' up to the bracket
+  // that closes it.
+  bool container(JsonValue& out, std::string& err) {
+    const bool is_obj = s_[pos_] == '{';
+    const char close = is_obj ? '}' : ']';
+    out.type = is_obj ? JsonValue::Type::Obj : JsonValue::Type::Arr;
+    ++pos_;
     skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue v;
-      skip_ws();
-      if (!value(v, err)) {
-        return false;
-      }
-      out.arr.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= s_.size()) {
-        err = at("unterminated array");
-        return false;
-      }
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      err = at("expected ',' or ']'");
-      return false;
-    }
-  }
-
-  bool object(JsonValue& out, std::string& err) {
-    out.type = JsonValue::Type::Obj;
-    ++pos_;  // '{'.
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
+    if (pos_ < s_.size() && s_[pos_] == close) {
       ++pos_;
       return true;
     }
     while (true) {
       skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != '"') {
-        err = at("expected object key");
-        return false;
-      }
       std::string key;
-      if (!string(key, err)) {
-        return false;
+      if (is_obj) {
+        if (pos_ >= s_.size() || s_[pos_] != '"') {
+          err = at("expected object key");
+          return false;
+        }
+        if (!string(key, err)) {
+          return false;
+        }
+        skip_ws();
+        if (pos_ >= s_.size() || s_[pos_] != ':') {
+          err = at("expected ':'");
+          return false;
+        }
+        ++pos_;
+        skip_ws();
       }
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') {
-        err = at("expected ':'");
-        return false;
-      }
-      ++pos_;
-      skip_ws();
       JsonValue v;
       if (!value(v, err)) {
         return false;
       }
-      out.obj.emplace_back(std::move(key), std::move(v));
+      if (is_obj) {
+        out.obj.emplace_back(std::move(key), std::move(v));
+      } else {
+        out.arr.push_back(std::move(v));
+      }
       skip_ws();
       if (pos_ >= s_.size()) {
-        err = at("unterminated object");
+        err = at(is_obj ? "unterminated object" : "unterminated array");
         return false;
       }
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
+      if (s_[pos_] == close) {
         ++pos_;
         return true;
       }
-      err = at("expected ',' or '}'");
-      return false;
+      if (s_[pos_] != ',') {
+        err = at(std::string("expected ',' or '") + close + "'");
+        return false;
+      }
+      ++pos_;
     }
   }
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
-bool require_num(const JsonValue& ev, const std::string& key, double* out,
-                 std::string& err) {
-  const JsonValue* v = ev.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::Num) {
-    err = "event missing numeric \"" + key + "\"";
+using Kind = Schema::Kind;
+using Type = JsonValue::Type;
+
+bool walk(const JsonValue& v, const Schema& s, const std::string& path,
+          std::string& err) {
+  bool ok = false;
+  const char* what = "";
+  switch (s.kind) {
+    case Kind::Num:
+      ok = v.type == Type::Num && v.num >= s.lo && v.num <= s.hi;
+      what = "a number in";
+      break;
+    case Kind::NumOrNull:
+      ok = v.type == Type::Num || v.type == Type::Null;
+      what = "a number or null";
+      break;
+    case Kind::Str:
+      ok = v.type == Type::Str;
+      what = "a string";
+      break;
+    case Kind::NonEmptyStr:
+      ok = v.type == Type::Str && !v.str.empty();
+      what = "a non-empty string";
+      break;
+    case Kind::Bool:
+      ok = v.type == Type::Bool;
+      what = "a bool";
+      break;
+    case Kind::Enum:
+      ok = v.type == Type::Str && std::find(s.choices.begin(), s.choices.end(),
+                                            v.str) != s.choices.end();
+      what = "one of";
+      break;
+    case Kind::Obj:
+      ok = v.type == Type::Obj;
+      what = "an object";
+      for (std::size_t i = 0; ok && i < s.children.size(); ++i) {
+        const Schema& member = s.children[i];
+        const std::string at =
+            path.empty() ? member.key : path + "." + member.key;
+        const JsonValue* mv = v.find(member.key);
+        if (mv == nullptr) {
+          err = at + ": missing";
+          return false;
+        }
+        if (!walk(*mv, member, at, err)) {
+          return false;
+        }
+      }
+      break;
+    case Kind::Arr:
+      ok = v.type == Type::Arr;
+      what = "an array";
+      for (std::size_t i = 0; ok && i < v.arr.size(); ++i) {
+        if (!walk(v.arr[i], s.children.front(),
+                  path + "[" + std::to_string(i) + "]", err)) {
+          return false;
+        }
+      }
+      break;
+  }
+  if (!ok) {
+    std::ostringstream msg;
+    msg << (path.empty() ? "top level" : path) << ": expected " << what;
+    if (s.kind == Kind::Num) {
+      msg << " [" << s.lo << ", " << s.hi << "]";
+    }
+    for (const std::string& c : s.choices) {
+      msg << " \"" << c << "\"";
+    }
+    err = msg.str();
     return false;
   }
-  if (out != nullptr) {
-    *out = v->num;
+  return s.rule == nullptr || s.rule(v, path, err);
+}
+
+// -- Table builders ------------------------------------------------------
+
+Schema of(Kind kind) {
+  Schema s;
+  s.kind = kind;
+  return s;
+}
+
+Schema num(double lo = -std::numeric_limits<double>::infinity(),
+           double hi = std::numeric_limits<double>::infinity()) {
+  Schema s;
+  s.lo = lo;
+  s.hi = hi;
+  return s;
+}
+
+Schema one_of(std::vector<std::string> choices) {
+  Schema s = of(Kind::Enum);
+  s.choices = std::move(choices);
+  return s;
+}
+
+Schema arr(Schema item) {
+  Schema s = of(Kind::Arr);
+  s.children.push_back(std::move(item));
+  return s;
+}
+
+/// One member of an object table; a bare key names a number member.
+struct Member {
+  Member(const char* key) : schema(num()) { schema.key = key; }
+  Member(const char* key, Schema s) : schema(std::move(s)) {
+    schema.key = key;
+  }
+  Schema schema;
+};
+
+Schema obj(std::initializer_list<Member> members,
+           Schema::Rule rule = nullptr) {
+  Schema s = of(Kind::Obj);
+  for (const Member& m : members) {
+    s.children.push_back(m.schema);
+  }
+  s.rule = rule;
+  return s;
+}
+
+// -- The three conditional rules -------------------------------------------
+
+// Chrome: metadata ("M") events carry no timestamps; the others need
+// ts >= 0, pid and tid, and complete ("X") events a duration >= 0.
+bool chrome_event(const JsonValue& ev, const std::string& path,
+                  std::string& err) {
+  static const Schema timed = obj({{"ts", num(0.0)}, "pid", "tid"});
+  static const Schema complete = obj({{"dur", num(0.0)}});
+  const std::string& ph = ev.find("ph")->str;
+  return ph == "M" || (walk(ev, timed, path, err) &&
+                       (ph != "X" || walk(ev, complete, path, err)));
+}
+
+// Metrics: the value fields follow "type"; histogram buckets carry
+// cumulative counts, so they must be monotone, and the last "le" is
+// the string "+Inf".
+bool metric_values(const JsonValue& m, const std::string& path,
+                   std::string& err) {
+  static const Schema counter = obj({"value"});
+  static const Schema gauge = obj({{"value", of(Kind::NumOrNull)}});
+  static const Schema histogram = obj(
+      {"count", {"sum", of(Kind::NumOrNull)}, {"buckets", arr(obj({"count"}))}});
+  const std::string& type = m.find("type")->str;
+  if (type != "histogram") {
+    return walk(m, type == "counter" ? counter : gauge, path, err);
+  }
+  if (!walk(m, histogram, path, err)) {
+    return false;
+  }
+  double prev = -1.0;
+  for (const JsonValue& b : m.find("buckets")->arr) {
+    const JsonValue* le = b.find("le");
+    if (le == nullptr || (le->type != Type::Num && le->str != "+Inf")) {
+      err = path + ".buckets: \"le\" must be a number or \"+Inf\"";
+      return false;
+    }
+    if (b.find("count")->num < prev) {
+      err = path + ".buckets: non-monotone cumulative counts";
+      return false;
+    }
+    prev = b.find("count")->num;
+  }
+  return true;
+}
+
+// Autotune: under the attributed objective every trial carries its
+// AnalysisScore.
+bool scored_trials(const JsonValue& a, const std::string& path,
+                   std::string& err) {
+  static const Schema scored = obj(
+      {{"score",
+        obj({"wait_seconds", {"overlap_efficiency", num(0.0, 1.0)},
+             "imbalance_ratio", "critical_rank", "imbalance_penalty_seconds",
+             "attributed_cost_seconds"})}});
+  if (a.find("objective")->str != "attributed") {
+    return true;
+  }
+  const std::vector<JsonValue>& trials = a.find("trials")->arr;
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    if (!walk(trials[i], scored,
+              path + ".trials[" + std::to_string(i) + "]", err)) {
+      return false;
+    }
   }
   return true;
 }
@@ -312,630 +456,109 @@ bool json_valid(std::string_view json, std::string* error) {
   return json_parse(json, root, error);
 }
 
-ChromeCheck validate_chrome_trace(std::string_view json) {
-  ChromeCheck out;
-  JsonValue root;
-  if (!Parser(json).parse(root, out.error)) {
-    return out;
-  }
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "top level is not an object";
-    return out;
-  }
-  const JsonValue* events = root.find("traceEvents");
-  if (events == nullptr || events->type != JsonValue::Type::Arr) {
-    out.error = "missing \"traceEvents\" array";
-    return out;
+SchemaCheck validate(std::string_view json, const Schema& schema) {
+  SchemaCheck out;
+  out.ok = json_parse(json, out.doc, &out.error) &&
+           walk(out.doc, schema, "", out.error);
+  return out;
+}
+
+// -- The export tables -----------------------------------------------------
+
+const Schema& chrome_trace_schema() {
+  static const Schema s = obj({{"traceEvents",
+                                arr(obj({{"name", of(Kind::Str)},
+                                         {"ph", one_of({"M", "X", "i"})}},
+                                        chrome_event))}});
+  return s;
+}
+
+const Schema& metrics_schema() {
+  static const Schema s = obj(
+      {{"metrics",
+        arr(obj({{"name", of(Kind::NonEmptyStr)},
+                 {"type", one_of({"counter", "gauge", "histogram"})}},
+                metric_values))}});
+  return s;
+}
+
+const Schema& analysis_schema() {
+  static const Schema s = obj({{"analysis",
+      obj({"nranks", "steps", "wall_seconds",
+           {"wait",
+            obj({"late_sender_seconds", "late_receiver_seconds",
+                 "transfer_seconds", "matched", "unmatched", "culprit_rank",
+                 "rendezvous_messages", "queued_messages",
+                 {"ranks",
+                  arr(obj({"rank", "wait_seconds", "late_sender_seconds",
+                           "late_receiver_seconds", "blamed_seconds"}))}})},
+           {"overlap",
+            obj({"async_exchanges", "window_seconds", "hidden_seconds",
+                 {"efficiency", num(0.0, 1.0)}})},
+           {"imbalance",
+            obj({"max_compute_seconds", "mean_compute_seconds", "ratio",
+                 "critical_rank",
+                 {"ranks", arr(obj({"rank", "compute_seconds"}))},
+                 {"steps",
+                  arr(obj({"step", "max", "mean", "critical_rank"}))}})}})}});
+  return s;
+}
+
+const Schema& autotune_schema() {
+  static const Member mode{"mode", of(Kind::NonEmptyStr)};
+  static const Member tile{"tile", arr(num())};
+  static const Schema s = obj({{"autotune",
+      obj({{"objective", one_of({"wall", "attributed"})},
+           {"why", of(Kind::NonEmptyStr)},
+           "trial_steps",
+           {"best", obj({mode, tile})},
+           {"rebalance",
+            obj({{"recommended", of(Kind::Bool)}, "rank", "threshold"})},
+           {"trials", arr(obj({mode, tile, "seconds"}))},
+           {"skipped",
+            arr(obj({mode, tile, {"reason", of(Kind::NonEmptyStr)}}))}},
+          scored_trials)}});
+  return s;
+}
+
+const Schema& flight_schema() {
+  static const Schema s = obj({{"flight",
+      obj({{"schema_version", num(2.0, 2.0)},
+           {"reason", of(Kind::Str)}, "rank", "step",
+           {"detail", of(Kind::Str)},
+           {"config", obj({})},
+           {"health",
+            arr(obj({"step", {"field", of(Kind::Str)}, "field_id", "nan",
+                     "inf", {"min", of(Kind::NumOrNull)},
+                     {"max", of(Kind::NumOrNull)},
+                     {"l2", of(Kind::NumOrNull)}, "bad_rank"}))},
+           {"steps", arr(obj({"rank", "step"}))},
+           {"trace",
+            arr(obj({{"name", of(Kind::Str)}, {"cat", of(Kind::Str)}, "rank",
+                     "t0_ns", "t1_ns", "a0", "a1"}))},
+           {"metrics", metrics_schema()}})}});
+  return s;
+}
+
+ChromeStats chrome_stats(const JsonValue& doc) {
+  ChromeStats st;
+  const JsonValue* events = doc.find("traceEvents");
+  if (events == nullptr) {
+    return st;
   }
   for (const JsonValue& ev : events->arr) {
-    if (ev.type != JsonValue::Type::Obj) {
-      out.error = "trace event is not an object";
-      return out;
-    }
-    const JsonValue* name = ev.find("name");
     const JsonValue* ph = ev.find("ph");
-    if (name == nullptr || name->type != JsonValue::Type::Str ||
-        ph == nullptr || ph->type != JsonValue::Type::Str || ph->str.empty()) {
-      out.error = "event missing string \"name\"/\"ph\"";
-      return out;
-    }
-    if (ph->str == "M") {
-      continue;  // Metadata events carry no timestamps.
-    }
-    double ts = 0.0;
-    double tid = 0.0;
-    if (!require_num(ev, "ts", &ts, out.error) ||
-        !require_num(ev, "pid", nullptr, out.error) ||
-        !require_num(ev, "tid", &tid, out.error)) {
-      return out;
-    }
-    if (ts < 0.0) {
-      out.error = "negative timestamp";
-      return out;
-    }
-    if (ph->str == "X") {
-      double dur = 0.0;
-      if (!require_num(ev, "dur", &dur, out.error)) {
-        return out;
-      }
-      if (dur < 0.0) {
-        out.error = "negative duration";
-        return out;
-      }
-      ++out.complete;
-    } else if (ph->str == "i") {
-      ++out.instants;
-    }
-    ++out.events;
-    out.tids.insert(static_cast<int>(tid));
-  }
-  out.ok = true;
-  return out;
-}
-
-namespace {
-
-bool want_num(const JsonValue& obj, const std::string& key,
-              std::string& err, const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::Num) {
-    err = where + " missing numeric \"" + key + "\"";
-    return false;
-  }
-  return true;
-}
-
-const JsonValue* want_obj(const JsonValue& obj, const std::string& key,
-                          std::string& err, const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::Obj) {
-    err = where + " missing object \"" + key + "\"";
-    return nullptr;
-  }
-  return v;
-}
-
-const JsonValue* want_arr(const JsonValue& obj, const std::string& key,
-                          std::string& err, const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::Arr) {
-    err = where + " missing array \"" + key + "\"";
-    return nullptr;
-  }
-  return v;
-}
-
-}  // namespace
-
-SchemaCheck validate_metrics_json(std::string_view json) {
-  SchemaCheck out;
-  JsonValue root;
-  if (!json_parse(json, root, &out.error)) {
-    return out;
-  }
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "top level is not an object";
-    return out;
-  }
-  const JsonValue* metrics = want_arr(root, "metrics", out.error, "document");
-  if (metrics == nullptr) {
-    return out;
-  }
-  for (const JsonValue& m : metrics->arr) {
-    if (m.type != JsonValue::Type::Obj) {
-      out.error = "metrics entry is not an object";
-      return out;
-    }
-    const JsonValue* name = m.find("name");
-    const JsonValue* type = m.find("type");
-    if (name == nullptr || name->type != JsonValue::Type::Str ||
-        name->str.empty() || type == nullptr ||
-        type->type != JsonValue::Type::Str) {
-      out.error = "metrics entry missing string \"name\"/\"type\"";
-      return out;
-    }
-    const std::string where = "metric \"" + name->str + "\"";
-    if (type->str == "counter" || type->str == "gauge") {
-      if (!want_num(m, "value", out.error, where)) {
-        return out;
-      }
-    } else if (type->str == "histogram") {
-      if (!want_num(m, "count", out.error, where) ||
-          !want_num(m, "sum", out.error, where)) {
-        return out;
-      }
-      const JsonValue* buckets = want_arr(m, "buckets", out.error, where);
-      if (buckets == nullptr) {
-        return out;
-      }
-      double prev = -1.0;
-      for (const JsonValue& b : buckets->arr) {
-        const JsonValue* count = b.find("count");
-        const JsonValue* le = b.find("le");
-        if (b.type != JsonValue::Type::Obj || count == nullptr ||
-            count->type != JsonValue::Type::Num || le == nullptr) {
-          out.error = where + " has a malformed bucket";
-          return out;
-        }
-        // Cumulative counts must be monotone non-decreasing.
-        if (count->num < prev) {
-          out.error = where + " has non-monotone bucket counts";
-          return out;
-        }
-        prev = count->num;
-      }
-    } else {
-      out.error = where + " has unknown type \"" + type->str + "\"";
-      return out;
-    }
-    ++out.items;
-  }
-  out.ok = true;
-  return out;
-}
-
-SchemaCheck validate_analysis_json(std::string_view json) {
-  SchemaCheck out;
-  JsonValue root;
-  if (!json_parse(json, root, &out.error)) {
-    return out;
-  }
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "top level is not an object";
-    return out;
-  }
-  const JsonValue* a = want_obj(root, "analysis", out.error, "document");
-  if (a == nullptr) {
-    return out;
-  }
-  for (const char* key : {"nranks", "steps", "wall_seconds"}) {
-    if (!want_num(*a, key, out.error, "\"analysis\"")) {
-      return out;
-    }
-  }
-  const JsonValue* wait = want_obj(*a, "wait", out.error, "\"analysis\"");
-  if (wait == nullptr) {
-    return out;
-  }
-  for (const char* key :
-       {"late_sender_seconds", "late_receiver_seconds", "transfer_seconds",
-        "matched", "unmatched", "culprit_rank", "rendezvous_messages",
-        "queued_messages"}) {
-    if (!want_num(*wait, key, out.error, "\"wait\"")) {
-      return out;
-    }
-  }
-  const JsonValue* wait_ranks = want_arr(*wait, "ranks", out.error, "\"wait\"");
-  if (wait_ranks == nullptr) {
-    return out;
-  }
-  for (const JsonValue& r : wait_ranks->arr) {
-    for (const char* key : {"rank", "wait_seconds", "late_sender_seconds",
-                            "late_receiver_seconds", "blamed_seconds"}) {
-      if (!want_num(r, key, out.error, "wait rank row")) {
-        return out;
-      }
-    }
-  }
-  ++out.items;
-  const JsonValue* overlap = want_obj(*a, "overlap", out.error, "\"analysis\"");
-  if (overlap == nullptr) {
-    return out;
-  }
-  for (const char* key : {"async_exchanges", "window_seconds",
-                          "hidden_seconds", "efficiency"}) {
-    if (!want_num(*overlap, key, out.error, "\"overlap\"")) {
-      return out;
-    }
-  }
-  const JsonValue* eff = overlap->find("efficiency");
-  if (eff->num < 0.0 || eff->num > 1.0) {
-    out.error = "overlap efficiency outside [0, 1]";
-    return out;
-  }
-  ++out.items;
-  const JsonValue* imb = want_obj(*a, "imbalance", out.error, "\"analysis\"");
-  if (imb == nullptr) {
-    return out;
-  }
-  for (const char* key : {"max_compute_seconds", "mean_compute_seconds",
-                          "ratio", "critical_rank"}) {
-    if (!want_num(*imb, key, out.error, "\"imbalance\"")) {
-      return out;
-    }
-  }
-  const JsonValue* loads = want_arr(*imb, "ranks", out.error, "\"imbalance\"");
-  if (loads == nullptr) {
-    return out;
-  }
-  for (const JsonValue& r : loads->arr) {
-    for (const char* key : {"rank", "compute_seconds"}) {
-      if (!want_num(r, key, out.error, "imbalance rank row")) {
-        return out;
-      }
-    }
-  }
-  const JsonValue* steps = want_arr(*imb, "steps", out.error, "\"imbalance\"");
-  if (steps == nullptr) {
-    return out;
-  }
-  for (const JsonValue& s : steps->arr) {
-    for (const char* key : {"step", "max", "mean", "critical_rank"}) {
-      if (!want_num(s, key, out.error, "imbalance step row")) {
-        return out;
-      }
-    }
-  }
-  ++out.items;
-  out.ok = true;
-  return out;
-}
-
-namespace {
-
-// One (mode, tile) row shared by autotune "trials" and "best".
-bool check_autotune_key(const JsonValue& row, SchemaCheck& out,
-                        const std::string& where) {
-  const JsonValue* mode = row.find("mode");
-  if (row.type != JsonValue::Type::Obj || mode == nullptr ||
-      mode->type != JsonValue::Type::Str || mode->str.empty()) {
-    out.error = where + " missing string \"mode\"";
-    return false;
-  }
-  const JsonValue* tile = want_arr(row, "tile", out.error, where);
-  if (tile == nullptr) {
-    return false;
-  }
-  for (const JsonValue& t : tile->arr) {
-    if (t.type != JsonValue::Type::Num) {
-      out.error = where + " has a non-numeric tile entry";
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-SchemaCheck validate_autotune_json(std::string_view json) {
-  SchemaCheck out;
-  JsonValue root;
-  if (!json_parse(json, root, &out.error)) {
-    return out;
-  }
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "top level is not an object";
-    return out;
-  }
-  const JsonValue* a = want_obj(root, "autotune", out.error, "document");
-  if (a == nullptr) {
-    return out;
-  }
-  const JsonValue* objective = a->find("objective");
-  if (objective == nullptr || objective->type != JsonValue::Type::Str ||
-      (objective->str != "wall" && objective->str != "attributed")) {
-    out.error = "\"autotune\" objective must be \"wall\" or \"attributed\"";
-    return out;
-  }
-  const JsonValue* why = a->find("why");
-  if (why == nullptr || why->type != JsonValue::Type::Str ||
-      why->str.empty()) {
-    out.error = "\"autotune\" missing non-empty string \"why\"";
-    return out;
-  }
-  const JsonValue* best = want_obj(*a, "best", out.error, "\"autotune\"");
-  if (best == nullptr || !check_autotune_key(*best, out, "\"best\"")) {
-    return out;
-  }
-  const JsonValue* reb = want_obj(*a, "rebalance", out.error, "\"autotune\"");
-  if (reb == nullptr) {
-    return out;
-  }
-  const JsonValue* rec = reb->find("recommended");
-  if (rec == nullptr || rec->type != JsonValue::Type::Bool) {
-    out.error = "\"rebalance\" missing boolean \"recommended\"";
-    return out;
-  }
-  if (!want_num(*reb, "rank", out.error, "\"rebalance\"") ||
-      !want_num(*reb, "threshold", out.error, "\"rebalance\"")) {
-    return out;
-  }
-  const JsonValue* trials = want_arr(*a, "trials", out.error, "\"autotune\"");
-  if (trials == nullptr) {
-    return out;
-  }
-  const bool attributed = objective->str == "attributed";
-  for (const JsonValue& t : trials->arr) {
-    if (!check_autotune_key(t, out, "trial row") ||
-        !want_num(t, "seconds", out.error, "trial row")) {
-      return out;
-    }
-    if (attributed) {
-      const JsonValue* score = want_obj(t, "score", out.error, "trial row");
-      if (score == nullptr) {
-        return out;
-      }
-      for (const char* key :
-           {"wait_seconds", "overlap_efficiency", "imbalance_ratio",
-            "critical_rank", "imbalance_penalty_seconds",
-            "attributed_cost_seconds"}) {
-        if (!want_num(*score, key, out.error, "trial score")) {
-          return out;
-        }
-      }
-      const JsonValue* eff = score->find("overlap_efficiency");
-      if (eff->num < 0.0 || eff->num > 1.0) {
-        out.error = "trial score overlap_efficiency outside [0, 1]";
-        return out;
-      }
-    }
-    ++out.items;
-  }
-  const JsonValue* skipped = want_arr(*a, "skipped", out.error, "\"autotune\"");
-  if (skipped == nullptr) {
-    return out;
-  }
-  for (const JsonValue& s : skipped->arr) {
-    if (!check_autotune_key(s, out, "skipped row")) {
-      return out;
-    }
-    const JsonValue* reason = s.find("reason");
-    if (reason == nullptr || reason->type != JsonValue::Type::Str ||
-        reason->str.empty()) {
-      out.error = "skipped row missing non-empty string \"reason\"";
-      return out;
-    }
-  }
-  out.ok = true;
-  return out;
-}
-
-namespace {
-
-bool check_events_value(const JsonValue& root, SchemaCheck& out) {
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "events document is not an object";
-    return false;
-  }
-  const JsonValue* events = want_arr(root, "events", out.error, "document");
-  if (events == nullptr) {
-    return false;
-  }
-  if (!want_num(root, "dropped", out.error, "document")) {
-    return false;
-  }
-  for (const JsonValue& e : events->arr) {
-    if (e.type != JsonValue::Type::Obj) {
-      out.error = "events entry is not an object";
-      return false;
-    }
-    for (const char* key : {"name", "cat"}) {
-      const JsonValue* v = e.find(key);
-      if (v == nullptr || v->type != JsonValue::Type::Str || v->str.empty()) {
-        out.error = std::string("event missing string \"") + key + "\"";
-        return false;
-      }
-    }
-    const std::string where = "event \"" + e.find("name")->str + "\"";
-    for (const char* key : {"rank", "step", "t_ns"}) {
-      if (!want_num(e, key, out.error, where)) {
-        return false;
-      }
-    }
-    const JsonValue* kv = want_obj(e, "kv", out.error, where);
-    if (kv == nullptr) {
-      return false;
-    }
-    for (const auto& [k, v] : kv->obj) {
-      if (v.type != JsonValue::Type::Num) {
-        out.error = where + " kv \"" + k + "\" is not numeric";
-        return false;
-      }
-    }
-    ++out.items;
-  }
-  return true;
-}
-
-}  // namespace
-
-SchemaCheck validate_events_json(std::string_view json) {
-  SchemaCheck out;
-  JsonValue root;
-  if (!json_parse(json, root, &out.error)) {
-    return out;
-  }
-  out.ok = check_events_value(root, out);
-  return out;
-}
-
-FlightCheck validate_flight_json(std::string_view json) {
-  FlightCheck out;
-  JsonValue root;
-  if (!json_parse(json, root, &out.error)) {
-    return out;
-  }
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "top level is not an object";
-    return out;
-  }
-  const JsonValue* f = want_obj(root, "flight", out.error, "document");
-  if (f == nullptr) {
-    return out;
-  }
-  const JsonValue* ver = f->find("schema_version");
-  if (ver == nullptr || ver->type != JsonValue::Type::Num ||
-      ver->num != 1.0) {
-    out.error = "\"flight\" missing schema_version 1";
-    return out;
-  }
-  for (const char* key : {"reason", "detail"}) {
-    const JsonValue* v = f->find(key);
-    if (v == nullptr || v->type != JsonValue::Type::Str) {
-      out.error = std::string("\"flight\" missing string \"") + key + "\"";
-      return out;
-    }
-  }
-  if (!want_num(*f, "rank", out.error, "\"flight\"") ||
-      !want_num(*f, "step", out.error, "\"flight\"")) {
-    return out;
-  }
-  if (want_obj(*f, "config", out.error, "\"flight\"") == nullptr) {
-    return out;
-  }
-  const JsonValue* health = want_arr(*f, "health", out.error, "\"flight\"");
-  if (health == nullptr) {
-    return out;
-  }
-  for (const JsonValue& h : health->arr) {
-    if (h.type != JsonValue::Type::Obj) {
-      out.error = "health sample is not an object";
-      return out;
-    }
-    const JsonValue* field = h.find("field");
-    if (field == nullptr || field->type != JsonValue::Type::Str) {
-      out.error = "health sample missing string \"field\"";
-      return out;
-    }
-    // min/max/l2 may be JSON null when no finite point exists, so only
-    // the integral fields are required numeric.
-    for (const char* key : {"step", "field_id", "nan", "inf", "bad_rank"}) {
-      if (!want_num(h, key, out.error, "health sample")) {
-        return out;
-      }
-    }
-    ++out.health_samples;
-  }
-  const JsonValue* steps = want_arr(*f, "steps", out.error, "\"flight\"");
-  if (steps == nullptr) {
-    return out;
-  }
-  for (const JsonValue& s : steps->arr) {
-    if (!want_num(s, "rank", out.error, "steps row") ||
-        !want_num(s, "step", out.error, "steps row")) {
-      return out;
-    }
-  }
-  const JsonValue* events = want_obj(*f, "events", out.error, "\"flight\"");
-  if (events == nullptr) {
-    return out;
-  }
-  SchemaCheck ev_check;
-  if (!check_events_value(*events, ev_check)) {
-    out.error = "embedded events: " + ev_check.error;
-    return out;
-  }
-  const JsonValue* trace = want_arr(*f, "trace", out.error, "\"flight\"");
-  if (trace == nullptr) {
-    return out;
-  }
-  for (const JsonValue& t : trace->arr) {
-    const JsonValue* name = t.find("name");
-    if (t.type != JsonValue::Type::Obj || name == nullptr ||
-        name->type != JsonValue::Type::Str) {
-      out.error = "trace row missing string \"name\"";
-      return out;
-    }
-    for (const char* key : {"rank", "t0_ns", "t1_ns"}) {
-      if (!want_num(t, key, out.error, "trace row")) {
-        return out;
-      }
-    }
-  }
-  const JsonValue* metrics = f->find("metrics");
-  if (metrics == nullptr || metrics->type != JsonValue::Type::Obj) {
-    out.error = "\"flight\" missing object \"metrics\"";
-    return out;
-  }
-  out.rank = static_cast<int>(f->find("rank")->num);
-  out.step = static_cast<std::int64_t>(f->find("step")->num);
-  out.reason = f->find("reason")->str;
-  out.ok = true;
-  return out;
-}
-
-PromCheck validate_prometheus_text(std::string_view text) {
-  PromCheck out;
-  std::string last_help;   // Family named by the most recent # HELP.
-  std::string family;      // Family announced by the most recent # TYPE.
-  std::size_t lineno = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, eol == std::string_view::npos ? eol : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++lineno;
-    const std::string at = " (line " + std::to_string(lineno) + ")";
-    if (line.empty()) {
+    if (ph == nullptr || ph->str == "M") {
       continue;
     }
-    auto second_word = [&line](std::size_t from) {
-      const std::size_t sp = line.find(' ', from);
-      return sp == std::string_view::npos
-                 ? std::make_pair(line.substr(from), std::string_view{})
-                 : std::make_pair(line.substr(from, sp - from),
-                                  line.substr(sp + 1));
-    };
-    if (line.rfind("# HELP ", 0) == 0) {
-      const auto [name, rest] = second_word(7);
-      if (name.empty()) {
-        out.error = "# HELP without a metric name" + at;
-        return out;
-      }
-      last_help = std::string(name);
-      ++out.helps;
-      continue;
+    ++st.events;
+    st.complete += ph->str == "X" ? 1 : 0;
+    st.instants += ph->str == "i" ? 1 : 0;
+    if (const JsonValue* tid = ev.find("tid"); tid != nullptr) {
+      st.tids.insert(static_cast<int>(tid->num));
     }
-    if (line.rfind("# TYPE ", 0) == 0) {
-      const auto [name, kind] = second_word(7);
-      if (kind != "counter" && kind != "gauge" && kind != "histogram") {
-        out.error = "# TYPE " + std::string(name) + " has unknown kind \"" +
-                    std::string(kind) + "\"" + at;
-        return out;
-      }
-      if (last_help != name) {
-        out.error = "# TYPE " + std::string(name) +
-                    " not preceded by its # HELP line" + at;
-        return out;
-      }
-      family = std::string(name);
-      ++out.types;
-      continue;
-    }
-    if (line[0] == '#') {
-      continue;  // Other comments are legal and unchecked.
-    }
-    // Sample line: <name>[{labels}] <number>.
-    const std::size_t name_end = line.find_first_of("{ ");
-    if (name_end == std::string_view::npos) {
-      out.error = "sample line without a value" + at;
-      return out;
-    }
-    const std::string_view name = line.substr(0, name_end);
-    if (family.empty() || name.rfind(family, 0) != 0) {
-      out.error = "sample \"" + std::string(name) +
-                  "\" outside its # TYPE family" + at;
-      return out;
-    }
-    const std::size_t sp = line.rfind(' ');
-    const std::string value(line.substr(sp + 1));
-    char* end = nullptr;
-    (void)std::strtod(value.c_str(), &end);
-    const bool inf = value == "+Inf" || value == "-Inf" || value == "NaN";
-    if (!inf && (end == value.c_str() || *end != '\0')) {
-      out.error = "sample \"" + std::string(name) +
-                  "\" has unparseable value \"" + value + "\"" + at;
-      return out;
-    }
-    ++out.samples;
   }
-  if (out.types == 0) {
-    out.error = "no # TYPE lines found";
-    return out;
-  }
-  out.ok = true;
-  return out;
+  return st;
 }
 
 }  // namespace jitfd::obs

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/env.h"
+#include "obs/json.h"
 
 namespace jitfd::obs::metrics {
 
@@ -86,61 +87,6 @@ const char* kind_name(Snapshot::Kind k) {
   return "?";
 }
 
-void append_double(std::ostringstream& os, double v) {
-  if (std::isfinite(v)) {
-    // Round-trippable, locale-independent enough for '.' locales; the
-    // build never changes the global locale.
-    std::ostringstream tmp;
-    tmp.precision(17);
-    tmp << v;
-    os << tmp.str();
-  } else {
-    os << "0";
-  }
-}
-
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// Prometheus HELP text escaping: backslash and line feed only.
-std::string escape_prom_help(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string sanitize_prom(std::string_view name) {
-  std::string out = "jitfd_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
 }  // namespace
 
 void Histogram::observe(double v) {
@@ -169,20 +115,14 @@ void Histogram::reset() {
   sum_.store(0.0, std::memory_order_relaxed);
 }
 
-Counter& counter(std::string_view name) { return counter(name, {}); }
-
 Counter& counter(std::string_view name, std::string_view help) {
   return lookup<Counter>(name, help, Snapshot::Kind::Counter,
                          &Instrument::counter);
 }
 
-Gauge& gauge(std::string_view name) { return gauge(name, {}); }
-
 Gauge& gauge(std::string_view name, std::string_view help) {
   return lookup<Gauge>(name, help, Snapshot::Kind::Gauge, &Instrument::gauge);
 }
-
-Histogram& histogram(std::string_view name) { return histogram(name, {}); }
 
 Histogram& histogram(std::string_view name, std::string_view help) {
   return lookup<Histogram>(name, help, Snapshot::Kind::Histogram,
@@ -234,95 +174,44 @@ std::vector<Snapshot> snapshot() {
   return out;
 }
 
-std::string to_json() {
-  const std::vector<Snapshot> snaps = snapshot();
-  std::ostringstream os;
-  os << "{\n  \"metrics\": [";
-  bool first = true;
-  for (const Snapshot& s : snaps) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    {\"name\": \"" << s.name << "\", \"type\": \""
-       << kind_name(s.kind) << "\", \"help\": \"" << escape_json(s.help)
-       << "\", ";
+void write_json(JsonWriter& w) {
+  w.begin_object().key("metrics").begin_array();
+  for (const Snapshot& s : snapshot()) {
+    w.begin_object()
+        .field("name", s.name)
+        .field("type", kind_name(s.kind))
+        .field("help", s.help);
     switch (s.kind) {
       case Snapshot::Kind::Counter:
-        os << "\"value\": " << s.count << "}";
+        w.field("value", s.count);
         break;
       case Snapshot::Kind::Gauge:
-        os << "\"value\": ";
-        append_double(os, s.value);
-        os << "}";
+        w.field("value", s.value);
         break;
-      case Snapshot::Kind::Histogram: {
-        os << "\"count\": " << s.count << ", \"sum\": ";
-        append_double(os, s.value);
-        os << ", \"buckets\": [";
-        bool bf = true;
+      case Snapshot::Kind::Histogram:
+        w.field("count", s.count).field("sum", s.value).key("buckets");
+        w.begin_array();
         for (const auto& [le, cum] : s.buckets) {
-          if (!bf) os << ", ";
-          bf = false;
-          os << "{\"le\": ";
+          w.begin_object().key("le");
           if (std::isinf(le)) {
-            os << "\"+Inf\"";
+            w.value("+Inf");
           } else {
-            append_double(os, le);
+            w.value(le);
           }
-          os << ", \"count\": " << cum << "}";
+          w.field("count", cum).end();
         }
-        os << "]}";
+        w.end();
         break;
-      }
     }
+    w.end();
   }
-  os << "\n  ]\n}\n";
-  return os.str();
+  w.end().end();
 }
 
-std::string to_prometheus() {
-  const std::vector<Snapshot> snaps = snapshot();
-  std::ostringstream os;
-  for (const Snapshot& s : snaps) {
-    const std::string prom = sanitize_prom(s.name);
-    // HELP precedes TYPE (the exposition-format convention; trace_check
-    // --metrics validates the pairing). Empty help keeps the bare line.
-    os << "# HELP " << prom;
-    if (!s.help.empty()) {
-      os << " " << escape_prom_help(s.help);
-    }
-    os << "\n";
-    os << "# TYPE " << prom << " " << kind_name(s.kind) << "\n";
-    switch (s.kind) {
-      case Snapshot::Kind::Counter:
-        os << prom << " " << s.count << "\n";
-        break;
-      case Snapshot::Kind::Gauge:
-        os << prom << " ";
-        append_double(os, s.value);
-        os << "\n";
-        break;
-      case Snapshot::Kind::Histogram: {
-        for (const auto& [le, cum] : s.buckets) {
-          os << prom << "_bucket{le=\"";
-          if (std::isinf(le)) {
-            os << "+Inf";
-          } else {
-            std::ostringstream tmp;
-            tmp.precision(17);
-            tmp << le;
-            os << tmp.str();
-          }
-          os << "\"} " << cum << "\n";
-        }
-        os << prom << "_sum ";
-        append_double(os, s.value);
-        os << "\n";
-        os << prom << "_count " << s.count << "\n";
-        break;
-      }
-    }
-  }
-  return os.str();
+std::string to_json() {
+  JsonWriter w;
+  write_json(w);
+  return w.take();
 }
 
 }  // namespace jitfd::obs::metrics

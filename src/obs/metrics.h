@@ -1,8 +1,7 @@
 // Lightweight metrics registry: named counters, gauges and histograms
 // populated by instrumented sites (halo runtime, JIT cache, SMPI
 // transport, operator runs) and by the offline cross-rank analyzer
-// (obs/analysis.h), exported as stable machine-readable JSON and a
-// Prometheus-style text format.
+// (obs/analysis.h), exported as stable machine-readable JSON.
 //
 // Cost model — identical to trace.h:
 //  - compiled out      — with -DJITFD_OBS=OFF, enabled() is a constexpr
@@ -29,6 +28,10 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+namespace jitfd::obs {
+class JsonWriter;
+}  // namespace jitfd::obs
 
 namespace jitfd::obs::metrics {
 
@@ -115,16 +118,13 @@ class Histogram {
 /// reference lives forever; a name registered as one kind must not be
 /// reused as another (throws std::logic_error).
 ///
-/// The `help` overloads attach a one-line description, exported as the
-/// Prometheus `# HELP` text and the JSON "help" field. The description
+/// `help` attaches a one-line description, exported as the JSON "help"
+/// field. The description
 /// sticks to the instrument: a later lookup without (or with an empty)
 /// help keeps the existing text, and the first non-empty help wins.
-Counter& counter(std::string_view name);
-Counter& counter(std::string_view name, std::string_view help);
-Gauge& gauge(std::string_view name);
-Gauge& gauge(std::string_view name, std::string_view help);
-Histogram& histogram(std::string_view name);
-Histogram& histogram(std::string_view name, std::string_view help);
+Counter& counter(std::string_view name, std::string_view help = {});
+Gauge& gauge(std::string_view name, std::string_view help = {});
+Histogram& histogram(std::string_view name, std::string_view help = {});
 
 /// Zero every registered instrument (registrations are kept). Meant for
 /// quiescent moments, like trace reset().
@@ -146,12 +146,12 @@ std::vector<Snapshot> snapshot();
 
 /// Stable machine-readable export:
 ///   {"metrics": [{"name": ..., "type": "counter"|"gauge"|"histogram",
-///                 "value": ...} | {..., "count": N, "sum": S,
-///                 "buckets": [{"le": ..., "count": ...}, ...]}]}
+///                 "help": ..., "value": ...} | {..., "count": N,
+///                 "sum": S, "buckets": [{"le": ..., "count": ...}, ...]}]}
+/// The last bucket's "le" is the string "+Inf"; a non-finite gauge value
+/// or sum is null.
 std::string to_json();
-
-/// Prometheus text exposition format. Names are prefixed with "jitfd_"
-/// and sanitized ('.' and any non [a-zA-Z0-9_] become '_').
-std::string to_prometheus();
+/// The same document, written into an enclosing export.
+void write_json(JsonWriter& w);
 
 }  // namespace jitfd::obs::metrics

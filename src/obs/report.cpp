@@ -1,13 +1,14 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <map>
 #include <ostream>
 #include <set>
 #include <sstream>
+
+#include "obs/json.h"
 
 namespace jitfd::obs {
 
@@ -222,76 +223,36 @@ std::string summary_table(const TraceData& data) {
   return os.str();
 }
 
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 void write_chrome_trace(std::ostream& os, const TraceData& data) {
-  os << std::fixed << std::setprecision(3);
-  os << "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"tool\": "
-        "\"jitfd-obs\", \"dropped\": "
-     << data.dropped << "},\n\"traceEvents\": [\n";
+  JsonWriter w;
+  w.begin_object().field("displayTimeUnit", "ms").key("otherData");
+  w.begin_object().field("tool", "jitfd-obs").field("dropped", data.dropped);
+  w.end().key("traceEvents").begin_array();
   // One named track per rank.
   std::set<int> ranks;
   for (const TraceData::Rec& e : data.events) {
     ranks.insert(e.rank);
   }
-  bool first = true;
   for (const int r : ranks) {
-    if (!first) {
-      os << ",\n";
-    }
-    first = false;
-    os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": "
-       << r << ", \"args\": {\"name\": \"rank " << r << "\"}}";
+    w.begin_object().field("name", "thread_name").field("ph", "M");
+    w.field("pid", 0).field("tid", r).key("args").begin_object();
+    w.field("name", "rank " + std::to_string(r)).end().end();
   }
   for (const TraceData::Rec& e : data.events) {
-    if (!first) {
-      os << ",\n";
-    }
-    first = false;
-    const double ts_us = static_cast<double>(e.t0_ns) * 1e-3;
-    os << "{\"name\": \"";
-    json_escape(os, e.name);
-    os << "\", \"cat\": \"" << to_string(e.cat) << "\", ";
+    w.begin_object().field("name", e.name).field("cat", to_string(e.cat));
+    // Microseconds as ns / 1e3, so the shortest form keeps <= 3 decimals.
+    const double ts_us = static_cast<double>(e.t0_ns) / 1e3;
     if (e.t1_ns > e.t0_ns) {
-      const double dur_us = static_cast<double>(e.t1_ns - e.t0_ns) * 1e-3;
-      os << "\"ph\": \"X\", \"ts\": " << ts_us << ", \"dur\": " << dur_us;
+      w.field("ph", "X").field("ts", ts_us);
+      w.field("dur", static_cast<double>(e.t1_ns - e.t0_ns) / 1e3);
     } else {
-      os << "\"ph\": \"i\", \"s\": \"t\", \"ts\": " << ts_us;
+      w.field("ph", "i").field("s", "t").field("ts", ts_us);
     }
-    os << ", \"pid\": 0, \"tid\": " << e.rank << ", \"args\": {\"a0\": "
-       << e.a0 << ", \"a1\": " << e.a1 << "}}";
+    w.field("pid", 0).field("tid", e.rank).key("args").begin_object();
+    w.field("a0", e.a0).field("a1", e.a1).end().end();
   }
-  os << "\n]\n}\n";
-}
-
-std::string chrome_trace_string(const TraceData& data) {
-  std::ostringstream os;
-  write_chrome_trace(os, data);
-  return os.str();
+  w.end().end();
+  os << w.take();
 }
 
 bool write_chrome_trace_file(const std::string& path,

@@ -76,7 +76,6 @@ std::string summary_table(const TraceData& data);
 /// Chrome trace-event JSON. pid 0; tid = rank (one named track per
 /// rank); span args carry a0/a1.
 void write_chrome_trace(std::ostream& os, const TraceData& data);
-std::string chrome_trace_string(const TraceData& data);
 /// Returns false (and writes nothing) when the file cannot be opened.
 bool write_chrome_trace_file(const std::string& path, const TraceData& data);
 

@@ -252,53 +252,4 @@ std::string comparison_table(const std::vector<Comparison>& rows) {
   return os.str();
 }
 
-std::string comparison_json(const std::vector<Comparison>& rows) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(6);
-  os << "{\n  \"comparisons\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Comparison& c = rows[i];
-    os << "    {\n"
-       << "      \"kernel\": \"" << c.measured.kernel << "\",\n"
-       << "      \"pattern\": \"" << ir::to_string(c.measured.mode)
-       << "\",\n"
-       << "      \"ranks\": " << c.measured.ranks << ",\n"
-       << "      \"so\": " << c.measured.so << ",\n"
-       << "      \"steps\": " << c.measured.steps << ",\n"
-       << "      \"tile\": [";
-    for (std::size_t d = 0; d < c.measured.tile.size(); ++d) {
-      os << (d > 0 ? ", " : "") << c.measured.tile[d];
-    }
-    os << "],\n"
-       << "      \"measured_gpts\": " << c.measured_gpts << ",\n"
-       << "      \"predicted_gpts\": " << c.predicted_gpts << ",\n"
-       << "      \"measured_comm_fraction\": " << c.measured.comm_fraction
-       << ",\n"
-       << "      \"predicted_comm_fraction\": " << c.predicted_comm_fraction
-       << ",\n"
-       << "      \"measured_messages\": " << c.measured.messages << ",\n"
-       << "      \"expected_messages\": " << c.expected_messages << ",\n"
-       << "      \"messages_match\": "
-       << (c.messages_match() ? "true" : "false") << ",\n"
-       << "      \"measured_bytes_per_step\": " << c.measured_bytes_per_step
-       << ",\n"
-       << "      \"predicted_bytes_per_step\": "
-       << c.predicted_bytes_per_step << ",\n"
-       << "      \"has_analysis\": "
-       << (c.measured.has_analysis ? "true" : "false") << ",\n"
-       << "      \"measured_overlap_efficiency\": "
-       << c.measured.overlap_efficiency << ",\n"
-       << "      \"predicted_overlap_efficiency\": "
-       << c.predicted_overlap_efficiency << ",\n"
-       << "      \"imbalance_ratio\": " << c.measured.imbalance_ratio << ",\n"
-       << "      \"late_sender_seconds\": " << c.measured.late_sender_seconds
-       << ",\n"
-       << "      \"late_receiver_seconds\": "
-       << c.measured.late_receiver_seconds << "\n"
-       << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  return os.str();
-}
-
 }  // namespace jitfd::perf

@@ -145,8 +145,4 @@ std::vector<DriftGate> drift_gates(const Comparison& row,
 /// Human-readable table, one row per pattern.
 std::string comparison_table(const std::vector<Comparison>& rows);
 
-/// Machine-readable report (JSON), the artifact CI and BENCH files
-/// record.
-std::string comparison_json(const std::vector<Comparison>& rows);
-
 }  // namespace jitfd::perf

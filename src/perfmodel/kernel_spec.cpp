@@ -54,15 +54,17 @@ DerivedFacts derive_for() {
   // facts feed the perf model and must not vary with JITFD_TRANSPORT.
   smpi::launch({.nranks = 8, .transport = smpi::TransportKind::Threads},
                [&](smpi::Communicator& comm) {
+    ir::CompileOptions opts;
+    opts.mode = ir::MpiMode::Basic;
     if (comm.rank() != 0) {
       grid::Grid g({8, 8, 8}, {1.0, 1.0, 1.0}, comm);
       Model model(g, 4);
-      (void)model.make_operator({.mode = ir::MpiMode::Basic});
+      (void)model.make_operator(opts);
       return;
     }
     grid::Grid g({8, 8, 8}, {1.0, 1.0, 1.0}, comm);
     Model model(g, 4);
-    auto op = model.make_operator({.mode = ir::MpiMode::Basic});
+    auto op = model.make_operator(opts);
     for (const auto& spot : op->info().spots) {
       if (spot.hoisted) {
         continue;  // One-off parameter exchanges are amortized away.

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -300,8 +299,6 @@ void HaloExchange::update(int spot, std::int64_t time) {
     return;
   }
   const obs::Span span("halo.update", obs::Cat::Halo, time, spot);
-  obs::events::emit("halo.update", obs::events::EvCat::Halo, time,
-                    {{"spot", static_cast<double>(spot)}});
   Spot& s = spots_.at(static_cast<std::size_t>(spot));
   if (mode_ == ir::MpiMode::Basic || mode_ == ir::MpiMode::None) {
     update_basic(s, time);
@@ -470,8 +467,6 @@ void HaloExchange::start(int spot, std::int64_t time) {
     return;
   }
   const obs::Span span("halo.start", obs::Cat::Halo, time, spot);
-  obs::events::emit("halo.start", obs::events::EvCat::Halo, time,
-                    {{"spot", static_cast<double>(spot)}});
   Spot& s = spots_.at(static_cast<std::size_t>(spot));
   post_star(s, time);
   ++stats_.starts;
@@ -488,12 +483,9 @@ void HaloExchange::wait(int spot) {
   if (!s.in_flight) {
     return;
   }
-  const obs::Span span("halo.finish", obs::Cat::Halo, 0, spot);
-  obs::events::emit(
-      "halo.finish", obs::events::EvCat::Halo,
-      inflight_time_[static_cast<std::size_t>(spot)],
-      {{"spot", static_cast<double>(spot)}});
-  complete_star(s, inflight_time_[static_cast<std::size_t>(spot)]);
+  const std::int64_t time = inflight_time_[static_cast<std::size_t>(spot)];
+  const obs::Span span("halo.finish", obs::Cat::Halo, time, spot);
+  complete_star(s, time);
   sync_transport_stats();
 }
 

@@ -25,7 +25,6 @@
 #include <omp.h>
 #endif
 
-#include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "smpi/comm.h"
@@ -650,11 +649,9 @@ std::string trace_file(const std::string& dir, int rank) {
   omp_set_num_threads(1);
 #endif
   jitfd::obs::set_thread_rank(rank);
-  jitfd::obs::events::set_thread_rank(rank);
   // Drop events inherited from the parent's buffers so the merged trace
   // holds each record exactly once.
   jitfd::obs::reset();
-  jitfd::obs::events::reset();
 
   int exit_code = 0;
   const auto save_trace = [&] {
@@ -919,7 +916,6 @@ void launch_process_shm(int nranks, std::size_t ring_bytes,
   }
 
   jitfd::obs::set_thread_rank(0);
-  jitfd::obs::events::set_thread_rank(0);
   std::exception_ptr rank0_error;
   {
     Communicator comm(&world, 0);

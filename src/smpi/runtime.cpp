@@ -4,7 +4,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/events.h"
 #include "obs/trace.h"
 
 namespace smpi {
@@ -23,7 +22,6 @@ void launch_threads(int nranks,
   for (int r = 1; r < nranks; ++r) {
     threads.emplace_back([&world, &body, &errors, r] {
       jitfd::obs::set_thread_rank(r);
-      jitfd::obs::events::set_thread_rank(r);
       Communicator comm(&world, r);
       try {
         body(comm);
@@ -34,7 +32,6 @@ void launch_threads(int nranks,
   }
   {
     jitfd::obs::set_thread_rank(0);
-    jitfd::obs::events::set_thread_rank(0);
     Communicator comm(&world, 0);
     try {
       body(comm);

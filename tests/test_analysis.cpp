@@ -1,5 +1,5 @@
 // Cross-rank trace analysis, the metrics registry, the metrics/analysis
-// JSON schema validators, and the perf-regression sentinel.
+// JSON schema tables, and the perf-regression sentinel.
 //
 // The analyzer tests run on hand-built TraceData snapshots with exact
 // nanosecond timestamps, so the wait-state split and overlap pairing are
@@ -75,9 +75,8 @@ TEST(Analysis, EmptySnapshotYieldsZeroReport) {
   EXPECT_EQ(rep.overlap_efficiency, 0.0);
   // The empty report still exports schema-valid JSON.
   const obs::SchemaCheck check =
-      obs::validate_analysis_json(obs::analysis_json(rep));
+      obs::validate(obs::analysis_json(rep), obs::analysis_schema());
   EXPECT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.items, 3);
 }
 
 TEST(Analysis, LateSenderSplitIsExact) {
@@ -199,8 +198,8 @@ TEST(Analysis, RankLoadsExportedPerRankAndSorted) {
   const std::string json = obs::analysis_json(rep);
   EXPECT_NE(json.find("\"ranks\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"compute_seconds\":"), std::string::npos) << json;
-  EXPECT_TRUE(obs::validate_analysis_json(json).ok)
-      << obs::validate_analysis_json(json).error;
+  const obs::SchemaCheck check = obs::validate(json, obs::analysis_schema());
+  EXPECT_TRUE(check.ok) << check.error;
 }
 
 TEST(Analysis, JitComputeDerivedFromRunUmbrellaMinusHalo) {
@@ -234,18 +233,17 @@ TEST(Analysis, JsonExportValidatesAndCarriesSections) {
 
   std::string err;
   EXPECT_TRUE(obs::json_valid(json, &err)) << err;
-  const obs::SchemaCheck check = obs::validate_analysis_json(json);
+  const obs::SchemaCheck check = obs::validate(json, obs::analysis_schema());
   EXPECT_TRUE(check.ok) << check.error << "\n" << json;
-  EXPECT_EQ(check.items, 3);
+  const obs::JsonValue& a = *check.doc.find("analysis");
+  for (const char* section : {"wait", "overlap", "imbalance"}) {
+    EXPECT_NE(a.find(section), nullptr) << section;
+  }
   EXPECT_NE(json.find("\"culprit_rank\": 0"), std::string::npos) << json;
 
-  // The human digest names the culprit too.
-  const std::string digest = obs::analysis_summary(rep);
-  EXPECT_NE(digest.find("culprit rank 0"), std::string::npos) << digest;
-
   // Schema violations are rejected.
-  EXPECT_FALSE(obs::validate_analysis_json("{\"analysis\": {}}").ok);
-  EXPECT_FALSE(obs::validate_analysis_json("[1, 2]").ok);
+  EXPECT_FALSE(obs::validate("{\"analysis\": {}}", obs::analysis_schema()).ok);
+  EXPECT_FALSE(obs::validate("[1, 2]", obs::analysis_schema()).ok);
 }
 
 // ---------------------------------------------------------------------
@@ -317,7 +315,7 @@ TEST(Metrics, HistogramBucketsAndBounds) {
   EXPECT_EQ(h.count(), 0U);
 }
 
-TEST(Metrics, ExportsValidateInBothFormats) {
+TEST(Metrics, JsonExportValidates) {
   obs::metrics::counter("test.export_counter");
   obs::metrics::gauge("test.export_gauge");
   obs::metrics::histogram("test.export_hist");
@@ -325,47 +323,18 @@ TEST(Metrics, ExportsValidateInBothFormats) {
   const std::string json = obs::metrics::to_json();
   std::string err;
   EXPECT_TRUE(obs::json_valid(json, &err)) << err;
-  const obs::SchemaCheck check = obs::validate_metrics_json(json);
+  const obs::SchemaCheck check = obs::validate(json, obs::metrics_schema());
   EXPECT_TRUE(check.ok) << check.error << "\n" << json;
-  EXPECT_GE(check.items, 3);
-
-  const std::string prom = obs::metrics::to_prometheus();
-  EXPECT_NE(prom.find("# TYPE jitfd_test_export_counter counter"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("# TYPE jitfd_test_export_gauge gauge"),
-            std::string::npos);
-  EXPECT_NE(prom.find("jitfd_test_export_hist_bucket{le=\"+Inf\"}"),
-            std::string::npos);
-  EXPECT_NE(prom.find("jitfd_test_export_hist_count"), std::string::npos);
+  EXPECT_GE(check.doc.find("metrics")->arr.size(), 3U);
+  EXPECT_NE(json.find("{\"le\": \"+Inf\""), std::string::npos) << json;
 
   // Schema violations are rejected.
-  EXPECT_FALSE(obs::validate_metrics_json("{\"metrics\": [{}]}").ok);
+  EXPECT_FALSE(obs::validate("{\"metrics\": [{}]}", obs::metrics_schema()).ok);
   EXPECT_FALSE(
-      obs::validate_metrics_json(
-          R"({"metrics": [{"name": "x", "type": "nonsense", "value": 1}]})")
+      obs::validate(
+          R"({"metrics": [{"name": "x", "type": "nonsense", "value": 1}]})",
+          obs::metrics_schema())
           .ok);
-}
-
-TEST(Metrics, AnalysisReportExportsGauges) {
-  if (!obs_built()) {
-    GTEST_SKIP() << "built with JITFD_OBS=OFF";
-  }
-  obs::TraceData data;
-  data.events.push_back(
-      rec("halo.wait", obs::Cat::Wait, 1, 1000, 2000, 0, 0));
-  data.events.push_back(
-      rec("halo.send", obs::Cat::Send, 0, 1500, 1600, 64, 1));
-  const obs::AnalysisReport rep = obs::analyze(data);
-
-  obs::metrics::set_enabled(true);
-  obs::export_metrics(rep);
-  obs::metrics::set_enabled(false);
-  EXPECT_NEAR(obs::metrics::gauge("analysis.late_sender_seconds").value(),
-              500 * kNs, 1e-12);
-  EXPECT_NEAR(obs::metrics::gauge("analysis.matched_waits").value(), 1.0,
-              1e-12);
-  obs::metrics::reset();
 }
 
 // ---------------------------------------------------------------------
@@ -621,7 +590,7 @@ TEST_P(ConstructedImbalance, AnalyzerPinsTheSlowRank) {
   EXPECT_GT(rep.late_sender_s, 0.0);
   EXPECT_EQ(rep.late_sender_culprit, kSlowRank)
       << "mode " << ir::to_string(mode) << "\n"
-      << obs::analysis_summary(rep);
+      << obs::analysis_json(rep);
   // The per-step loads see the same culprit on every step.
   ASSERT_FALSE(rep.step_loads.empty());
   for (const obs::StepLoad& sl : rep.step_loads) {
@@ -630,7 +599,7 @@ TEST_P(ConstructedImbalance, AnalyzerPinsTheSlowRank) {
 
   // The full report exports schema-valid JSON end to end.
   const obs::SchemaCheck check =
-      obs::validate_analysis_json(obs::analysis_json(rep));
+      obs::validate(obs::analysis_json(rep), obs::analysis_schema());
   EXPECT_TRUE(check.ok) << check.error;
 }
 

@@ -234,9 +234,10 @@ TEST(Autotune, AttributedRunScoresEveryTrialAndExportsValidJson) {
     // The machine-readable report validates, including per-trial scores.
     if (comm.rank() == 0) {
       const std::string json = jitfd::core::autotune_report_json(report);
-      const obs::SchemaCheck check = obs::validate_autotune_json(json);
+      const obs::SchemaCheck check =
+          obs::validate(json, obs::autotune_schema());
       EXPECT_TRUE(check.ok) << check.error << "\n" << json;
-      EXPECT_EQ(check.items, 6);
+      EXPECT_EQ(check.doc.find("autotune")->find("trials")->arr.size(), 6U);
     }
     (void)op;
   });
@@ -285,14 +286,23 @@ TEST(Autotune, ReportJsonRejectsMissingWhy) {
   report.why = "wall objective: basic untiled wins";
   report.seconds_by_trial[{ir::MpiMode::Basic, {}}] = 0.5;
   const std::string good = jitfd::core::autotune_report_json(report);
-  EXPECT_TRUE(obs::validate_autotune_json(good).ok)
-      << obs::validate_autotune_json(good).error << "\n" << good;
+  const obs::SchemaCheck ok = obs::validate(good, obs::autotune_schema());
+  EXPECT_TRUE(ok.ok) << ok.error << "\n" << good;
 
   report.why.clear();
   const std::string bad = jitfd::core::autotune_report_json(report);
-  const obs::SchemaCheck check = obs::validate_autotune_json(bad);
+  const obs::SchemaCheck check = obs::validate(bad, obs::autotune_schema());
   EXPECT_FALSE(check.ok);
   EXPECT_NE(check.error.find("why"), std::string::npos) << check.error;
+
+  // Under the attributed objective every trial must carry its score.
+  report.why = "attributed objective: basic untiled wins";
+  report.objective = jitfd::core::Objective::Attributed;
+  const obs::SchemaCheck unscored = obs::validate(
+      jitfd::core::autotune_report_json(report), obs::autotune_schema());
+  EXPECT_FALSE(unscored.ok);
+  EXPECT_NE(unscored.error.find("score"), std::string::npos)
+      << unscored.error;
 }
 
 TEST(Autotune, TunedOperatorMatchesSerialReference) {

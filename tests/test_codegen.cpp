@@ -219,7 +219,15 @@ TEST(Codegen, ThreeDimensionalEmissionIndexesAllDims) {
   TimeFunction u("u", g, 2, 1);
   Operator op = diffusion_operator(g, u);
   const std::string& code = op.ccode();
-  EXPECT_NE(code.find("for (long z = 0; z < 8; z += 1)"), std::string::npos)
+  // The stencil nest sweeps z over the active box, clamped to the
+  // 8-point extent (the health sweep, absent under JITFD_OBS=OFF, is not
+  // what this checks).
+  EXPECT_NE(code.find("const long jitfd_zhi = jitfd_cb[5] < 8 ? "
+                      "jitfd_cb[5] : 8;"),
+            std::string::npos)
+      << code;
+  EXPECT_NE(code.find("for (long z = jitfd_zlo; z < jitfd_zhi; z += 1)"),
+            std::string::npos)
       << code;
   EXPECT_NE(code.find("[x + 2][y + 2][z + 2] ="), std::string::npos);
   // VLA-pointer cast bakes the padded extents of the two inner dims.

@@ -1,6 +1,6 @@
 // Numerical-health layer tests: the compiler-generated per-field
 // reduction kernels (interpreter and JIT, every MPI pattern), the OnNan
-// policies, the flight-recorder bundle, the
+// policies, the flight-recorder bundle (and its failure to write), the
 // JITFD_INJECT_NAN fault hook, and bitwise neutrality of the checks.
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 
 #include "core/operator.h"
 #include "grid/function.h"
-#include "obs/events.h"
 #include "obs/flight.h"
 #include "obs/health.h"
 #include "obs/json_check.h"
@@ -145,13 +144,16 @@ TEST(Health, CleanRunStaysHealthyAndSamplesNorms) {
   EXPECT_EQ(run.health.checks, 3);
   EXPECT_EQ(run.health.nan_points, 0);
   ASSERT_EQ(run.health.series.size(), 3U);
+  std::vector<std::int64_t> steps;
   for (const health::Sample& s : run.health.series) {
+    steps.push_back(s.step);
     EXPECT_EQ(s.field, "u");
     EXPECT_FALSE(s.bad());
     EXPECT_GT(s.l2, 0.0);
     EXPECT_LE(s.min, s.max);
     EXPECT_EQ(s.first_bad_rank, -1);
   }
+  EXPECT_EQ(steps, (std::vector<std::int64_t>{0, 2, 4}));
 }
 
 TEST(Health, GhostNansBeyondStencilRadiusAreNotReported) {
@@ -287,6 +289,7 @@ TEST(Health, AbortDumpThrowsOnEveryRankAndWritesValidBundle) {
       (void)op.apply({.time_m = 0,
                       .time_M = 3,
                       .scalars = {{"dt", 1e-3}},
+                      .trace = true,
                       .health_interval = 1,
                       .on_nan = health::OnNan::AbortDump});
       FAIL() << "apply() should have thrown DivergenceError";
@@ -300,12 +303,19 @@ TEST(Health, AbortDumpThrowsOnEveryRankAndWritesValidBundle) {
 
     const std::string bundle = slurp(e.dump_path());
     ASSERT_FALSE(bundle.empty());
-    const obs::FlightCheck check = obs::validate_flight_json(bundle);
+    const obs::SchemaCheck check = obs::validate(bundle, obs::flight_schema());
     ASSERT_TRUE(check.ok) << check.error;
-    EXPECT_EQ(check.reason, "nan_detected");
-    EXPECT_EQ(check.rank, static_cast<int>(owner));
-    EXPECT_EQ(check.step, 0);
-    EXPECT_GE(check.health_samples, 1);
+    const obs::JsonValue& f = *check.doc.find("flight");
+    EXPECT_EQ(f.find("reason")->str, "nan_detected");
+    EXPECT_EQ(f.find("rank")->num, static_cast<double>(owner));
+    EXPECT_EQ(f.find("step")->num, 0.0);
+    EXPECT_GE(f.find("health")->arr.size(), 1U);
+    // The traced run's halo lifecycle lands in the bundle's trace tail.
+    int halo_updates = 0;
+    for (const obs::JsonValue& row : f.find("trace")->arr) {
+      halo_updates += row.find("name")->str == "halo.update" ? 1 : 0;
+    }
+    EXPECT_GT(halo_updates, 0);
     std::remove(e.dump_path().c_str());
   }
   ::unsetenv("JITFD_FLIGHT_DIR");
@@ -338,32 +348,20 @@ TEST(Health, InjectNanHookPoisonsConfiguredRankAndStep) {
   ::unsetenv("JITFD_INJECT_NAN");
 }
 
-TEST(Health, ChecksEmitStructuredEventsThatValidate) {
-  SKIP_WITHOUT_OBS();
-  obs::events::EnableScope scope(true);
-  obs::events::reset();
-  const Grid g({8, 8}, {1.0, 1.0});
-  Diffusion d(g);
-  d.u.fill(1.0F);
-  Operator op({d.eq});
-  (void)op.apply({.time_m = 0,
-                  .time_M = 3,
-                  .scalars = {{"dt", 1e-3}},
-                  .health_interval = 2});
-  const obs::events::EventData data = obs::events::collect();
-  std::int64_t health_checks = 0;
-  for (const auto& rec : data.events) {
-    if (rec.name == "health.check") {
-      ++health_checks;
-      EXPECT_EQ(rec.cat, obs::events::EvCat::Health);
-    }
-  }
-  EXPECT_EQ(health_checks, 2);  // Steps 0 and 2.
-  const obs::SchemaCheck check =
-      obs::validate_events_json(obs::events::to_json(data));
-  EXPECT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.items, static_cast<std::int64_t>(data.events.size()));
-  obs::events::reset();
+TEST(Health, FlightDumpToMissingDirectoryReportsNoPath) {
+  char dir_template[] = "/tmp/jitfd_flight_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string missing = std::string(dir_template) + "/missing";
+  ::setenv("JITFD_FLIGHT_DIR", missing.c_str(), 1);
+  obs::flight::reset_for_testing();
+  // No bundle can be written, so no path is reported, now or later.
+  EXPECT_EQ(obs::flight::dump("test", 0, 0, "unwritable"), "");
+  EXPECT_TRUE(obs::flight::dumped());
+  EXPECT_EQ(obs::flight::dump("test", 0, 0, "again"), "");
+  EXPECT_NE(::access((missing + "/jitfd_flight.json").c_str(), F_OK), 0);
+  ::unsetenv("JITFD_FLIGHT_DIR");
+  ::rmdir(dir_template);
+  obs::flight::reset_for_testing();
 }
 
 TEST(Health, OnNanPolicyParsesAndPrints) {

@@ -1,6 +1,5 @@
 // Metrics registry tests: log2 histogram bucket boundaries, help-text
-// registration, and the JSON / Prometheus exporters with their schema
-// validators (including # HELP / # TYPE pairing).
+// registration, and the JSON exporter with its schema table.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -107,78 +106,26 @@ TEST_F(MetricsEnabled, ExportsCarryHelpAndValidate) {
 
   const std::string json = metrics::to_json();
   EXPECT_NE(json.find("\"help\": \"counts test things\""), std::string::npos);
-  const obs::SchemaCheck jcheck = obs::validate_metrics_json(json);
+  const obs::SchemaCheck jcheck = obs::validate(json, obs::metrics_schema());
   EXPECT_TRUE(jcheck.ok) << jcheck.error;
-
-  const std::string prom = metrics::to_prometheus();
-  EXPECT_NE(prom.find("# HELP jitfd_test_export_count counts test things"),
-            std::string::npos);
-  // HELP precedes TYPE for the same family.
-  EXPECT_LT(prom.find("# HELP jitfd_test_export_count"),
-            prom.find("# TYPE jitfd_test_export_count"));
-  const obs::PromCheck pcheck = obs::validate_prometheus_text(prom);
-  EXPECT_TRUE(pcheck.ok) << pcheck.error;
-  EXPECT_EQ(pcheck.helps, pcheck.types);
-  EXPECT_GT(pcheck.samples, 0);
 }
 
-TEST(MetricsValidator, PrometheusPairingViolationsAreCaught) {
-  // TYPE without its HELP line.
-  obs::PromCheck c = obs::validate_prometheus_text(
-      "# TYPE jitfd_orphan counter\njitfd_orphan 1\n");
-  EXPECT_FALSE(c.ok);
-  EXPECT_NE(c.error.find("not preceded"), std::string::npos) << c.error;
-
-  // HELP for a different family does not pair.
-  c = obs::validate_prometheus_text(
-      "# HELP jitfd_other help text\n# TYPE jitfd_orphan counter\n");
-  EXPECT_FALSE(c.ok);
-
-  // Unknown kind.
-  c = obs::validate_prometheus_text(
-      "# HELP jitfd_m h\n# TYPE jitfd_m summary\njitfd_m 1\n");
-  EXPECT_FALSE(c.ok);
-  EXPECT_NE(c.error.find("unknown kind"), std::string::npos) << c.error;
-
-  // Sample outside the announced family.
-  c = obs::validate_prometheus_text(
-      "# HELP jitfd_a h\n# TYPE jitfd_a counter\njitfd_b 1\n");
-  EXPECT_FALSE(c.ok);
-  EXPECT_NE(c.error.find("outside"), std::string::npos) << c.error;
-
-  // A well-formed histogram family passes, le labels and all.
-  c = obs::validate_prometheus_text(
-      "# HELP jitfd_h latency\n"
-      "# TYPE jitfd_h histogram\n"
-      "jitfd_h_bucket{le=\"1e-06\"} 0\n"
-      "jitfd_h_bucket{le=\"+Inf\"} 2\n"
-      "jitfd_h_sum 3.5\n"
-      "jitfd_h_count 2\n");
-  EXPECT_TRUE(c.ok) << c.error;
-  EXPECT_EQ(c.types, 1);
-  EXPECT_EQ(c.samples, 4);
-}
-
-TEST(MetricsValidator, EventsSchemaViolationsAreCaught) {
-  obs::SchemaCheck c = obs::validate_events_json(
-      "{\"events\": [{\"name\": \"e\", \"cat\": \"health\", \"rank\": 0, "
-      "\"step\": 1, \"t_ns\": 2, \"kv\": {\"x\": 1.5}}], \"dropped\": 0}");
-  EXPECT_TRUE(c.ok) << c.error;
-  EXPECT_EQ(c.items, 1);
-
-  c = obs::validate_events_json("{\"events\": [], \"dropped\": 0}");
-  EXPECT_TRUE(c.ok) << c.error;
-
-  // Missing "dropped".
-  c = obs::validate_events_json("{\"events\": []}");
-  EXPECT_FALSE(c.ok);
-
-  // Non-numeric kv value.
-  c = obs::validate_events_json(
-      "{\"events\": [{\"name\": \"e\", \"cat\": \"halo\", \"rank\": 0, "
-      "\"step\": 0, \"t_ns\": 0, \"kv\": {\"x\": \"oops\"}}], "
-      "\"dropped\": 0}");
-  EXPECT_FALSE(c.ok);
+TEST(MetricsValidator, HistogramBucketViolationsAreCaught) {
+  const auto check = [](const char* buckets) {
+    return obs::validate(std::string(R"({"metrics": [{"name": "h", )"
+                                     R"("type": "histogram", "count": 2, )"
+                                     R"("sum": 1.5, "buckets": )") +
+                             buckets + "}]}",
+                         obs::metrics_schema());
+  };
+  EXPECT_TRUE(check(R"([{"le": 1e-06, "count": 1}, {"le": "+Inf", "count": 2}])").ok);
+  const obs::SchemaCheck shrinking =
+      check(R"([{"le": 1e-06, "count": 2}, {"le": "+Inf", "count": 1}])");
+  EXPECT_FALSE(shrinking.ok);
+  EXPECT_NE(shrinking.error.find("non-monotone"), std::string::npos)
+      << shrinking.error;
+  EXPECT_FALSE(check(R"([{"le": "inf", "count": 2}])").ok);
+  EXPECT_FALSE(check(R"([{"count": 2}])").ok);
 }
 
 }  // namespace

@@ -1,16 +1,31 @@
 // Observability subsystem tests: span lifecycle and nesting, ring-buffer
 // wraparound accounting, the Chrome trace-event export schema from a
-// real 4-rank run, and the perfmodel measured-vs-predicted comparison
-// fed by a traced run (message counts must match the Table I structural
-// expectation exactly).
+// real 4-rank run, the perfmodel measured-vs-predicted comparison fed by
+// a traced run (message counts must match the Table I structural
+// expectation exactly), and the JSON writer and parser: bit-exact number
+// round-trips, the nesting cap, and seeded mutations of every export.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <bit>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <limits>
+#include <random>
+#include <sstream>
 #include <thread>
 
+#include "core/autotune.h"
 #include "core/operator.h"
 #include "grid/function.h"
+#include "obs/analysis.h"
+#include "obs/flight.h"
+#include "obs/json.h"
 #include "obs/json_check.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "perfmodel/compare.h"
@@ -206,13 +221,17 @@ TEST(TraceExport, ChromeJsonSchemaFromFourRankRun) {
   ASSERT_FALSE(data.empty());
   EXPECT_EQ(data.dropped, 0U);
 
-  const std::string json = obs::chrome_trace_string(data);
-  const obs::ChromeCheck check = obs::validate_chrome_trace(json);
+  std::ostringstream os;
+  obs::write_chrome_trace(os, data);
+  const std::string json = os.str();
+  const obs::SchemaCheck check =
+      obs::validate(json, obs::chrome_trace_schema());
   EXPECT_TRUE(check.ok) << check.error;
-  EXPECT_GT(check.complete, 0);
+  const obs::ChromeStats stats = obs::chrome_stats(check.doc);
+  EXPECT_GT(stats.complete, 0);
   // One track per rank.
-  EXPECT_EQ(check.tids, (std::set<int>{0, 1, 2, 3}));
-  EXPECT_EQ(check.events, static_cast<std::int64_t>(data.events.size()));
+  EXPECT_EQ(stats.tids, (std::set<int>{0, 1, 2, 3}));
+  EXPECT_EQ(stats.events, static_cast<std::int64_t>(data.events.size()));
 
   // The per-step and halo leaf spans made it into the stream.
   EXPECT_NE(json.find("\"step\""), std::string::npos);
@@ -293,14 +312,10 @@ TEST_P(MeasuredVsPredicted, SmokeAgainstScalingModel) {
   EXPECT_GT(cmp.measured_bytes_per_step, 0.0);
   EXPECT_GT(cmp.predicted_bytes_per_step, 0.0);
 
-  // Both report formats are well-formed and carry the row.
+  // The report table carries the row.
   const std::string table = perf::comparison_table({cmp});
   EXPECT_NE(table.find(ir::to_string(mode)), std::string::npos) << table;
   EXPECT_EQ(table.find("MESSAGE MISMATCH"), std::string::npos) << table;
-  const std::string json = perf::comparison_json({cmp});
-  EXPECT_NE(json.find("\"diffusion\""), std::string::npos);
-  std::string err;
-  EXPECT_TRUE(obs::json_valid(json, &err)) << err << "\n" << json;
 }
 
 INSTANTIATE_TEST_SUITE_P(Patterns, MeasuredVsPredicted,
@@ -390,18 +405,254 @@ TEST(TraceJson, ValidatorAcceptsAndRejects) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(obs::json_valid("{} trailing"));
 
-  const obs::ChromeCheck bad = obs::validate_chrome_trace("[1, 2]");
-  EXPECT_FALSE(bad.ok);
-  const obs::ChromeCheck good = obs::validate_chrome_trace(
+  const obs::Schema& chrome = obs::chrome_trace_schema();
+  EXPECT_FALSE(obs::validate("[1, 2]", chrome).ok);
+  const obs::SchemaCheck good = obs::validate(
       R"({"traceEvents": [)"
       R"({"name": "m", "ph": "M", "ts": 0, "pid": 0, "tid": 1},)"
       R"({"name": "s", "ph": "X", "ts": 1, "dur": 5, "pid": 0, "tid": 1},)"
-      R"({"name": "i", "ph": "i", "ts": 2, "pid": 0, "tid": 2}]})");
+      R"({"name": "i", "ph": "i", "ts": 2, "pid": 0, "tid": 2}]})",
+      chrome);
   EXPECT_TRUE(good.ok) << good.error;
-  EXPECT_EQ(good.complete, 1);
-  EXPECT_EQ(good.instants, 1);
-  EXPECT_EQ(good.events, 2);
-  EXPECT_EQ(good.tids, (std::set<int>{1, 2}));
+  const obs::ChromeStats stats = obs::chrome_stats(good.doc);
+  EXPECT_EQ(stats.complete, 1);
+  EXPECT_EQ(stats.instants, 1);
+  EXPECT_EQ(stats.events, 2);
+  EXPECT_EQ(stats.tids, (std::set<int>{1, 2}));
+  // The conditional rule: complete events need a duration >= 0, timed
+  // events a timestamp >= 0.
+  EXPECT_FALSE(obs::validate(R"({"traceEvents": [{"name": "s", "ph": "X", )"
+                             R"("ts": 1, "pid": 0, "tid": 1}]})",
+                             chrome)
+                   .ok);
+  EXPECT_FALSE(obs::validate(R"({"traceEvents": [{"name": "s", "ph": "X", )"
+                             R"("ts": 1, "dur": -1, "pid": 0, "tid": 1}]})",
+                             chrome)
+                   .ok);
+  EXPECT_FALSE(obs::validate(R"({"traceEvents": [{"name": "i", "ph": "i", )"
+                             R"("ts": -2, "pid": 0, "tid": 1}]})",
+                             chrome)
+                   .ok);
+}
+
+// ---------------------------------------------------------------------
+// The JSON writer and the parser's robustness.
+// ---------------------------------------------------------------------
+
+TEST(JsonWriter, DoublesRoundTripBitForBitAndNonFiniteIsNull) {
+  const double values[] = {0.0,
+                           -0.0,
+                           1.0606601717798212,
+                           0.1,
+                           -2.5e-7,
+                           123456789.125,
+                           1e21,
+                           4.9e-320,  // Subnormal.
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::max(),
+                           -std::numeric_limits<double>::max()};
+  obs::JsonWriter w;
+  w.begin_array();
+  for (const double v : values) {
+    w.value(v);
+  }
+  w.value(std::numeric_limits<double>::quiet_NaN())
+      .value(std::numeric_limits<double>::infinity())
+      .value(-std::numeric_limits<double>::infinity())
+      .end();
+  const std::string json = w.take();
+  obs::JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(obs::json_parse(json, doc, &err)) << err << "\n" << json;
+  ASSERT_EQ(doc.arr.size(), std::size(values) + 3);
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(doc.arr[i].num),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << "value " << i << " in " << json;
+  }
+  for (std::size_t i = std::size(values); i < doc.arr.size(); ++i) {
+    EXPECT_EQ(doc.arr[i].type, obs::JsonValue::Type::Null) << json;
+  }
+}
+
+TEST(JsonWriter, EscapesStringsAndTracksNesting) {
+  const std::string text = "q\"b\\s\n\t\r\x01\x1f end";
+  obs::JsonWriter w;
+  w.begin_object().field(text, text).key("rows").begin_array();
+  w.begin_object().field("n", std::int64_t{-3}).key("flags").begin_array();
+  w.value(true).value(false).end().end();
+  w.begin_object().end();
+  w.end().key("empty").begin_array().end();
+  w.key("raw").raw(R"({"k": [1, 2]})").end();
+  const std::string json = w.take();
+  obs::JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(obs::json_parse(json, doc, &err)) << err << "\n" << json;
+  ASSERT_EQ(doc.obj.size(), 4U) << json;
+  EXPECT_EQ(doc.obj[0].first, text);
+  EXPECT_EQ(doc.obj[0].second.str, text);
+  const obs::JsonValue& rows = *doc.find("rows");
+  ASSERT_EQ(rows.arr.size(), 2U);
+  EXPECT_EQ(rows.arr[0].find("n")->num, -3.0);
+  ASSERT_EQ(rows.arr[0].find("flags")->arr.size(), 2U);
+  EXPECT_TRUE(rows.arr[0].find("flags")->arr[0].boolean);
+  EXPECT_TRUE(rows.arr[1].obj.empty());
+  EXPECT_TRUE(doc.find("empty")->arr.empty());
+  EXPECT_EQ(doc.find("raw")->find("k")->arr.size(), 2U);
+}
+
+TEST(TraceJson, NestingIsCappedWithAPositionedError) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(obs::json_valid(nested(obs::kMaxJsonDepth)));
+  std::string err;
+  EXPECT_FALSE(obs::json_valid(nested(obs::kMaxJsonDepth + 1), &err));
+  EXPECT_NE(err.find("nesting deeper than 256 levels (offset 256)"),
+            std::string::npos)
+      << err;
+  // Two million open brackets under a metrics key: rejected at the cap,
+  // not by exhausting the stack.
+  const std::string deep = "{\"metrics\": " + std::string(2'000'000, '[');
+  const obs::SchemaCheck check = obs::validate(deep, obs::metrics_schema());
+  EXPECT_FALSE(check.ok);
+  EXPECT_NE(check.error.find("nesting deeper"), std::string::npos)
+      << check.error;
+}
+
+// Every export, built from fixed inputs (both autotune objectives).
+// The process-wide trace rings and metrics are reset first, so earlier
+// tests do not grow the flight bundle.
+std::vector<std::string> golden_exports() {
+  obs::reset();
+  obs::metrics::reset();
+  obs::set_enabled(true);
+  { const obs::Span span("halo.update", obs::Cat::Halo, 2, 0); }
+  obs::set_enabled(false);
+
+  obs::TraceData data;
+  data.events = {{"step", obs::Cat::Run, 0, 1000, 9000, 0, 0},
+                 {"compute", obs::Cat::Compute, 0, 1100, 4000, 0, 0},
+                 {"halo.send", obs::Cat::Send, 0, 4100, 4300, 256, 1},
+                 {"halo.start", obs::Cat::Halo, 1, 1200, 1500, 0, 0},
+                 {"halo.finish", obs::Cat::Halo, 1, 3000, 5000, 0, 0},
+                 {"halo.wait", obs::Cat::Wait, 1, 3100, 4900, 0, 0},
+                 {"msg.queued", obs::Cat::Msg, 1, 4400, 4400, 7, 0}};
+
+  std::ostringstream chrome;
+  obs::write_chrome_trace(chrome, data);
+  std::vector<std::string> docs{chrome.str(), obs::metrics::to_json(),
+                                obs::analysis_json(obs::analyze(data))};
+
+  core::AutotuneReport report;
+  report.why = "wall objective: \"basic\" untiled fastest at 0.5 s";
+  report.trial_steps = 3;
+  report.best_tile = {4, 0};
+  report.seconds_by_trial[{ir::MpiMode::Basic, {}}] = 0.5;
+  report.seconds_by_trial[{ir::MpiMode::Full, {4, 0}}] = 0.25;
+  report.skipped[{ir::MpiMode::Full, {16, 0}}] = "tile >= extent";
+  docs.push_back(core::autotune_report_json(report));
+  report.objective = core::Objective::Attributed;
+  for (const auto& [key, secs] : report.seconds_by_trial) {
+    report.scores[key] = {.wait_s = secs,
+                          .overlap_efficiency = 0.25,
+                          .imbalance_ratio = 1.5,
+                          .critical_rank = 1,
+                          .imbalance_penalty_s = secs / 4,
+                          .attributed_cost_s = secs / 2};
+  }
+  docs.push_back(core::autotune_report_json(report));
+
+  char dir[] = "/tmp/jitfd_golden_XXXXXX";
+  if (::mkdtemp(dir) != nullptr) {
+    ::setenv("JITFD_FLIGHT_DIR", dir, 1);
+    obs::flight::reset_for_testing();
+    obs::flight::set_config("mode", "\"basic\"");
+    obs::flight::record_health({.step = 2,
+                                .field_id = 0,
+                                .field = "u",
+                                .nan_count = 3,
+                                .min = 0.0,
+                                .max = std::numeric_limits<double>::infinity(),
+                                .l2 = 1.0606601717798212,
+                                .bad_rank = 1});
+    obs::flight::note_step(0, 2);
+    const std::string path = obs::flight::dump("golden", 1, 2, "fixed");
+    std::ifstream in(path);
+    std::ostringstream bundle;
+    bundle << in.rdbuf();
+    docs.push_back(bundle.str());
+    std::remove(path.c_str());
+    ::unsetenv("JITFD_FLIGHT_DIR");
+    ::rmdir(dir);
+    obs::flight::reset_for_testing();
+  }
+  return docs;
+}
+
+TEST(TraceJson, SeededMutationsOfEveryExportNeverCrashTheParser) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<std::string> golden = golden_exports();
+  ASSERT_EQ(golden.size(), 6U);
+  const obs::Schema* schemas[] = {
+      &obs::chrome_trace_schema(), &obs::metrics_schema(),
+      &obs::analysis_schema(),     &obs::autotune_schema(),
+      &obs::autotune_schema(),     &obs::flight_schema()};
+  const obs::Schema* all[] = {&obs::chrome_trace_schema(),
+                              &obs::metrics_schema(), &obs::analysis_schema(),
+                              &obs::autotune_schema(), &obs::flight_schema()};
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const obs::SchemaCheck check = obs::validate(golden[i], *schemas[i]);
+    ASSERT_TRUE(check.ok) << check.error << "\n" << golden[i];
+    // Every strict prefix of a valid document is rejected.
+    const std::string doc =
+        golden[i].substr(0, golden[i].find_last_not_of(" \n") + 1);
+    for (std::size_t n = 0; n < doc.size(); ++n) {
+      ASSERT_FALSE(obs::json_valid(std::string_view(doc).substr(0, n)))
+          << "export " << i << " prefix of " << n << " bytes parsed";
+    }
+  }
+
+  std::mt19937 rng(20260514);
+  const auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  for (int round = 0; round < 400; ++round) {
+    std::string doc = golden[pick(golden.size())];
+    switch (round % 4) {
+      case 0:  // Truncation.
+        doc.resize(pick(doc.size()));
+        break;
+      case 1:  // Byte flips.
+        for (int k = 1 + static_cast<int>(pick(4)); k > 0; --k) {
+          doc[pick(doc.size())] = static_cast<char>(pick(256));
+        }
+        break;
+      case 2: {  // A slice of one export spliced into another.
+        const std::string& other = golden[pick(golden.size())];
+        const std::size_t from = pick(other.size());
+        const std::size_t len = pick(other.size() - from) + 1;
+        const std::size_t at = pick(doc.size());
+        doc.replace(at, pick(doc.size() - at) + 1, other.substr(from, len));
+        break;
+      }
+      default: {  // Deep nesting at a random point.
+        const std::size_t depth = obs::kMaxJsonDepth - 8 + pick(16);
+        doc.insert(pick(doc.size()), std::string(depth, "[{"[pick(2)]));
+        break;
+      }
+    }
+    // validate() runs json_parse, then the table on what parsed.
+    for (const obs::Schema* schema : all) {
+      (void)obs::validate(doc, *schema);
+    }
+  }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            2.0);
 }
 
 }  // namespace

@@ -2,22 +2,19 @@
 //
 //   trace_check [trace.json] [--min-ranks N] [--min-events N]
 //               [--metrics FILE] [--analysis FILE] [--autotune FILE]
-//               [--events FILE] [--flight FILE] [--expect-rank N]
-//               [--expect-step N]
+//               [--flight FILE] [--expect-rank N] [--expect-step N]
 //
 // The positional file is a Chrome trace-event JSON (from
 // examples/quickstart --trace=..., or any RunSummary trace handle's
-// write_chrome()). --metrics validates an obs::metrics export — JSON
-// (obs::metrics::to_json) or Prometheus text (to_prometheus), sniffed
-// from the first non-whitespace byte. --analysis checks an
-// obs::analysis_json() report, --autotune a
-// core::autotune_report_json() report (rejecting reports missing the
-// "why" decision string or, under the attributed objective, the
-// per-trial AnalysisScore), --events an obs::events::to_json()
-// export, and --flight a flight-recorder bundle; --expect-rank /
-// --expect-step additionally assert the bundle's culprit rank and
-// step. Exits 0 when every given file passes; prints the first
-// violation and exits 1 otherwise.
+// write_chrome()). Each flag names one export and the schema table it
+// is checked against (obs/json_check.h): --metrics an
+// obs::metrics::to_json() export, --analysis an obs::analysis_json()
+// report, --autotune a core::autotune_report_json() report, --flight a
+// flight-recorder bundle. --min-ranks / --min-events bound the trace's
+// rank tracks and events; --expect-rank / --expect-step assert the
+// bundle's culprit rank and step. Exits 0 when every given file passes;
+// prints the first violation and exits 1 otherwise.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -27,6 +24,8 @@
 #include "obs/json_check.h"
 
 namespace {
+
+namespace obs = jitfd::obs;
 
 bool slurp(const std::string& path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
@@ -42,20 +41,27 @@ bool slurp(const std::string& path, std::string& out) {
 int usage() {
   std::cerr << "usage: trace_check [trace.json] [--min-ranks N] "
                "[--min-events N] [--metrics FILE] [--analysis FILE] "
-               "[--autotune FILE] [--events FILE] [--flight FILE] "
-               "[--expect-rank N] [--expect-step N]\n";
+               "[--autotune FILE] [--flight FILE] [--expect-rank N] "
+               "[--expect-step N]\n";
   return 2;
 }
+
+struct Export {
+  const char* flag;  ///< "" for the positional trace file.
+  const obs::Schema& schema;
+  std::string path;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
-  std::string metrics_path;
-  std::string analysis_path;
-  std::string autotune_path;
-  std::string events_path;
-  std::string flight_path;
+  Export exports[] = {{"", obs::chrome_trace_schema(), ""},
+                      {"--metrics", obs::metrics_schema(), ""},
+                      {"--analysis", obs::analysis_schema(), ""},
+                      {"--autotune", obs::autotune_schema(), ""},
+                      {"--flight", obs::flight_schema(), ""}};
+  Export& trace = exports[0];
+  Export& flight = exports[4];
   int min_ranks = 1;
   long min_events = 1;
   long expect_rank = -1;
@@ -64,179 +70,84 @@ int main(int argc, char** argv) {
   bool have_expect_step = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--min-ranks" && i + 1 < argc) {
+    Export* named = nullptr;
+    for (Export& e : exports) {
+      if (*e.flag != '\0' && arg == e.flag) {
+        named = &e;
+      }
+    }
+    if (named != nullptr && i + 1 < argc) {
+      named->path = argv[++i];
+    } else if (arg == "--min-ranks" && i + 1 < argc) {
       min_ranks = std::atoi(argv[++i]);
     } else if (arg == "--min-events" && i + 1 < argc) {
       min_events = std::atol(argv[++i]);
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (arg == "--analysis" && i + 1 < argc) {
-      analysis_path = argv[++i];
-    } else if (arg == "--autotune" && i + 1 < argc) {
-      autotune_path = argv[++i];
-    } else if (arg == "--events" && i + 1 < argc) {
-      events_path = argv[++i];
-    } else if (arg == "--flight" && i + 1 < argc) {
-      flight_path = argv[++i];
     } else if (arg == "--expect-rank" && i + 1 < argc) {
       expect_rank = std::atol(argv[++i]);
       have_expect_rank = true;
     } else if (arg == "--expect-step" && i + 1 < argc) {
       expect_step = std::atol(argv[++i]);
       have_expect_step = true;
-    } else if (path.empty() && arg[0] != '-') {
-      path = arg;
+    } else if (trace.path.empty() && !arg.empty() && arg[0] != '-') {
+      trace.path = arg;
     } else {
       return usage();
     }
   }
-  if (path.empty() && metrics_path.empty() && analysis_path.empty() &&
-      autotune_path.empty() && events_path.empty() && flight_path.empty()) {
+  if (std::all_of(std::begin(exports), std::end(exports),
+                  [](const Export& e) { return e.path.empty(); })) {
     std::cerr << "trace_check: no input file\n";
     return 2;
   }
-  if ((have_expect_rank || have_expect_step) && flight_path.empty()) {
+  if ((have_expect_rank || have_expect_step) && flight.path.empty()) {
     std::cerr << "trace_check: --expect-rank/--expect-step need --flight\n";
     return 2;
   }
 
-  if (!path.empty()) {
+  for (const Export& e : exports) {
+    if (e.path.empty()) {
+      continue;
+    }
     std::string json;
-    if (!slurp(path, json)) {
-      std::cerr << "trace_check: cannot open " << path << '\n';
+    if (!slurp(e.path, json)) {
+      std::cerr << "trace_check: cannot open " << e.path << '\n';
       return 1;
     }
-    const jitfd::obs::ChromeCheck check =
-        jitfd::obs::validate_chrome_trace(json);
-    if (!check.ok) {
-      std::cerr << "trace_check: " << path << ": " << check.error << '\n';
-      return 1;
-    }
-    if (static_cast<int>(check.tids.size()) < min_ranks) {
-      std::cerr << "trace_check: " << path << ": expected >= " << min_ranks
-                << " rank tracks, found " << check.tids.size() << '\n';
-      return 1;
-    }
-    if (check.events < min_events) {
-      std::cerr << "trace_check: " << path << ": expected >= " << min_events
-                << " events, found " << check.events << '\n';
-      return 1;
-    }
-    std::cout << "trace_check: " << path << ": ok (" << check.events
-              << " events, " << check.complete << " spans, " << check.instants
-              << " instants, " << check.tids.size() << " rank tracks)\n";
-  }
-
-  if (!metrics_path.empty()) {
-    std::string body;
-    if (!slurp(metrics_path, body)) {
-      std::cerr << "trace_check: cannot open " << metrics_path << '\n';
-      return 1;
-    }
-    // JSON export starts with '{'; anything else is Prometheus text.
-    const std::size_t first = body.find_first_not_of(" \t\r\n");
-    if (first != std::string::npos && body[first] == '{') {
-      const jitfd::obs::SchemaCheck check =
-          jitfd::obs::validate_metrics_json(body);
-      if (!check.ok) {
-        std::cerr << "trace_check: " << metrics_path << ": " << check.error
-                  << '\n';
-        return 1;
+    const obs::SchemaCheck check = obs::validate(json, e.schema);
+    std::string problem = check.error;
+    std::ostringstream summary;
+    if (check.ok && &e == &trace) {
+      const obs::ChromeStats stats = obs::chrome_stats(check.doc);
+      if (static_cast<int>(stats.tids.size()) < min_ranks) {
+        problem = "expected >= " + std::to_string(min_ranks) +
+                  " rank tracks, found " + std::to_string(stats.tids.size());
+      } else if (stats.events < min_events) {
+        problem = "expected >= " + std::to_string(min_events) +
+                  " events, found " + std::to_string(stats.events);
       }
-      std::cout << "trace_check: " << metrics_path << ": ok (" << check.items
-                << " metrics)\n";
-    } else {
-      const jitfd::obs::PromCheck check =
-          jitfd::obs::validate_prometheus_text(body);
-      if (!check.ok) {
-        std::cerr << "trace_check: " << metrics_path << ": " << check.error
-                  << '\n';
-        return 1;
+      summary << " (" << stats.events << " events, " << stats.complete
+              << " spans, " << stats.instants << " instants, "
+              << stats.tids.size() << " rank tracks)";
+    }
+    if (check.ok && &e == &flight) {
+      const obs::JsonValue& f = *check.doc.find("flight");
+      const long rank = static_cast<long>(f.find("rank")->num);
+      const long step = static_cast<long>(f.find("step")->num);
+      if (have_expect_rank && rank != expect_rank) {
+        problem = "expected rank " + std::to_string(expect_rank) +
+                  ", bundle names rank " + std::to_string(rank);
+      } else if (have_expect_step && step != expect_step) {
+        problem = "expected step " + std::to_string(expect_step) +
+                  ", bundle names step " + std::to_string(step);
       }
-      std::cout << "trace_check: " << metrics_path << ": ok (" << check.types
-                << " families, " << check.helps << " help lines, "
-                << check.samples << " samples)\n";
+      summary << " (reason \"" << f.find("reason")->str << "\", rank "
+              << rank << ", step " << step << ")";
     }
-  }
-
-  if (!analysis_path.empty()) {
-    std::string json;
-    if (!slurp(analysis_path, json)) {
-      std::cerr << "trace_check: cannot open " << analysis_path << '\n';
+    if (!problem.empty()) {
+      std::cerr << "trace_check: " << e.path << ": " << problem << '\n';
       return 1;
     }
-    const jitfd::obs::SchemaCheck check =
-        jitfd::obs::validate_analysis_json(json);
-    if (!check.ok) {
-      std::cerr << "trace_check: " << analysis_path << ": " << check.error
-                << '\n';
-      return 1;
-    }
-    std::cout << "trace_check: " << analysis_path << ": ok (" << check.items
-              << " sections)\n";
-  }
-
-  if (!autotune_path.empty()) {
-    std::string json;
-    if (!slurp(autotune_path, json)) {
-      std::cerr << "trace_check: cannot open " << autotune_path << '\n';
-      return 1;
-    }
-    const jitfd::obs::SchemaCheck check =
-        jitfd::obs::validate_autotune_json(json);
-    if (!check.ok) {
-      std::cerr << "trace_check: " << autotune_path << ": " << check.error
-                << '\n';
-      return 1;
-    }
-    std::cout << "trace_check: " << autotune_path << ": ok (" << check.items
-              << " trials)\n";
-  }
-
-  if (!events_path.empty()) {
-    std::string json;
-    if (!slurp(events_path, json)) {
-      std::cerr << "trace_check: cannot open " << events_path << '\n';
-      return 1;
-    }
-    const jitfd::obs::SchemaCheck check =
-        jitfd::obs::validate_events_json(json);
-    if (!check.ok) {
-      std::cerr << "trace_check: " << events_path << ": " << check.error
-                << '\n';
-      return 1;
-    }
-    std::cout << "trace_check: " << events_path << ": ok (" << check.items
-              << " events)\n";
-  }
-
-  if (!flight_path.empty()) {
-    std::string json;
-    if (!slurp(flight_path, json)) {
-      std::cerr << "trace_check: cannot open " << flight_path << '\n';
-      return 1;
-    }
-    const jitfd::obs::FlightCheck check =
-        jitfd::obs::validate_flight_json(json);
-    if (!check.ok) {
-      std::cerr << "trace_check: " << flight_path << ": " << check.error
-                << '\n';
-      return 1;
-    }
-    if (have_expect_rank && check.rank != expect_rank) {
-      std::cerr << "trace_check: " << flight_path << ": expected rank "
-                << expect_rank << ", bundle names rank " << check.rank << '\n';
-      return 1;
-    }
-    if (have_expect_step && check.step != expect_step) {
-      std::cerr << "trace_check: " << flight_path << ": expected step "
-                << expect_step << ", bundle names step " << check.step << '\n';
-      return 1;
-    }
-    std::cout << "trace_check: " << flight_path << ": ok (reason \""
-              << check.reason << "\", rank " << check.rank << ", step "
-              << check.step << ", " << check.health_samples
-              << " health samples)\n";
+    std::cout << "trace_check: " << e.path << ": ok" << summary.str() << '\n';
   }
   return 0;
 }
