@@ -163,8 +163,12 @@ class Emitter {
       line("const float " + n.target.node().name + " = " +
            expr(n.value, 0) + ";");
     } else {
+      // The zero pin: GCC keeps `+ 0.0F` under its default signed-zero
+      // rules (it would fold `- 0.0F` or `+ -0.0F`), contracting it into
+      // the last FMA.
       const std::string target = field_access(n.target.node());
-      line(target + " = " + expr(n.value, 0) + ";");
+      line(target + " = " + expr(n.value, 0) + (n.zero_pin ? " + 0.0F" : "") +
+           ";");
       if (active_ != nullptr) {
         line(row_flag(write_index(n.target.node())) + " |= jitfd_bits(" +
              target + ");");

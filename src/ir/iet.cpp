@@ -18,11 +18,12 @@ NodePtr make_callable(std::string name, std::vector<NodePtr> body) {
   return finish(std::move(n));
 }
 
-NodePtr make_expression(sym::Ex target, sym::Ex value) {
+NodePtr make_expression(sym::Ex target, sym::Ex value, bool zero_pin) {
   Node n;
   n.type = NodeType::Expression;
   n.target = std::move(target);
   n.value = std::move(value);
+  n.zero_pin = zero_pin;
   return finish(std::move(n));
 }
 
@@ -133,7 +134,7 @@ void dump(std::ostringstream& os, const NodePtr& node, int indent) {
       break;
     case NodeType::Expression:
       os << pad << "<Expression " << n.target.to_string() << " = "
-         << n.value.to_string() << ">\n";
+         << n.value.to_string() << (n.zero_pin ? " + 0" : "") << ">\n";
       return;
     case NodeType::TimeLoop:
       os << pad << "<[affine,sequential] Iteration time>\n";

@@ -86,9 +86,13 @@ struct Node {
   std::string name;
 
   // Expression: `target = value`. A Symbol target defines a scalar temp;
-  // a FieldAccess target stores to the field.
+  // a FieldAccess target stores to the field. With `zero_pin` the store
+  // is `value + 0`: the same value, except that a zero result is always +0
+  // (lowering sets it where flop reduction moved the sign of a zero result;
+  // see sym::factorize).
   sym::Ex target;
   sym::Ex value;
+  bool zero_pin = false;
 
   // Iteration / BlockLoop:
   int dim = -1;        ///< Space dimension index.
@@ -119,7 +123,7 @@ struct Node {
 // --- Constructors ----------------------------------------------------------------
 
 NodePtr make_callable(std::string name, std::vector<NodePtr> body);
-NodePtr make_expression(sym::Ex target, sym::Ex value);
+NodePtr make_expression(sym::Ex target, sym::Ex value, bool zero_pin = false);
 NodePtr make_iteration(int dim, Bound lo, Bound hi, LoopProps props,
                        std::vector<NodePtr> body);
 /// A cache-tile loop over dimension `dim`: walks [lo, hi) in `tile`-point

@@ -48,6 +48,9 @@ namespace {
 /// A group of equations sharing one loop nest.
 struct Cluster {
   std::vector<Eq> eqs;
+  /// Parallel to `eqs`: the statement stores `rhs + 0` (the zero pin), set
+  /// where flop reduction moved the sign of a zero result.
+  std::vector<bool> zero_pins;
   std::vector<sym::Temp> point_temps;  ///< Innermost-scope scalar temps.
   std::vector<HaloNeed> needs;         ///< Halo exchanges due before it.
 };
@@ -93,6 +96,7 @@ std::vector<Cluster> build_clusters(const std::vector<Eq>& eqs) {
       clusters.emplace_back();
     }
     clusters.back().eqs.push_back(eq);
+    clusters.back().zero_pins.push_back(false);
   }
   return clusters;
 }
@@ -100,11 +104,15 @@ std::vector<Cluster> build_clusters(const std::vector<Eq>& eqs) {
 /// Apply factorization, global invariant extraction and per-cluster CSE.
 /// Invariant temps are returned through `info`; CSE temps stay with their
 /// cluster. Temp numbering is shared so generated names never collide.
+/// An equation whose factorization moved the sign of a zero result gets
+/// the zero pin, so a zero result is +0 whatever the moved signs are.
 void flop_reduce(std::vector<Cluster>& clusters, LoweringInfo& info) {
   std::vector<sym::Ex> all;
   for (Cluster& c : clusters) {
-    for (Eq& eq : c.eqs) {
-      all.push_back(sym::factorize(eq.rhs));
+    for (std::size_t i = 0; i < c.eqs.size(); ++i) {
+      bool pin = false;
+      all.push_back(sym::factorize(c.eqs[i].rhs, &pin));
+      c.zero_pins[i] = pin;
     }
   }
   auto inv = sym::extract_invariants(std::move(all), "r", 0);
@@ -293,8 +301,9 @@ NodePtr build_nest(const Cluster& c, int ndims, const CompileOptions& opts,
   for (const sym::Temp& t : c.point_temps) {
     body.push_back(make_expression(sym::symbol(t.name), t.value));
   }
-  for (const Eq& eq : c.eqs) {
-    body.push_back(make_expression(eq.lhs, eq.rhs));
+  for (std::size_t i = 0; i < c.eqs.size(); ++i) {
+    body.push_back(
+        make_expression(c.eqs[i].lhs, c.eqs[i].rhs, c.zero_pins[i]));
   }
   for (int d = ndims - 1; d >= 0; --d) {
     const auto ud = static_cast<std::size_t>(d);
@@ -408,7 +417,9 @@ struct ZeroFact {
 /// reassociation; FMA contraction keeps the sign of an exact zero).
 /// Products of zeros take the XOR of the factor signs; a sum of zeros is
 /// -0 only when every term is -0, so it is +0 exactly when the terms'
-/// forms cannot all be 1 at once (Gaussian elimination over GF(2)).
+/// forms cannot all be 1 at once (Gaussian elimination over GF(2)). A
+/// statement with the zero pin stores `rhs + 0`, and (-0) + (+0) is +0,
+/// so there an exact zero is all the proof needs.
 /// Coefficients are assumed finite: a non-finite one in the quiet region
 /// turns into NaN only when the front reaches it (DESIGN.md).
 class ZeroProof {
@@ -417,8 +428,10 @@ class ZeroProof {
             const std::map<std::string, sym::Ex>& temps)
       : tracked_(&tracked), temps_(&temps) {}
 
-  /// Empty when `rhs` is proven to be +0; otherwise why not.
-  std::string check(const sym::Ex& rhs) {
+  /// Empty when `rhs` (plus 0, with the zero pin) is proven to be +0;
+  /// otherwise why not. The pin settles only the sign: `rhs` must still be
+  /// an exact zero, and pass every refusal on the way.
+  std::string check(const sym::Ex& rhs, bool zero_pin) {
     const ZeroFact f = fact(rhs);
     if (!blocked_.empty()) {
       return blocked_;
@@ -426,7 +439,7 @@ class ZeroProof {
     if (f.kind != ZeroFact::Kind::Zero) {
       return "does not stay zero";
     }
-    if (f.bit || !f.vars.empty()) {
+    if (!zero_pin && (f.bit || !f.vars.empty())) {
       return "may write -0";
     }
     return "";
@@ -653,8 +666,9 @@ void plan_activity(const std::vector<Eq>& eqs,
     }
     ZeroProof proof(tracked, scope);
     ClusterActivity act;
-    for (const Eq& eq : c.eqs) {
-      const std::string why = proof.check(eq.rhs);
+    for (std::size_t i = 0; i < c.eqs.size(); ++i) {
+      const Eq& eq = c.eqs[i];
+      const std::string why = proof.check(eq.rhs, c.zero_pins[i]);
       if (!why.empty()) {
         return off("the update of '" + eq.write_field().name +
                    "' is not zero-preserving (" + why + " from +0 inputs)");
@@ -892,6 +906,7 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
               sym::Temp{stmt->target.node().name, stmt->value});
         } else {
           c.eqs.emplace_back(stmt->target, stmt->value);
+          c.zero_pins.push_back(stmt->zero_pin);
         }
       }
       new_step.push_back(make_halo_comm(HaloCommKind::Start, needs, id));

@@ -114,13 +114,13 @@ KernelSpec acoustic_spec(bool derive) {
   s.fields = 5;
   s.comm_fields = 1;  // u@t.
   s.nspots = 1;
-  s.flops_by_so = {{4, 51}, {8, 77}, {12, 103}, {16, 129}};
+  s.flops_by_so = {{4, 30}, {8, 48}, {12, 66}, {16, 84}};
   s.strong_domain = {{Target::Cpu, 1024}, {Target::Gpu, 1158}};
   s.timesteps = 290;
   s.eff_bw = {{Target::Cpu, 0.726}, {Target::Gpu, 0.306}};
   s.eff_flop = {{Target::Cpu, 0.35}, {Target::Gpu, 0.30}};
-    s.net_eff = {{Target::Cpu, 0.353}, {Target::Gpu, 0.390}};
-return finish(std::move(s), derive);
+  s.net_eff = {{Target::Cpu, 0.353}, {Target::Gpu, 0.390}};
+  return finish(std::move(s), derive);
 }
 
 KernelSpec tti_spec(bool derive) {
@@ -137,8 +137,8 @@ KernelSpec tti_spec(bool derive) {
   // flops/point, before the +-k taps were paired, and is rescaled to keep
   // the same SDO-8 throughput.
   s.eff_flop = {{Target::Cpu, 0.42 * 1034.0 / 1134.0}, {Target::Gpu, 0.65}};
-    s.net_eff = {{Target::Cpu, 0.588}, {Target::Gpu, 0.791}};
-return finish(std::move(s), derive);
+  s.net_eff = {{Target::Cpu, 0.588}, {Target::Gpu, 0.791}};
+  return finish(std::move(s), derive);
 }
 
 KernelSpec elastic_spec(bool derive) {
@@ -152,8 +152,8 @@ KernelSpec elastic_spec(bool derive) {
   s.timesteps = 363;
   s.eff_bw = {{Target::Cpu, 0.43}, {Target::Gpu, 0.23}};
   s.eff_flop = {{Target::Cpu, 0.08}, {Target::Gpu, 0.092}};
-    s.net_eff = {{Target::Cpu, 0.180}, {Target::Gpu, 0.442}};
-return finish(std::move(s), derive);
+  s.net_eff = {{Target::Cpu, 0.180}, {Target::Gpu, 0.442}};
+  return finish(std::move(s), derive);
 }
 
 KernelSpec viscoelastic_spec(bool derive) {
@@ -168,8 +168,8 @@ KernelSpec viscoelastic_spec(bool derive) {
   s.timesteps = 251;
   s.eff_bw = {{Target::Cpu, 0.47}, {Target::Gpu, 0.20}};
   s.eff_flop = {{Target::Cpu, 0.052}, {Target::Gpu, 0.056}};
-    s.net_eff = {{Target::Cpu, 0.280}, {Target::Gpu, 0.621}};
-return finish(std::move(s), derive);
+  s.net_eff = {{Target::Cpu, 0.280}, {Target::Gpu, 0.621}};
+  return finish(std::move(s), derive);
 }
 
 std::vector<KernelSpec> all_kernel_specs(bool derive) {

@@ -298,8 +298,12 @@ void Interpreter::run_statement(const ir::Node& stmt) {
   assert(stmt.type == ir::NodeType::Expression);
   const auto prog = compile(stmt);
   // Generated C computes in float; mirror that by rounding through float
-  // at every store so JIT and interpreter agree closely.
-  const float v = static_cast<float>(eval(*prog));
+  // at every store so JIT and interpreter agree closely. The zero pin
+  // turns a -0 result into +0, as in the generated C.
+  float v = static_cast<float>(eval(*prog));
+  if (stmt.zero_pin) {
+    v += 0.0F;
+  }
   if (prog->store_temp_slot >= 0) {
     temp_values_[static_cast<std::size_t>(prog->store_temp_slot)] = v;
   } else {

@@ -1,6 +1,8 @@
 #include "symbolic/cse.h"
 
 #include <map>
+#include <optional>
+#include <set>
 #include <unordered_map>
 #include <utility>
 
@@ -221,46 +223,164 @@ std::vector<Ex> collect_accesses(std::vector<Ex> terms) {
   return out;
 }
 
+bool reads_time_varying(const Ex& e) {
+  if (e.kind() == Kind::FieldAccess) {
+    return e.node().field.time_varying;
+  }
+  for (const Ex& a : e.node().args) {
+    if (reads_time_varying(a)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Splits `term` into one time-varying access and the factors of its
+/// coefficient (numbers, scalars, parameter accesses), none of which
+/// reads a time-varying field. False when the term is not of that shape.
+bool split_linear_term(const Ex& term, Ex& access, std::vector<Ex>& coeff) {
+  if (term.kind() == Kind::FieldAccess) {
+    access = term;
+    return term.node().field.time_varying;
+  }
+  if (term.kind() != Kind::Mul) {
+    return false;
+  }
+  bool found = false;
+  for (const Ex& f : term.node().args) {
+    if (!found && f.kind() == Kind::FieldAccess &&
+        f.node().field.time_varying) {
+      access = f;
+      found = true;
+    } else if (reads_time_varying(f)) {
+      return false;
+    } else {
+      coeff.push_back(f);
+    }
+  }
+  return found;
+}
+
+/// The first rule of factorize(), for a sum whose terms are each linear in
+/// one time-varying access (what solve() produces): collect each access's
+/// coefficient, pull out the non-numeric factors common to every product
+/// of every coefficient, and sum the accesses whose remaining coefficients
+/// are identical under one multiply:
+///   F*a*u[x-1] + F*a*u[x+1] + F*b*u[t-1] + F*c*u[t-1]
+///     -> F*(a*(u[x-1] + u[x+1]) + (b + c)*u[t-1]).
+/// Empty when some term is not linear in one time-varying access.
+/// `zero_pin` tells whether the sign of a zero result may have moved: a
+/// coefficient summed from several terms, or a common factor pulled out,
+/// has a sign no single term decided before. (Summing accesses under one
+/// coefficient keeps it: k*(+0 + +0) has the sign of k*(+0).)
+std::optional<Ex> collect_by_access(const std::vector<Ex>& terms,
+                                    bool& zero_pin) {
+  std::map<Ex, std::vector<std::vector<Ex>>, ExLess> products;
+  for (const Ex& t : terms) {
+    Ex access;
+    std::vector<Ex> coeff;
+    if (!split_linear_term(t, access, coeff)) {
+      return std::nullopt;
+    }
+    products[access].push_back(std::move(coeff));
+  }
+  // Canonical products hold each factor once (like bases merge into a
+  // power), so the common factors form a set.
+  std::set<Ex, ExLess> common;
+  bool first = true;
+  for (const auto& [access, coeffs] : products) {
+    for (const std::vector<Ex>& coeff : coeffs) {
+      std::set<Ex, ExLess> here;
+      for (const Ex& f : coeff) {
+        if (!f.is_number() && (first || common.count(f) > 0)) {
+          here.insert(f);
+        }
+      }
+      common = std::move(here);
+      first = false;
+    }
+  }
+  zero_pin = !common.empty();
+  std::map<Ex, std::vector<Ex>, ExLess> by_coefficient;
+  for (auto& [access, coeffs] : products) {
+    zero_pin = zero_pin || coeffs.size() > 1;
+    std::vector<Ex> sum;
+    for (std::vector<Ex>& coeff : coeffs) {
+      std::erase_if(coeff, [&](const Ex& f) { return common.count(f) > 0; });
+      sum.push_back(make_mul(std::move(coeff)));
+    }
+    by_coefficient[factorize(make_add(std::move(sum)))].push_back(access);
+  }
+  std::vector<Ex> groups;
+  for (auto& [coefficient, accesses] : by_coefficient) {
+    groups.push_back(make_mul({coefficient, make_add(std::move(accesses))}));
+  }
+  std::vector<Ex> factors(common.begin(), common.end());
+  factors.push_back(make_add(std::move(groups)));
+  return make_mul(std::move(factors));
+}
+
+/// The second rule: group a sum's terms by numeric coefficient, and
+/// collect the terms of one group that differ in one field access.
+Ex group_by_number(const std::vector<Ex>& terms) {
+  std::map<double, std::vector<Ex>> groups;
+  std::vector<Ex> out;
+  for (const Ex& t : terms) {
+    const auto [coeff, rest] = split_numeric_coefficient(t);
+    if (coeff != 1.0 && !rest.is_one()) {
+      groups[coeff].push_back(rest);
+    } else {
+      out.push_back(t);
+    }
+  }
+  for (auto& [coeff, rests] : groups) {
+    if (rests.size() >= 2) {
+      out.push_back(make_mul(
+          {number(coeff), make_add(collect_accesses(std::move(rests)))}));
+    } else {
+      out.push_back(make_mul({number(coeff), rests.front()}));
+    }
+  }
+  return make_add(std::move(out));
+}
+
 }  // namespace
 
-Ex factorize(const Ex& e) {
+Ex factorize(const Ex& e, bool* zero_pin) {
   const ExprNode& n = e.node();
   switch (n.kind) {
     case Kind::Add: {
-      // Recurse first, then group terms sharing a numeric coefficient.
-      std::map<double, std::vector<Ex>> groups;
-      std::vector<Ex> out;
+      // Recurse first, then rewrite by access where that costs no more
+      // flops than grouping by numeric coefficient.
+      std::vector<Ex> terms;
+      terms.reserve(n.args.size());
       for (const Ex& a : n.args) {
-        const Ex fa = factorize(a);
-        const auto [coeff, rest] = split_numeric_coefficient(fa);
-        if (coeff != 1.0 && !rest.is_one()) {
-          groups[coeff].push_back(rest);
-        } else {
-          out.push_back(fa);
-        }
+        terms.push_back(factorize(a, zero_pin));
       }
-      for (auto& [coeff, rests] : groups) {
-        if (rests.size() >= 2) {
-          out.push_back(make_mul(
-              {number(coeff), make_add(collect_accesses(std::move(rests)))}));
-        } else {
-          out.push_back(make_mul({number(coeff), rests.front()}));
+      const Ex grouped = group_by_number(terms);
+      bool pin = false;
+      const std::optional<Ex> collected = collect_by_access(terms, pin);
+      if (collected && count_flops(*collected) <= count_flops(grouped)) {
+        if (pin && zero_pin != nullptr) {
+          *zero_pin = true;
         }
+        return *collected;
       }
-      return make_add(std::move(out));
+      return grouped;
     }
     case Kind::Mul: {
       std::vector<Ex> args;
       args.reserve(n.args.size());
       for (const Ex& a : n.args) {
-        args.push_back(factorize(a));
+        args.push_back(factorize(a, zero_pin));
       }
       return make_mul(std::move(args));
     }
     case Kind::Pow:
-      return make_pow(factorize(n.args[0]), factorize(n.args[1]));
+      return make_pow(factorize(n.args[0], zero_pin),
+                      factorize(n.args[1], zero_pin));
     case Kind::Call:
-      return rebuild(e, {factorize(n.args[0])});
+      return rebuild(e, {factorize(n.args[0], zero_pin)});
     default:
       return e;
   }

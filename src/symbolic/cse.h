@@ -40,12 +40,22 @@ CseResult extract_invariants(std::vector<Ex> exprs,
                              const std::string& prefix = "r",
                              int first_index = 0);
 
-/// Factor numeric coefficients out of sums: 0.1*a + 0.1*b - 0.1*c becomes
-/// 0.1*(a + b - c), recursively. Within one coefficient, terms that differ
-/// only in a single field access are collected as well: 0.1*k*u[x-1] +
-/// 0.1*k*u[x+1] becomes 0.1*k*(u[x-1] + u[x+1]). Reduces the multiply
-/// count of FD stencils whose taps share weights (Devito's
-/// "factorization").
-Ex factorize(const Ex& e);
+/// Factor sums so that each field read costs one multiply (Devito's
+/// "factorization"), recursively. A sum whose terms are each linear in one
+/// time-varying access (what solve() produces) is collected by access:
+/// each access's coefficient (numbers, scalars, parameter accesses) is
+/// summed, the non-numeric factors common to every coefficient come out
+/// front, and accesses with identical coefficients share one multiply:
+///   r*k*u[x-1] + r*k*u[x+1] + r*m*u[t-1] -> r*(k*(u[x-1] + u[x+1]) +
+///   m*u[t-1]).
+/// Any other sum is grouped by numeric coefficient, and within one
+/// coefficient the terms that differ in a single field access are
+/// collected: 0.1*a + 0.1*k*u[x-1] + 0.1*k*u[x+1] -> 0.1*(a + k*(u[x-1] +
+/// u[x+1])). The collection by access is kept only where it costs no more
+/// flops than the grouping. Sets `*zero_pin` (when given) where it moved
+/// the sign of a zero result: some access's coefficient was summed from
+/// several terms, or a common factor came out. A trailing `+ 0` then pins
+/// a zero result to +0 whatever those signs are.
+Ex factorize(const Ex& e, bool* zero_pin = nullptr);
 
 }  // namespace jitfd::sym

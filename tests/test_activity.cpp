@@ -296,6 +296,44 @@ TEST(Activity, TtiWithNegativeDirectionCosinesWritesMinusZero) {
   EXPECT_GT(minus_zero, 0);
 }
 
+TEST(Activity, ZeroPinWritesPlusZeroUnderANegativeReciprocal) {
+  // The acoustic update is r*(...) + 0 with r = 1/(m/dt^2 + damp/(2*dt))
+  // factored out of the whole sum. With m < 0, r < 0 and r*(+0) is -0:
+  // only the zero pin turns it into +0, which the proof relies on.
+  const auto negative_m = [](Shot& s) {
+    auto& model = dynamic_cast<models::AcousticModel&>(*s.model);
+    model.m().fill(-0.45F);
+  };
+  Shot quiet(Model::Acoustic, {}, /*full_box=*/true);
+  ASSERT_TRUE(quiet.op->info().activity) << quiet.op->info().activity_reason;
+  negative_m(quiet);
+  TimeFunction& w = quiet.model->wavefield();
+  w.fill(0.0F);
+  quiet.step(1, 1);
+  std::int64_t nonzero_bits = 0;
+  for (const float v : std::as_const(w).raw_storage()) {
+    nonzero_bits += bits(v) != 0 ? 1 : 0;
+  }
+  EXPECT_EQ(nonzero_bits, 0) << "a full-box step from +0 wrote -0";
+
+  // Compared after one step too: once the front fills the grid every box
+  // is full.
+  Shot tracked(Model::Acoustic, {}, /*full_box=*/false);
+  Shot reference(Model::Acoustic, {}, /*full_box=*/true);
+  for (const auto& [first, last] :
+       {std::pair<std::int64_t, std::int64_t>{1, 1}, {2, kSteps}}) {
+    for (Shot* s : {&tracked, &reference}) {
+      if (first == 1) {
+        negative_m(*s);
+      }
+      s->step(first, last);
+    }
+    EXPECT_TRUE(bitwise_equal(tracked.snapshot(), reference.snapshot()))
+        << "after step " << last;
+    EXPECT_TRUE(boxes_hold(tracked.model->wavefield()));
+  }
+}
+
 using Mutator = std::function<void(Shot&, int buffer)>;
 
 class ActivityMutators

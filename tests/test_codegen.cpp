@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -105,6 +106,15 @@ TEST(Codegen, FullModeEmitsStartCoreWaitRemainderAndProgress) {
     EXPECT_LT(core, progress);
     EXPECT_LT(progress, wait);
     EXPECT_LT(wait, remainder);
+    // The split rebuilds its nests from the scheduled one and keeps the
+    // update's zero pin: the core and every remainder slab store `+ 0.0F`.
+    const std::regex store(R"(u\[\w+\]\[x \+ \d+\]\[y \+ \d+\] = ([^;]*);)");
+    int stores = 0;
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), store);
+         it != std::sregex_iterator(); ++it, ++stores) {
+      EXPECT_TRUE(it->str(1).ends_with(" + 0.0F")) << it->str();
+    }
+    EXPECT_EQ(stores, 5);  // The core and two slabs per decomposed axis.
   });
 }
 

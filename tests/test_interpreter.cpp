@@ -3,6 +3,8 @@
 // of the lowering pipeline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "grid/function.h"
 #include "ir/eq.h"
 #include "ir/iet.h"
@@ -69,6 +71,27 @@ TEST(InterpreterDirect, TempsAreRecomputedPerPoint) {
   interp.run(0, 0, {});
   const std::array<std::int64_t, 2> idx{3, 2};
   EXPECT_FLOAT_EQ(f.u.at_local(1, idx), 2.0F * (3 + 20));
+}
+
+TEST(InterpreterDirect, ZeroPinStoresPlusZero) {
+  // u[t+1] = -u[t]: from +0 the plain store writes -0, the pinned store
+  // (value + 0) writes +0. Nonzero values are the same either way.
+  for (const bool pin : {false, true}) {
+    Fixture f;
+    f.u.fill(0.0F);
+    const std::array<std::int64_t, 2> hot{2, 3};
+    f.u.at_local(0, hot) = 1.5F;
+    const auto st = ir::make_expression(f.u.forward(), -f.u.now(), pin);
+    const auto loop = f.nest(ir::Bound::absolute(0), ir::Bound::from_size(0),
+                             ir::Bound::absolute(0), ir::Bound::from_size(0),
+                             {st});
+    const auto root = ir::make_callable("K", {ir::make_time_loop({loop})});
+    Interpreter interp(root, f.table, nullptr);
+    interp.run(0, 0, {});
+    const std::array<std::int64_t, 2> quiet{1, 1};
+    EXPECT_EQ(std::signbit(f.u.at_local(1, quiet)), !pin) << "pin " << pin;
+    EXPECT_EQ(f.u.at_local(1, hot), -1.5F);
+  }
 }
 
 TEST(InterpreterDirect, TimeLoopRunsInclusiveRange) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <regex>
 #include <set>
 #include <string>
@@ -59,37 +60,68 @@ TEST(Models, KernelIntensityOrderingMatchesFigure7) {
 }
 
 TEST(Models, AcousticStencilPairsEveryMirroredTap) {
-  // Symmetric weights let factorize() pair u[x-k] + u[x+k] under one
-  // multiply: 3 axes x 4 radii at SDO 8, and 77 flops per point.
+  // factorize() collects the update by access and pulls the reciprocal
+  // r = 1/(m/dt^2 + damp/(2*dt)) out of the whole sum: r*(jc*u[t] +
+  // sum c_dk*(u[x-k] + u[x+k]) + jm*u[t-1]) + 0. Each tap then costs one
+  // multiply: one per pair group and one each on u[t] and u[t-1].
   const Grid g({8, 8, 8}, {1.0, 1.0, 1.0});
+  const std::map<int, int> flops{{4, 30}, {8, 48}, {12, 66}, {16, 84}};
+  for (const auto& [so, want] : flops) {
+    AcousticModel model(g, so);
+    auto op = model.make_operator({});
+    EXPECT_EQ(jitfd::models::analyze(*op, "acoustic", so, 5).flops_per_point,
+              want)
+        << "SDO " << so;
+  }
   AcousticModel ac(g, 8);
   auto op = ac.make_operator({});
-  EXPECT_EQ(jitfd::models::analyze(*op, "acoustic", 8, 5).flops_per_point,
-            77);
   const std::string& code = op->ccode();
+  // The update ends in the zero pin.
+  std::smatch update;
+  ASSERT_TRUE(std::regex_search(
+      code, update,
+      std::regex(R"(u\[\w+\]\[x \+ 8\]\[y \+ 8\]\[z \+ 8\] = (.*) \+ 0\.0F;)")))
+      << code;
+  const std::string rhs = update[1];
+  // Each pair group is one temp (c_dk = w_k/h_d^2) times the pair.
   const std::regex pair(
-      R"(\(u\[(\w+)\]\[x \+ (\d+)\]\[y \+ (\d+)\]\[z \+ (\d+)\])"
-      R"( \+ u\[\1\]\[x \+ (\d+)\]\[y \+ (\d+)\]\[z \+ (\d+)\]\))");
+      R"((?:\(|\+ )(r\d+)\*\(u\[(\w+)\]\[x \+ (\d+)\]\[y \+ (\d+)\]\[z \+ (\d+)\])"
+      R"( \+ u\[\2\]\[x \+ (\d+)\]\[y \+ (\d+)\]\[z \+ (\d+)\]\))");
   std::set<std::pair<int, int>> seen;  // (axis, radius)
+  std::set<std::string> weights;
   int pairs = 0;
-  for (auto it = std::sregex_iterator(code.begin(), code.end(), pair);
+  for (auto it = std::sregex_iterator(rhs.begin(), rhs.end(), pair);
        it != std::sregex_iterator(); ++it, ++pairs) {
     int axis = -1;
     for (int d = 0; d < 3; ++d) {
-      if ((*it)[2 + d] != (*it)[5 + d]) {
+      if ((*it)[3 + d] != (*it)[6 + d]) {
         EXPECT_EQ(axis, -1) << it->str();
         axis = d;
       }
     }
     ASSERT_GE(axis, 0) << it->str();
-    const int lo = std::stoi((*it)[2 + axis]);
-    const int hi = std::stoi((*it)[5 + axis]);
-    const int centre = std::stoi((*it)[2 + (axis + 1) % 3]);
+    const int lo = std::stoi((*it)[3 + axis]);
+    const int hi = std::stoi((*it)[6 + axis]);
+    const int centre = std::stoi((*it)[3 + (axis + 1) % 3]);
     EXPECT_EQ(lo + hi, 2 * centre) << it->str();
     seen.emplace(axis, hi - centre);
+    weights.insert((*it)[1]);
   }
   EXPECT_EQ(pairs, 12);
   EXPECT_EQ(seen.size(), 12U);
+  EXPECT_EQ(weights.size(), 12U);
+  // u[t] and u[t-1] are read once each, times their collected coefficient
+  // (jc and jm), and nowhere else.
+  const std::regex centre(R"(u\[(\w+)\]\[x \+ 8\]\[y \+ 8\]\[z \+ 8\])");
+  std::set<std::string> buffers;
+  for (auto it = std::sregex_iterator(rhs.begin(), rhs.end(), centre);
+       it != std::sregex_iterator(); ++it) {
+    EXPECT_TRUE(buffers.insert((*it)[1]).second) << (*it)[1];
+    const auto at = static_cast<std::size_t>(it->position());
+    EXPECT_EQ(rhs.substr(at + it->length(), 2), "*(") << it->str();
+    EXPECT_EQ(rhs.substr(at < 2 ? 0 : at - 2, 2), "+ ") << it->str();
+  }
+  EXPECT_EQ(buffers.size(), 2U);
 }
 
 TEST(Models, AcousticWaveIsCausalAndDamped) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <map>
 #include <random>
+#include <vector>
 
 #include "grid/function.h"
 #include "runtime/halo.h"
@@ -23,9 +24,24 @@ namespace {
 namespace sym = jitfd::sym;
 using sym::Ex;
 
-// Deterministic random expression over symbols a..d with bounded depth.
-Ex random_expr(std::mt19937& rng, int depth) {
-  std::uniform_int_distribution<int> kind(0, depth <= 0 ? 1 : 5);
+// Field-access leaves: four taps of a wavefield u, then a parameter
+// access m.
+const std::vector<Ex>& access_leaves() {
+  static const sym::FieldId u{0, "u", 1, true};
+  static const sym::FieldId m{1, "m", 1, false};
+  static const std::vector<Ex> leaves{
+      sym::access(u, 0, {-1}), sym::access(u, 0, {0}), sym::access(u, 0, {1}),
+      sym::access(u, -1, {0}), sym::access(m, {0})};
+  return leaves;
+}
+
+Ex random_linear_sum(std::mt19937& rng, int depth);
+
+// Deterministic random expression over numbers, symbols a..d and the
+// access leaves with bounded depth. With `wave` false it reads no
+// wavefield tap, as a coefficient of one does.
+Ex random_expr(std::mt19937& rng, int depth, bool wave = true) {
+  std::uniform_int_distribution<int> kind(0, depth <= 0 ? 2 : (wave ? 7 : 6));
   static const char* kNames[] = {"a", "b", "c", "d"};
   switch (kind(rng)) {
     case 0: {
@@ -36,17 +52,45 @@ Ex random_expr(std::mt19937& rng, int depth) {
       std::uniform_int_distribution<int> s(0, 3);
       return sym::symbol(kNames[s(rng)]);
     }
-    case 2:
-      return random_expr(rng, depth - 1) + random_expr(rng, depth - 1);
-    case 3:
-      return random_expr(rng, depth - 1) - random_expr(rng, depth - 1);
-    case 4:
-      return random_expr(rng, depth - 1) * random_expr(rng, depth - 1);
-    default: {
-      std::uniform_int_distribution<int> e(1, 3);
-      return pow(random_expr(rng, depth - 1), e(rng));
+    case 2: {
+      const std::size_t last = access_leaves().size() - 1;
+      std::uniform_int_distribution<std::size_t> l(wave ? 0 : last, last);
+      return access_leaves()[l(rng)];
     }
+    case 3:
+      return random_expr(rng, depth - 1, wave) +
+             random_expr(rng, depth - 1, wave);
+    case 4:
+      return random_expr(rng, depth - 1, wave) -
+             random_expr(rng, depth - 1, wave);
+    case 5:
+      return random_expr(rng, depth - 1, wave) *
+             random_expr(rng, depth - 1, wave);
+    case 6: {
+      std::uniform_int_distribution<int> e(1, 3);
+      return pow(random_expr(rng, depth - 1, wave), e(rng));
+    }
+    default:
+      return random_linear_sum(rng, depth);
   }
+}
+
+// A sum linear in wavefield taps, the shape solve() produces: terms
+// f*k*u with one factor f shared by all, and cofactors k and taps u drawn
+// from small pools so that both repeat.
+Ex random_linear_sum(std::mt19937& rng, int depth) {
+  const Ex shared = random_expr(rng, depth - 1, false);
+  const Ex cofactors[] = {random_expr(rng, depth - 1, false),
+                          random_expr(rng, depth - 1, false)};
+  std::uniform_int_distribution<int> nterms(2, 5);
+  std::uniform_int_distribution<int> cofactor(0, 1);
+  std::uniform_int_distribution<std::size_t> tap(0, 3);
+  std::vector<Ex> terms;
+  for (int i = nterms(rng); i > 0; --i) {
+    terms.push_back(shared * cofactors[cofactor(rng)] *
+                    access_leaves()[tap(rng)]);
+  }
+  return sym::make_add(std::move(terms));
 }
 
 // Reference evaluator (double precision, no simplification assumptions).
@@ -57,6 +101,8 @@ double eval(const Ex& e, const std::map<std::string, double>& env) {
       return n.value;
     case sym::Kind::Symbol:
       return env.at(n.name);
+    case sym::Kind::FieldAccess:
+      return env.at(e.to_string());
     case sym::Kind::Add: {
       double acc = 0.0;
       for (const Ex& a : n.args) {
@@ -87,9 +133,18 @@ double eval(const Ex& e, const std::map<std::string, double>& env) {
   }
 }
 
-// Bindings chosen to avoid poles of 1/x terms.
-const std::map<std::string, double> kEnv{
-    {"a", 1.37}, {"b", -0.82}, {"c", 2.05}, {"d", 0.51}};
+// Bindings chosen to avoid poles of 1/x terms; accesses bind by their
+// printed form.
+std::map<std::string, double> make_env() {
+  std::map<std::string, double> env{
+      {"a", 1.37}, {"b", -0.82}, {"c", 2.05}, {"d", 0.51}};
+  const double values[] = {0.93, -1.21, 0.64, 1.58, 0.77};
+  for (std::size_t i = 0; i < access_leaves().size(); ++i) {
+    env[access_leaves()[i].to_string()] = values[i];
+  }
+  return env;
+}
+const std::map<std::string, double> kEnv = make_env();
 
 constexpr double kTol = 1e-6;
 
@@ -99,6 +154,7 @@ double rel_tol(double reference) {
 
 TEST(ExprProperties, TransformationsPreserveValue) {
   std::mt19937 rng(20260704);
+  int pinned = 0;  // Trees where collection by access moved a zero's sign.
   for (int trial = 0; trial < 200; ++trial) {
     const Ex e = random_expr(rng, 4);
     const double reference = eval(e, kEnv);
@@ -107,8 +163,11 @@ TEST(ExprProperties, TransformationsPreserveValue) {
     }
     EXPECT_NEAR(eval(sym::expand(e), kEnv), reference, rel_tol(reference))
         << "expand broke: " << e.to_string();
-    EXPECT_NEAR(eval(sym::factorize(e), kEnv), reference, rel_tol(reference))
+    bool pin = false;
+    EXPECT_NEAR(eval(sym::factorize(e, &pin), kEnv), reference,
+                rel_tol(reference))
         << "factorize broke: " << e.to_string();
+    pinned += pin ? 1 : 0;
 
     // CSE round trip: substitute the temps back in.
     auto result = sym::cse({e});
@@ -128,6 +187,9 @@ TEST(ExprProperties, TransformationsPreserveValue) {
     EXPECT_NEAR(eval(rebuilt2, kEnv), reference, rel_tol(reference))
         << "invariants broke: " << e.to_string();
   }
+  // The trees reach collection by access (summed coefficients, common
+  // factors), not only the grouping by numeric coefficient.
+  EXPECT_GT(pinned, 0);
 }
 
 TEST(ExprProperties, CanonicalFormIsOrderIndependent) {

@@ -228,24 +228,123 @@ TEST(Cse, FactorizationPairsTermsDifferingInOneAccess) {
 }
 
 TEST(Cse, FactorizationPairsOnlyTermsWithOneAccess) {
-  // Two accesses in one product (u*m), or none (a symbol), leave the
-  // product as it is: only the shared numeric coefficient comes out.
+  // A parameter access (m) is part of a coefficient, not a second access:
+  // k and m are common to both taps and come out front, and the taps pair.
   const FieldId u = make_u();
   const FieldId m = make_m();
   const Ex k = symbol("k");
-  const Ex lo = k * access(u, 0, {-1, 0}) * access(m, {0, 0});
-  const Ex hi = k * access(u, 0, {1, 0}) * access(m, {0, 0});
+  const Ex mm = access(m, {0, 0});
+  const Ex ul = access(u, 0, {-1, 0});
+  const Ex ur = access(u, 0, {1, 0});
+  const Ex lo = k * ul * mm;
+  const Ex hi = k * ur * mm;
   EXPECT_TRUE(factorize(0.5 * lo + 0.5 * hi) ==
-              make_mul({number(0.5), lo + hi}));
+              make_mul({number(0.5), k, mm, ul + ur}));
+  // Terms with no access (symbols only) keep the numeric grouping.
   const Ex a = symbol("a");
   const Ex b = symbol("b");
   EXPECT_TRUE(factorize(0.5 * k * a + 0.5 * k * b) ==
               make_mul({number(0.5), k * a + k * b}));
-  // Different cofactors do not pair, even around one shared access.
+  // Different cofactors around one access are summed into its
+  // coefficient, which is factorized in turn: one multiply on the access.
   const Ex c = symbol("c");
   const Ex centre = access(u, 0, {0, 0});
   EXPECT_TRUE(factorize(0.5 * k * centre + 0.5 * c * centre) ==
-              make_mul({number(0.5), k * centre + c * centre}));
+              make_mul({number(0.5), k + c, centre}));
+}
+
+/// The value of `e` with each pair substituted; every leaf must be bound.
+double value_at(const Ex& e, const std::vector<std::pair<Ex, Ex>>& vals) {
+  const Ex v = substitute(e, vals);
+  EXPECT_TRUE(v.is_number()) << v.to_string();
+  return v.is_number() ? v.number() : std::nan("");
+}
+
+TEST(Cse, FactorizationCollectsCoefficientsByAccess) {
+  // A leapfrog update, 2*u[t] - u[t-1] + k*m*u[t]: the two terms on u[t]
+  // collect into one coefficient, so u[t] costs one multiply.
+  const FieldId u = make_u();
+  const Ex k = symbol("k");
+  const Ex mm = access(make_m(), {0, 0});
+  const Ex u0 = access(u, 0, {0, 0});
+  const Ex um = access(u, -1, {0, 0});
+  const Ex e = 2 * u0 - um + k * mm * u0;
+  bool pin = false;
+  const Ex f = factorize(e, &pin);
+  EXPECT_TRUE(f == make_add({make_mul({2 + k * mm, u0}), -um}))
+      << f.to_string();
+  const std::vector<std::pair<Ex, Ex>> vals{
+      {k, Ex(3)}, {mm, Ex(0.25)}, {u0, Ex(-2)}, {um, Ex(9)}};
+  EXPECT_DOUBLE_EQ(value_at(f, vals), value_at(e, vals));
+  EXPECT_EQ(count_flops(f), 5);
+  EXPECT_EQ(count_flops(e), 6);
+  // The coefficient of u[t] is a sum: its sign is no one term's.
+  EXPECT_TRUE(pin);
+}
+
+TEST(Cse, FactorizationPairsAccessesByCollectedCoefficient) {
+  // u[x-1] and u[x+1] each collect k/2 + m; the identical coefficients
+  // share one multiply by the paired taps. u[t] collects a different one.
+  const FieldId u = make_u();
+  const Ex k = symbol("k");
+  const Ex mm = access(make_m(), {0, 0});
+  const Ex ul = access(u, 0, {-1, 0});
+  const Ex ur = access(u, 0, {1, 0});
+  const Ex u0 = access(u, 0, {0, 0});
+  const Ex e = 0.5 * k * ul + 0.5 * k * ur + mm * ul + mm * ur + k * u0;
+  const Ex f = factorize(e);
+  EXPECT_TRUE(f == make_add({make_mul({0.5 * k + mm, ul + ur}), k * u0}))
+      << f.to_string();
+  const std::vector<std::pair<Ex, Ex>> vals{
+      {k, Ex(3)}, {mm, Ex(0.25)}, {ul, Ex(-2)}, {ur, Ex(9)}, {u0, Ex(4)}};
+  EXPECT_DOUBLE_EQ(value_at(f, vals), value_at(e, vals));
+  EXPECT_EQ(count_flops(f), 6);
+  EXPECT_EQ(count_flops(e), 11);
+}
+
+TEST(Cse, FactorizationPullsOutTheCommonFactor) {
+  // The 1-D damped wave equation solved for u[t+1]: every term carries
+  // r = 1/(m/dt^2 + damp/(2*dt)). It comes out of the whole sum, so each
+  // tap costs one multiply: r*(jc*u[t] + h^-2*(u[x-1] + u[x+1]) +
+  // jm*u[t-1]).
+  const FieldId u = make_u();
+  const Ex dt = symbol("dt");
+  const Ex h = symbol("h");
+  const Ex up = access(u, 1, {0, 0});
+  const Ex u0 = access(u, 0, {0, 0});
+  const Ex um = access(u, -1, {0, 0});
+  const Ex ul = access(u, 0, {-1, 0});
+  const Ex ur = access(u, 0, {1, 0});
+  const Ex mm = access(make_m(), {0, 0});
+  const Ex dd = access(FieldId{2, "damp", 2, false}, {0, 0});
+  const Ex e = solve(mm * (up - 2 * u0 + um) / (dt * dt) -
+                         (ul - 2 * u0 + ur) / (h * h) +
+                         dd * (up - um) / (2 * dt),
+                     Ex(0), up);
+  bool pin = false;
+  const Ex f = factorize(e, &pin);
+  const Ex r = pow(mm * pow(dt, -2) + 0.5 * dd * pow(dt, -1), -1);
+  const Ex jc = 2 * mm * pow(dt, -2) + (-2) * pow(h, -2);
+  const Ex jm = 0.5 * dd * pow(dt, -1) + (-1) * mm * pow(dt, -2);
+  const Ex expected = make_mul(
+      {r, make_add({make_mul({jc, u0}), make_mul({pow(h, -2), ul + ur}),
+                    make_mul({jm, um})})});
+  EXPECT_TRUE(f == expected) << f.to_string();
+  const std::vector<std::pair<Ex, Ex>> vals{
+      {dt, Ex(0.25)}, {h, Ex(2)},    {um, Ex(-3)},  {u0, Ex(5)},
+      {ul, Ex(7)},    {ur, Ex(-11)}, {mm, Ex(0.5)}, {dd, Ex(1.5)}};
+  const double want = value_at(e, vals);
+  EXPECT_NEAR(value_at(f, vals), want, 1e-12 * std::abs(want));
+  EXPECT_LT(count_flops(f), count_flops(e));
+  // The sign of r now decides the sign of a zero result.
+  EXPECT_TRUE(pin);
+  // Without a time-varying access the rule does not apply, and nothing
+  // asks for the pin.
+  pin = false;
+  (void)factorize(substitute(e, {{u0, Ex(1)}, {um, Ex(1)}, {ul, Ex(1)},
+                                 {ur, Ex(1)}}),
+                  &pin);
+  EXPECT_FALSE(pin);
 }
 
 // --- FD weights -----------------------------------------------------------
