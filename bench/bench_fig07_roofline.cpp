@@ -4,7 +4,8 @@
 // methodology, Section IV-C); attained GFLOP/s comes from the calibrated
 // node model. Both rooflines (DRAM bandwidth slope, FP32 peak ceiling)
 // are printed so the "mainly DRAM BW bound" claim can be checked per
-// kernel.
+// kernel. ScalingModelGolden.RooflinePoints (tests/test_perfmodel.cpp)
+// pins every point at 6 significant digits.
 #include "bench_util.h"
 
 namespace {
@@ -33,7 +34,8 @@ void run(Target target) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const benchutil::Args no_args(argc, argv, "bench_fig07_roofline", {});
   std::printf("=== Single-node roofline (paper Figure 7, SDO 8) ===\n\n");
   run(Target::Cpu);
   run(Target::Gpu);

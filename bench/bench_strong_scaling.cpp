@@ -9,17 +9,14 @@
 //
 // Usage:
 //   bench_strong_scaling [--kernel=acoustic|elastic|tti|viscoelastic]
-//                        [--target=cpu|gpu] [--so=8] [--topology=x,y,z]
-//                        [--out=FILE]
+//                        [--target=cpu|gpu] [--so=4|8|12|16]
+//                        [--topology=x,y,z]
 //
-// --out=FILE additionally writes the selected tables through the shared
-// bench_util.h series schema (one series per kernel/target/so/pattern;
-// GPts/s per unit column and the 128-unit efficiency as counters) so
-// the perf sentinel can gate the model outputs like the measured
-// benches. The counters are deterministic model evaluations, so the
-// committed baseline holds them exactly.
-#include <cmath>
-#include <fstream>
+// --topology pins the unit grid per dimension (0 = free). A bad
+// kernel, target, order or number exits 2 with the usage line. The
+// acoustic SDO-8 tables are pinned at 6 significant digits by
+// ScalingModelGolden.StrongScalingSeries (tests/test_perfmodel.cpp).
+#include <stdexcept>
 
 #include "bench_util.h"
 #include "ir/lower.h"
@@ -27,12 +24,14 @@
 namespace {
 
 using namespace jitfd::perf;  // NOLINT: benchmark driver.
-using benchutil::arg_value;
 namespace ir = jitfd::ir;
 
+constexpr const char* kUsage =
+    "bench_strong_scaling [--kernel=all|acoustic|elastic|tti|viscoelastic] "
+    "[--target=all|cpu|gpu] [--so=all|4|8|12|16] [--topology=X,Y,Z]";
+
 void run_table(const KernelSpec& spec, Target target, int so,
-               const std::vector<int>& topology,
-               std::vector<benchutil::MeasuredSeries>* out_rows) {
+               const std::vector<int>& topology) {
   const MachineSpec mach = target == Target::Cpu ? archer2_node()
                                                  : tursa_a100();
   ScalingModel model(mach, spec, target);
@@ -65,18 +64,6 @@ void run_table(const KernelSpec& spec, Target target, int so,
                 "pack %.2f ms/step)\n",
                 "", 100.0 * last.efficiency, last.t_comp * 1e3,
                 last.t_net * 1e3, last.t_pack * 1e3);
-    if (out_rows != nullptr) {
-      benchutil::MeasuredSeries series;
-      series.name = spec.name + "/" +
-                    (target == Target::Cpu ? "cpu" : "gpu") + "/so" +
-                    std::to_string(so) + "/" + ir::to_string(mode);
-      series.seconds.push_back(last.step_seconds);
-      for (std::size_t i = 0; i < kUnitColumns.size(); ++i) {
-        series.counters["gpts_u" + std::to_string(kUnitColumns[i])] = row[i];
-      }
-      series.counters["eff128_pct"] = 100.0 * last.efficiency;
-      out_rows->push_back(std::move(series));
-    }
   }
   std::printf("\n");
 }
@@ -84,28 +71,30 @@ void run_table(const KernelSpec& spec, Target target, int so,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string kernel = arg_value(argc, argv, "kernel", "all");
-  const std::string target_s = arg_value(argc, argv, "target", "all");
-  const std::string so_s = arg_value(argc, argv, "so", "all");
-  const std::string topo_s = arg_value(argc, argv, "topology", "");
-  const std::string out = arg_value(argc, argv, "out", "");
+  const benchutil::Args args(argc, argv, kUsage,
+                             {"kernel", "target", "so", "topology"});
+  const std::string kernel =
+      args.get("kernel", "all", benchutil::kernel_choices());
+  const std::string target_s = args.get("target", "all", {"all", "cpu", "gpu"});
+  const std::string so_s = args.get("so", "all", benchutil::kOrderChoices);
+  const std::string topo_s = args.get("topology", "");
 
   std::vector<int> topology;
-  if (!topo_s.empty()) {
-    std::size_t pos = 0;
-    while (pos < topo_s.size()) {
-      topology.push_back(std::stoi(topo_s.substr(pos)));
-      pos = topo_s.find(',', pos);
-      if (pos == std::string::npos) {
-        break;
-      }
-      ++pos;
+  for (std::size_t pos = 0; !topo_s.empty();) {
+    const std::size_t comma = topo_s.find(',', pos);
+    topology.push_back(
+        args.number("topology", topo_s.substr(pos, comma - pos)));
+    if (comma == std::string::npos) {
+      break;
     }
+    pos = comma + 1;
+  }
+  if (topology.size() > 3) {
+    args.fail("--topology takes at most 3 dimensions");
   }
 
   std::printf("=== Strong scaling (paper Section IV-D; Figures 8-11, "
               "13-20; Tables III-XXXIV) ===\n\n");
-  std::vector<benchutil::MeasuredSeries> rows;
   for (const KernelSpec& spec : all_kernel_specs()) {
     if (kernel != "all" && kernel != spec.name) {
       continue;
@@ -118,24 +107,17 @@ int main(int argc, char** argv) {
         continue;
       }
       for (const int so : {4, 8, 12, 16}) {
-        if (so_s != "all" && std::stoi(so_s) != so) {
+        if (so_s != "all" && so_s != std::to_string(so)) {
           continue;
         }
-        run_table(spec, target, so, topology, out.empty() ? nullptr : &rows);
+        try {
+          run_table(spec, target, so, topology);
+        } catch (const std::invalid_argument& e) {
+          // The unit grid cannot hold the --topology pins.
+          args.fail(std::string("--topology=") + topo_s + ": " + e.what());
+        }
       }
     }
-  }
-  if (!out.empty()) {
-    const std::string json = benchutil::series_json(
-        "strong_scaling",
-        "Analytical strong-scaling model: GPts/s per unit count and "
-        "128-unit parallel efficiency per kernel/target/order/pattern. "
-        "Counters are deterministic model evaluations; median_seconds is "
-        "the modeled 128-unit step time (machine-independent, gate with "
-        "counters only).",
-        rows, {{"kernel", kernel}, {"target", target_s}, {"so", so_s}});
-    std::ofstream f(out);
-    f << json;
   }
   return 0;
 }

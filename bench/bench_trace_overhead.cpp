@@ -4,21 +4,15 @@
 // offline on the collected snapshot — after the timed window — and its
 // cost is reported separately to prove it stays off the hot path.
 //
-//   ./bench_trace_overhead [--check] [--steps=N] [--out=FILE.json]
+//   ./bench_trace_overhead [--check] [--steps=N]
 //
-// --check exits nonzero when the measured overhead exceeds the 2%
-// threshold (retrying a few times first — the comparison of two ~100 ms
-// wall-clock runs is noisy on shared CI hosts); the JSON report
-// (shared bench_util.h series schema, sentinel-consumable) goes to
-// --out (default BENCH_trace.json in the working directory).
+// --check exits 1 when the measured overhead exceeds the 2% threshold
+// (retrying a few times first — the comparison of two ~100 ms
+// wall-clock runs is noisy on shared CI hosts). A bad argument exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "core/operator.h"
@@ -78,15 +72,12 @@ Sample shot(bool trace, int steps) {
 }
 
 // Best-of-n for both configurations, interleaved so slow background
-// noise hits them evenly. All repetitions are kept for the series
-// report; the pass/fail verdict uses best-of (least noise-sensitive).
+// noise hits them evenly; best-of is the least noise-sensitive verdict.
 struct Measurement {
   double disabled_s = 1e30;
   double enabled_s = 1e30;
   std::uint64_t events = 0;
   double analysis_s = 0.0;
-  std::vector<double> disabled_samples;
-  std::vector<double> enabled_samples;
   double overhead_pct() const {
     return disabled_s > 0.0 && disabled_s < 1e29
                ? 100.0 * (enabled_s - disabled_s) / disabled_s
@@ -99,66 +90,23 @@ void measure(Measurement& m, int steps, int reps) {
   for (int r = 0; r < reps; ++r) {
     const Sample off = shot(false, steps);
     m.disabled_s = std::min(m.disabled_s, off.seconds);
-    m.disabled_samples.push_back(off.seconds);
     const Sample on = shot(true, steps);
     m.enabled_s = std::min(m.enabled_s, on.seconds);
-    m.enabled_samples.push_back(on.seconds);
     m.events = std::max(m.events, on.events);
     m.analysis_s = std::max(m.analysis_s, on.analysis_seconds);
   }
 }
 
-void write_report(const std::string& path, const Measurement& m, int steps,
-                  bool passed) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  // Counters are machine-independent by design (the sentinel checks
-  // them exactly); volatile measured values (overhead %, analysis
-  // time, verdict) go into the free-form meta strings instead.
-  benchutil::MeasuredSeries off;
-  off.name = "tracing_off";
-  off.seconds = m.disabled_samples;
-  off.counters["steps"] = steps;
-  benchutil::MeasuredSeries on;
-  on.name = "tracing_on";
-  on.seconds = m.enabled_samples;
-  on.counters["steps"] = steps;
-  on.counters["events_recorded"] = static_cast<double>(m.events);
-  on.counters["threshold_pct"] = kThresholdPct;
-  char overhead[32];
-  std::snprintf(overhead, sizeof(overhead), "%.3f", m.overhead_pct());
-  char analysis_ms[32];
-  std::snprintf(analysis_ms, sizeof(analysis_ms), "%.3f",
-                1e3 * m.analysis_s);
-  out << benchutil::series_json(
-      "trace_overhead",
-      "acoustic 64x64 so=4 interpreter: traced vs untraced wall time; "
-      "cross-rank analysis runs offline after the timed window",
-      {off, on},
-      {{"kernel", "acoustic"},
-       {"backend", "interpret"},
-       {"overhead_pct", overhead},
-       {"analysis_ms", analysis_ms},
-       {"passed", passed ? "true" : "false"}});
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool check = false;
-  int steps = 400;
-  std::string out_path = "BENCH_trace.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--steps=", 8) == 0) {
-      steps = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    }
+  const benchutil::Args args(argc, argv,
+                             "bench_trace_overhead [--check] [--steps=N]",
+                             {"check", "steps"});
+  const bool check = args.flag("check");
+  const int steps = args.number("steps", args.get("steps", "400"));
+  if (steps < 1) {
+    args.fail("--steps must be at least 1");
   }
 
   Measurement m;
@@ -181,7 +129,6 @@ int main(int argc, char** argv) {
               1e3 * m.analysis_s);
   std::printf("  overhead: %+.2f%%  (threshold %.1f%%) -> %s\n",
               m.overhead_pct(), kThresholdPct, passed ? "PASS" : "FAIL");
-  write_report(out_path, m, steps, passed);
 
   return check && !passed ? 1 : 0;
 }

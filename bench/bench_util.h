@@ -2,12 +2,13 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <map>
-#include <sstream>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "perfmodel/paper_data.h"
@@ -21,27 +22,90 @@ inline const char* target_name(Target t) {
   return t == Target::Cpu ? "CPU (ARCHER2 node)" : "GPU (Tursa A100-80)";
 }
 
-/// Parse "--key=value" style arguments.
-inline std::string arg_value(int argc, char** argv, const char* key,
-                             const std::string& fallback) {
-  const std::string prefix = std::string("--") + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
+/// The "--key=value" and "--flag" arguments of one bench binary. An
+/// argument whose key is not in `keys`, or a value the binary cannot
+/// use, prints the reason and the usage line on stderr and exits 2, so
+/// a typo never runs a silently different (or empty) table.
+class Args {
+ public:
+  Args(int argc, char** argv, const char* usage,
+       const std::vector<std::string>& keys)
+      : usage_(usage) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const std::size_t eq = arg.find('=');
+      const std::string key = arg.substr(0, eq);
+      if (key.rfind("--", 0) != 0 ||
+          std::find(keys.begin(), keys.end(), key.substr(2)) == keys.end()) {
+        fail("unknown argument '" + arg + "'");
+      }
+      values_[key.substr(2)] =
+          eq == std::string::npos ? std::nullopt
+                                  : std::optional(arg.substr(eq + 1));
     }
   }
-  return fallback;
+
+  /// The value of --key, or `fallback` when absent. With `choices`, any
+  /// other value fails.
+  std::string get(const std::string& key, const std::string& fallback,
+                  const std::vector<std::string>& choices = {}) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) {
+      return fallback;
+    }
+    if (!it->second || it->second->empty()) {
+      fail("--" + key + " needs a value");
+    }
+    if (!choices.empty() && std::find(choices.begin(), choices.end(),
+                                      *it->second) == choices.end()) {
+      fail("unknown --" + key + " '" + *it->second + "'");
+    }
+    return *it->second;
+  }
+
+  /// Whether --key was given (without a value).
+  bool flag(const std::string& key) const {
+    const auto it = values_.find(key);
+    if (it != values_.end() && it->second) {
+      fail("--" + key + " takes no value");
+    }
+    return it != values_.end();
+  }
+
+  /// `text` as a whole non-negative decimal int, or fail.
+  int number(const std::string& key, const std::string& text) const {
+    int v = -1;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v < 0) {
+      fail("malformed --" + key + " '" + text + "'");
+    }
+    return v;
+  }
+
+  [[noreturn]] void fail(const std::string& why) const {
+    std::fprintf(stderr, "%s\nusage: %s\n", why.c_str(), usage_);
+    std::exit(2);
+  }
+
+ private:
+  const char* usage_;
+  std::map<std::string, std::optional<std::string>> values_;
+};
+
+/// "all" plus every kernel name, for Args::get's `choices`.
+inline std::vector<std::string> kernel_choices() {
+  std::vector<std::string> out{"all"};
+  for (const jitfd::perf::KernelSpec& spec :
+       jitfd::perf::all_kernel_specs()) {
+    out.push_back(spec.name);
+  }
+  return out;
 }
 
-inline bool has_flag(int argc, char** argv, const char* flag) {
-  const std::string want = std::string("--") + flag;
-  for (int i = 1; i < argc; ++i) {
-    if (want == argv[i]) {
-      return true;
-    }
-  }
-  return false;
-}
+/// The space orders the paper evaluates, as --so choices.
+inline const std::vector<std::string> kOrderChoices{"all", "4", "8", "12",
+                                                    "16"};
 
 /// Print one model row and, if available, the paper's published values.
 inline void print_row_pair(const char* label,
@@ -63,101 +127,6 @@ inline void print_row_pair(const char* label,
     }
     std::printf("\n");
   }
-}
-
-/// One measured configuration: N repetitions of the same run plus exact
-/// counters (message counts etc.) that do not vary between repetitions.
-struct MeasuredSeries {
-  std::string name;              ///< e.g. "full/k4".
-  std::vector<double> seconds;   ///< Wall seconds, one per repetition.
-  std::map<std::string, double> counters;
-  /// Perfmodel drift gates: metric -> {|measured - predicted| drift,
-  /// allowed band}. The committed baseline's band is the contract the
-  /// sentinel holds fresh runs to (src/obs/sentinel.h).
-  std::map<std::string, std::pair<double, double>> drift;
-};
-
-inline double median_of(std::vector<double> v) {
-  if (v.empty()) {
-    return 0.0;
-  }
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// Relative spread (max - min) / median, in percent. The honesty metric
-/// committed next to every median: large spreads mean the machine was
-/// noisy and the median is soft.
-inline double spread_pct_of(const std::vector<double>& v) {
-  const double med = median_of(v);
-  if (v.empty() || med <= 0.0) {
-    return 0.0;
-  }
-  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-  return 100.0 * (*hi - *lo) / med;
-}
-
-inline void json_number(std::ostringstream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  os << buf;
-}
-
-/// Machine-readable report for a measured benchmark: median-of-N wall
-/// time + spread per series, the machine fields needed to interpret the
-/// numbers, and free-form string metadata. This is the shared emitter
-/// behind the committed BENCH_*.json artifacts.
-inline std::string series_json(
-    const std::string& benchmark, const std::string& description,
-    const std::vector<MeasuredSeries>& rows,
-    const std::vector<std::pair<std::string, std::string>>& meta = {}) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"benchmark\": \"" << benchmark << "\",\n";
-  os << "  \"description\": \"" << description << "\",\n";
-  os << "  \"machine\": {\n";
-  os << "    \"threads_available\": " << std::thread::hardware_concurrency()
-     << ",\n";
-#if defined(__VERSION__)
-  os << "    \"compiler\": \"" << __VERSION__ << "\",\n";
-#endif
-  os << "    \"pointer_bits\": " << 8 * sizeof(void*) << "\n";
-  os << "  },\n";
-  for (const auto& [key, value] : meta) {
-    os << "  \"" << key << "\": \"" << value << "\",\n";
-  }
-  os << "  \"series\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const MeasuredSeries& s = rows[i];
-    os << "    {\n";
-    os << "      \"name\": \"" << s.name << "\",\n";
-    os << "      \"repetitions\": " << s.seconds.size() << ",\n";
-    os << "      \"median_seconds\": ";
-    json_number(os, median_of(s.seconds));
-    os << ",\n      \"spread_pct\": ";
-    json_number(os, spread_pct_of(s.seconds));
-    for (const auto& [key, value] : s.counters) {
-      os << ",\n      \"" << key << "\": ";
-      json_number(os, value);
-    }
-    if (!s.drift.empty()) {
-      os << ",\n      \"drift\": {";
-      bool first = true;
-      for (const auto& [metric, gate] : s.drift) {
-        os << (first ? "" : ", ") << "\"" << metric << "\": {\"value\": ";
-        json_number(os, gate.first);
-        os << ", \"band\": ";
-        json_number(os, gate.second);
-        os << "}";
-        first = false;
-      }
-      os << "}";
-    }
-    os << "\n    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  return os.str();
 }
 
 }  // namespace benchutil

@@ -5,16 +5,11 @@
 // tests/test_perfmodel.cpp: near-constant runtime and a GPU advantage at
 // every node count.
 //
-// Usage: bench_weak_scaling [--so=8] [--kernel=...] [--out=FILE]
+// Usage: bench_weak_scaling [--so=4|8|12|16] [--kernel=...]
 //
-// --out=FILE additionally writes the selected tables through the shared
-// bench_util.h series schema (one series per kernel/so/target/pattern;
-// modeled runtime per unit column and the 1-to-128 growth ratio as
-// counters) so the perf sentinel can gate the model outputs like the
-// measured benches. The counters are deterministic model evaluations,
-// so the committed baseline holds them exactly.
-#include <fstream>
-
+// A bad kernel or order exits 2 with the usage line. Every table is
+// pinned at 6 significant digits by ScalingModelGolden.WeakScalingSeries
+// (tests/test_perfmodel.cpp).
 #include "bench_util.h"
 #include "ir/lower.h"
 
@@ -23,34 +18,11 @@ namespace {
 using namespace jitfd::perf;  // NOLINT: benchmark driver.
 namespace ir = jitfd::ir;
 
-void push_weak_series(std::vector<benchutil::MeasuredSeries>* out_rows,
-                      const KernelSpec& spec, int so, const char* target,
-                      ir::MpiMode mode, const ScalingModel& model) {
-  if (out_rows == nullptr) {
-    return;
-  }
-  benchutil::MeasuredSeries series;
-  series.name = spec.name + "/so" + std::to_string(so) + "/" + target + "/" +
-                ir::to_string(mode);
-  double first = 0.0;
-  double last = 0.0;
-  for (const int u : kUnitColumns) {
-    const double rt = model.weak(u, so, mode).runtime_seconds;
-    if (u == kUnitColumns.front()) {
-      first = rt;
-    }
-    last = rt;
-    series.counters["runtime_u" + std::to_string(u)] = rt;
-  }
-  if (first > 0.0) {
-    series.counters["growth_ratio"] = last / first;
-  }
-  series.seconds.push_back(last);
-  out_rows->push_back(std::move(series));
-}
+constexpr const char* kUsage =
+    "bench_weak_scaling [--kernel=all|acoustic|elastic|tti|viscoelastic] "
+    "[--so=all|4|8|12|16]";
 
-void run_weak(const KernelSpec& spec, int so,
-              std::vector<benchutil::MeasuredSeries>* out_rows) {
+void run_weak(const KernelSpec& spec, int so) {
   std::printf("%s so-%02d weak scaling, 256^3 per unit, %d steps "
               "(runtime, seconds)\n",
               spec.name.c_str(), so, spec.timesteps);
@@ -75,9 +47,6 @@ void run_weak(const KernelSpec& spec, int so,
       std::printf(" %8.3f", pt.runtime_seconds);
     }
     std::printf("   (x%.2f from 1 to 128 units)\n", last / first);
-    push_weak_series(out_rows, spec, so,
-                     target == Target::Cpu ? "cpu" : "gpu",
-                     ir::MpiMode::Basic, model);
   }
   // CPU mode comparison at weak scale (full is best when it wins on one
   // node, paper Section IV-E).
@@ -88,7 +57,6 @@ void run_weak(const KernelSpec& spec, int so,
       std::printf(" %8.3f", model.weak(u, so, mode).runtime_seconds);
     }
     std::printf("\n");
-    push_weak_series(out_rows, spec, so, "cpu", mode, model);
   }
   std::printf("\n");
 }
@@ -96,35 +64,22 @@ void run_weak(const KernelSpec& spec, int so,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string kernel = benchutil::arg_value(argc, argv, "kernel", "all");
-  const std::string so_s = benchutil::arg_value(argc, argv, "so", "all");
-  const std::string out = benchutil::arg_value(argc, argv, "out", "");
+  const benchutil::Args args(argc, argv, kUsage, {"kernel", "so"});
+  const std::string kernel =
+      args.get("kernel", "all", benchutil::kernel_choices());
+  const std::string so_s = args.get("so", "all", benchutil::kOrderChoices);
   std::printf("=== Weak scaling (paper Section IV-E; Figures 12, 21-24) "
               "===\n\n");
-  std::vector<benchutil::MeasuredSeries> rows;
   for (const KernelSpec& spec : all_kernel_specs()) {
     if (kernel != "all" && kernel != spec.name) {
       continue;
     }
     for (const int so : {4, 8, 12, 16}) {
-      if (so_s != "all" && std::stoi(so_s) != so) {
+      if (so_s != "all" && so_s != std::to_string(so)) {
         continue;
       }
-      run_weak(spec, so, out.empty() ? nullptr : &rows);
+      run_weak(spec, so);
     }
-  }
-  if (!out.empty()) {
-    const std::string json = benchutil::series_json(
-        "weak_scaling",
-        "Analytical weak-scaling model: runtime of the fixed simulated "
-        "window per unit count (constant 256^3 points per unit) and the "
-        "1-to-128 growth ratio, per kernel/order/target/pattern. Counters "
-        "are deterministic model evaluations; median_seconds is the "
-        "modeled 128-unit runtime (machine-independent, gate with "
-        "counters only).",
-        rows, {{"kernel", kernel}, {"so", so_s}});
-    std::ofstream f(out);
-    f << json;
   }
   return 0;
 }

@@ -56,7 +56,7 @@ class JitKernel {
           std::int64_t time_M, void* hctx, const JitHaloOps* ops) const;
 
   /// Wall time spent in the external compiler for THIS construction;
-  /// 0.0 when the kernel came from the cache (for bench_compiler).
+  /// 0.0 when the kernel came from the cache.
   double compile_seconds() const { return compile_seconds_; }
 
   /// Whether this construction was served from the compile cache

@@ -5,7 +5,7 @@
 // capped at kMaxJsonDepth, and one walker that checks a parsed document
 // against a Schema tree. Each export has one table (chrome_trace_schema,
 // metrics_schema, analysis_schema, autotune_schema, flight_schema).
-// Used by the tests, tools/trace_check and tools/perf_sentinel.
+// Used by the tests and tools/trace_check.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +19,9 @@
 namespace jitfd::obs {
 
 /// Parsed JSON value (the full grammar; numbers as double, \u escapes
-/// beyond ASCII collapsed to '?'). Public so schema checks beyond the
-/// built-in ones — tools/perf_sentinel's bench-report comparison in
-/// particular — can walk documents without a JSON dependency.
+/// beyond ASCII collapsed to '?'). Public so checks beyond the built-in
+/// schemas — the perfmodel's golden scaling tables in particular — can
+/// walk documents without a JSON dependency.
 struct JsonValue {
   enum class Type { Null, Bool, Num, Str, Arr, Obj };
   Type type = Type::Null;

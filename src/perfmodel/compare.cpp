@@ -1,45 +1,27 @@
 #include "perfmodel/compare.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
 #include <sstream>
 
-#include "obs/analysis.h"
 #include "obs/report.h"
 
 namespace jitfd::perf {
 
 MeasuredRun measured_from(const obs::RunProfile& profile,
                           const std::string& kernel, ir::MpiMode mode,
-                          int so, std::int64_t points_updated,
-                          std::int64_t steps) {
+                          int so, std::int64_t points_updated) {
   MeasuredRun m;
   m.kernel = kernel;
   m.mode = mode;
   m.so = so;
   m.ranks = static_cast<int>(profile.ranks.size());
-  m.steps = steps > 0 ? steps : static_cast<std::int64_t>(profile.steps());
+  m.steps = static_cast<std::int64_t>(profile.steps());
   m.points_updated = points_updated;
   m.wall_seconds = profile.wall_s();
   m.comm_fraction = profile.comm_fraction();
   m.messages = profile.messages();
   m.halo_bytes = profile.bytes_sent();
-  return m;
-}
-
-MeasuredRun measured_from(const obs::RunProfile& profile,
-                          const obs::AnalysisReport& analysis,
-                          const std::string& kernel, ir::MpiMode mode,
-                          int so, std::int64_t points_updated,
-                          std::int64_t steps) {
-  MeasuredRun m =
-      measured_from(profile, kernel, mode, so, points_updated, steps);
-  m.has_analysis = true;
-  m.overlap_efficiency = analysis.overlap_efficiency;
-  m.imbalance_ratio = analysis.imbalance_ratio;
-  m.late_sender_seconds = analysis.late_sender_s;
-  m.late_receiver_seconds = analysis.late_receiver_s;
   return m;
 }
 
@@ -175,13 +157,6 @@ Comparison compare_run(const MeasuredRun& measured, const ScalingModel& model,
     c.predicted_comm_fraction =
         std::clamp(comm / pt.step_seconds, 0.0, 1.0);
   }
-  // Overlap ceiling: the full pattern can hide at most min(t_comp,
-  // t_net) of the network time under the stencil loops; other patterns
-  // block, so their overlap is structurally zero.
-  if (measured.mode == ir::MpiMode::Full && pt.t_net > 0.0) {
-    c.predicted_overlap_efficiency =
-        std::clamp(std::min(pt.t_comp, pt.t_net) / pt.t_net, 0.0, 1.0);
-  }
   return c;
 }
 
@@ -200,29 +175,6 @@ std::string tile_str(const std::vector<std::int64_t>& tile) {
 
 }  // namespace
 
-std::vector<DriftGate> drift_gates(const Comparison& row,
-                                   const DriftBands& bands) {
-  std::vector<DriftGate> gates;
-  const auto push = [&gates](const std::string& metric, double measured,
-                             double predicted, double band) {
-    DriftGate g;
-    g.metric = metric;
-    g.measured = measured;
-    g.predicted = predicted;
-    g.drift = std::abs(measured - predicted);
-    g.band = band;
-    g.ok = g.drift <= band;
-    gates.push_back(std::move(g));
-  };
-  if (row.measured.has_analysis) {
-    push("overlap_efficiency", row.measured.overlap_efficiency,
-         row.predicted_overlap_efficiency, bands.overlap_efficiency);
-  }
-  push("comm_fraction", row.measured.comm_fraction,
-       row.predicted_comm_fraction, bands.comm_fraction);
-  return gates;
-}
-
 std::string comparison_table(const std::vector<Comparison>& rows) {
   std::ostringstream os;
   os << std::left << std::setw(10) << "pattern" << std::right
@@ -230,8 +182,7 @@ std::string comparison_table(const std::vector<Comparison>& rows) {
      << std::setw(12) << "model"
      << std::setw(11) << "comm%" << std::setw(11) << "model%" << std::setw(12)
      << "msgs" << std::setw(12) << "expected" << std::setw(14) << "MB/step"
-     << std::setw(14) << "model MB" << std::setw(9) << "ovl%"
-     << std::setw(10) << "model%" << '\n';
+     << std::setw(14) << "model MB" << '\n';
   os << std::fixed;
   for (const Comparison& c : rows) {
     os << std::left << std::setw(10) << ir::to_string(c.measured.mode)
@@ -244,9 +195,7 @@ std::string comparison_table(const std::vector<Comparison>& rows) {
        << c.measured.messages << std::setw(12) << c.expected_messages
        << std::setprecision(3) << std::setw(14)
        << c.measured_bytes_per_step / 1e6 << std::setw(14)
-       << c.predicted_bytes_per_step / 1e6 << std::setprecision(1)
-       << std::setw(8) << 100.0 * c.measured.overlap_efficiency << "%"
-       << std::setw(9) << 100.0 * c.predicted_overlap_efficiency << "%"
+       << c.predicted_bytes_per_step / 1e6
        << (c.messages_match() ? "" : "   << MESSAGE MISMATCH") << '\n';
   }
   return os.str();

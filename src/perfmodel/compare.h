@@ -24,7 +24,6 @@
 
 namespace jitfd::obs {
 struct RunProfile;
-struct AnalysisReport;
 }
 
 namespace jitfd::perf {
@@ -46,30 +45,13 @@ struct MeasuredRun {
   double comm_fraction = 0.0;
   std::uint64_t messages = 0;
   std::uint64_t halo_bytes = 0;
-  // Cross-rank diagnostics (filled by the AnalysisReport overload of
-  // measured_from; zero/false otherwise).
-  bool has_analysis = false;
-  double overlap_efficiency = 0.0;  ///< Full pattern: comm hidden / comm wall.
-  double imbalance_ratio = 0.0;     ///< Max/mean compute across ranks.
-  double late_sender_seconds = 0.0;
-  double late_receiver_seconds = 0.0;
 };
 
-/// Lift an obs::RunProfile into a MeasuredRun. `steps` overrides the
-/// traced step count when nonzero (JIT runs record no per-step spans).
+/// Lift an obs::RunProfile into a MeasuredRun; the step count is the
+/// traced one (interpreter runs record one span per step).
 MeasuredRun measured_from(const obs::RunProfile& profile,
                           const std::string& kernel, ir::MpiMode mode,
-                          int so, std::int64_t points_updated,
-                          std::int64_t steps = 0);
-
-/// As above, but also fold in the cross-rank AnalysisReport (overlap
-/// efficiency, imbalance, wait-state split) so
-/// the comparison can juxtapose them against the model's predictions.
-MeasuredRun measured_from(const obs::RunProfile& profile,
-                          const obs::AnalysisReport& analysis,
-                          const std::string& kernel, ir::MpiMode mode,
-                          int so, std::int64_t points_updated,
-                          std::int64_t steps = 0);
+                          int so, std::int64_t points_updated);
 
 /// Exact Table I structural message count for one exchange of one field
 /// over a non-periodic process grid `topology`: face neighbours only
@@ -89,10 +71,6 @@ struct Comparison {
   std::uint64_t expected_messages = 0;  ///< Table I x fields x spots x steps.
   double measured_bytes_per_step = 0.0;
   double predicted_bytes_per_step = 0.0;  ///< Model halo volume, all ranks.
-  /// Model's overlap ceiling for the full pattern: the fraction of
-  /// network time hideable under compute, min(t_comp, t_net) / t_net
-  /// (0 for patterns without compute/comm overlap).
-  double predicted_overlap_efficiency = 0.0;
 
   bool messages_match() const {
     return expected_messages == measured.messages;
@@ -113,34 +91,6 @@ Comparison compare_run(const MeasuredRun& measured, const ScalingModel& model,
                        const std::vector<std::int64_t>& global_shape,
                        int exchanges_per_step = 1,
                        std::int64_t domain_edge = 0);
-
-/// Allowed |measured - predicted| drift per gated metric (absolute, in
-/// each metric's own unit: efficiencies and fractions are 0..1 shares).
-/// These bands are the committed perfmodel contract the drift sentinel
-/// enforces in CI — a run can pass its total-time gate yet fail here
-/// when, say, overlap collapses but compute happens to be faster.
-struct DriftBands {
-  double overlap_efficiency = 0.25;
-  double comm_fraction = 0.25;
-};
-
-/// One model-vs-measured drift gate evaluated from a Comparison row.
-struct DriftGate {
-  std::string metric;      ///< "overlap_efficiency" | "comm_fraction" | ...
-  double measured = 0.0;
-  double predicted = 0.0;
-  double drift = 0.0;      ///< |measured - predicted|.
-  double band = 0.0;       ///< Allowed drift.
-  bool ok = false;         ///< drift <= band.
-};
-
-/// Evaluate the drift gates for one comparison row: overlap efficiency
-/// (needs measured analysis data; skipped — no gate emitted — when the
-/// row carries none) and communication fraction. Callers fold the resulting
-/// `drift` values into a bench series (bench_util.h) so the sentinel
-/// gates them against committed bands.
-std::vector<DriftGate> drift_gates(const Comparison& row,
-                                   const DriftBands& bands = {});
 
 /// Human-readable table, one row per pattern.
 std::string comparison_table(const std::vector<Comparison>& rows);

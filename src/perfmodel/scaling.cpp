@@ -19,8 +19,7 @@ constexpr double kSyncFraction = 0.004;
 /// Strided-access penalties of full-mode remainder slabs (paper IV-F).
 /// Slabs thin along the innermost (contiguous) dimension truncate the
 /// vectorized loops to the halo width and are by far the least efficient;
-/// slabs thin along outer dimensions keep long inner loops. Order of
-/// magnitude confirmed by bench_pack_unpack.
+/// slabs thin along outer dimensions keep long inner loops.
 constexpr double kRemainderPenaltyInner = 6.0;
 constexpr double kRemainderPenaltyOuter = 1.7;
 

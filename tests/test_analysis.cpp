@@ -1,5 +1,5 @@
-// Cross-rank trace analysis, the metrics registry, the metrics/analysis
-// JSON schema tables, and the perf-regression sentinel.
+// Cross-rank trace analysis, the metrics registry and the
+// metrics/analysis JSON schema tables.
 //
 // The analyzer tests run on hand-built TraceData snapshots with exact
 // nanosecond timestamps, so the wait-state split and overlap pairing are
@@ -11,7 +11,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -21,7 +20,6 @@
 #include "obs/json_check.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "obs/sentinel.h"
 #include "obs/trace.h"
 #include "smpi/runtime.h"
 #include "symbolic/manip.h"
@@ -37,8 +35,7 @@ namespace sym = jitfd::sym;
 
 // Whether the obs subsystem was compiled in (JITFD_OBS=ON). Under
 // JITFD_OBS_DISABLED the run-based tests are vacuous; the synthetic
-// analyzer tests and the sentinel tests still run (analyze() and
-// sentinel_compare() are pure functions of their inputs).
+// analyzer tests still run (analyze() is a pure function of its input).
 bool obs_built() {
   obs::set_enabled(true);
   const bool on = obs::enabled();
@@ -335,183 +332,6 @@ TEST(Metrics, JsonExportValidates) {
           R"({"metrics": [{"name": "x", "type": "nonsense", "value": 1}]})",
           obs::metrics_schema())
           .ok);
-}
-
-// ---------------------------------------------------------------------
-// Perf-regression sentinel (pure comparison rules; no obs needed).
-// ---------------------------------------------------------------------
-
-std::string mini_report(double median, double spread, double msgs) {
-  std::ostringstream os;
-  os << R"({"benchmark": "mini", "series": [{"name": "s1", )"
-     << "\"repetitions\": 3, \"median_seconds\": " << median
-     << ", \"spread_pct\": " << spread << ", \"msgs\": " << msgs << "}]}";
-  return os.str();
-}
-
-TEST(Sentinel, PassesOnIdenticalReports) {
-  const std::string doc = mini_report(0.1, 5.0, 42);
-  const obs::SentinelResult res = obs::sentinel_compare(doc, doc);
-  EXPECT_TRUE(res.ok) << res.report();
-  EXPECT_EQ(res.series_checked, 1);
-  EXPECT_TRUE(res.failures.empty());
-  EXPECT_TRUE(res.error.empty());
-}
-
-TEST(Sentinel, FailsOnTimingRegressionBeyondBand) {
-  // Band = tolerance 25% + spread 5% = 30%; a 2x median blows it.
-  const obs::SentinelResult res = obs::sentinel_compare(
-      mini_report(0.1, 5.0, 42), mini_report(0.2, 5.0, 42));
-  EXPECT_FALSE(res.ok);
-  ASSERT_EQ(res.failures.size(), 1U);
-  EXPECT_NE(res.failures[0].find("regressed"), std::string::npos)
-      << res.report();
-  // +28% stays inside the band.
-  const obs::SentinelResult close = obs::sentinel_compare(
-      mini_report(0.1, 5.0, 42), mini_report(0.128, 5.0, 42));
-  EXPECT_TRUE(close.ok) << close.report();
-}
-
-TEST(Sentinel, SpreadWidensTheBand) {
-  // A noisy baseline (30% spread) buys a wider allowance: tolerance 10
-  // + spread 30 = 40%.
-  obs::SentinelOptions opts;
-  opts.tolerance_pct = 10.0;
-  EXPECT_TRUE(obs::sentinel_compare(mini_report(0.1, 30.0, 1),
-                                    mini_report(0.135, 0.0, 1), opts)
-                  .ok);
-  EXPECT_FALSE(obs::sentinel_compare(mini_report(0.1, 30.0, 1),
-                                     mini_report(0.145, 0.0, 1), opts)
-                   .ok);
-}
-
-TEST(Sentinel, InjectedSlowdownSelfTest) {
-  // The CI self-test: identical reports must FAIL once the fresh side
-  // is scaled by 1.2 against a 10% tolerance, proving the gate bites.
-  const std::string doc = mini_report(0.1, 0.0, 42);
-  obs::SentinelOptions opts;
-  opts.tolerance_pct = 10.0;
-  EXPECT_TRUE(obs::sentinel_compare(doc, doc, opts).ok);
-  opts.scale_fresh = 1.2;
-  EXPECT_FALSE(obs::sentinel_compare(doc, doc, opts).ok);
-}
-
-TEST(Sentinel, MissingSeriesAndMalformedInputs) {
-  const std::string base =
-      R"({"series": [{"name": "s1", "median_seconds": 0.1},)"
-      R"( {"name": "s2", "median_seconds": 0.1}]})";
-  const std::string fresh =
-      R"({"series": [{"name": "s1", "median_seconds": 0.1}]})";
-  const obs::SentinelResult res = obs::sentinel_compare(base, fresh);
-  EXPECT_FALSE(res.ok);
-  ASSERT_EQ(res.failures.size(), 1U);
-  EXPECT_NE(res.failures[0].find("missing"), std::string::npos);
-
-  // Malformed documents set error (exit 2 in the CLI), not failures.
-  const obs::SentinelResult bad = obs::sentinel_compare("{nope", fresh);
-  EXPECT_FALSE(bad.ok);
-  EXPECT_FALSE(bad.error.empty());
-  EXPECT_TRUE(bad.failures.empty());
-  const obs::SentinelResult empty =
-      obs::sentinel_compare(R"({"series": []})", fresh);
-  EXPECT_FALSE(empty.ok);
-  EXPECT_FALSE(empty.error.empty());
-}
-
-TEST(Sentinel, MinSecondsSkipsTimingButCountersStillGate) {
-  // Sub-threshold medians are too fast to time reliably: a 100x
-  // "regression" is ignored, but a counter drift still fails.
-  obs::SentinelOptions opts;
-  opts.min_seconds = 0.01;
-  EXPECT_TRUE(obs::sentinel_compare(mini_report(1e-4, 0.0, 42),
-                                    mini_report(1e-2, 0.0, 42), opts)
-                  .ok);
-  const obs::SentinelResult drift = obs::sentinel_compare(
-      mini_report(1e-4, 0.0, 42), mini_report(1e-4, 0.0, 43), opts);
-  EXPECT_FALSE(drift.ok);
-  ASSERT_EQ(drift.failures.size(), 1U);
-  EXPECT_NE(drift.failures[0].find("drifted"), std::string::npos);
-}
-
-TEST(Sentinel, CounterToleranceAndOptOut) {
-  // Exact by default; a relative tolerance admits the drift; opting out
-  // ignores counters entirely.
-  const std::string base = mini_report(0.1, 0.0, 100);
-  const std::string fresh = mini_report(0.1, 0.0, 130);
-  EXPECT_FALSE(obs::sentinel_compare(base, fresh).ok);
-  obs::SentinelOptions tol;
-  tol.counter_tolerance_pct = 50.0;
-  EXPECT_TRUE(obs::sentinel_compare(base, fresh, tol).ok);
-  obs::SentinelOptions off;
-  off.check_counters = false;
-  EXPECT_TRUE(obs::sentinel_compare(base, fresh, off).ok);
-
-  // A counter missing from the fresh report fails regardless.
-  const std::string lost =
-      R"({"series": [{"name": "s1", "median_seconds": 0.1}]})";
-  const obs::SentinelResult res = obs::sentinel_compare(base, lost, tol);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.failures[0].find("lost counter"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Drift sentinels: model-vs-measured gates with committed bands.
-// ---------------------------------------------------------------------
-
-std::string drift_report(double value, double band) {
-  std::ostringstream os;
-  os << R"({"benchmark": "drift", "series": [{"name": "full", )"
-     << "\"repetitions\": 1, \"median_seconds\": 0.01, "
-     << "\"drift\": {\"comm_fraction\": {\"value\": " << value
-     << ", \"band\": " << band << "}}}]}";
-  return os.str();
-}
-
-TEST(Sentinel, DriftGatesHoldFreshInsideCommittedBand) {
-  // The BASELINE's band is the contract; the fresh file's own band is
-  // ignored (a fresh run cannot loosen the committed contract).
-  const std::string base = drift_report(0.10, 0.20);
-  EXPECT_TRUE(obs::sentinel_compare(base, drift_report(0.15, 0.20)).ok);
-  const obs::SentinelResult wide =
-      obs::sentinel_compare(base, drift_report(0.25, 99.0));
-  EXPECT_FALSE(wide.ok);
-  ASSERT_EQ(wide.failures.size(), 1U);
-  EXPECT_NE(wide.failures[0].find("left the perfmodel band"),
-            std::string::npos)
-      << wide.report();
-}
-
-TEST(Sentinel, DriftShiftSelfTestTripsTheGate) {
-  // CI's injected-regression self-test: identical reports must fail
-  // once the fresh drift is shifted past the committed band.
-  const std::string doc = drift_report(0.10, 0.20);
-  obs::SentinelOptions opts;
-  EXPECT_TRUE(obs::sentinel_compare(doc, doc, opts).ok);
-  opts.drift_shift = 0.15;  // 0.10 + 0.15 > 0.20.
-  const obs::SentinelResult res = obs::sentinel_compare(doc, doc, opts);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.report().find("left the perfmodel band"), std::string::npos)
-      << res.report();
-}
-
-TEST(Sentinel, LostDriftMetricFails) {
-  // Coverage only grows: a drift metric present in the baseline must
-  // stay in the fresh report.
-  const std::string base = drift_report(0.10, 0.20);
-  const std::string fresh =
-      R"({"series": [{"name": "full", "median_seconds": 0.01}]})";
-  const obs::SentinelResult res = obs::sentinel_compare(base, fresh);
-  EXPECT_FALSE(res.ok);
-  ASSERT_EQ(res.failures.size(), 1U);
-  EXPECT_NE(res.failures[0].find("lost drift metric"), std::string::npos);
-
-  // A malformed drift entry is a schema error, not a regression.
-  const std::string broken =
-      R"({"series": [{"name": "full", "median_seconds": 0.01, )"
-      R"("drift": {"comm_fraction": {"value": 0.1}}}]})";
-  const obs::SentinelResult bad = obs::sentinel_compare(base, broken);
-  EXPECT_FALSE(bad.ok);
-  EXPECT_FALSE(bad.error.empty());
 }
 
 // ---------------------------------------------------------------------

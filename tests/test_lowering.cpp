@@ -3,6 +3,7 @@
 // and the three pattern lowerings (paper Section III).
 #include <gtest/gtest.h>
 
+#include "core/operator.h"
 #include "grid/function.h"
 #include "ir/lower.h"
 #include "smpi/runtime.h"
@@ -197,6 +198,21 @@ TEST(Lowering, RedundantExchangeIsDropped) {
     ir::lower_to_iet({eq1, eq2}, g, opts, {}, info2);
     ASSERT_EQ(info2.spots.size(), 2U);
     EXPECT_EQ(info2.spots[1].needs.size(), 2U);
+
+    // Live messages per step on rank 0, which has one neighbour in each
+    // dimension: u on both faces plus a's dimension-0 face is 3; without
+    // the drop, u goes out again on both faces, 5.
+    for (const auto& [halo_opt, per_step] :
+         {std::pair{true, 3U}, std::pair{false, 5U}}) {
+      opts.halo_opt = halo_opt;
+      jitfd::core::Operator op({eq1, eq2}, opts);
+      const auto run =
+          op.apply({.time_m = 0, .time_M = 9, .scalars = {{"dt", 1e-4}}});
+      if (comm.rank() == 0) {
+        EXPECT_EQ(run.halo.messages, 10U * per_step)
+            << "halo_opt " << halo_opt;
+      }
+    }
   });
 }
 

@@ -39,8 +39,9 @@ std::vector<float> run_diffusion(const Grid& g, ir::CompileOptions opts,
                                  int steps, double dt,
                                  core::Backend backend =
                                      core::Backend::Interpret,
-                                 jitfd::runtime::HaloStats* stats = nullptr) {
-  Diffusion d(g);
+                                 jitfd::runtime::HaloStats* stats = nullptr,
+                                 int so = 2) {
+  Diffusion d(g, so);
   const std::vector<std::int64_t> lo{1, 1};
   const std::vector<std::int64_t> hi{g.shape()[0] - 1, g.shape()[1] - 1};
   d.u.fill_global_box(0, lo, hi, 1.0F);
@@ -336,28 +337,34 @@ TEST(Operator, DescribeReportsCompilationSummary) {
 
 TEST(Operator, HaloStatsMatchTableOneMessageCounts) {
   // 2D, 2x2 ranks: every rank has 2 face neighbours (basic) and 3 star
-  // neighbours (diagonal) -> totals 8 vs 12 messages per exchange.
-  const std::int64_t n = 8;
-  for (const auto& [mode, expected_total] :
-       std::initializer_list<std::pair<ir::MpiMode, std::uint64_t>>{
-           {ir::MpiMode::Basic, 8},
-           {ir::MpiMode::Diagonal, 12},
-           {ir::MpiMode::Full, 12}}) {
+  // neighbours (diagonal) -> totals 8 vs 12 messages per exchange. At
+  // 64^2 and SO 4 every rank owns 32^2 points and sends width-2 slabs:
+  // basic sends its dimension-1 face with the corners (2*32 + 2*36
+  // floats), diagonal and full send two faces and one 2x2 corner
+  // (2*32 + 2*32 + 4 floats). Summed over the ranks: 2176 and 2112 bytes.
+  const std::int64_t n = 64;
+  for (const auto& [mode, expected_messages, expected_bytes] :
+       std::initializer_list<
+           std::tuple<ir::MpiMode, std::int64_t, std::int64_t>>{
+           {ir::MpiMode::Basic, 8, 2176},
+           {ir::MpiMode::Diagonal, 12, 2112},
+           {ir::MpiMode::Full, 12, 2112}}) {
     const ir::MpiMode m = mode;
-    const std::uint64_t expect = expected_total;
+    const std::vector<std::int64_t> expect{expected_messages,
+                                           expected_bytes};
     smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       ir::CompileOptions opts;
       opts.mode = m;
       jitfd::runtime::HaloStats stats;
       run_diffusion(g, opts, /*steps=*/1, 1e-3,
-                    core::Backend::Interpret, &stats);
+                    core::Backend::Interpret, &stats, /*so=*/4);
       std::vector<std::int64_t> total{
-          static_cast<std::int64_t>(stats.messages)};
+          static_cast<std::int64_t>(stats.messages),
+          static_cast<std::int64_t>(stats.bytes_sent)};
       comm.allreduce(std::span<std::int64_t>(total), smpi::ReduceOp::Sum);
       if (comm.rank() == 0) {
-        EXPECT_EQ(static_cast<std::uint64_t>(total[0]), expect)
-            << "mode " << ir::to_string(m);
+        EXPECT_EQ(total, expect) << "mode " << ir::to_string(m);
       }
       if (m == ir::MpiMode::Full) {
         EXPECT_GT(stats.progress_calls, 0U);

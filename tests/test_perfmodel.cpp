@@ -1,9 +1,18 @@
 // Tests for the analytical scaling model: self-consistency of the
 // checked-in kernel facts with live compiler derivation, calibration
-// anchors, and the qualitative claims of the paper's evaluation section
-// (mode orderings, crossovers, efficiency trends, weak-scaling flatness).
+// anchors, the qualitative claims of the paper's evaluation section
+// (mode orderings, crossovers, efficiency trends, weak-scaling flatness),
+// and the golden scaling tables and roofline points in tests/golden.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+
+#include "obs/json_check.h"
+#include "perfmodel/paper_data.h"
 #include "perfmodel/scaling.h"
 
 namespace {
@@ -236,6 +245,158 @@ TEST(Roofline, TtiHasHighestOperationalIntensity) {
     const auto rp = roofline_point(mach, k, Target::Cpu, 8);
     EXPECT_LE(rp.gflops, mach.mem_bw_gbs * rp.oi * 1.0001) << k.name;
   }
+}
+
+// Golden scaling tables: every field of every series the table
+// regenerators print, recomputed from ScalingModel and compared with the
+// committed values at 6 significant digits. A series or field present on
+// one side only fails too, so the golden files cover the model exactly.
+using Series = std::map<std::string, std::map<std::string, double>>;
+
+const char* target_label(Target t) { return t == Target::Cpu ? "cpu" : "gpu"; }
+
+ScalingModel model_for(const KernelSpec& spec, Target target) {
+  return ScalingModel(target == Target::Cpu ? archer2_node() : tursa_a100(),
+                      spec, target);
+}
+
+// bench_strong_scaling --kernel=acoustic --so=8: the paper's Fig. 8 and
+// Table IV (the GPU runs support only the basic pattern).
+Series strong_series() {
+  Series out;
+  for (const Target target : {Target::Cpu, Target::Gpu}) {
+    const ScalingModel model = model_for(acoustic_spec(), target);
+    for (const ir::MpiMode mode :
+         {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
+      if (target == Target::Gpu && mode != ir::MpiMode::Basic) {
+        continue;
+      }
+      auto& s = out[std::string("acoustic/") + target_label(target) +
+                    "/so8/" + ir::to_string(mode)];
+      for (const int u : kUnitColumns) {
+        s["gpts_u" + std::to_string(u)] = model.strong(u, 8, mode).gpts;
+      }
+      const ScalingPoint last = model.strong(kUnitColumns.back(), 8, mode);
+      s["eff128_pct"] = 100.0 * last.efficiency;
+      s["step_s_u128"] = last.step_seconds;
+    }
+  }
+  return out;
+}
+
+// bench_weak_scaling: Figures 12 and 21-24, every kernel and order.
+Series weak_series() {
+  Series out;
+  for (const KernelSpec& spec : all_kernel_specs()) {
+    for (const int so : {4, 8, 12, 16}) {
+      for (const auto& [target, mode] :
+           {std::pair{Target::Cpu, ir::MpiMode::Basic},
+            std::pair{Target::Gpu, ir::MpiMode::Basic},
+            std::pair{Target::Cpu, ir::MpiMode::Diagonal},
+            std::pair{Target::Cpu, ir::MpiMode::Full}}) {
+        const ScalingModel model = model_for(spec, target);
+        auto& s = out[spec.name + "/so" + std::to_string(so) + "/" +
+                      target_label(target) + "/" + ir::to_string(mode)];
+        for (const int u : kUnitColumns) {
+          s["runtime_u" + std::to_string(u)] =
+              model.weak(u, so, mode).runtime_seconds;
+        }
+        s["growth_ratio"] = s["runtime_u128"] / s["runtime_u1"];
+      }
+    }
+  }
+  return out;
+}
+
+// bench_fig07_roofline: the paper's Fig. 7, every kernel on both targets.
+Series roofline_series() {
+  Series out;
+  for (const Target target : {Target::Cpu, Target::Gpu}) {
+    const MachineSpec mach =
+        target == Target::Cpu ? archer2_node() : tursa_a100();
+    for (const KernelSpec& spec : all_kernel_specs()) {
+      const RooflinePoint rp = roofline_point(mach, spec, target, 8);
+      out[std::string(target_label(target)) + "/" + spec.name] = {
+          {"oi", rp.oi}, {"gflops", rp.gflops}, {"gpts", rp.gpts}};
+    }
+  }
+  return out;
+}
+
+Series load_golden(const std::string& file) {
+  std::ifstream in(std::string(JITFD_GOLDEN_DIR) + "/" + file);
+  std::stringstream text;
+  text << in.rdbuf();
+  jitfd::obs::JsonValue doc;
+  std::string err;
+  EXPECT_TRUE(jitfd::obs::json_parse(text.str(), doc, &err)) << file << err;
+  Series out;
+  const jitfd::obs::JsonValue* series = doc.find("series");
+  if (series == nullptr) {
+    ADD_FAILURE() << file << ": no \"series\" array";
+    return out;
+  }
+  for (const jitfd::obs::JsonValue& entry : series->arr) {
+    const jitfd::obs::JsonValue* name = entry.find("name");
+    if (name == nullptr) {
+      ADD_FAILURE() << file << ": a series without a name";
+      continue;
+    }
+    auto& fields = out[name->str];
+    for (const auto& [key, value] : entry.obj) {
+      if (key != "name") {
+        EXPECT_EQ(value.type, jitfd::obs::JsonValue::Type::Num) << key;
+        fields[key] = value.num;
+      }
+    }
+  }
+  return out;
+}
+
+std::string sig6(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+void expect_golden(const Series& golden, const Series& fresh,
+                   std::size_t series_count, std::size_t fields_each) {
+  EXPECT_EQ(golden.size(), series_count);
+  for (const auto& [name, fields] : fresh) {
+    EXPECT_EQ(golden.count(name), 1U) << "not in the golden file: " << name;
+  }
+  for (const auto& [name, want] : golden) {
+    const auto it = fresh.find(name);
+    if (it == fresh.end()) {
+      ADD_FAILURE() << "golden series not recomputed: " << name;
+      continue;
+    }
+    EXPECT_EQ(want.size(), fields_each) << name;
+    EXPECT_EQ(it->second.size(), want.size()) << name;
+    for (const auto& [key, value] : want) {
+      const auto got = it->second.find(key);
+      if (got == it->second.end()) {
+        ADD_FAILURE() << name << ": field not recomputed: " << key;
+        continue;
+      }
+      EXPECT_EQ(sig6(got->second), sig6(value)) << name << " " << key;
+    }
+  }
+}
+
+TEST(ScalingModelGolden, StrongScalingSeries) {
+  // 4 series x (8 unit columns + efficiency + step time).
+  expect_golden(load_golden("strong_scaling.json"), strong_series(), 4, 10);
+}
+
+TEST(ScalingModelGolden, WeakScalingSeries) {
+  // 4 kernels x 4 orders x 4 target/pattern rows x (8 columns + growth).
+  expect_golden(load_golden("weak_scaling.json"), weak_series(), 64, 9);
+}
+
+TEST(ScalingModelGolden, RooflinePoints) {
+  // 2 targets x 4 kernels x (intensity, GFLOP/s, GPts/s).
+  expect_golden(load_golden("roofline.json"), roofline_series(), 8, 3);
 }
 
 }  // namespace

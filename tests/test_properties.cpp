@@ -316,6 +316,12 @@ TEST(PackUnpackProperties, RoundTripOverRandomStridedBoxes) {
       }
     }
 
+    // The plan holds one row per innermost run of the box (on a 128^3
+    // width-4 face: 512 rows of 128 floats, or 16384 rows of 4).
+    const jitfd::runtime::RowPlan plan = jitfd::runtime::make_row_plan(f, box);
+    EXPECT_EQ(plan.row, box.hi.back() - box.lo.back()) << "trial " << trial;
+    EXPECT_EQ(plan.total(), box.count()) << "trial " << trial;
+
     std::vector<float> packed(expected.size(), -1.0F);
     jitfd::runtime::pack_box(f, 0, box, packed.data(), /*parallel=*/false);
     ASSERT_EQ(packed, expected) << "trial " << trial;

@@ -15,12 +15,14 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <span>
 #include <sstream>
 #include <thread>
 
 #include "core/autotune.h"
 #include "core/operator.h"
 #include "grid/function.h"
+#include "models/acoustic.h"
 #include "obs/analysis.h"
 #include "obs/flight.h"
 #include "obs/json.h"
@@ -268,6 +270,31 @@ TEST(TraceExport, ProfileDistillsStepsMessagesAndPhases) {
   const double fraction = profile.comm_fraction();
   EXPECT_GT(fraction, 0.0);
   EXPECT_LE(fraction, 1.0);
+}
+
+TEST(TraceExport, TracedInterpreterShotRecordsTwoEventsPerStep) {
+  if (!obs_built()) {
+    GTEST_SKIP() << "built with JITFD_OBS=OFF";
+  }
+  // The shot bench_trace_overhead times: serial acoustic 64^2, SO 4,
+  // interpreter, 400 steps. One apply span, then a step span and one
+  // compute span per step: 801 events, none dropped.
+  obs::reset();
+  const Grid grid({64, 64}, {640.0, 640.0});
+  jitfd::models::AcousticModel model(
+      grid, /*so=*/4, [](std::span<const std::int64_t>) { return 1.5; },
+      /*vmax=*/1.5, /*nbl=*/8);
+  model.wavefield().fill_global_box(0, std::vector<std::int64_t>{30, 30},
+                                    std::vector<std::int64_t>{34, 34}, 1e-3F);
+  auto op = model.make_operator({});
+  const auto run = op->apply({.time_m = 1,
+                              .time_M = 400,
+                              .scalars = model.scalars(model.critical_dt()),
+                              .trace = true});
+  ASSERT_TRUE(run.trace.active());
+  const obs::TraceData data = run.trace.data();
+  EXPECT_EQ(data.events.size(), 801U);
+  EXPECT_EQ(data.dropped, 0U);
 }
 
 class MeasuredVsPredicted : public ::testing::TestWithParam<ir::MpiMode> {};
