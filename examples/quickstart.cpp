@@ -23,8 +23,6 @@
 //   ... --analysis=analysis.json        # + cross-rank analysis report
 //                                       # (wait-state attribution,
 //                                       # imbalance; needs --trace=)
-//   ... --metrics=metrics.json          # + metrics registry dump
-//                                       # (enables metrics for the run)
 //   ... --health[=N]                    # + generated NaN/Inf/min/max/L2
 //                                       # checks every N steps (default 1)
 //   ... --on-nan=abort_dump             # on NaN/Inf: write the flight-
@@ -63,7 +61,6 @@
 #include "obs/analysis.h"
 #include "obs/flight.h"
 #include "obs/health.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "smpi/runtime.h"
@@ -319,7 +316,6 @@ int main(int argc, char** argv) {
   int nranks = 0;
   std::string trace_path;
   std::string analysis_path;
-  std::string metrics_path;
   std::string autotune_path;
   jitfd::core::Objective objective = jitfd::core::Objective::FromEnv;
   bool rebalance = false;
@@ -332,8 +328,6 @@ int main(int argc, char** argv) {
       trace_path = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--analysis=", 11) == 0) {
       analysis_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
-      metrics_path = argv[i] + 10;
     } else if (std::strncmp(argv[i], "--autotune=", 11) == 0) {
       autotune_path = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--objective=", 12) == 0) {
@@ -370,6 +364,9 @@ int main(int argc, char** argv) {
       health.interval = std::atoll(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--on-nan=", 9) == 0) {
       health.on_nan = obs::health::on_nan_from_string(argv[i] + 9);
+    } else if (argv[i][0] == '-') {
+      std::fprintf(stderr, "unknown argument %s\n", argv[i]);
+      return 2;
     } else {
       nranks = std::atoi(argv[i]);
     }
@@ -381,9 +378,6 @@ int main(int argc, char** argv) {
     return run_rebalance(nranks, launch_opts, expect_rebalance, expect_rank);
   }
   const bool trace = !trace_path.empty();
-  if (!metrics_path.empty()) {
-    obs::metrics::set_enabled(true);
-  }
   // Post-mortem bundles for fatal signals / uncaught exceptions too,
   // not just NaN detection under --on-nan=abort_dump.
   obs::flight::install_crash_handlers();
@@ -448,15 +442,6 @@ int main(int argc, char** argv) {
       std::printf("cross-rank analysis written to %s\n",
                   analysis_path.c_str());
     }
-  }
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path, std::ios::binary);
-    out << obs::metrics::to_json();
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
-      return 1;
-    }
-    std::printf("metrics written to %s\n", metrics_path.c_str());
   }
   return 0;
 }

@@ -492,7 +492,7 @@ class Emitter {
       }
       row_reduction = " reduction(|:" + flags + ")";
     }
-    if (n.props.parallel && opts_->openmp) {
+    if (n.props.parallel) {
       if (opts_->lang == ir::Lang::OpenMP) {
         line(n.props.vector ? "#pragma omp parallel for simd schedule(static)" +
                                   simd_clauses(n) + row_reduction
@@ -542,7 +542,7 @@ class Emitter {
     const std::int64_t lo = n.lo.resolve(size);
     const std::int64_t hi = n.hi.resolve(size);
     const std::string bv = std::string(dim_var(n.dim)) + "b";
-    if (n.props.parallel && opts_->openmp) {
+    if (n.props.parallel) {
       if (opts_->lang == ir::Lang::OpenMP) {
         line("#pragma omp parallel for schedule(static)" +
              written_reductions());
@@ -599,7 +599,7 @@ class Emitter {
       for (int d = 0; d < nd; ++d) {
         interior_points *= grid_->local_shape()[static_cast<std::size_t>(d)];
       }
-      const bool omp = opts_->openmp && opts_->lang == ir::Lang::OpenMP;
+      const bool omp = opts_->lang == ir::Lang::OpenMP;
       if (omp && nd > 1 && interior_points >= 32768) {
         line("#pragma omp parallel for "
              "reduction(+:jitfd_hc_nan,jitfd_hc_inf,jitfd_hc_l2) "

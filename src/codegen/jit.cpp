@@ -18,7 +18,6 @@
 #include "codegen/emit.h"
 #include "codegen/sha256.h"
 #include "core/env.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace jitfd::codegen {
@@ -186,20 +185,11 @@ JitKernel::JitKernel(const std::string& source, bool openmp) {
 
   cache_hit_ = !compiled_now || entry->from_disk;
   build_span.set_aux(cache_hit_ ? 1 : 0);
-  static jitfd::obs::metrics::Counter& builds =
-      jitfd::obs::metrics::counter("jit.builds");
-  builds.add(1);
   if (cache_hit_) {
     g_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    static jitfd::obs::metrics::Counter& hits =
-        jitfd::obs::metrics::counter("jit.cache_hits");
-    hits.add(1);
   } else {
     g_cache_misses.fetch_add(1, std::memory_order_relaxed);
     compile_seconds_ = entry->compile_seconds;
-    static jitfd::obs::metrics::Histogram& hist =
-        jitfd::obs::metrics::histogram("jit.build_seconds");
-    hist.observe(compile_seconds_);
   }
 
   handle_ = ::dlopen(entry->so_path.c_str(), RTLD_NOW | RTLD_LOCAL);

@@ -338,6 +338,10 @@ std::unique_ptr<Operator> autotune_operator(
 
   const std::vector<std::vector<std::int64_t>> tiles =
       tile_candidates(fields, grid);
+  // The untiled candidate (report key []) reaches the Operator as an
+  // explicit all-zero tile: an empty one would pick up JITFD_TILE.
+  const std::vector<std::int64_t> untiled(
+      static_cast<std::size_t>(grid.ndims()), 0);
 
   const smpi::Communicator& comm = grid.cart()->comm();
   double best_seconds = 0.0;
@@ -347,7 +351,7 @@ std::unique_ptr<Operator> autotune_operator(
     for (const std::vector<std::int64_t>& tile : tiles) {
       ir::CompileOptions trial_opts = opts;
       trial_opts.mode = mode;
-      trial_opts.tile = tile;
+      trial_opts.tile = tile.empty() ? untiled : tile;
       // Trials run without the sparse operations: their cost is
       // pattern-independent and some (receiver interpolation) accumulate
       // externally visible records that must not be polluted.
@@ -457,7 +461,8 @@ std::unique_ptr<Operator> autotune_operator(
   }
 
   opts.mode = local_report.best;
-  opts.tile = local_report.best_tile;
+  opts.tile =
+      local_report.best_tile.empty() ? untiled : local_report.best_tile;
   if (report != nullptr) {
     *report = local_report;
   }

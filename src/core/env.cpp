@@ -33,8 +33,6 @@ const Var kVars[] = {
      "the first health-checked field (flight-recorder self-test hook)"},
     {"JITFD_KEEP", "bool", "0",
      "Keep the per-process JIT scratch cache directory at exit"},
-    {"JITFD_METRICS", "bool", "0",
-     "Enable the obs/metrics counters/gauges/histograms registry"},
     {"JITFD_MPI", "enum(none|basic|diagonal|full)", "basic",
      "Halo-exchange pattern for distributed Operators that leave "
      "CompileOptions::mode unset (DEVITO_MPI analogue)"},

@@ -67,9 +67,8 @@ std::string get_enum(const char* name, const std::string& def,
 /// error. Used by JITFD_TILE (a 0 entry leaves that dimension untiled).
 std::vector<std::int64_t> get_int_list(const char* name);
 
-/// The strict list parser behind get_int_list, exposed so API-level
-/// parsers (Function::parse_tile) share one grammar. `what` names the
-/// source in error messages.
+/// The strict list parser behind get_int_list. `what` names the source
+/// in error messages.
 std::vector<std::int64_t> parse_int_list(const std::string& what,
                                          const std::string& text);
 

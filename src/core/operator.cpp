@@ -13,7 +13,6 @@
 #include "codegen/emit.h"
 #include "core/env.h"
 #include "obs/flight.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "symbolic/manip.h"
 
@@ -177,10 +176,9 @@ Operator::Operator(std::vector<ir::Eq> eqs, ir::CompileOptions opts,
   }
 
   if (opts_.tile.empty()) {
-    // Process-wide default (JITFD_TILE or Function::set_default_tile):
-    // select tiling without touching user code. Infeasible entries are
-    // clamped and recorded by the lowering pass.
-    opts_.tile = grid::Function::default_tile();
+    // JITFD_TILE selects tiling without touching user code. Infeasible
+    // entries are clamped and recorded by the lowering pass.
+    opts_.tile = env::get_int_list("JITFD_TILE");
   }
 
   std::vector<ir::SparseOpDesc> descs;
@@ -417,10 +415,6 @@ RunSummary Operator::apply(const ApplyArgs& args) {
     out.jit_compile_seconds = jit_compile_seconds_ - jit_cc_before;
     out.jit_cache_hit = jit_cache_hit_;
   }
-  static obs::metrics::Counter& applies = obs::metrics::counter("op.applies");
-  static obs::metrics::Counter& steps = obs::metrics::counter("op.steps");
-  applies.add(1);
-  steps.add(static_cast<std::uint64_t>(out.steps));
   if (monitor != nullptr) {
     out.health = monitor->summary();
   }
@@ -432,7 +426,7 @@ void Operator::run_jit(std::int64_t time_m, std::int64_t time_M,
                        obs::health::Sink* health_sink) {
   if (jit_ == nullptr) {
     jit_ = std::make_unique<codegen::JitKernel>(
-        ccode(), opts_.lang == ir::Lang::OpenMP && opts_.openmp);
+        ccode(), opts_.lang == ir::Lang::OpenMP);
     jit_compile_seconds_ = jit_->compile_seconds();
     jit_cache_hit_ = jit_->cache_hit();
   }

@@ -58,8 +58,8 @@ struct ApplyArgs {
   bool trace = false;
   /// Run the compiler-generated numerical-health kernels every N steps
   /// (0 = never; the generated checks cost one comparison per step).
-  /// Results land in RunSummary::health, obs/metrics and the flight
-  /// recorder's health ring.
+  /// Results land in RunSummary::health and the flight recorder's
+  /// health ring.
   std::int64_t health_interval = 0;
   /// Policy when a health check finds NaN/Inf points (ignored unless
   /// health_interval > 0). AbortDump writes the flight-recorder bundle

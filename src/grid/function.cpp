@@ -13,7 +13,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/env.h"
 #include "symbolic/fd_ops.h"
 
 namespace jitfd::grid {
@@ -33,16 +32,6 @@ std::mutex& registry_mutex() {
 std::map<int, Function*>& registry() {
   static std::map<int, Function*> r;
   return r;
-}
-
-std::mutex& tile_default_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::vector<std::int64_t>& tile_default_storage() {
-  static std::vector<std::int64_t> tile = env::get_int_list("JITFD_TILE");
-  return tile;
 }
 
 // Reserved user-channel tag for Function::gather traffic, far above the
@@ -239,24 +228,6 @@ int Function::buffer_index(int time_offset, std::int64_t time) const {
   }
   const int nb = buffers_;
   return static_cast<int>((((time + time_offset) % nb) + nb) % nb);
-}
-
-void Function::set_default_tile(std::vector<std::int64_t> tile) {
-  const std::lock_guard<std::mutex> lock(tile_default_mutex());
-  tile_default_storage() = std::move(tile);
-}
-
-std::vector<std::int64_t> Function::default_tile() {
-  const std::lock_guard<std::mutex> lock(tile_default_mutex());
-  return tile_default_storage();
-}
-
-std::vector<std::int64_t> Function::parse_tile(const std::string& text) {
-  // Strict shared grammar with JITFD_TILE (env::get_int_list): elided
-  // entries ("8,,2") stay untiled, non-numeric tokens are a hard error.
-  // Negative or oversized values are still clamped (and recorded) at
-  // lowering time.
-  return env::parse_int_list("tile", text);
 }
 
 Function* lookup_field(int field_id) {

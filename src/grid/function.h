@@ -91,19 +91,6 @@ class Function {
   /// Total left offset from the raw allocation to the data region.
   int lpad() const { return space_order_ + padding_; }
 
-  /// Process-wide default per-dimension tile shape, used by Operator when
-  /// CompileOptions::tile is left empty. Initialized once from the
-  /// JITFD_TILE environment variable ("tz,ty,tx"; unset/empty = untiled);
-  /// the setter affects Operators constructed afterwards. Infeasible
-  /// entries are clamped (and recorded) at lowering time, not here.
-  static void set_default_tile(std::vector<std::int64_t> tile);
-  static std::vector<std::int64_t> default_tile();
-  /// Parse a JITFD_TILE-style comma-separated list ("16,8"). Strict:
-  /// elided entries ("8,,2") stay 0 (untiled) and a non-numeric token
-  /// throws std::invalid_argument; negative or oversized values are
-  /// clamped (and recorded) at lowering time.
-  static std::vector<std::int64_t> parse_tile(const std::string& text);
-
   /// Number of time buffers (1 for plain Functions).
   virtual int time_buffers() const { return 1; }
 

@@ -287,8 +287,8 @@ std::vector<std::int64_t> plan_tiling(const CompileOptions& opts,
 /// bounds. A nonzero tile[d] wraps the nest in a BlockLoop over dimension
 /// d (tile loops sit outermost, in dimension order) and the OpenMP
 /// annotation moves to the outermost loop node.
-NodePtr build_nest(const Cluster& c, int ndims, const CompileOptions& opts,
-                   const std::vector<Bound>& lo, const std::vector<Bound>& hi,
+NodePtr build_nest(const Cluster& c, int ndims, const std::vector<Bound>& lo,
+                   const std::vector<Bound>& hi,
                    const std::vector<std::int64_t>& tile) {
   int outer_tiled = -1;
   for (int d = 0; d < ndims; ++d) {
@@ -309,7 +309,7 @@ NodePtr build_nest(const Cluster& c, int ndims, const CompileOptions& opts,
     const auto ud = static_cast<std::size_t>(d);
     LoopProps props;
     props.vector = d == ndims - 1;
-    props.parallel = opts.openmp && d == 0 && outer_tiled < 0;
+    props.parallel = d == 0 && outer_tiled < 0;
     body = {make_iteration(d, lo[ud], hi[ud], props, std::move(body))};
   }
   for (int d = ndims - 1; d >= 0; --d) {
@@ -318,7 +318,7 @@ NodePtr build_nest(const Cluster& c, int ndims, const CompileOptions& opts,
       continue;
     }
     LoopProps props;
-    props.parallel = opts.openmp && d == outer_tiled;
+    props.parallel = d == outer_tiled;
     body = {make_block_loop(d, lo[ud], hi[ud], tile[ud], props,
                             std::move(body))};
   }
@@ -336,8 +336,7 @@ std::vector<Bound> domain_hi(int nd) {
 /// dimension (disjoint cover of DOMAIN \ CORE; see DESIGN.md). `w` is the
 /// CORE inset (the cluster's read width — CORE must not touch in-flight
 /// receives).
-void build_full_split(const Cluster& c, int nd, const CompileOptions& opts,
-                      const std::vector<int>& w,
+void build_full_split(const Cluster& c, int nd, const std::vector<int>& w,
                       const std::vector<std::int64_t>& tile,
                       std::vector<NodePtr>& out) {
   // CORE nest.
@@ -348,7 +347,7 @@ void build_full_split(const Cluster& c, int nd, const CompileOptions& opts,
     lo[ud] = Bound::absolute(w[ud]);
     hi[ud] = Bound::from_size(-w[ud]);
   }
-  out.push_back(make_section("core", {build_nest(c, nd, opts, lo, hi, tile)}));
+  out.push_back(make_section("core", {build_nest(c, nd, lo, hi, tile)}));
 
   // Remainder slabs, ordered low/high per dimension. Dimensions before the
   // slab dimension are restricted to their core range; later dimensions
@@ -378,7 +377,7 @@ void build_full_split(const Cluster& c, int nd, const CompileOptions& opts,
           shi[uq] = Bound::absolute(w[uq]);
         }
       }
-      remainders.push_back(build_nest(c, nd, opts, slo, shi, tile));
+      remainders.push_back(build_nest(c, nd, slo, shi, tile));
     }
   }
   out.push_back(make_section("remainder", std::move(remainders)));
@@ -815,7 +814,7 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
     if (!c.needs.empty()) {
       step.push_back(make_halo_spot(c.needs));
     }
-    NodePtr nest = build_nest(c, nd, opts, domain_lo(nd), domain_hi(nd), tile);
+    NodePtr nest = build_nest(c, nd, domain_lo(nd), domain_hi(nd), tile);
     if (info.activity) {
       auto tagged = std::make_shared<Node>(*nest);
       tagged->cluster = static_cast<int>(ci);
@@ -911,7 +910,7 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
       }
       new_step.push_back(make_halo_comm(HaloCommKind::Start, needs, id));
       std::vector<NodePtr> split;
-      build_full_split(c, nd, opts, needs_width(c, nd), tile, split);
+      build_full_split(c, nd, needs_width(c, nd), tile, split);
       new_step.push_back(split[0]);  // CORE section.
       new_step.push_back(make_halo_comm(HaloCommKind::Wait, needs, id));
       new_step.push_back(split[1]);  // Remainder section.

@@ -60,7 +60,6 @@ struct CompileOptions {
   /// smallest rank-local extent (clamping must be rank-uniform or
   /// collective trial grids would diverge across ranks).
   std::vector<std::int64_t> tile;
-  bool openmp = true;        ///< Annotate parallel loops.
   /// Emit per-written-field numerical-health reduction kernels
   /// (NaN/Inf counts, finite min/max, L2 over the owned interior) at
   /// the end of every time step, guarded by the reserved

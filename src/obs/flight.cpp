@@ -15,7 +15,6 @@
 
 #include "core/env.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace jitfd::obs::flight {
@@ -51,7 +50,7 @@ std::string build_bundle(const std::string& reason, int rank,
                          std::int64_t step, const std::string& detail) {
   JsonWriter w;
   w.begin_object().key("flight").begin_object();
-  w.field("schema_version", 2)
+  w.field("schema_version", 3)
       .field("reason", reason)
       .field("rank", rank)
       .field("step", step)
@@ -114,9 +113,7 @@ std::string build_bundle(const std::string& reason, int rank,
           .end();
     }
   }
-  w.end().key("metrics");
-  metrics::write_json(w);
-  w.end().end();
+  w.end().end().end();
   return w.take();
 }
 

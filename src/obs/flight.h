@@ -9,10 +9,10 @@
 // detection under on_nan=abort_dump, an uncaught exception, or a fatal
 // signal — dumps one schema-validated JSON bundle:
 //
-//   {"flight": {"schema_version": 2, "reason": ..., "rank": N,
+//   {"flight": {"schema_version": 3, "reason": ..., "rank": N,
 //               "step": N, "detail": ..., "config": {...},
 //               "health": [...], "steps": [{"rank": N, "step": N}, ...],
-//               "trace": [...], "metrics": {...}}}
+//               "trace": [...]}}
 //
 // The dump is once-per-process (first reason wins; later calls return
 // the same result) and lands in $JITFD_FLIGHT_DIR (default ".") as

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "obs/flight.h"
-#include "obs/metrics.h"
 
 namespace jitfd::obs::health {
 
@@ -89,25 +88,9 @@ void Monitor::on_check(int field_id, std::int64_t time,
   }
   summary_.series.push_back(s);
 
-  // Process-wide sinks (metrics, flight ring) see each global
-  // sample once: rank 0 reports for everyone.
+  // The process-wide flight ring sees each global sample once: rank 0
+  // reports for everyone.
   if (opts_.rank == 0) {
-    static metrics::Counter& checks = metrics::counter(
-        "health.checks", "Health checks performed (one per field per "
-                         "health step, globally reduced)");
-    static metrics::Counter& divergences = metrics::counter(
-        "health.divergences",
-        "Health checks that first detected NaN/Inf points in a run");
-    static metrics::Gauge& nan_points = metrics::gauge(
-        "health.nan_points", "Global NaN points at the last health check");
-    static metrics::Gauge& inf_points = metrics::gauge(
-        "health.inf_points", "Global Inf points at the last health check");
-    checks.add(1);
-    nan_points.set(static_cast<double>(s.nan_count));
-    inf_points.set(static_cast<double>(s.inf_count));
-    if (newly_bad) {
-      divergences.add(1);
-    }
     flight::HealthRec rec;
     rec.step = s.step;
     rec.field_id = s.field_id;
@@ -124,8 +107,8 @@ void Monitor::on_check(int field_id, std::int64_t time,
   if (s.bad() && opts_.on_nan == OnNan::AbortDump) {
     // Every rank reaches this branch (the reduced counts are
     // identical), so this collective is a barrier: it guarantees rank
-    // 0's ring/metrics updates above are visible before any rank wins
-    // the dump race and snapshots them into the bundle.
+    // 0's ring updates above are visible before any rank wins the dump
+    // race and snapshots them into the bundle.
     if (opts_.comm != nullptr) {
       std::int64_t sync[1] = {0};
       opts_.comm->allreduce(std::span<std::int64_t>(sync),

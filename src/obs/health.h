@@ -10,7 +10,6 @@
 // guarded by `time % interval` identically on every rank, so the
 // collectives stay in lockstep — and:
 //   - appends a Sample to the run's Summary time-series,
-//   - updates the obs/metrics registry,
 //   - feeds the flight recorder's bounded health ring,
 //   - applies the OnNan policy when NaN/Inf points appear.
 //

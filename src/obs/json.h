@@ -1,5 +1,5 @@
-// The one JSON writer behind every obs export (metrics, analysis, the
-// Chrome trace, the flight bundle and the autotune report). It streams
+// The one JSON writer behind every obs export (analysis, the Chrome
+// trace, the flight bundle and the autotune report). It streams
 // into a string and tracks commas and nesting itself. There is one
 // string escape ('"', '\\', and control characters as \n, \t, \r or
 // \u00XX) and one number format: the shortest form that round-trips

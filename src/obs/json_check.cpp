@@ -373,7 +373,7 @@ Schema obj(std::initializer_list<Member> members,
   return s;
 }
 
-// -- The three conditional rules -------------------------------------------
+// -- The two conditional rules ---------------------------------------------
 
 // Chrome: metadata ("M") events carry no timestamps; the others need
 // ts >= 0, pid and tid, and complete ("X") events a duration >= 0.
@@ -384,38 +384,6 @@ bool chrome_event(const JsonValue& ev, const std::string& path,
   const std::string& ph = ev.find("ph")->str;
   return ph == "M" || (walk(ev, timed, path, err) &&
                        (ph != "X" || walk(ev, complete, path, err)));
-}
-
-// Metrics: the value fields follow "type"; histogram buckets carry
-// cumulative counts, so they must be monotone, and the last "le" is
-// the string "+Inf".
-bool metric_values(const JsonValue& m, const std::string& path,
-                   std::string& err) {
-  static const Schema counter = obj({"value"});
-  static const Schema gauge = obj({{"value", of(Kind::NumOrNull)}});
-  static const Schema histogram = obj(
-      {"count", {"sum", of(Kind::NumOrNull)}, {"buckets", arr(obj({"count"}))}});
-  const std::string& type = m.find("type")->str;
-  if (type != "histogram") {
-    return walk(m, type == "counter" ? counter : gauge, path, err);
-  }
-  if (!walk(m, histogram, path, err)) {
-    return false;
-  }
-  double prev = -1.0;
-  for (const JsonValue& b : m.find("buckets")->arr) {
-    const JsonValue* le = b.find("le");
-    if (le == nullptr || (le->type != Type::Num && le->str != "+Inf")) {
-      err = path + ".buckets: \"le\" must be a number or \"+Inf\"";
-      return false;
-    }
-    if (b.find("count")->num < prev) {
-      err = path + ".buckets: non-monotone cumulative counts";
-      return false;
-    }
-    prev = b.find("count")->num;
-  }
-  return true;
 }
 
 // Autotune: under the attributed objective every trial carries its
@@ -473,15 +441,6 @@ const Schema& chrome_trace_schema() {
   return s;
 }
 
-const Schema& metrics_schema() {
-  static const Schema s = obj(
-      {{"metrics",
-        arr(obj({{"name", of(Kind::NonEmptyStr)},
-                 {"type", one_of({"counter", "gauge", "histogram"})}},
-                metric_values))}});
-  return s;
-}
-
 const Schema& analysis_schema() {
   static const Schema s = obj({{"analysis",
       obj({"nranks", "steps", "wall_seconds",
@@ -523,7 +482,7 @@ const Schema& autotune_schema() {
 
 const Schema& flight_schema() {
   static const Schema s = obj({{"flight",
-      obj({{"schema_version", num(2.0, 2.0)},
+      obj({{"schema_version", num(3.0, 3.0)},
            {"reason", of(Kind::Str)}, "rank", "step",
            {"detail", of(Kind::Str)},
            {"config", obj({})},
@@ -535,8 +494,7 @@ const Schema& flight_schema() {
            {"steps", arr(obj({"rank", "step"}))},
            {"trace",
             arr(obj({{"name", of(Kind::Str)}, {"cat", of(Kind::Str)}, "rank",
-                     "t0_ns", "t1_ns", "a0", "a1"}))},
-           {"metrics", metrics_schema()}})}});
+                     "t0_ns", "t1_ns", "a0", "a1"}))}})}});
   return s;
 }
 

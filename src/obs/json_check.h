@@ -4,7 +4,7 @@
 // recursive-descent parser over the full JSON grammar, with nesting
 // capped at kMaxJsonDepth, and one walker that checks a parsed document
 // against a Schema tree. Each export has one table (chrome_trace_schema,
-// metrics_schema, analysis_schema, autotune_schema, flight_schema).
+// analysis_schema, autotune_schema, flight_schema).
 // Used by the tests and tools/trace_check.
 #pragma once
 
@@ -93,7 +93,6 @@ SchemaCheck validate(std::string_view json, const Schema& schema);
 
 /// The export tables.
 const Schema& chrome_trace_schema();  ///< obs::write_chrome_trace.
-const Schema& metrics_schema();       ///< obs::metrics::to_json.
 const Schema& analysis_schema();      ///< obs::analysis_json.
 const Schema& autotune_schema();      ///< core::autotune_report_json.
 const Schema& flight_schema();        ///< obs::flight::dump bundles.

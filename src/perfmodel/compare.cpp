@@ -143,12 +143,8 @@ Comparison compare_run(const MeasuredRun& measured, const ScalingModel& model,
   }
   c.predicted_bytes_per_step = bytes * exchanges_per_step;
 
-  // Evaluate the model with the run's tile shape so its cache-traffic
-  // term matches the compiled schedule (no-op when untiled).
-  ScalingModel tiled_model = model;
-  tiled_model.set_tile(measured.tile);
-  const ScalingPoint pt = tiled_model.strong(measured.ranks, measured.so,
-                                             measured.mode, domain_edge);
+  const ScalingPoint pt =
+      model.strong(measured.ranks, measured.so, measured.mode, domain_edge);
   c.predicted_gpts = pt.gpts;
   c.predicted_step_seconds = pt.step_seconds;
   if (pt.step_seconds > 0.0) {
@@ -160,34 +156,17 @@ Comparison compare_run(const MeasuredRun& measured, const ScalingModel& model,
   return c;
 }
 
-namespace {
-
-std::string tile_str(const std::vector<std::int64_t>& tile) {
-  if (tile.empty()) {
-    return "-";
-  }
-  std::string s;
-  for (std::size_t d = 0; d < tile.size(); ++d) {
-    s += (d > 0 ? "x" : "") + std::to_string(tile[d]);
-  }
-  return s;
-}
-
-}  // namespace
-
 std::string comparison_table(const std::vector<Comparison>& rows) {
   std::ostringstream os;
   os << std::left << std::setw(10) << "pattern" << std::right
-     << std::setw(10) << "tile" << std::setw(12) << "GPts/s"
-     << std::setw(12) << "model"
+     << std::setw(12) << "GPts/s" << std::setw(12) << "model"
      << std::setw(11) << "comm%" << std::setw(11) << "model%" << std::setw(12)
      << "msgs" << std::setw(12) << "expected" << std::setw(14) << "MB/step"
      << std::setw(14) << "model MB" << '\n';
   os << std::fixed;
   for (const Comparison& c : rows) {
     os << std::left << std::setw(10) << ir::to_string(c.measured.mode)
-       << std::right << std::setw(10) << tile_str(c.measured.tile)
-       << std::setprecision(4) << std::setw(12)
+       << std::right << std::setprecision(4) << std::setw(12)
        << c.measured_gpts << std::setw(12) << c.predicted_gpts
        << std::setprecision(1) << std::setw(10)
        << 100.0 * c.measured.comm_fraction << "%" << std::setw(10)

@@ -37,9 +37,6 @@ struct MeasuredRun {
   int ranks = 1;
   int so = 2;
   std::int64_t steps = 0;
-  /// Cache-tile shape the run was compiled with (CompileOptions::tile
-  /// layout; empty = untiled). Feeds the model's cache-traffic term.
-  std::vector<std::int64_t> tile;
   std::int64_t points_updated = 0;  ///< Global points x steps.
   double wall_seconds = 0.0;        ///< Slowest rank.
   double comm_fraction = 0.0;
@@ -83,9 +80,7 @@ struct Comparison {
 /// estimate); `exchanges_per_step` is the number of (field, spot)
 /// message rounds per time step (fields x per-step spots, 1 for a
 /// single-field single-spot kernel); `domain_edge` feeds the model's
-/// strong-scaling evaluation (0 = the paper's default cube). When
-/// `measured.tile` is non-empty the model's cache-traffic term is
-/// evaluated with that tile shape (ScalingModel::set_tile).
+/// strong-scaling evaluation (0 = the paper's default cube).
 Comparison compare_run(const MeasuredRun& measured, const ScalingModel& model,
                        const std::vector<int>& topology,
                        const std::vector<std::int64_t>& global_shape,

@@ -9,7 +9,6 @@ MachineSpec archer2_node() {
   m.peak_gflops = 9216.0;    // 128 cores x 2.25 GHz x 32 SP flops/cycle.
   m.ranks_per_unit = 8;      // One rank per NUMA domain (paper setup).
   m.omp_threads_per_rank = 16;
-  m.cache_mb = 32.0;         // 2 CCXs' L3 per NUMA-domain rank share.
   m.net_bw_gbs = 50.0;       // 2 NICs x 200 Gb/s.
   m.net_latency_us = 2.0;    // Slingshot P2P.
   m.msg_overhead_us = 2.0;
@@ -25,7 +24,6 @@ MachineSpec tursa_a100() {
   m.peak_gflops = 19500.0; // FP32.
   m.ranks_per_unit = 1;
   m.omp_threads_per_rank = 1;
-  m.cache_mb = 40.0;    // A100 L2.
   m.net_bw_gbs = 25.0;  // One 200 Gb/s IB interface per GPU.
   m.net_latency_us = 3.5;
   m.msg_overhead_us = 1.5;  // Host-driven staging (no device buffers yet).

@@ -22,9 +22,6 @@ struct MachineSpec {
   double peak_gflops = 0.0;     ///< FP32 peak per unit (GFLOP/s).
   int ranks_per_unit = 1;       ///< MPI ranks per unit (8 on ARCHER2 nodes).
   int omp_threads_per_rank = 1; ///< For the full-mode sacrificed thread.
-  /// Last-level cache capacity available to one rank (MB) — feeds the
-  /// cache-traffic term of the tiled sweep model (0 disables it).
-  double cache_mb = 0.0;
 
   // Interconnect (per unit).
   double net_bw_gbs = 0.0;      ///< Injection bandwidth per unit (GB/s).

@@ -99,31 +99,7 @@ ScalingPoint ScalingModel::evaluate(const std::vector<std::int64_t>& domain,
   const double bw = machine_.mem_bw_gbs * kGiga * kernel_.eff_bw.at(target_);
   const double fl =
       machine_.peak_gflops * kGiga * kernel_.eff_flop.at(target_);
-  // Cache-traffic term: reusing loaded neighbours across the stencil's
-  // vertical extent keeps ~(so + 1) planes of every working-set field
-  // live; when that footprint overflows the rank's cache share, the
-  // bytes term grows by the overflow ratio (clamped at so + 1 — every
-  // reuse missing). Tiling a non-innermost dimension below the outermost
-  // shrinks the plane footprint (+so for the tile's own halo); the ratio
-  // is normalized to the untiled footprint so the calibrated eff_bw
-  // (which already absorbs the untiled cache pressure) stays intact.
-  const double cache = machine_.cache_mb * kMega;
-  const auto sweep_excess = [&](bool tiled) {
-    double plane = 4.0 * kernel_.fields;
-    for (std::size_t d = 1; d < rank.n.size(); ++d) {
-      double ext = static_cast<double>(rank.n[d]);
-      if (tiled && d < tile_.size() && tile_[d] > 0) {
-        ext = std::min(ext, static_cast<double>(tile_[d] + so));
-      }
-      plane *= ext;
-    }
-    const double ws = (so + 1.0) * plane;
-    return cache > 0.0 ? std::clamp(ws / cache, 1.0, so + 1.0) : 1.0;
-  };
-  const double cache_factor =
-      tile_.empty() ? 1.0 : sweep_excess(true) / sweep_excess(false);
-  const double t_point =
-      std::max(bytes_pt * cache_factor / bw, flops_pt / fl);
+  const double t_point = std::max(bytes_pt / bw, flops_pt / fl);
   pt.t_comp = unit.points * t_point;
 
   // --- Communication -----------------------------------------------------

@@ -66,16 +66,6 @@ class ScalingModel {
     topology_ = std::move(topology);
   }
 
-  /// Per-dimension cache-tile shape the compared run was compiled with
-  /// (CompileOptions::tile layout: outermost first, 0 = untiled). Feeds
-  /// the cache-traffic term: a sweep must keep ~(so + 1) planes of every
-  /// working-set field cache-resident to reuse loaded neighbours; when
-  /// the (tiled) plane footprint overflows MachineSpec::cache_mb, the
-  /// bytes term grows by the overflow ratio, clamped at so + 1 (every
-  /// reuse missing). The term is normalized against the untiled
-  /// footprint, so an empty tile leaves the calibrated model unchanged.
-  void set_tile(std::vector<std::int64_t> tile) { tile_ = std::move(tile); }
-
   const KernelSpec& kernel() const { return kernel_; }
   const MachineSpec& machine() const { return machine_; }
 
@@ -88,7 +78,6 @@ class ScalingModel {
   KernelSpec kernel_;
   Target target_;
   std::vector<int> topology_;
-  std::vector<std::int64_t> tile_;
 };
 
 /// Roofline characterization for Figure 7: OI (flops/byte) and attained

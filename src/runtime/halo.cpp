@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace jitfd::runtime {
@@ -307,8 +306,6 @@ void HaloExchange::update(int spot, std::int64_t time) {
     complete_star(s, time);
   }
   ++stats_.updates;
-  static obs::metrics::Counter& ex = obs::metrics::counter("halo.exchanges");
-  ex.add(1);
   sync_transport_stats();
 }
 
@@ -356,12 +353,6 @@ void HaloExchange::update_basic(Spot& s, std::int64_t time) {
         }
         ++stats_.messages;
         stats_.bytes_sent += dp.send_buf.size() * sizeof(float);
-        static obs::metrics::Counter& msgs =
-            obs::metrics::counter("halo.messages");
-        static obs::metrics::Counter& sent =
-            obs::metrics::counter("halo.bytes_sent");
-        msgs.add(1);
-        sent.add(dp.send_buf.size() * sizeof(float));
       }
       for (std::size_t i = 0; i < faces.size(); ++i) {
         obs::Span wp("halo.wait", obs::Cat::Wait, 0, faces[i].neighbor);
@@ -412,12 +403,6 @@ void HaloExchange::post_star(Spot& s, std::int64_t time) {
       }
       ++stats_.messages;
       stats_.bytes_sent += dp.send_buf.size() * sizeof(float);
-      static obs::metrics::Counter& msgs =
-          obs::metrics::counter("halo.messages");
-      static obs::metrics::Counter& sent =
-          obs::metrics::counter("halo.bytes_sent");
-      msgs.add(1);
-      sent.add(dp.send_buf.size() * sizeof(float));
     }
   }
   s.in_flight = true;
@@ -470,8 +455,6 @@ void HaloExchange::start(int spot, std::int64_t time) {
   Spot& s = spots_.at(static_cast<std::size_t>(spot));
   post_star(s, time);
   ++stats_.starts;
-  static obs::metrics::Counter& ex = obs::metrics::counter("halo.exchanges");
-  ex.add(1);
   sync_transport_stats();
 }
 
@@ -507,14 +490,6 @@ void HaloExchange::sync_transport_stats() {
   stats_.pool_hits = pool.hits;
   stats_.pool_misses = pool.misses;
   stats_.copies_per_message = world.transport().copies_per_message();
-  static obs::metrics::Gauge& hits = obs::metrics::gauge("smpi.pool_hits");
-  static obs::metrics::Gauge& misses =
-      obs::metrics::gauge("smpi.pool_misses");
-  static obs::metrics::Gauge& cpm =
-      obs::metrics::gauge("halo.copies_per_message");
-  hits.set(static_cast<double>(stats_.pool_hits));
-  misses.set(static_cast<double>(stats_.pool_misses));
-  cpm.set(stats_.copies_per_message);
 }
 
 }  // namespace jitfd::runtime

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace smpi {
@@ -68,9 +67,6 @@ void Mailbox::deliver(int source, int tag, Channel channel, const void* data,
       counters_->bytes_delivered.fetch_add(bytes, std::memory_order_relaxed);
       jitfd::obs::instant("msg.queued", jitfd::obs::Cat::Msg,
                           static_cast<std::int64_t>(bytes), source);
-      static jitfd::obs::metrics::Counter& queued =
-          jitfd::obs::metrics::counter("smpi.queued_messages");
-      queued.add(1);
       return;
     }
     match = *it;
@@ -86,9 +82,6 @@ void Mailbox::deliver(int source, int tag, Channel channel, const void* data,
   fulfil(*match, source, tag, data, bytes);
   jitfd::obs::instant("msg.rendezvous", jitfd::obs::Cat::Msg,
                       static_cast<std::int64_t>(bytes), source);
-  static jitfd::obs::metrics::Counter& rendezvous =
-      jitfd::obs::metrics::counter("smpi.rendezvous_messages");
-  rendezvous.add(1);
 }
 
 void Mailbox::post_recv(const std::shared_ptr<OpState>& op) {

@@ -25,7 +25,6 @@
 #include <omp.h>
 #endif
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "smpi/comm.h"
 #include "smpi/shm_ring.h"
@@ -373,9 +372,6 @@ class ProcTransport final : public Transport, public OpState::Progressor {
                                              std::memory_order_relaxed);
     jitfd::obs::instant("msg.rendezvous", jitfd::obs::Cat::Msg,
                         static_cast<std::int64_t>(bytes), source);
-    static jitfd::obs::metrics::Counter& rendezvous =
-        jitfd::obs::metrics::counter("smpi.rendezvous_messages");
-    rendezvous.add(1);
   }
 
   void count_queued(int source, std::size_t bytes) {
@@ -385,9 +381,6 @@ class ProcTransport final : public Transport, public OpState::Progressor {
                                              std::memory_order_relaxed);
     jitfd::obs::instant("msg.queued", jitfd::obs::Cat::Msg,
                         static_cast<std::int64_t>(bytes), source);
-    static jitfd::obs::metrics::Counter& queued =
-        jitfd::obs::metrics::counter("smpi.queued_messages");
-    queued.add(1);
   }
 
   /// Self-send: Mailbox::deliver semantics without a ring round-trip.

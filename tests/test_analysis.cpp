@@ -1,5 +1,4 @@
-// Cross-rank trace analysis, the metrics registry and the
-// metrics/analysis JSON schema tables.
+// Cross-rank trace analysis and the analysis JSON schema table.
 //
 // The analyzer tests run on hand-built TraceData snapshots with exact
 // nanosecond timestamps, so the wait-state split and overlap pairing are
@@ -9,16 +8,13 @@
 // rank across all three patterns.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "core/operator.h"
 #include "grid/function.h"
 #include "obs/analysis.h"
 #include "obs/json_check.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "smpi/runtime.h"
@@ -241,97 +237,6 @@ TEST(Analysis, JsonExportValidatesAndCarriesSections) {
   // Schema violations are rejected.
   EXPECT_FALSE(obs::validate("{\"analysis\": {}}", obs::analysis_schema()).ok);
   EXPECT_FALSE(obs::validate("[1, 2]", obs::analysis_schema()).ok);
-}
-
-// ---------------------------------------------------------------------
-// Metrics registry.
-// ---------------------------------------------------------------------
-
-TEST(Metrics, KindMismatchThrows) {
-  obs::metrics::counter("test.kind_probe");
-  EXPECT_THROW(obs::metrics::gauge("test.kind_probe"), std::logic_error);
-  EXPECT_THROW(obs::metrics::histogram("test.kind_probe"), std::logic_error);
-  // Same-kind lookups return the same instrument.
-  EXPECT_EQ(&obs::metrics::counter("test.kind_probe"),
-            &obs::metrics::counter("test.kind_probe"));
-}
-
-TEST(Metrics, CounterAndGaugeGateOnEnabled) {
-  if (!obs_built()) {
-    GTEST_SKIP() << "built with JITFD_OBS=OFF";
-  }
-  obs::metrics::Counter& c = obs::metrics::counter("test.counter");
-  obs::metrics::Gauge& g = obs::metrics::gauge("test.gauge");
-  obs::metrics::set_enabled(false);
-  c.add(5);
-  g.set(2.5);
-  EXPECT_EQ(c.value(), 0U);
-  EXPECT_EQ(g.value(), 0.0);
-
-  obs::metrics::set_enabled(true);
-  c.add(5);
-  c.add(2);
-  g.set(2.5);
-  EXPECT_EQ(c.value(), 7U);
-  EXPECT_EQ(g.value(), 2.5);
-  obs::metrics::set_enabled(false);
-
-  // reset() zeroes values but keeps registrations (and their kinds).
-  obs::metrics::reset();
-  EXPECT_EQ(c.value(), 0U);
-  EXPECT_EQ(g.value(), 0.0);
-  EXPECT_THROW(obs::metrics::gauge("test.counter"), std::logic_error);
-}
-
-TEST(Metrics, HistogramBucketsAndBounds) {
-  if (!obs_built()) {
-    GTEST_SKIP() << "built with JITFD_OBS=OFF";
-  }
-  obs::metrics::Histogram& h = obs::metrics::histogram("test.hist");
-  h.reset();
-  obs::metrics::set_enabled(true);
-  h.observe(0.5e-6);  // <= 1e-6: bucket 0.
-  h.observe(1.5e-6);  // <= 2e-6: bucket 1.
-  h.observe(1e9);     // Beyond every finite bound: last bucket.
-  obs::metrics::set_enabled(false);
-
-  EXPECT_EQ(h.count(), 3U);
-  EXPECT_NEAR(h.sum(), 1e9 + 2e-6, 1.0);
-  EXPECT_EQ(h.bucket(0), 1U);
-  EXPECT_EQ(h.bucket(1), 1U);
-  EXPECT_EQ(h.bucket(obs::metrics::Histogram::kBuckets - 1), 1U);
-
-  EXPECT_DOUBLE_EQ(obs::metrics::Histogram::upper_bound(0), 1e-6);
-  for (int i = 1; i < obs::metrics::Histogram::kBuckets - 1; ++i) {
-    EXPECT_GT(obs::metrics::Histogram::upper_bound(i),
-              obs::metrics::Histogram::upper_bound(i - 1));
-  }
-  EXPECT_TRUE(std::isinf(obs::metrics::Histogram::upper_bound(
-      obs::metrics::Histogram::kBuckets - 1)));
-  h.reset();
-  EXPECT_EQ(h.count(), 0U);
-}
-
-TEST(Metrics, JsonExportValidates) {
-  obs::metrics::counter("test.export_counter");
-  obs::metrics::gauge("test.export_gauge");
-  obs::metrics::histogram("test.export_hist");
-
-  const std::string json = obs::metrics::to_json();
-  std::string err;
-  EXPECT_TRUE(obs::json_valid(json, &err)) << err;
-  const obs::SchemaCheck check = obs::validate(json, obs::metrics_schema());
-  EXPECT_TRUE(check.ok) << check.error << "\n" << json;
-  EXPECT_GE(check.doc.find("metrics")->arr.size(), 3U);
-  EXPECT_NE(json.find("{\"le\": \"+Inf\""), std::string::npos) << json;
-
-  // Schema violations are rejected.
-  EXPECT_FALSE(obs::validate("{\"metrics\": [{}]}", obs::metrics_schema()).ok);
-  EXPECT_FALSE(
-      obs::validate(
-          R"({"metrics": [{"name": "x", "type": "nonsense", "value": 1}]})",
-          obs::metrics_schema())
-          .ok);
 }
 
 // ---------------------------------------------------------------------

@@ -102,9 +102,11 @@ TEST(Autotune, TrialsAllPatternsAndRestoresData) {
       EXPECT_LE(report.seconds.at(key.first), secs);
     }
     // The winner carries both the pattern and the tile into the returned
-    // operator.
+    // operator (an untiled win, key [], as an explicit all-zero tile).
+    const std::vector<std::int64_t> untiled{0, 0};
     EXPECT_EQ(op->options().mode, report.best);
-    EXPECT_EQ(op->options().tile, report.best_tile);
+    EXPECT_EQ(op->options().tile,
+              report.best_tile.empty() ? untiled : report.best_tile);
     EXPECT_EQ(report.seconds_by_trial.at({report.best, report.best_tile}),
               report.seconds.at(report.best));
     // Trial side effects were rolled back.
@@ -116,6 +118,31 @@ TEST(Autotune, TrialsAllPatternsAndRestoresData) {
     std::vector<std::int64_t> mode_max = mode_id;
     comm.allreduce(std::span<std::int64_t>(mode_max), smpi::ReduceOp::Max);
     EXPECT_EQ(mode_id[0], mode_max[0]);
+  });
+}
+
+TEST(Autotune, UntiledTrialIgnoresTheTileDefault) {
+  // JITFD_TILE fills in only a tile the caller leaves empty: the untiled
+  // candidate must still run untiled, beside its own [4, 0] trial.
+  const ScopedEnv tile("JITFD_TILE", "4,0");
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
+    const Grid g({16, 16}, {1.0, 1.0}, comm);
+    TimeFunction u("u", g, 2, 1);
+    AutotuneReport report;
+    auto op = autotune_operator({diffusion_eq(u)}, {}, {{"dt", 1e-3}}, 0, 2,
+                                &report);
+    for (const ir::MpiMode mode :
+         {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
+      EXPECT_EQ(report.seconds_by_trial.count({mode, {}}), 1U)
+          << ir::to_string(mode);
+      EXPECT_EQ(report.seconds_by_trial.count({mode, {4, 0}}), 1U)
+          << ir::to_string(mode);
+    }
+    EXPECT_TRUE(report.skipped.empty());
+    // The returned operator runs the winner's tile, untiled included.
+    const std::vector<std::int64_t> untiled{0, 0};
+    EXPECT_EQ(op->info().tile,
+              report.best_tile.empty() ? untiled : report.best_tile);
   });
 }
 

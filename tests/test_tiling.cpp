@@ -2,13 +2,15 @@
 // BlockLoop IET nodes, tiled-vs-untiled bitwise equivalence across MPI
 // patterns x backends (the tiled schedule must be a pure traversal-order
 // change *within* each loop nest, so owned values come out
-// bit-identical), and the JITFD_TILE process default.
+// bit-identical), and the JITFD_TILE default.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <functional>
 #include <stdexcept>
+#include <string>
 
+#include "core/env.h"
 #include "core/operator.h"
 #include "grid/function.h"
 #include "ir/lower.h"
@@ -19,7 +21,6 @@ namespace {
 
 using jitfd::core::Operator;
 namespace core = jitfd::core;
-using jitfd::grid::Function;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
 namespace ir = jitfd::ir;
@@ -166,25 +167,37 @@ TEST(Tiling, TileLargerThanExtentClampsWithReasonAndStillRuns) {
   EXPECT_NE(op.describe().find("clamped"), std::string::npos);
 }
 
-// --- JITFD_TILE / process defaults -----------------------------------------
+// --- JITFD_TILE ------------------------------------------------------------
+
+// setenv/unsetenv wrapper that restores on scope exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    ::setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+
+ private:
+  const char* name_;
+};
 
 TEST(Tiling, ParseTileIsStrict) {
-  EXPECT_TRUE(Function::parse_tile("").empty());
-  EXPECT_EQ(Function::parse_tile("16"), (std::vector<std::int64_t>{16}));
-  EXPECT_EQ(Function::parse_tile("16,8,0"),
-            (std::vector<std::int64_t>{16, 8, 0}));
+  const auto parse = [](const std::string& text) {
+    return jitfd::env::parse_int_list("JITFD_TILE", text);
+  };
+  EXPECT_TRUE(parse("").empty());
+  EXPECT_EQ(parse("16"), (std::vector<std::int64_t>{16}));
+  EXPECT_EQ(parse("16,8,0"), (std::vector<std::int64_t>{16, 8, 0}));
   // Empty tokens mean "untiled in this dimension"; anything non-numeric
   // is a hard configuration error rather than a silent 0.
-  EXPECT_EQ(Function::parse_tile("8,,2"), (std::vector<std::int64_t>{8, 0, 2}));
-  EXPECT_THROW(Function::parse_tile("x,4"), std::invalid_argument);
-  EXPECT_THROW(Function::parse_tile("16,8cols"), std::invalid_argument);
+  EXPECT_EQ(parse("8,,2"), (std::vector<std::int64_t>{8, 0, 2}));
+  EXPECT_THROW(parse("x,4"), std::invalid_argument);
+  EXPECT_THROW(parse("16,8cols"), std::invalid_argument);
 }
 
 TEST(Tiling, DefaultTileAppliesWhenOptionsLeaveTileEmpty) {
-  // The JITFD_TILE path: the env var initializes this same process-wide
-  // default, so the setter exercises identical plumbing.
-  Function::set_default_tile({4, 0});
   {
+    const ScopedEnv tile("JITFD_TILE", "4,0");
     const Grid g({32, 32}, {1.0, 1.0});
     TimeFunction u("u", g, 2, 1);
     Operator op({diffusion_eq(u)});
@@ -193,6 +206,7 @@ TEST(Tiling, DefaultTileAppliesWhenOptionsLeaveTileEmpty) {
   }
   // Clamp-and-record: an infeasible default is not an error.
   {
+    const ScopedEnv tile("JITFD_TILE", "4,0");
     const Grid g({32, 32}, {1.0, 1.0});
     TimeFunction u("u", g, 2, 1);
     ir::CompileOptions opts;
@@ -200,15 +214,14 @@ TEST(Tiling, DefaultTileAppliesWhenOptionsLeaveTileEmpty) {
     Operator op({diffusion_eq(u)}, opts);
     EXPECT_EQ(op.info().tile, (std::vector<std::int64_t>{0, 0}));
   }
-  Function::set_default_tile({64, 4});
   {
+    const ScopedEnv tile("JITFD_TILE", "64,4");
     const Grid g({32, 32}, {1.0, 1.0});
     TimeFunction u("u", g, 2, 1);
     Operator op({diffusion_eq(u)});
     EXPECT_EQ(op.info().tile, (std::vector<std::int64_t>{0, 0}));
     EXPECT_FALSE(op.info().tile_clamp_reason.empty());
   }
-  Function::set_default_tile({});
 }
 
 // --- Emitted SIMD annotations ----------------------------------------------

@@ -27,7 +27,6 @@
 #include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/json_check.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "perfmodel/compare.h"
@@ -540,21 +539,20 @@ TEST(TraceJson, NestingIsCappedWithAPositionedError) {
   EXPECT_NE(err.find("nesting deeper than 256 levels (offset 256)"),
             std::string::npos)
       << err;
-  // Two million open brackets under a metrics key: rejected at the cap,
-  // not by exhausting the stack.
-  const std::string deep = "{\"metrics\": " + std::string(2'000'000, '[');
-  const obs::SchemaCheck check = obs::validate(deep, obs::metrics_schema());
+  // Two million open brackets under an analysis key: rejected at the
+  // cap, not by exhausting the stack.
+  const std::string deep = "{\"analysis\": " + std::string(2'000'000, '[');
+  const obs::SchemaCheck check = obs::validate(deep, obs::analysis_schema());
   EXPECT_FALSE(check.ok);
   EXPECT_NE(check.error.find("nesting deeper"), std::string::npos)
       << check.error;
 }
 
 // Every export, built from fixed inputs (both autotune objectives).
-// The process-wide trace rings and metrics are reset first, so earlier
-// tests do not grow the flight bundle.
+// The process-wide trace rings are reset first, so earlier tests do not
+// grow the flight bundle.
 std::vector<std::string> golden_exports() {
   obs::reset();
-  obs::metrics::reset();
   obs::set_enabled(true);
   { const obs::Span span("halo.update", obs::Cat::Halo, 2, 0); }
   obs::set_enabled(false);
@@ -570,7 +568,7 @@ std::vector<std::string> golden_exports() {
 
   std::ostringstream chrome;
   obs::write_chrome_trace(chrome, data);
-  std::vector<std::string> docs{chrome.str(), obs::metrics::to_json(),
+  std::vector<std::string> docs{chrome.str(),
                                 obs::analysis_json(obs::analyze(data))};
 
   core::AutotuneReport report;
@@ -622,14 +620,14 @@ std::vector<std::string> golden_exports() {
 TEST(TraceJson, SeededMutationsOfEveryExportNeverCrashTheParser) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<std::string> golden = golden_exports();
-  ASSERT_EQ(golden.size(), 6U);
+  ASSERT_EQ(golden.size(), 5U);
   const obs::Schema* schemas[] = {
-      &obs::chrome_trace_schema(), &obs::metrics_schema(),
-      &obs::analysis_schema(),     &obs::autotune_schema(),
-      &obs::autotune_schema(),     &obs::flight_schema()};
+      &obs::chrome_trace_schema(), &obs::analysis_schema(),
+      &obs::autotune_schema(), &obs::autotune_schema(),
+      &obs::flight_schema()};
   const obs::Schema* all[] = {&obs::chrome_trace_schema(),
-                              &obs::metrics_schema(), &obs::analysis_schema(),
-                              &obs::autotune_schema(), &obs::flight_schema()};
+                              &obs::analysis_schema(), &obs::autotune_schema(),
+                              &obs::flight_schema()};
   for (std::size_t i = 0; i < golden.size(); ++i) {
     const obs::SchemaCheck check = obs::validate(golden[i], *schemas[i]);
     ASSERT_TRUE(check.ok) << check.error << "\n" << golden[i];

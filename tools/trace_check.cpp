@@ -1,23 +1,25 @@
 // trace_check: CI gate validating observability artifacts.
 //
 //   trace_check [trace.json] [--min-ranks N] [--min-events N]
-//               [--metrics FILE] [--analysis FILE] [--autotune FILE]
-//               [--flight FILE] [--expect-rank N] [--expect-step N]
+//               [--analysis FILE] [--autotune FILE] [--flight FILE]
+//               [--expect-rank N] [--expect-step N]
 //
 // The positional file is a Chrome trace-event JSON (from
 // examples/quickstart --trace=..., or any RunSummary trace handle's
 // write_chrome()). Each flag names one export and the schema table it
-// is checked against (obs/json_check.h): --metrics an
-// obs::metrics::to_json() export, --analysis an obs::analysis_json()
-// report, --autotune a core::autotune_report_json() report, --flight a
-// flight-recorder bundle. --min-ranks / --min-events bound the trace's
-// rank tracks and events; --expect-rank / --expect-step assert the
-// bundle's culprit rank and step. Exits 0 when every given file passes;
-// prints the first violation and exits 1 otherwise.
+// is checked against (obs/json_check.h): --analysis an
+// obs::analysis_json() report, --autotune a core::autotune_report_json()
+// report, --flight a flight-recorder bundle. --min-ranks / --min-events
+// bound the trace's rank tracks and events; --expect-rank /
+// --expect-step assert the bundle's culprit rank and step. Each N is a
+// whole non-negative decimal. Exits 0 when every given file passes;
+// prints the first violation and exits 1 otherwise; a bad argument
+// prints the reason and exits 2.
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -40,9 +42,8 @@ bool slurp(const std::string& path, std::string& out) {
 
 int usage() {
   std::cerr << "usage: trace_check [trace.json] [--min-ranks N] "
-               "[--min-events N] [--metrics FILE] [--analysis FILE] "
-               "[--autotune FILE] [--flight FILE] [--expect-rank N] "
-               "[--expect-step N]\n";
+               "[--min-events N] [--analysis FILE] [--autotune FILE] "
+               "[--flight FILE] [--expect-rank N] [--expect-step N]\n";
   return 2;
 }
 
@@ -52,22 +53,34 @@ struct Export {
   std::string path;
 };
 
+/// Parses `text` into `out` as a whole non-negative decimal; prints why
+/// and returns false otherwise.
+bool parse_count(const std::string& flag, const std::string& text,
+                 long& out) {
+  long v = -1;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < 0) {
+    std::cerr << "trace_check: malformed " << flag << " '" << text << "'\n";
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Export exports[] = {{"", obs::chrome_trace_schema(), ""},
-                      {"--metrics", obs::metrics_schema(), ""},
                       {"--analysis", obs::analysis_schema(), ""},
                       {"--autotune", obs::autotune_schema(), ""},
                       {"--flight", obs::flight_schema(), ""}};
   Export& trace = exports[0];
-  Export& flight = exports[4];
-  int min_ranks = 1;
+  Export& flight = exports[3];
+  long min_ranks = 1;
   long min_events = 1;
-  long expect_rank = -1;
-  long expect_step = -1;
-  bool have_expect_rank = false;
-  bool have_expect_step = false;
+  std::optional<long> expect_rank;
+  std::optional<long> expect_step;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     Export* named = nullptr;
@@ -76,21 +89,23 @@ int main(int argc, char** argv) {
         named = &e;
       }
     }
+    bool ok = true;
     if (named != nullptr && i + 1 < argc) {
       named->path = argv[++i];
     } else if (arg == "--min-ranks" && i + 1 < argc) {
-      min_ranks = std::atoi(argv[++i]);
+      ok = parse_count(arg, argv[++i], min_ranks);
     } else if (arg == "--min-events" && i + 1 < argc) {
-      min_events = std::atol(argv[++i]);
+      ok = parse_count(arg, argv[++i], min_events);
     } else if (arg == "--expect-rank" && i + 1 < argc) {
-      expect_rank = std::atol(argv[++i]);
-      have_expect_rank = true;
+      ok = parse_count(arg, argv[++i], expect_rank.emplace());
     } else if (arg == "--expect-step" && i + 1 < argc) {
-      expect_step = std::atol(argv[++i]);
-      have_expect_step = true;
+      ok = parse_count(arg, argv[++i], expect_step.emplace());
     } else if (trace.path.empty() && !arg.empty() && arg[0] != '-') {
       trace.path = arg;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       return usage();
     }
   }
@@ -99,7 +114,7 @@ int main(int argc, char** argv) {
     std::cerr << "trace_check: no input file\n";
     return 2;
   }
-  if ((have_expect_rank || have_expect_step) && flight.path.empty()) {
+  if ((expect_rank || expect_step) && flight.path.empty()) {
     std::cerr << "trace_check: --expect-rank/--expect-step need --flight\n";
     return 2;
   }
@@ -118,7 +133,7 @@ int main(int argc, char** argv) {
     std::ostringstream summary;
     if (check.ok && &e == &trace) {
       const obs::ChromeStats stats = obs::chrome_stats(check.doc);
-      if (static_cast<int>(stats.tids.size()) < min_ranks) {
+      if (static_cast<long>(stats.tids.size()) < min_ranks) {
         problem = "expected >= " + std::to_string(min_ranks) +
                   " rank tracks, found " + std::to_string(stats.tids.size());
       } else if (stats.events < min_events) {
@@ -133,11 +148,11 @@ int main(int argc, char** argv) {
       const obs::JsonValue& f = *check.doc.find("flight");
       const long rank = static_cast<long>(f.find("rank")->num);
       const long step = static_cast<long>(f.find("step")->num);
-      if (have_expect_rank && rank != expect_rank) {
-        problem = "expected rank " + std::to_string(expect_rank) +
+      if (expect_rank && rank != *expect_rank) {
+        problem = "expected rank " + std::to_string(*expect_rank) +
                   ", bundle names rank " + std::to_string(rank);
-      } else if (have_expect_step && step != expect_step) {
-        problem = "expected step " + std::to_string(expect_step) +
+      } else if (expect_step && step != *expect_step) {
+        problem = "expected step " + std::to_string(*expect_step) +
                   ", bundle names step " + std::to_string(step);
       }
       summary << " (reason \"" << f.find("reason")->str << "\", rank "
