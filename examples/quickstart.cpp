@@ -46,8 +46,11 @@
 //                                       # recommended (pinning RANK);
 //                                       # inject load with
 //                                       # JITFD_DELAY_RANK/JITFD_DELAY_US
+//
+// RANKS, N and RANK are whole non-negative decimals; anything else, and
+// any unknown --flag, prints the usage line and exits 2.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <span>
@@ -310,6 +313,30 @@ int run_rebalance(int nranks, smpi::LaunchOptions launch_opts,
   return 0;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: quickstart [RANKS] [--transport=KIND] [--trace=FILE] "
+               "[--analysis=FILE] [--health[=N]] [--on-nan=MODE] "
+               "[--autotune=FILE] [--objective=wall|attributed] "
+               "[--rebalance] [--expect-rebalance[=RANK]] [--env]\n");
+  return 2;
+}
+
+/// Parses `text` into `out` as a whole non-negative decimal that fits
+/// `T`; prints why and returns false otherwise.
+template <typename T>
+bool parse_count(const char* what, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  T v{};
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || v < 0) {
+    std::fprintf(stderr, "quickstart: malformed %s '%s'\n", what, text);
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -347,7 +374,9 @@ int main(int argc, char** argv) {
       expect_rebalance = true;
     } else if (std::strncmp(argv[i], "--expect-rebalance=", 19) == 0) {
       expect_rebalance = true;
-      expect_rank = std::atoi(argv[i] + 19);
+      if (!parse_count("--expect-rebalance", argv[i] + 19, expect_rank)) {
+        return usage();
+      }
     } else if (std::strcmp(argv[i], "--env") == 0) {
       std::printf("%s", jitfd::env::describe().c_str());
       return 0;
@@ -361,14 +390,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--health") == 0) {
       health.interval = 1;
     } else if (std::strncmp(argv[i], "--health=", 9) == 0) {
-      health.interval = std::atoll(argv[i] + 9);
+      if (!parse_count("--health", argv[i] + 9, health.interval)) {
+        return usage();
+      }
     } else if (std::strncmp(argv[i], "--on-nan=", 9) == 0) {
       health.on_nan = obs::health::on_nan_from_string(argv[i] + 9);
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown argument %s\n", argv[i]);
-      return 2;
-    } else {
-      nranks = std::atoi(argv[i]);
+      return usage();
+    } else if (!parse_count("rank count", argv[i], nranks)) {
+      return usage();
     }
   }
   if (!autotune_path.empty()) {

@@ -1,8 +1,10 @@
 #include "ir/lower.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -692,6 +694,31 @@ void plan_activity(const std::vector<Eq>& eqs,
   info.activity = true;
 }
 
+/// Equally spaced axes share one spacing symbol: each h_d is replaced by
+/// the symbol of the first dimension whose spacing is bit-equal to it.
+/// Flop reduction then sees one coefficient per FD weight across axes
+/// (w_k/h_x^2 on x, y and z), so collection by access sums every tap at
+/// one radius under one multiply. Every rank shares the grid, so every
+/// rank lowers the same statement; a grid whose spacings all differ keeps
+/// its equations as they are.
+std::vector<Eq> merge_equal_spacings(std::vector<Eq> eqs,
+                                     const grid::Grid& grid) {
+  std::vector<std::pair<sym::Ex, sym::Ex>> repls;
+  for (int d = 1; d < grid.ndims(); ++d) {
+    const auto h = std::bit_cast<std::uint64_t>(grid.spacing(d));
+    for (int first = 0; first < d; ++first) {
+      if (std::bit_cast<std::uint64_t>(grid.spacing(first)) == h) {
+        repls.emplace_back(grid.spacing_symbol(d), grid.spacing_symbol(first));
+        break;
+      }
+    }
+  }
+  for (Eq& eq : eqs) {
+    eq.rhs = sym::substitute(eq.rhs, repls);
+  }
+  return eqs;
+}
+
 bool is_reserved_temp_name(const std::string& name) {
   if (name.size() < 2 || name[0] != 'r') {
     return false;
@@ -748,17 +775,18 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
   if (eqs.empty()) {
     throw std::invalid_argument("lower_to_iet: no equations");
   }
+  const std::vector<Eq> merged = merge_equal_spacings(eqs, grid);
   const int nd = grid.ndims();
   {
     const obs::Span span("compile.collect_args", obs::Cat::Compile,
-                         static_cast<std::int64_t>(eqs.size()));
-    collect_arg_orders(eqs, info);
+                         static_cast<std::int64_t>(merged.size()));
+    collect_arg_orders(merged, info);
   }
 
   // Stages 1-3.
   obs::Span cluster_span("compile.cluster", obs::Cat::Compile,
-                         static_cast<std::int64_t>(eqs.size()));
-  std::vector<Cluster> clusters = build_clusters(eqs);
+                         static_cast<std::int64_t>(merged.size()));
+  std::vector<Cluster> clusters = build_clusters(merged);
   cluster_span.close();
   if (opts.flop_reduce) {
     const obs::Span span("compile.flop_reduce", obs::Cat::Compile,
@@ -773,7 +801,7 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
   {
     const obs::Span span("compile.activity", obs::Cat::Compile,
                          static_cast<std::int64_t>(clusters.size()));
-    plan_activity(eqs, clusters, grid, opts, info);
+    plan_activity(merged, clusters, grid, opts, info);
   }
 
   // Per-dimension cache tiling.

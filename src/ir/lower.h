@@ -131,6 +131,8 @@ struct SparseOpDesc {
 
 /// Run stages 1-5. Returns the final lowered IET (root Callable).
 /// `sparse_ops` are appended, in order, to the end of each timestep.
+/// Axes whose spacings are bit-equal share the first one's symbol (h_x
+/// for a cube), so the kernel reads only the spacings that differ.
 NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
                      const CompileOptions& opts,
                      const std::vector<SparseOpDesc>& sparse_ops,

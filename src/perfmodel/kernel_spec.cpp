@@ -114,7 +114,7 @@ KernelSpec acoustic_spec(bool derive) {
   s.fields = 5;
   s.comm_fields = 1;  // u@t.
   s.nspots = 1;
-  s.flops_by_so = {{4, 30}, {8, 48}, {12, 66}, {16, 84}};
+  s.flops_by_so = {{4, 26}, {8, 40}, {12, 54}, {16, 68}};
   s.strong_domain = {{Target::Cpu, 1024}, {Target::Gpu, 1158}};
   s.timesteps = 290;
   s.eff_bw = {{Target::Cpu, 0.726}, {Target::Gpu, 0.306}};
@@ -129,14 +129,14 @@ KernelSpec tti_spec(bool derive) {
   s.fields = 12;
   s.comm_fields = 4;  // p@t, q@t and the CIRE temporaries zdp, zdq.
   s.nspots = 2;
-  s.flops_by_so = {{4, 553}, {8, 1034}, {12, 1510}, {16, 1987}};
+  s.flops_by_so = {{4, 503}, {8, 954}, {12, 1403}, {16, 1853}};
   s.strong_domain = {{Target::Cpu, 1024}, {Target::Gpu, 896}};
   s.timesteps = 290;
   s.eff_bw = {{Target::Cpu, 0.50}, {Target::Gpu, 0.22}};
   // The CPU anchor (SDO 8) is flop-bound: 0.42 was fitted at 1134
-  // flops/point, before the +-k taps were paired, and is rescaled to keep
-  // the same SDO-8 throughput.
-  s.eff_flop = {{Target::Cpu, 0.42 * 1034.0 / 1134.0}, {Target::Gpu, 0.65}};
+  // flops/point, before the +-k taps were paired and equal spacings merged,
+  // and is rescaled to keep the same SDO-8 throughput.
+  s.eff_flop = {{Target::Cpu, 0.42 * 954.0 / 1134.0}, {Target::Gpu, 0.65}};
   s.net_eff = {{Target::Cpu, 0.588}, {Target::Gpu, 0.791}};
   return finish(std::move(s), derive);
 }

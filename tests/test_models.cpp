@@ -59,59 +59,25 @@ TEST(Models, KernelIntensityOrderingMatchesFigure7) {
   EXPECT_GT(facts_tti.reads_per_point, facts_ac.reads_per_point);
 }
 
-TEST(Models, AcousticStencilPairsEveryMirroredTap) {
-  // factorize() collects the update by access and pulls the reciprocal
-  // r = 1/(m/dt^2 + damp/(2*dt)) out of the whole sum: r*(jc*u[t] +
-  // sum c_dk*(u[x-k] + u[x+k]) + jm*u[t-1]) + 0. Each tap then costs one
-  // multiply: one per pair group and one each on u[t] and u[t-1].
-  const Grid g({8, 8, 8}, {1.0, 1.0, 1.0});
-  const std::map<int, int> flops{{4, 30}, {8, 48}, {12, 66}, {16, 84}};
-  for (const auto& [so, want] : flops) {
-    AcousticModel model(g, so);
-    auto op = model.make_operator({});
-    EXPECT_EQ(jitfd::models::analyze(*op, "acoustic", so, 5).flops_per_point,
-              want)
-        << "SDO " << so;
-  }
-  AcousticModel ac(g, 8);
-  auto op = ac.make_operator({});
-  const std::string& code = op->ccode();
-  // The update ends in the zero pin.
+// One `rN*(taps)` term of the acoustic SO-8 update: the weight temp, the
+// radius of its taps and the axes they lie on.
+struct WeightGroup {
+  std::string weight;
+  int radius = 0;
+  std::set<int> axes;
+  int taps = 0;
+};
+
+// The acoustic SO-8 update's right-hand side, checked to end in the zero
+// pin and to read u[t] and u[t-1] once each, times their collected
+// coefficient (jc and jm).
+std::string acoustic_update(const std::string& code) {
   std::smatch update;
-  ASSERT_TRUE(std::regex_search(
+  EXPECT_TRUE(std::regex_search(
       code, update,
       std::regex(R"(u\[\w+\]\[x \+ 8\]\[y \+ 8\]\[z \+ 8\] = (.*) \+ 0\.0F;)")))
       << code;
   const std::string rhs = update[1];
-  // Each pair group is one temp (c_dk = w_k/h_d^2) times the pair.
-  const std::regex pair(
-      R"((?:\(|\+ )(r\d+)\*\(u\[(\w+)\]\[x \+ (\d+)\]\[y \+ (\d+)\]\[z \+ (\d+)\])"
-      R"( \+ u\[\2\]\[x \+ (\d+)\]\[y \+ (\d+)\]\[z \+ (\d+)\]\))");
-  std::set<std::pair<int, int>> seen;  // (axis, radius)
-  std::set<std::string> weights;
-  int pairs = 0;
-  for (auto it = std::sregex_iterator(rhs.begin(), rhs.end(), pair);
-       it != std::sregex_iterator(); ++it, ++pairs) {
-    int axis = -1;
-    for (int d = 0; d < 3; ++d) {
-      if ((*it)[3 + d] != (*it)[6 + d]) {
-        EXPECT_EQ(axis, -1) << it->str();
-        axis = d;
-      }
-    }
-    ASSERT_GE(axis, 0) << it->str();
-    const int lo = std::stoi((*it)[3 + axis]);
-    const int hi = std::stoi((*it)[6 + axis]);
-    const int centre = std::stoi((*it)[3 + (axis + 1) % 3]);
-    EXPECT_EQ(lo + hi, 2 * centre) << it->str();
-    seen.emplace(axis, hi - centre);
-    weights.insert((*it)[1]);
-  }
-  EXPECT_EQ(pairs, 12);
-  EXPECT_EQ(seen.size(), 12U);
-  EXPECT_EQ(weights.size(), 12U);
-  // u[t] and u[t-1] are read once each, times their collected coefficient
-  // (jc and jm), and nowhere else.
   const std::regex centre(R"(u\[(\w+)\]\[x \+ 8\]\[y \+ 8\]\[z \+ 8\])");
   std::set<std::string> buffers;
   for (auto it = std::sregex_iterator(rhs.begin(), rhs.end(), centre);
@@ -122,6 +88,120 @@ TEST(Models, AcousticStencilPairsEveryMirroredTap) {
     EXPECT_EQ(rhs.substr(at < 2 ? 0 : at - 2, 2), "+ ") << it->str();
   }
   EXPECT_EQ(buffers.size(), 2U);
+  return rhs;
+}
+
+// Every `rN*(u[..] + ... + u[..])` term of `rhs`. Each tap must lie on one
+// axis through the centre (offset 8), all taps of a term at one radius,
+// and both mirrored taps of every axis it covers must be present.
+std::vector<WeightGroup> weight_groups(const std::string& rhs) {
+  const std::string tap = R"(u\[\w+\]\[x \+ \d+\]\[y \+ \d+\]\[z \+ \d+\])";
+  const std::regex group(R"((?:\(|\+ )(r\d+)\*\(()" + tap + R"((?: \+ )" +
+                         tap + R"()*)\))");
+  const std::regex coords(R"(\[x \+ (\d+)\]\[y \+ (\d+)\]\[z \+ (\d+)\])");
+  std::vector<WeightGroup> out;
+  for (auto it = std::sregex_iterator(rhs.begin(), rhs.end(), group);
+       it != std::sregex_iterator(); ++it) {
+    WeightGroup g;
+    g.weight = (*it)[1];
+    const std::string taps = (*it)[2];
+    std::set<std::pair<int, int>> offsets;  // (axis, signed offset)
+    for (auto t = std::sregex_iterator(taps.begin(), taps.end(), coords);
+         t != std::sregex_iterator(); ++t, ++g.taps) {
+      int axis = -1;
+      int offset = 0;
+      for (int d = 0; d < 3; ++d) {
+        const int o = std::stoi((*t)[1 + d]) - 8;
+        if (o != 0) {
+          EXPECT_EQ(axis, -1) << t->str();
+          axis = d;
+          offset = o;
+        }
+      }
+      EXPECT_GE(axis, 0) << t->str();
+      EXPECT_TRUE(g.radius == 0 || g.radius == std::abs(offset)) << taps;
+      g.radius = std::abs(offset);
+      g.axes.insert(axis);
+      offsets.emplace(axis, offset);
+    }
+    for (const int axis : g.axes) {
+      EXPECT_EQ(offsets.count({axis, g.radius}), 1U) << taps;
+      EXPECT_EQ(offsets.count({axis, -g.radius}), 1U) << taps;
+    }
+    EXPECT_EQ(g.taps, 2 * static_cast<int>(g.axes.size())) << taps;
+    out.push_back(std::move(g));
+  }
+  return out;
+}
+
+// The weight groups of the acoustic SO-8 update in `code`, by (radius,
+// axes), after checking that each has its own weight temp.
+std::multiset<std::pair<int, std::set<int>>> acoustic_groups(
+    const std::string& code) {
+  const std::vector<WeightGroup> groups = weight_groups(acoustic_update(code));
+  std::set<std::string> weights;
+  std::multiset<std::pair<int, std::set<int>>> out;
+  for (const WeightGroup& g : groups) {
+    EXPECT_TRUE(weights.insert(g.weight).second) << g.weight;
+    out.emplace(g.radius, g.axes);
+  }
+  return out;
+}
+
+TEST(Models, AcousticStencilPairsEveryMirroredTap) {
+  // On the cube every axis shares h_x, so factorize() collects the update
+  // by access, pulls the reciprocal r = 1/(m/dt^2 + damp/(2*dt)) out of
+  // the whole sum, and sums the six taps at each radius under one weight:
+  // r*(jc*u[t] + sum c_k*(the six taps at radius k) + jm*u[t-1]) + 0.
+  const Grid g({8, 8, 8}, {1.0, 1.0, 1.0});
+  const std::map<int, int> flops{{4, 26}, {8, 40}, {12, 54}, {16, 68}};
+  for (const auto& [so, want] : flops) {
+    AcousticModel model(g, so);
+    auto op = model.make_operator({});
+    EXPECT_EQ(jitfd::models::analyze(*op, "acoustic", so, 5).flops_per_point,
+              want)
+        << "SDO " << so;
+  }
+  AcousticModel ac(g, 8);
+  auto op = ac.make_operator({});
+  const std::string& code = op->ccode();
+  const auto groups = acoustic_groups(code);
+  EXPECT_EQ(groups.size(), 4U);
+  for (int k = 1; k <= 4; ++k) {
+    EXPECT_EQ(groups.count({k, {0, 1, 2}}), 1U) << "radius " << k;
+  }
+  EXPECT_EQ(code.find("h_y"), std::string::npos);
+  EXPECT_EQ(code.find("h_z"), std::string::npos);
+}
+
+TEST(Models, AcousticMergesOnlyBitEqualSpacings) {
+  // Spacings 1, 1 and 2 merge x and y only: each radius has one group of
+  // four taps and one of two. Spacings 1, 2 and 3 merge nothing: each
+  // radius keeps one pair group per axis, as before spacings were merged.
+  const struct {
+    std::vector<double> extent;
+    int flops;
+    std::vector<std::set<int>> axes;  ///< The groups at each radius.
+    bool reads_h_y;
+  } cases[] = {{{24.0, 19.0, 34.0}, 44, {{0, 1}, {2}}, false},
+               {{24.0, 38.0, 51.0}, 48, {{0}, {1}, {2}}, true}};
+  for (const auto& c : cases) {
+    const Grid g({25, 20, 18}, c.extent);
+    AcousticModel model(g, 8);
+    auto op = model.make_operator({});
+    EXPECT_EQ(jitfd::models::analyze(*op, "acoustic", 8, 5).flops_per_point,
+              c.flops);
+    const std::string& code = op->ccode();
+    const auto groups = acoustic_groups(code);
+    EXPECT_EQ(groups.size(), 4 * c.axes.size());
+    for (int k = 1; k <= 4; ++k) {
+      for (const std::set<int>& axes : c.axes) {
+        EXPECT_EQ(groups.count({k, axes}), 1U) << "radius " << k;
+      }
+    }
+    EXPECT_EQ(code.find("h_y") != std::string::npos, c.reads_h_y);
+    EXPECT_NE(code.find("h_z"), std::string::npos);
+  }
 }
 
 TEST(Models, AcousticWaveIsCausalAndDamped) {
