@@ -29,13 +29,10 @@
 //                                       # recorder bundle and exit nonzero
 //                                       # (also: ignore | record)
 //   ./quickstart 4 --autotune=at.json   # trial every halo pattern x
-//                                       # tile, apply the winner, write
+//                                       # tile, apply the one whose
+//                                       # slowest rank ran fastest, write
 //                                       # the report (with the "why"
-//                                       # decision trail) to the file;
-//                                       # --objective=attributed scores
-//                                       # trials on attributed cost
-//                                       # (wait + imbalance) instead of
-//                                       # wall time
+//                                       # decision trail) to the file
 //   ./quickstart 4 --rebalance          # closed loop: traced uniform
 //                                       # run -> measured per-rank load
 //                                       # -> biased dimension-0 split ->
@@ -142,7 +139,7 @@ jitfd::core::RunSummary simulate(const Grid& grid, int rank, bool trace,
 // apply one step with the winner, and write the machine-readable report
 // (tools/trace_check --autotune validates it).
 int run_autotune(int nranks, smpi::LaunchOptions launch_opts,
-                 const std::string& path, jitfd::core::Objective objective) {
+                 const std::string& path) {
   constexpr std::int64_t kEdge = 16;
   int status = 0;
   const auto tune = [&](const Grid& grid, smpi::Communicator* comm) {
@@ -156,21 +153,12 @@ int run_autotune(int nranks, smpi::LaunchOptions launch_opts,
                          sym::solve(pde, sym::Ex(0), u.forward()));
     jitfd::core::AutotuneReport report;
     const auto op = jitfd::core::autotune_operator(
-        {stencil}, {}, {{"dt", dt}}, /*time_m=*/0, /*trial_steps=*/3, &report,
-        {}, objective);
+        {stencil}, {}, {{"dt", dt}}, /*time_m=*/0, /*trial_steps=*/3,
+        &report);
     op->apply({.time_m = 0, .time_M = 0, .scalars = {{"dt", dt}}});
     if (comm == nullptr || comm->rank() == 0) {
-      std::printf("autotune (%s objective): chose %s\n",
-                  report.objective == jitfd::core::Objective::Attributed
-                      ? "attributed"
-                      : "wall",
-                  ir::to_string(report.best));
+      std::printf("autotune: chose %s\n", ir::to_string(report.best));
       std::printf("  why: %s\n", report.why.c_str());
-      if (report.rebalance_recommended) {
-        std::printf("  rebalance recommended: rank %d persistently "
-                    "critical\n",
-                    report.rebalance_rank);
-      }
       if (jitfd::core::write_autotune_file(path, report)) {
         std::printf("autotune report written to %s\n", path.c_str());
       } else {
@@ -317,8 +305,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: quickstart [RANKS] [--transport=KIND] [--trace=FILE] "
                "[--analysis=FILE] [--health[=N]] [--on-nan=MODE] "
-               "[--autotune=FILE] [--objective=wall|attributed] "
-               "[--rebalance] [--expect-rebalance[=RANK]] [--env]\n");
+               "[--autotune=FILE] [--rebalance] "
+               "[--expect-rebalance[=RANK]] [--env]\n");
   return 2;
 }
 
@@ -344,7 +332,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string analysis_path;
   std::string autotune_path;
-  jitfd::core::Objective objective = jitfd::core::Objective::FromEnv;
   bool rebalance = false;
   bool expect_rebalance = false;
   int expect_rank = -1;
@@ -357,17 +344,6 @@ int main(int argc, char** argv) {
       analysis_path = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--autotune=", 11) == 0) {
       autotune_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--objective=", 12) == 0) {
-      const std::string name = argv[i] + 12;
-      if (name == "wall") {
-        objective = jitfd::core::Objective::Wall;
-      } else if (name == "attributed") {
-        objective = jitfd::core::Objective::Attributed;
-      } else {
-        std::fprintf(stderr, "unknown --objective=%s (wall|attributed)\n",
-                     name.c_str());
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--rebalance") == 0) {
       rebalance = true;
     } else if (std::strcmp(argv[i], "--expect-rebalance") == 0) {
@@ -403,7 +379,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!autotune_path.empty()) {
-    return run_autotune(nranks, launch_opts, autotune_path, objective);
+    return run_autotune(nranks, launch_opts, autotune_path);
   }
   if (rebalance) {
     return run_rebalance(nranks, launch_opts, expect_rebalance, expect_rank);

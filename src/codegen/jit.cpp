@@ -33,8 +33,9 @@ std::atomic<std::uint64_t> g_cache_misses{0};
 /// $JITFD_CACHE_DIR caches are never cleaned automatically).
 struct ScratchDir {
   fs::path path;
+  bool keep = false;  ///< JITFD_KEEP, read before the directory is made.
   ~ScratchDir() {
-    if (!path.empty() && !jitfd::env::is_set("JITFD_KEEP")) {
+    if (!path.empty() && !keep) {
       std::error_code ec;
       fs::remove_all(path, ec);  // Best effort; never throw in a dtor.
     }
@@ -51,6 +52,7 @@ const fs::path& cache_dir() {
       fs::create_directories(d);
       return d;
     }
+    scratch.keep = jitfd::env::is_set("JITFD_KEEP");
     fs::path base;
     if (const char* tmp = std::getenv("TMPDIR")) {
       base = tmp;

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
 
-#include "core/env.h"
-#include "obs/analysis.h"
 #include "obs/json.h"
 #include "symbolic/manip.h"
 
@@ -100,66 +97,6 @@ std::string trial_text(const AutotuneReport::TrialKey& key) {
   return os.str();
 }
 
-/// Build the rank-uniform AnalysisScore of one traced trial. Each rank
-/// analyzes only its OWN events (under process_shm a live run never
-/// sees peer traces — those merge after launch returns — so restricting
-/// to the local rank makes both transports behave identically), then
-/// the scalar totals are allreduced.
-AnalysisScore score_trial(const obs::TraceHandle& handle,
-                          const smpi::Communicator& comm) {
-  obs::TraceData own;
-  if (handle.active()) {
-    for (const obs::TraceData::Rec& e : handle.data().events) {
-      if (e.rank == comm.rank()) {
-        own.events.push_back(e);
-      }
-    }
-  }
-  const obs::AnalysisReport local = obs::analyze(own);
-  double own_wait = 0.0;
-  for (const obs::RankWaitStats& w : local.rank_waits) {
-    own_wait += w.wait_s;
-  }
-  const double own_compute = local.max_compute_s;  // single-rank report
-  std::vector<double> sums{own_wait, local.overlap_window_s,
-                           local.overlap_hidden_s, own_compute};
-  comm.allreduce(std::span<double>(sums), smpi::ReduceOp::Sum);
-  std::vector<double> max_compute{own_compute};
-  comm.allreduce(std::span<double>(max_compute), smpi::ReduceOp::Max);
-  // Critical rank: every rank proposes itself iff it holds the max
-  // (bitwise — max_compute is a copy of one rank's value), then the
-  // proposals max-reduce to the highest agreeing rank id.
-  std::vector<std::int64_t> crit{
-      own_compute >= max_compute[0] ? comm.rank() : -1};
-  comm.allreduce(std::span<std::int64_t>(crit), smpi::ReduceOp::Max);
-
-  const int n = comm.size();
-  AnalysisScore sc;
-  sc.wait_s = sums[0];
-  if (sums[1] > 0.0) {
-    sc.overlap_efficiency = std::clamp(sums[2] / sums[1], 0.0, 1.0);
-  }
-  const double mean_compute = n > 0 ? sums[3] / n : 0.0;
-  if (mean_compute > 0.0) {
-    sc.imbalance_ratio = max_compute[0] / mean_compute;
-  }
-  sc.critical_rank = static_cast<int>(crit[0]);
-  sc.imbalance_penalty_s = std::max(max_compute[0] - mean_compute, 0.0);
-  sc.attributed_cost_s =
-      (n > 0 ? sc.wait_s / n : 0.0) + sc.imbalance_penalty_s;
-  return sc;
-}
-
-Objective resolve_objective(Objective requested) {
-  if (requested != Objective::FromEnv) {
-    return requested;
-  }
-  return env::get_enum("JITFD_AUTOTUNE_OBJECTIVE", "wall",
-                       {"wall", "attributed"}) == "attributed"
-             ? Objective::Attributed
-             : Objective::Wall;
-}
-
 // The (mode, tile) members shared by autotune "best", "trials" and
 // "skipped" rows.
 void write_key(obs::JsonWriter& w, const AutotuneReport::TrialKey& key) {
@@ -172,98 +109,19 @@ void write_key(obs::JsonWriter& w, const AutotuneReport::TrialKey& key) {
 
 }  // namespace
 
-AttributedChoice choose_attributed(
-    const std::map<AutotuneReport::TrialKey, AnalysisScore>& scores,
-    int nranks) {
-  AttributedChoice choice;
-  if (scores.empty()) {
-    choice.why = "attributed objective: no scored trials";
-    return choice;
-  }
-  const auto* best = &*scores.begin();
-  for (const auto& entry : scores) {
-    if (entry.second.attributed_cost_s < best->second.attributed_cost_s) {
-      best = &entry;
-    }
-  }
-  choice.best = best->first;
-  // Runner-up: the cheapest of the others, for the decisive-term diff.
-  const std::pair<const AutotuneReport::TrialKey, AnalysisScore>* runner =
-      nullptr;
-  for (const auto& entry : scores) {
-    if (&entry == best) {
-      continue;
-    }
-    if (runner == nullptr ||
-        entry.second.attributed_cost_s < runner->second.attributed_cost_s) {
-      runner = &entry;
-    }
-  }
-  std::ostringstream os;
-  os.precision(9);
-  os << "attributed objective: " << trial_text(best->first) << " wins";
-  if (runner == nullptr) {
-    os << " as the only scored candidate (cost "
-       << best->second.attributed_cost_s << " s)";
-    choice.why = os.str();
-    return choice;
-  }
-  // Which cost term gave the winner its edge over the runner-up?
-  const double per_rank = nranks > 0 ? 1.0 / nranks : 1.0;
-  const double d_wait =
-      (runner->second.wait_s - best->second.wait_s) * per_rank;
-  const double d_imbalance =
-      runner->second.imbalance_penalty_s - best->second.imbalance_penalty_s;
-  const char* term = "attributed cost";
-  double delta = 0.0;
-  if (d_wait > delta) {
-    term = "wait";
-    delta = d_wait;
-  }
-  if (d_imbalance > delta) {
-    term = "imbalance penalty";
-    delta = d_imbalance;
-  }
-  os << " on " << term << " (cost " << best->second.attributed_cost_s
-     << " s vs " << runner->second.attributed_cost_s << " s for "
-     << trial_text(runner->first) << ")";
-  choice.why = os.str();
-  return choice;
-}
-
 std::string autotune_report_json(const AutotuneReport& r) {
-  const bool attributed = r.objective == Objective::Attributed;
   obs::JsonWriter w;
   w.begin_object().key("autotune").begin_object();
-  w.field("objective", attributed ? "attributed" : "wall")
-      .field("why", r.why)
+  w.field("why", r.why)
       .field("trial_steps", r.trial_steps)
       .key("best")
       .begin_object();
   write_key(w, {r.best, r.best_tile});
-  w.end().key("rebalance").begin_object();
-  w.field("recommended", r.rebalance_recommended)
-      .field("rank", r.rebalance_rank)
-      .field("threshold", r.rebalance_threshold)
-      .end();
-  w.key("trials").begin_array();
+  w.end().key("trials").begin_array();
   for (const auto& [key, secs] : r.seconds_by_trial) {
     w.begin_object();
     write_key(w, key);
-    w.field("seconds", secs);
-    const auto sit = r.scores.find(key);
-    if (attributed && sit != r.scores.end()) {
-      const AnalysisScore& sc = sit->second;
-      w.key("score").begin_object();
-      w.field("wait_seconds", sc.wait_s)
-          .field("overlap_efficiency", sc.overlap_efficiency)
-          .field("imbalance_ratio", sc.imbalance_ratio)
-          .field("critical_rank", sc.critical_rank)
-          .field("imbalance_penalty_seconds", sc.imbalance_penalty_s)
-          .field("attributed_cost_seconds", sc.attributed_cost_s)
-          .end();
-    }
-    w.end();
+    w.field("seconds", secs).end();
   }
   w.end().key("skipped").begin_array();
   for (const auto& [key, reason] : r.skipped) {
@@ -289,29 +147,12 @@ std::unique_ptr<Operator> autotune_operator(
     const std::vector<ir::Eq>& eqs, ir::CompileOptions opts,
     const std::map<std::string, double>& scalars, std::int64_t time_m,
     int trial_steps, AutotuneReport* report,
-    std::vector<runtime::SparseOp*> sparse_ops, Objective objective) {
+    std::vector<runtime::SparseOp*> sparse_ops) {
   const std::vector<grid::Function*> fields = fields_of(eqs);
   const grid::Grid& grid = fields.front()->grid();
 
   AutotuneReport local_report;
   local_report.trial_steps = trial_steps;
-  local_report.rebalance_threshold =
-      env::get_float("JITFD_REBALANCE_THRESHOLD", 1.25);
-  Objective resolved = resolve_objective(objective);
-#ifdef JITFD_OBS_DISABLED
-  const bool obs_available = false;
-#else
-  const bool obs_available = true;
-#endif
-  std::string fallback_note;
-  if (resolved == Objective::Attributed && !obs_available) {
-    resolved = Objective::Wall;
-    fallback_note =
-        " (attributed objective requested, but tracing is compiled out: "
-        "fell back to wall-clock)";
-  }
-  local_report.objective = resolved;
-  const bool attributed = resolved == Objective::Attributed;
 
   if (!grid.distributed()) {
     opts.mode = ir::MpiMode::None;
@@ -381,19 +222,10 @@ std::unique_ptr<Operator> autotune_operator(
         continue;
       }
       comm.barrier();
-      if (attributed) {
-        // Quiescent point (behind the barrier): drop earlier events so
-        // this trial's analysis sees only its own spans. Under
-        // process_shm every process resets its own registry; under
-        // threads the concurrent resets hit one mutex-guarded registry.
-        obs::reset();
-        comm.barrier();
-      }
       const auto start = std::chrono::steady_clock::now();
-      const RunSummary run = trial.apply({.time_m = time_m,
-                                          .time_M = time_m + trial_steps - 1,
-                                          .scalars = scalars,
-                                          .trace = attributed});
+      trial.apply({.time_m = time_m,
+                   .time_M = time_m + trial_steps - 1,
+                   .scalars = scalars});
       std::vector<double> elapsed{
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
@@ -401,9 +233,6 @@ std::unique_ptr<Operator> autotune_operator(
       // The slowest rank gates a synchronous time step.
       comm.allreduce(std::span<double>(elapsed), smpi::ReduceOp::Max);
       local_report.seconds_by_trial[eff_key] = elapsed[0];
-      if (attributed) {
-        local_report.scores[eff_key] = score_trial(run.trace, comm);
-      }
       const auto mode_it = local_report.seconds.find(mode);
       if (mode_it == local_report.seconds.end() ||
           elapsed[0] < mode_it->second) {
@@ -418,47 +247,12 @@ std::unique_ptr<Operator> autotune_operator(
       restore();
     }
   }
-  if (attributed) {
-    // Leave no trial events behind: the caller's next traced run starts
-    // from a clean registry.
-    comm.barrier();
-    obs::reset();
-    comm.barrier();
-  }
-
-  if (attributed && !local_report.scores.empty()) {
-    const AttributedChoice choice =
-        choose_attributed(local_report.scores, comm.size());
-    local_report.best = choice.best.first;
-    local_report.best_tile = choice.best.second;
-    local_report.why = choice.why;
-    // Persistent imbalance: every scored trial crossed the threshold
-    // and blamed the same rank — the skew is the domain's, not one
-    // pattern's, so recommend a biased split.
-    bool persistent = true;
-    int stable_rank = local_report.scores.begin()->second.critical_rank;
-    for (const auto& [key, sc] : local_report.scores) {
-      if (sc.imbalance_ratio < local_report.rebalance_threshold ||
-          sc.critical_rank != stable_rank || sc.critical_rank < 0) {
-        persistent = false;
-        break;
-      }
-    }
-    if (persistent) {
-      local_report.rebalance_recommended = true;
-      local_report.rebalance_rank = stable_rank;
-      local_report.why +=
-          "; persistent imbalance on rank " + std::to_string(stable_rank) +
-          " (rebalance recommended)";
-    }
-  } else {
-    std::ostringstream os;
-    os.precision(9);
-    os << "wall objective: "
-       << trial_text({local_report.best, local_report.best_tile})
-       << " fastest at " << best_seconds << " s" << fallback_note;
-    local_report.why = os.str();
-  }
+  std::ostringstream os;
+  os.precision(9);
+  os << "wall objective: "
+     << trial_text({local_report.best, local_report.best_tile})
+     << " fastest at " << best_seconds << " s";
+  local_report.why = os.str();
 
   opts.mode = local_report.best;
   opts.tile =

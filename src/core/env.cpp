@@ -1,9 +1,12 @@
 #include "core/env.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace jitfd::env {
 
@@ -12,9 +15,6 @@ namespace {
 // The single documented table. Keep sorted by name; README.md mirrors
 // this list and `quickstart --env` renders it.
 const Var kVars[] = {
-    {"JITFD_AUTOTUNE_OBJECTIVE", "enum(wall|attributed)", "wall",
-     "Autotuner scoring objective: raw wall-clock seconds, or attributed "
-     "cost (wait + imbalance penalty) from tracing"},
     {"JITFD_CACHE_DIR", "string", "unset",
      "Persistent JIT compile cache directory shared across processes "
      "(unset: per-process scratch dir under $TMPDIR, removed at exit)"},
@@ -37,8 +37,8 @@ const Var kVars[] = {
      "Halo-exchange pattern for distributed Operators that leave "
      "CompileOptions::mode unset (DEVITO_MPI analogue)"},
     {"JITFD_REBALANCE_THRESHOLD", "float", "1.25",
-     "Imbalance ratio (max/mean compute) above which autotune recommends "
-     "and Grid::plan_rebalance computes a biased domain split"},
+     "Imbalance ratio (max/mean compute) above which quickstart --rebalance "
+     "plans a biased domain split (Grid::plan_rebalance)"},
     {"JITFD_TILE", "int-list", "unset",
      "Default per-dimension cache-block shape \"tz,ty,tx\" for Operators "
      "that leave CompileOptions::tile empty (0 entries stay untiled)"},
@@ -100,13 +100,23 @@ std::string describe() {
   return os.str();
 }
 
-bool is_set(const char* name) {
-  checked(name);
-  return std::getenv(name) != nullptr;
-}
+bool is_set(const char* name) { return raw(name).has_value(); }
 
 std::optional<std::string> raw(const char* name) {
   checked(name);
+  // A set JITFD_* name the table does not declare is a stale or
+  // misspelled knob: refuse it rather than run as if it were unset.
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string_view entry(*e);
+    if (entry.starts_with("JITFD_")) {
+      const std::string set(entry.substr(0, entry.find('=')));
+      if (find(set.c_str()) == nullptr) {
+        throw std::invalid_argument("env: " + set +
+                                    " is set but is not a registered "
+                                    "JITFD_* variable");
+      }
+    }
+  }
   const char* v = std::getenv(name);
   return v != nullptr ? std::optional<std::string>(v) : std::nullopt;
 }

@@ -6,7 +6,9 @@
 // through the typed getters here. The getters are strict: a set-but-
 // malformed value is a hard error (std::invalid_argument naming the
 // variable and the accepted form), never a silent fallback — a typo'd
-// JITFD_MPI=digaonal must not quietly run the basic pattern.
+// JITFD_MPI=digaonal must not quietly run the basic pattern. So is a set
+// JITFD_* name the table does not declare: a misspelled JITFD_TRANSPRT,
+// or a knob whose feature is gone, must not quietly run the default.
 //
 // Call sites outside this module must not call std::getenv("JITFD_...")
 // directly (enforced by a repo-wide grep in review); new knobs register
@@ -37,12 +39,14 @@ const std::vector<Var>& vars();
 /// with the live value (or "unset") appended.
 std::string describe();
 
-/// Whether `name` is set (possibly empty) in the environment. Throws
-/// std::logic_error for names missing from the registry.
-bool is_set(const char* name);
-
-/// Raw value when set. Registry-checked like is_set().
+/// Raw value when set: the one lookup every getter below goes through.
+/// Throws std::logic_error for a `name` missing from the registry, and
+/// std::invalid_argument naming the variable when any set JITFD_* name
+/// is missing from it.
 std::optional<std::string> raw(const char* name);
+
+/// Whether `name` is set (possibly empty): raw(name).has_value().
+bool is_set(const char* name);
 
 /// Truthy parse: unset -> def; "" and "0" -> false; anything else ->
 /// true (mirrors the historical JITFD_TRACE semantics).

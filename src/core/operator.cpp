@@ -313,14 +313,21 @@ RunSummary Operator::apply(const ApplyArgs& args) {
   const obs::EnableScope trace_scope(args.trace);
 
   std::map<std::string, double> scalars = args.scalars;
-  // Bind grid spacings automatically (paper: users never pass h_*).
+  // Grid spacings (paper: users never pass h_*) and the health interval
+  // are bound by the runtime. A caller's binding would silently change
+  // the stencil or the health schedule, so it is refused.
+  const auto bind_reserved = [&](const std::string& name, double value) {
+    if (!scalars.emplace(name, value).second) {
+      throw std::invalid_argument("Operator::apply: symbol '" + name +
+                                  "' is bound by the runtime, not by "
+                                  "ApplyArgs::scalars");
+    }
+  };
   for (int d = 0; d < grid_->ndims(); ++d) {
-    scalars.emplace("h_" + grid::Grid::dim_name(d), grid_->spacing(d));
+    bind_reserved("h_" + grid::Grid::dim_name(d), grid_->spacing(d));
   }
-  // The reserved health-interval scalar is bound by the runtime, never
-  // by the user.
-  scalars[ir::kHealthIntervalScalar] =
-      static_cast<double>(args.health_interval);
+  bind_reserved(ir::kHealthIntervalScalar,
+                static_cast<double>(args.health_interval));
   for (const std::string& name : info_.scalar_order) {
     if (scalars.find(name) == scalars.end()) {
       throw std::invalid_argument("Operator::apply: unbound symbol '" + name +

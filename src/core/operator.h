@@ -47,7 +47,8 @@ struct ApplyArgs {
   std::int64_t time_m = 0;  ///< First time step (inclusive).
   std::int64_t time_M = 0;  ///< Last time step (inclusive).
   /// Bindings for free symbols (dt, model constants). Grid spacings
-  /// (h_x, ...) are bound automatically.
+  /// (h_x, ...) and jitfd_health_every are bound by apply(); binding one
+  /// here throws std::invalid_argument.
   std::map<std::string, double> scalars = {};
   /// Overrides the operator's default backend for this run only.
   std::optional<Backend> backend = std::nullopt;

@@ -274,10 +274,6 @@ bool walk(const JsonValue& v, const Schema& s, const std::string& path,
       ok = v.type == Type::Str && !v.str.empty();
       what = "a non-empty string";
       break;
-    case Kind::Bool:
-      ok = v.type == Type::Bool;
-      what = "a bool";
-      break;
     case Kind::Enum:
       ok = v.type == Type::Str && std::find(s.choices.begin(), s.choices.end(),
                                             v.str) != s.choices.end();
@@ -373,7 +369,7 @@ Schema obj(std::initializer_list<Member> members,
   return s;
 }
 
-// -- The two conditional rules ---------------------------------------------
+// -- The conditional rule --------------------------------------------------
 
 // Chrome: metadata ("M") events carry no timestamps; the others need
 // ts >= 0, pid and tid, and complete ("X") events a duration >= 0.
@@ -384,28 +380,6 @@ bool chrome_event(const JsonValue& ev, const std::string& path,
   const std::string& ph = ev.find("ph")->str;
   return ph == "M" || (walk(ev, timed, path, err) &&
                        (ph != "X" || walk(ev, complete, path, err)));
-}
-
-// Autotune: under the attributed objective every trial carries its
-// AnalysisScore.
-bool scored_trials(const JsonValue& a, const std::string& path,
-                   std::string& err) {
-  static const Schema scored = obj(
-      {{"score",
-        obj({"wait_seconds", {"overlap_efficiency", num(0.0, 1.0)},
-             "imbalance_ratio", "critical_rank", "imbalance_penalty_seconds",
-             "attributed_cost_seconds"})}});
-  if (a.find("objective")->str != "attributed") {
-    return true;
-  }
-  const std::vector<JsonValue>& trials = a.find("trials")->arr;
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    if (!walk(trials[i], scored,
-              path + ".trials[" + std::to_string(i) + "]", err)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -467,16 +441,12 @@ const Schema& autotune_schema() {
   static const Member mode{"mode", of(Kind::NonEmptyStr)};
   static const Member tile{"tile", arr(num())};
   static const Schema s = obj({{"autotune",
-      obj({{"objective", one_of({"wall", "attributed"})},
-           {"why", of(Kind::NonEmptyStr)},
+      obj({{"why", of(Kind::NonEmptyStr)},
            "trial_steps",
            {"best", obj({mode, tile})},
-           {"rebalance",
-            obj({{"recommended", of(Kind::Bool)}, "rank", "threshold"})},
            {"trials", arr(obj({mode, tile, "seconds"}))},
            {"skipped",
-            arr(obj({mode, tile, {"reason", of(Kind::NonEmptyStr)}}))}},
-          scored_trials)}});
+            arr(obj({mode, tile, {"reason", of(Kind::NonEmptyStr)}}))}})}});
   return s;
 }
 

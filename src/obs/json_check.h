@@ -62,10 +62,9 @@ struct Schema {
     NumOrNull,    ///< A number, or null (a non-finite value).
     Str,          ///< Any string.
     NonEmptyStr,  ///< A non-empty string.
-    Bool,
-    Enum,  ///< One of `choices`.
-    Obj,   ///< An object holding every member in `children`.
-    Arr,   ///< An array whose items all match children[0].
+    Enum,         ///< One of `choices`.
+    Obj,          ///< An object holding every member in `children`.
+    Arr,          ///< An array whose items all match children[0].
   };
   /// A conditional check no table can express. It runs after the node's
   /// own checks pass; on a violation it sets `err` and returns false.

@@ -86,6 +86,28 @@ TEST(Operator, UnboundScalarThrows) {
                std::invalid_argument);  // dt missing.
 }
 
+TEST(Operator, ReservedScalarBindingThrowsNamingTheSymbol) {
+  // The runtime binds the spacings and the health interval. On this
+  // equally spaced grid the kernel reads only h_x, so a caller's h_x
+  // would change the stencil and a caller's h_y nothing, both silently.
+  const Grid g({12, 12}, {1.0, 1.0});
+  Diffusion d(g);
+  Operator op({d.eq});
+  for (const char* name : {"h_x", "h_y", "jitfd_health_every"}) {
+    try {
+      op.apply({.time_m = 0,
+                .time_M = 0,
+                .scalars = {{"dt", 1e-3}, {name, 2.0}}});
+      ADD_FAILURE() << "binding " << name << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(
+      op.apply({.time_m = 0, .time_M = 0, .scalars = {{"dt", 1e-3}}}));
+}
+
 TEST(Operator, PointsUpdatedTracksGptsNumerator) {
   const Grid g({8, 8}, {1.0, 1.0});
   Diffusion d(g);

@@ -100,6 +100,19 @@ TEST(TransportSelect, DefaultFollowsEnvStrictly) {
     const ScopedEnv env("JITFD_TRANSPORT", "forks");
     EXPECT_THROW(smpi::default_transport(), std::invalid_argument);
   }
+  {
+    // A set JITFD_* name the registry does not declare (here one whose
+    // feature is gone) is refused by name, not silently ignored.
+    const ScopedEnv stale("JITFD_METRICS", "1");
+    try {
+      smpi::default_transport();
+      FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_NE(std::string(ex.what()).find("JITFD_METRICS"),
+                std::string::npos)
+          << ex.what();
+    }
+  }
 }
 
 TEST(TransportSelect, ExplicitOptionBeatsEnv) {
