@@ -28,6 +28,17 @@ std::string float_literal(double v) {
   return os.str();
 }
 
+/// Loop variable of dimension `d` shifted by `by` ("x + 4", "x - 4", "x").
+std::string shifted(int d, int by) {
+  std::string s = dim_var(d);
+  if (by > 0) {
+    s += " + " + std::to_string(by);
+  } else if (by < 0) {
+    s += " - " + std::to_string(-by);
+  }
+  return s;
+}
+
 /// Time-buffer variable name for a field with `nb` buffers at relative
 /// offset `k` (e.g. t3_p1 = "(time + 1) % 3"); saved (non-cycling)
 /// fields use the absolute index ts_p1 = "time + 1".
@@ -62,15 +73,9 @@ class Emitter {
          << ']';
     }
     for (int d = 0; d < n.field.ndims; ++d) {
-      const int shift =
-          n.space_offsets[static_cast<std::size_t>(d)] + fn.lpad();
-      os << '[' << dim_var(d);
-      if (shift > 0) {
-        os << " + " << shift;
-      } else if (shift < 0) {
-        os << " - " << -shift;
-      }
-      os << ']';
+      os << '['
+         << shifted(d, n.space_offsets[static_cast<std::size_t>(d)] + fn.lpad())
+         << ']';
     }
     return os.str();
   }
@@ -178,14 +183,19 @@ class Emitter {
 
   // --- Active-box stepping ----------------------------------------------------
   //
-  // A tagged cluster nest sweeps the compute box (jitfd_<v>lo/hi: its
-  // tracked reads' boxes dilated by their radii, joined with the written
-  // buffers' old boxes, clipped to the nest bounds). Each innermost row
+  // A tagged cluster nest walks the rows of the compute box (jitfd_<v>lo/hi:
+  // its tracked reads' boxes dilated by their radii, joined with the
+  // written buffers' old boxes, clipped to the nest bounds). Each row
+  // joins the row-table entries of the rows its reads touch, each dilated
+  // by its innermost offsets, and the written buffers' own old rows
+  // (jitfd_rr); the join, rounded out to whole vectors from the box's
+  // innermost start, is the span the row sweeps (jitfd_rlo/rhi). Each row
   // ORs the bits it wrote per written buffer; a row with any set scans in
-  // from both ends for its first and last nonzero bit pattern and widens
-  // that buffer's written box (jitfd_w<k>_<v>lo/hi, reduced across the
-  // team). The boxes go back to the header tables before anything after
-  // the nest (a sparse callback, the next cluster) runs.
+  // from both ends for its first and last nonzero bit pattern, stores them
+  // as the row's new entry (jitfd_re<k>, empty otherwise) and widens that
+  // buffer's written box (jitfd_w<k>_<v>lo/hi, reduced across the team).
+  // The boxes go back to the header tables before anything after the nest
+  // (a sparse callback, the next cluster) runs.
 
   static std::string row_flag(std::size_t k) {
     return "jitfd_o" + std::to_string(k);
@@ -218,6 +228,45 @@ class Emitter {
             time_var(fn.time_buffers(), b.time_offset, fn.saved());
     }
     return at;
+  }
+
+  /// `jitfd_ar_<f>[<buffer>][x + ...]...`: the row-table entry of one
+  /// buffer's row at outer offsets `outer` from the row being computed.
+  std::string row_entry(const ir::HaloNeed& b,
+                        const std::vector<int>& outer) const {
+    const grid::Function& fn = fields_->at(b.field_id);
+    std::string at = "jitfd_ar_" + fn.name() + "[" +
+                     (fn.field_id().time_varying
+                          ? time_var(fn.time_buffers(), b.time_offset,
+                                     fn.saved())
+                          : std::string("0")) +
+                     "]";
+    for (std::size_t d = 0; d < outer.size(); ++d) {
+      at += "[" + shifted(static_cast<int>(d), outer[d] + fn.lpad()) + "]";
+    }
+    return at;
+  }
+
+  /// That row's outer loop coordinates as a C array (`0` in 1-D).
+  static std::string row_key(const std::vector<int>& outer) {
+    if (outer.empty()) {
+      return "0";
+    }
+    std::vector<std::string> key;
+    for (std::size_t d = 0; d < outer.size(); ++d) {
+      key.push_back(shifted(static_cast<int>(d), outer[d]));
+    }
+    return long_list(key);
+  }
+
+  static std::string read_box(std::size_t i) {
+    return "jitfd_rb" + std::to_string(i);
+  }
+  static std::string written_box(std::size_t k) {
+    return "jitfd_rw" + std::to_string(k);
+  }
+  static std::string written_entry(std::size_t k) {
+    return "jitfd_re" + std::to_string(k);
   }
 
   /// A C compound literal `(const long[]){a, b, ...}`.
@@ -285,6 +334,21 @@ class Emitter {
       line("const long " + box_bound(d, "hi") + " = " + c_hi + " < " + hi +
            " ? " + c_hi + " : " + hi + ";");
     }
+    // Every read's and written buffer's old box, in loop coordinates, for
+    // the row joins.
+    const auto row_box = [&](const std::string& name, const ir::HaloNeed& b) {
+      line("long " + name + "[" + std::to_string(2 * nd + 1) + "];");
+      line("jitfd_row_box(" + name + ", " + box_entry(b) + ", " +
+           std::to_string(nd) + ", " +
+           std::to_string(fields_->at(b.field_id).lpad()) + ", " +
+           std::to_string(grid_->local_shape().back()) + ");");
+    };
+    for (std::size_t i = 0; i < act.reads.size(); ++i) {
+      row_box(read_box(i), act.reads[i]);
+    }
+    for (std::size_t k = 0; k < act.writes.size(); ++k) {
+      row_box(written_box(k), act.writes[k]);
+    }
     for (std::size_t k = 0; k < act.writes.size(); ++k) {
       std::string decl;
       for (int d = 0; d < nd; ++d) {
@@ -333,14 +397,50 @@ class Emitter {
     return " reduction(min:" + lo + ") reduction(max:" + hi + ")";
   }
 
+  /// Before an active nest's innermost loop: join the row's span and
+  /// open the block that sweeps it when it is not empty.
+  void emit_row_span() {
+    const int nd = grid_->ndims();
+    const std::string dims = std::to_string(nd);
+    const std::vector<int> here(static_cast<std::size_t>(nd - 1), 0);
+    line("long jitfd_rr[2] = {LONG_MAX, LONG_MIN};");
+    const auto join = [&](const ir::HaloNeed& b, const std::string& box,
+                          const std::vector<int>& outer, int lo, int hi) {
+      line("jitfd_row_join(jitfd_rr, " + row_entry(b, outer) + ", " + box +
+           ", " + dims + ", " + row_key(outer) + ", " + std::to_string(lo) +
+           ", " + std::to_string(hi) + ");");
+    };
+    for (const ir::RowRead& r : active_->rows) {
+      join(active_->reads[r.read], read_box(r.read), r.outer, r.lo, r.hi);
+    }
+    for (std::size_t k = 0; k < active_->writes.size(); ++k) {
+      join(active_->writes[k], written_box(k), here, 0, 0);
+    }
+    line("long jitfd_rlo, jitfd_rhi;");
+    line("jitfd_row_span(jitfd_rr, " + box_bound(nd - 1, "lo") + ", " +
+         box_bound(nd - 1, "hi") + ", &jitfd_rlo, &jitfd_rhi);");
+    // The joins have read the written rows' old entries: each becomes
+    // empty until the fold finds the row's nonzeros.
+    for (std::size_t k = 0; k < active_->writes.size(); ++k) {
+      line("int* const " + written_entry(k) + " = " +
+           row_entry(active_->writes[k], here) + ";");
+      line(written_entry(k) + "[0] = INT_MAX;");
+      line(written_entry(k) + "[1] = INT_MIN;");
+    }
+    line("if (jitfd_rlo < jitfd_rhi)");
+    line("{");
+    ++indent_;
+  }
+
   /// After an active nest's innermost loop: each written buffer whose row
-  /// flag is set scans for the row's first and last nonzero bit pattern.
+  /// flag is set scans the span for the row's first and last nonzero bit
+  /// pattern.
   void emit_row_fold(const ir::Node& inner) {
     const int nd = grid_->ndims();
     const int in = nd - 1;
     const std::string v = dim_var(in);
-    const std::string lo = box_bound(in, "lo");
-    const std::string hi = box_bound(in, "hi");
+    const std::string lo = "jitfd_rlo";
+    const std::string hi = "jitfd_rhi";
     for (std::size_t k = 0; k < active_->writes.size(); ++k) {
       const ir::HaloNeed& w = active_->writes[k];
       // The innermost statement writing this buffer names the element.
@@ -374,6 +474,8 @@ class Emitter {
       line("const long jitfd_first = " + v + ";");
       line(v + " = " + hi + " - 1;");
       line("while (" + zero + ") { " + v + " -= 1; }");
+      line(written_entry(k) + "[0] = (int)jitfd_first;");
+      line(written_entry(k) + "[1] = (int)(" + v + " + 1);");
       widen(in, "jitfd_first", v + " + 1");
       for (int d = 0; d < in; ++d) {
         widen(d, dim_var(d), std::string(dim_var(d)) + " + 1");
@@ -485,6 +587,7 @@ class Emitter {
     const bool row = active_ != nullptr && n.props.vector;
     std::string row_reduction;
     if (row) {
+      emit_row_span();
       std::string flags;
       for (std::size_t k = 0; k < active_->writes.size(); ++k) {
         flags += (k > 0 ? "," : "") + row_flag(k);
@@ -509,10 +612,12 @@ class Emitter {
 
     // Inside an enclosing tile loop over the same dimension, execute the
     // intersection of this loop's bounds with the active tile window.
-    std::string lo_s =
-        active_ != nullptr ? box_bound(n.dim, "lo") : std::to_string(lo);
-    std::string hi_s =
-        active_ != nullptr ? box_bound(n.dim, "hi") : std::to_string(hi);
+    std::string lo_s = row                 ? std::string("jitfd_rlo")
+                       : active_ != nullptr ? box_bound(n.dim, "lo")
+                                            : std::to_string(lo);
+    std::string hi_s = row                 ? std::string("jitfd_rhi")
+                       : active_ != nullptr ? box_bound(n.dim, "hi")
+                                            : std::to_string(hi);
     const auto win = block_win_.find(n.dim);
     if (win != block_win_.end()) {
       const std::string& bv = win->second.first;
@@ -533,6 +638,8 @@ class Emitter {
     line("}");
     if (row) {
       emit_row_fold(n);
+      --indent_;
+      line("}");
     }
   }
 
@@ -781,6 +888,59 @@ static void jitfd_box_join(long* c, const long* b, int nd, long pad,
   }
 }
 
+/* Box b shifted by -pad into loop coordinates, for the row joins (an
+   empty box stays empty), then k[2 * nd]: does the box reach an
+   innermost ghost, outside [0, n)? Then every row counts as whole. */
+static void jitfd_row_box(long* k, const long* b, int nd, long pad, long n)
+{
+  for (int d = 0; d < 2 * nd; ++d) {
+    k[d] = b[d] - pad;
+  }
+  k[2 * nd] = k[2 * nd - 2] < k[2 * nd - 1] &&
+              (k[2 * nd - 2] < 0 || k[2 * nd - 1] > n);
+}
+
+/* Join into the row range r where reads at innermost offsets [a, b] of
+   the row at outer loop coordinates o can meet a nonzero. e is that row's
+   entry in a buffer whose box is k (from jitfd_row_box): a row outside
+   the box holds only +0, and its entry counts only inside the box. */
+static inline void jitfd_row_join(long* r, const int* e, const long* k,
+                                  int nd, const long* o, long a, long b)
+{
+  for (int d = 0; d + 1 < nd; ++d) {
+    if (o[d] < k[2 * d] || o[d] >= k[2 * d + 1]) {
+      return;
+    }
+  }
+  const long klo = k[2 * nd - 2];
+  const long khi = k[2 * nd - 1];
+  const long lo = k[2 * nd] || e[0] < klo ? klo : e[0];
+  const long hi = k[2 * nd] || e[1] > khi ? khi : e[1];
+  if (lo < hi) {
+    r[0] = lo - b < r[0] ? lo - b : r[0];
+    r[1] = hi - a > r[1] ? hi - a : r[1];
+  }
+}
+
+/* The row range r clipped to [lo, hi) and rounded out to whole vectors
+   of 16 floats counted from lo: [*s, *t), empty when r misses [lo, hi).
+   Every vector a sweep of it runs, a sweep of [lo, hi) runs too, so only
+   a remainder at hi runs scalar. */
+static inline void jitfd_row_span(const long* r, long lo, long hi, long* s,
+                                  long* t)
+{
+  const long a = r[0] > lo ? r[0] : lo;
+  const long b = r[1] < hi ? r[1] : hi;
+  if (a >= b) {
+    *s = lo;
+    *t = lo;
+    return;
+  }
+  const long up = lo + (b - lo + 15) / 16 * 16;
+  *s = lo + (a - lo) / 16 * 16;
+  *t = up < hi ? up : hi;
+}
+
 /* Store in box b the box w (loop coordinates) of the nonzero values a
    nest over n wrote. Old nonzeros outside n (ghosts) survive. */
 static void jitfd_box_store(long* b, int nd, long pad, const long* n,
@@ -882,11 +1042,21 @@ std::string Emitter::run(const ir::NodePtr& iet) {
     }
     for (std::size_t i = 0; i < info_->field_order.size(); ++i) {
       const grid::Function& fn = fields_->at(info_->field_order[i]);
-      if (tracked.count(fn.field_id().id) > 0) {
-        line("long* restrict jitfd_ab_" + fn.name() + " = (long*)fields[" +
-             std::to_string(i) + "] - " +
-             std::to_string(fn.activity_table_offset()) + ";");
+      if (tracked.count(fn.field_id().id) == 0) {
+        continue;
       }
+      line("long* restrict jitfd_ab_" + fn.name() + " = (long*)fields[" +
+           std::to_string(i) + "] - " +
+           std::to_string(fn.activity_table_offset()) + ";");
+      // The row table: [buffer][outer padded indices...][lo, hi].
+      std::string rows;
+      for (std::size_t d = 0; d + 1 < fn.padded_shape().size(); ++d) {
+        rows += "[" + std::to_string(fn.padded_shape()[d]) + "]";
+      }
+      rows += "[2]";
+      line("int (*restrict jitfd_ar_" + fn.name() + ")" + rows + " = (int (*)" +
+           rows + ")((int*)fields[" + std::to_string(i) + "] - " +
+           std::to_string(fn.row_table_offset()) + ");");
     }
   }
   out_ << '\n';

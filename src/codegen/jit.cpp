@@ -52,7 +52,7 @@ const fs::path& cache_dir() {
       fs::create_directories(d);
       return d;
     }
-    scratch.keep = jitfd::env::is_set("JITFD_KEEP");
+    scratch.keep = jitfd::env::get_bool("JITFD_KEEP", false);
     fs::path base;
     if (const char* tmp = std::getenv("TMPDIR")) {
       base = tmp;

@@ -196,12 +196,17 @@ Function::Function(std::string name, const Grid& grid, int space_order,
   }
   storage_size_ = static_cast<std::size_t>(buffer_points_) *
                   static_cast<std::size_t>(buffers_);
-  // The box table (two int64 per buffer and dimension) plus the block
-  // word, rounded up to whole cache lines. calloc zeroes it: every box
-  // starts empty.
-  const std::size_t table_bytes = 2 * sizeof(std::int64_t) *
-                                  padded_shape_.size() *
-                                  static_cast<std::size_t>(buffers_);
+  // The box table (two int64 per buffer and dimension), then on serial
+  // grids the row table (two int32 per buffer and padded row), then the
+  // block word, rounded up to whole cache lines. calloc zeroes it: every
+  // box starts empty, which voids every row.
+  if (!grid.distributed()) {
+    rows_ = buffer_points_ / padded_shape_.back();
+  }
+  const std::size_t table_bytes =
+      box_table_bytes() + 2 * sizeof(std::int32_t) *
+                              static_cast<std::size_t>(rows_) *
+                              static_cast<std::size_t>(buffers_);
   header_bytes_ = (table_bytes + sizeof(void*) + AlignedAlloc::kAlignment - 1) /
                   AlignedAlloc::kAlignment * AlignedAlloc::kAlignment;
   storage_.reset(AlignedAlloc::allocate(storage_size_, header_bytes_));
@@ -287,11 +292,41 @@ std::int64_t Function::activity_table_offset() const {
   return static_cast<std::int64_t>(header_bytes_ / sizeof(std::int64_t));
 }
 
+std::int64_t Function::row_table_offset() const {
+  return static_cast<std::int64_t>((header_bytes_ - box_table_bytes()) /
+                                   sizeof(std::int32_t));
+}
+
+std::size_t Function::box_table_bytes() const {
+  return 2 * sizeof(std::int64_t) * padded_shape_.size() *
+         static_cast<std::size_t>(buffers_);
+}
+
 std::int64_t* Function::box_table(int t) const {
   assert(t >= 0 && t < buffers_);
   auto* table = reinterpret_cast<std::int64_t*>(
       reinterpret_cast<char*>(storage_.get()) - header_bytes_);
   return table + static_cast<std::size_t>(t) * 2 * padded_shape_.size();
+}
+
+std::int32_t* Function::row_table(int t) const {
+  assert(t >= 0 && t < buffers_ && rows_ > 0);
+  auto* table = reinterpret_cast<std::int32_t*>(storage_.get()) -
+                row_table_offset();
+  return table + static_cast<std::size_t>(t) * 2 *
+                     static_cast<std::size_t>(rows_);
+}
+
+ActivityRow Function::activity_row(int t, std::int64_t row) const {
+  assert(row >= 0 && row < rows_);
+  const std::int64_t* b = box_table(t) + 2 * (padded_shape_.size() - 1);
+  const std::int64_t owned = padded_shape_.back() - lpad();
+  if (b[0] < b[1] && (b[0] < lpad() || b[1] > owned)) {
+    return {static_cast<std::int32_t>(-lpad()),
+            static_cast<std::int32_t>(padded_shape_.back() - lpad())};
+  }
+  const std::int32_t* e = row_table(t) + 2 * row;
+  return {e[0], e[1]};
 }
 
 ActivityBox Function::activity(int t) const {
@@ -324,14 +359,27 @@ void Function::widen_box(int t, std::size_t linear) {
   std::int64_t* b = box_table(t);
   const std::size_t nd = padded_shape_.size();
   const bool was_empty = activity(t).empty(static_cast<int>(nd));
-  auto rest = static_cast<std::int64_t>(linear) -
-              static_cast<std::int64_t>(t) * buffer_points_;
+  const std::int64_t point = static_cast<std::int64_t>(linear) -
+                             static_cast<std::int64_t>(t) * buffer_points_;
+  // A row inside the old box keeps its entry and widens it; any other
+  // row was +0, so its entry restarts at the point.
+  bool live = !was_empty;
+  std::int64_t rest = point;
   for (std::size_t d = 0; d < nd; ++d) {
     const std::int64_t c = rest / strides_[d];
     rest %= strides_[d];
+    live = live && (d + 1 == nd || (c >= b[2 * d] && c < b[2 * d + 1]));
     b[2 * d] = was_empty ? c : std::min(b[2 * d], c);
     b[2 * d + 1] = was_empty ? c + 1 : std::max(b[2 * d + 1], c + 1);
   }
+  if (rows_ == 0) {
+    return;
+  }
+  std::int32_t* e = row_table(t) + 2 * (point / padded_shape_.back());
+  const auto z =
+      static_cast<std::int32_t>(point % padded_shape_.back() - lpad());
+  e[0] = live ? std::min(e[0], z) : z;
+  e[1] = live ? std::max(e[1], z + 1) : z + 1;
 }
 
 void Function::fill(float v) {

@@ -39,7 +39,7 @@ namespace jitfd::grid {
 /// Below the returned pointer sits a zeroed header of `header` bytes (a
 /// multiple of kAlignment, so it starts 64-byte aligned). Its last word
 /// keeps the calloc block's own address; the words before it are free
-/// for the owner (Function keeps its activity-box table there).
+/// for the owner (Function keeps its activity-box and row tables there).
 struct AlignedAlloc {
   static constexpr std::size_t kAlignment = 64;
 
@@ -59,6 +59,18 @@ struct ActivityBox {
   std::array<std::int64_t, 3> hi{};
 
   bool empty(int ndims) const;
+};
+
+/// Where one innermost row (all indices but the last fixed) of a time
+/// buffer can hold anything but +0: a half-open range [lo, hi) of
+/// innermost *loop* coordinates (raw index - lpad(), so ghosts are
+/// negative or past the owned size). It counts only inside the buffer's
+/// ActivityBox: a row outside the box, or the part of a row outside it,
+/// is +0 whatever the entry says. While the box reaches an innermost
+/// ghost, every row counts as whole instead. Empty when lo >= hi.
+struct ActivityRow {
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
 };
 
 /// Volume threshold (bytes) from which field fills and halo copies split
@@ -147,20 +159,31 @@ class Function {
   float& at_local(int t, std::span<const std::int64_t> idx);
   float at_local(int t, std::span<const std::int64_t> idx) const;
 
-  // --- Activity boxes ---------------------------------------------------------
+  // --- Activity boxes and rows -----------------------------------------------
   //
   // Every time buffer carries an ActivityBox, kept in a table in the
   // allocation header just below buffer(0), so a generated kernel finds
-  // it from the field pointer it is handed. On serial grids the kernel
-  // sweeps only where its reads can be nonzero and stores the exact box
-  // of what it wrote (DESIGN.md, "Active-box stepping"). The mutators keep
-  // the boxes true: construction and fill(+0) empty them; set_global and
-  // the non-const at_local widen them by the point; every other mutator
-  // (fill with any other bit pattern, fill_global_box, init, init_rows,
-  // the non-const buffer() and raw_storage()) marks them full.
+  // it from the field pointer it is handed. On serial grids each buffer
+  // also keeps one ActivityRow per padded row in a second header table.
+  // The kernel sweeps each row only where its reads can be nonzero and
+  // stores the extent and box of what it wrote (DESIGN.md, "Active-box
+  // stepping"). The mutators keep both true: construction and fill(+0)
+  // empty the boxes (stale rows then count for nothing); set_global and
+  // the non-const at_local widen the box and the one row by the point;
+  // every other mutator (fill with any other bit pattern,
+  // fill_global_box, init, init_rows, the non-const buffer() and
+  // raw_storage()) marks the boxes full, and a full box (any box that
+  // reaches an innermost ghost) makes every row count as whole.
 
   /// The box of time buffer `t`.
   ActivityBox activity(int t) const;
+  /// Rows per buffer in the row table: the product of the padded shape
+  /// but its last extent, or 0 on distributed grids, which keep none.
+  std::int64_t activity_rows() const { return rows_; }
+  /// Buffer `t`'s entry for padded row `row` (row-major over every
+  /// dimension but the last), as it counts: the whole padded row while the
+  /// box reaches an innermost ghost. Requires activity_rows() > 0.
+  ActivityRow activity_row(int t, std::int64_t row) const;
   /// Mark every buffer's box full: for writers that do not track where
   /// they write (the interpreter marks the fields it writes once per run).
   void mark_active();
@@ -173,6 +196,11 @@ class Function {
   /// buffer t's box along dimension d is the pair at table[(t * ndims +
   /// d) * 2], lo then hi. Baked into generated kernels.
   std::int64_t activity_table_offset() const;
+  /// Words (int32) from buffer(0) back to the start of the row table,
+  /// which follows the box table: buffer t's entry for padded row r is
+  /// the pair at table[(t * activity_rows() + r) * 2], lo then hi. Baked
+  /// into generated kernels.
+  std::int64_t row_table_offset() const;
 
   // --- Distributed (global-view) data access ---------------------------------
 
@@ -255,12 +283,18 @@ class Function {
   /// Offset of the first point of the innermost row of buffer `t` at
   /// data-region-relative local indices `outer` (all but the last dim).
   std::size_t row_offset(int t, std::span<const std::int64_t> outer) const;
+  /// Bytes of the box table at the start of the header.
+  std::size_t box_table_bytes() const;
   /// Buffer `t`'s (lo, hi) pairs in the header table, ndims pairs.
   std::int64_t* box_table(int t) const;
-  /// Set buffer `t`'s box, or every buffer's, full (`full`) or empty.
+  /// Buffer `t`'s row entries, activity_rows() (lo, hi) pairs.
+  std::int32_t* row_table(int t) const;
+  /// Set buffer `t`'s box, or every buffer's, full (`full`: every row then
+  /// counts as whole) or empty (rows untouched: the empty box voids them).
   void set_box(int t, bool full);
   void set_all_boxes(bool full);
-  /// Widen buffer `t`'s box by the point at linear storage index `linear`.
+  /// Widen buffer `t`'s box and row by the point at linear storage index
+  /// `linear`.
   void widen_box(int t, std::size_t linear);
 
   sym::FieldId id_;
@@ -273,7 +307,9 @@ class Function {
   std::vector<std::int64_t> strides_;
   std::int64_t buffer_points_ = 0;
   std::size_t storage_size_ = 0;
-  std::size_t header_bytes_ = 0;  ///< Box table + block word, whole lines.
+  std::int64_t rows_ = 0;  ///< Row-table rows per buffer (0: no table).
+  /// Box table + row table + block word, whole lines.
+  std::size_t header_bytes_ = 0;
   std::unique_ptr<float[], AlignedAlloc> storage_;
 };
 

@@ -689,6 +689,33 @@ void plan_activity(const std::vector<Eq>& eqs,
         act.reads.push_back(HaloNeed{fp.field.id, time_offset, widths});
       }
     }
+    // Rows: (read, outer offsets) -> innermost offset range.
+    std::map<std::pair<std::size_t, std::vector<int>>, std::pair<int, int>>
+        rows;
+    for (const sym::Ex& rhs : rhss) {
+      for (const sym::Ex& a : sym::field_accesses(rhs)) {
+        const sym::ExprNode& n = a.node();
+        const auto read = std::find_if(
+            act.reads.begin(), act.reads.end(), [&](const HaloNeed& r) {
+              return r.field_id == n.field.id && r.time_offset == n.time_offset;
+            });
+        if (read == act.reads.end()) {
+          continue;
+        }
+        const auto index = static_cast<std::size_t>(read - act.reads.begin());
+        std::vector<int> outer(n.space_offsets.begin(),
+                               n.space_offsets.end() - 1);
+        const int inner = n.space_offsets.back();
+        const auto it =
+            rows.try_emplace({index, std::move(outer)}, inner, inner).first;
+        it->second.first = std::min(it->second.first, inner);
+        it->second.second = std::max(it->second.second, inner);
+      }
+    }
+    for (const auto& [key, range] : rows) {
+      act.rows.push_back(
+          RowRead{key.first, key.second, range.first, range.second});
+    }
     info.activity_clusters.push_back(std::move(act));
   }
   info.activity = true;

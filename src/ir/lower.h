@@ -85,11 +85,23 @@ struct SpotInfo {
   bool hoisted = false;  ///< Executed once before the time loop.
 };
 
+/// One row a tracked read touches, relative to the row being computed.
+struct RowRead {
+  std::size_t read = 0;    ///< Index into ClusterActivity::reads.
+  std::vector<int> outer;  ///< Offsets along every dimension but the last.
+  int lo = 0;              ///< Smallest innermost offset read along it.
+  int hi = 0;              ///< Largest innermost offset read along it.
+};
+
 /// What active-box stepping needs to know about one cluster (loop nest).
 struct ClusterActivity {
   /// Tracked reads: field, time offset and per-dimension stencil radius
   /// (the largest |offset| read along each dimension).
   std::vector<HaloNeed> reads;
+  /// The rows the tracked reads touch, taken from the accesses: per read,
+  /// its distinct outer-offset tuples in order, each with its innermost
+  /// offset range (17 rows of u[t] for an SO-8 acoustic update).
+  std::vector<RowRead> rows;
   /// Written buffers (widths unused).
   std::vector<HaloNeed> writes;
 };

@@ -5,11 +5,14 @@
 // problem. The full-box run writes its zero start through init() and
 // takes the non-const raw_storage() of every field before each step; by
 // the raw-pointer rule both mark every box full, so each of its steps
-// sweeps the whole grid without any knob.
+// sweeps the whole grid without any knob. It also fills the owned points
+// of every buffer a step writes with NaN first: a step that skipped any
+// of them would leave a NaN the tracked run does not have.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numbers>
@@ -41,17 +44,18 @@ constexpr std::int64_t kSteps = 8;
 
 enum class Model { Acoustic, Elastic, Tti, Viscoelastic };
 
-std::unique_ptr<models::WaveModel> make_model(Model m, const Grid& g) {
+std::unique_ptr<models::WaveModel> make_model(Model m, const Grid& g,
+                                              int order) {
   switch (m) {
     case Model::Acoustic:
-      return std::make_unique<models::AcousticModel>(g, kOrder, 1.5, 4);
+      return std::make_unique<models::AcousticModel>(g, order, 1.5, 4);
     case Model::Elastic:
-      return std::make_unique<models::ElasticModel>(g, kOrder, 2.0, 1.0, 1.0,
+      return std::make_unique<models::ElasticModel>(g, order, 2.0, 1.0, 1.0,
                                                     4);
     case Model::Tti:
-      return std::make_unique<models::TtiModel>(g, kOrder);
+      return std::make_unique<models::TtiModel>(g, order);
     case Model::Viscoelastic:
-      return std::make_unique<models::ViscoelasticModel>(g, kOrder);
+      return std::make_unique<models::ViscoelasticModel>(g, order);
   }
   return nullptr;
 }
@@ -62,19 +66,29 @@ std::uint32_t bits(float v) {
   return b;
 }
 
+/// The grid, space order and sources of a Shot: by default a kEdge^3
+/// cube at kOrder whose step 1 reads a unit impulse at the centre, with
+/// an injected Ricker wavelet (f0 0.2, delay 5) at `source` when asked
+/// for.
+struct ShotShape {
+  std::vector<std::int64_t> extent = std::vector<std::int64_t>(3, kEdge);
+  int order = kOrder;
+  bool impulse = true;
+  std::vector<double> source{9.5, 10.25, 9.0};
+};
+
 /// One problem: a serial 3-D grid, a model and its operator, started from
-/// zero with a point source at the centre of the buffer step 1 reads.
+/// zero (see ShotShape for its sources).
 struct Shot {
   Shot(Model m, std::vector<std::int64_t> tile, bool full_box,
-       bool with_injection = false)
-      : grid(std::vector<std::int64_t>(3, kEdge),
-             std::vector<double>(3, static_cast<double>(kEdge - 1))),
-        model(make_model(m, grid)),
+       bool with_injection = false, const ShotShape& shape = {})
+      : grid(shape.extent, spacing_one(shape.extent)),
+        model(make_model(m, grid, shape.order)),
         full(full_box) {
     scalars = model->scalars(model->critical_dt());
     if (with_injection) {
       points = std::make_unique<sparse::SparseFunction>(
-          "src", grid, std::vector<std::vector<double>>{{9.5, 10.25, 9.0}});
+          "src", grid, std::vector<std::vector<double>>{shape.source});
       const double dt = model->critical_dt();
       injection = std::make_unique<sparse::Injection>(
           model->wavefield(), *points,
@@ -104,9 +118,24 @@ struct Shot {
         f->fill(0.0F);
       }
     }
-    TimeFunction& w = model->wavefield();
-    const std::vector<std::int64_t> centre(3, kEdge / 2);
-    w.set_global(w.buffer_index(0, 1), centre, 1.0F);
+    if (shape.impulse) {
+      TimeFunction& w = model->wavefield();
+      std::vector<std::int64_t> centre;
+      for (const std::int64_t e : shape.extent) {
+        centre.push_back(e / 2);
+      }
+      w.set_global(w.buffer_index(0, 1), centre, 1.0F);
+    }
+  }
+
+  /// Unit spacing: the physical extent is one less than the points.
+  static std::vector<double> spacing_one(
+      const std::vector<std::int64_t>& extent) {
+    std::vector<double> out;
+    for (const std::int64_t e : extent) {
+      out.push_back(static_cast<double>(e - 1));
+    }
+    return out;
   }
 
   /// Steps [first, last]: one apply for a tracked run; step by step for a
@@ -121,6 +150,13 @@ struct Shot {
     for (std::int64_t t = first; t <= last; ++t) {
       for (Function* f : fields) {
         (void)f->raw_storage();
+        if (f->field_id().time_varying) {
+          f->fill_global_box(f->buffer_index(1, t),
+                             std::vector<std::int64_t>(
+                                 static_cast<std::size_t>(grid.ndims()), 0),
+                             grid.shape(),
+                             std::numeric_limits<float>::quiet_NaN());
+        }
       }
       op->apply({.time_m = t, .time_M = t, .scalars = scalars,
                  .backend = backend});
@@ -196,6 +232,53 @@ struct Shot {
   return ::testing::AssertionSuccess();
 }
 
+/// Every value with a nonzero bit pattern lies inside its row's entry
+/// (with boxes_hold: inside the entry clipped to the box). Distributed
+/// grids keep no rows.
+::testing::AssertionResult rows_hold(const Function& f) {
+  const std::int64_t row = f.padded_shape().back();
+  const auto raw = f.raw_storage();
+  for (int t = 0; t < f.time_buffers(); ++t) {
+    for (std::int64_t r = 0; r < f.activity_rows(); ++r) {
+      const grid::ActivityRow e = f.activity_row(t, r);
+      for (std::int64_t z = 0; z < row; ++z) {
+        const std::int64_t i = (t * f.activity_rows() + r) * row + z;
+        const std::int64_t at = z - f.lpad();
+        if (bits(raw[static_cast<std::size_t>(i)]) != 0 &&
+            (at < e.lo || at >= e.hi)) {
+          return ::testing::AssertionFailure()
+                 << f.name() << " buffer " << t << " row " << r
+                 << " holds a nonzero at " << at << " outside its entry ["
+                 << e.lo << ", " << e.hi << ")";
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Share of the points of buffer `t`'s box (3-D) that its row entries,
+/// clipped to the box, cover.
+double row_coverage(const Function& f, int t) {
+  const grid::ActivityBox box = f.activity(t);
+  const std::int64_t ny = f.padded_shape()[1];
+  std::int64_t covered = 0;
+  for (std::int64_t x = box.lo[0]; x < box.hi[0]; ++x) {
+    for (std::int64_t y = box.lo[1]; y < box.hi[1]; ++y) {
+      const grid::ActivityRow e = f.activity_row(t, x * ny + y);
+      const std::int64_t lo =
+          std::max<std::int64_t>(e.lo + f.lpad(), box.lo[2]);
+      const std::int64_t hi =
+          std::min<std::int64_t>(e.hi + f.lpad(), box.hi[2]);
+      covered += std::max<std::int64_t>(hi - lo, 0);
+    }
+  }
+  const std::int64_t volume = (box.hi[0] - box.lo[0]) *
+                              (box.hi[1] - box.lo[1]) *
+                              (box.hi[2] - box.lo[2]);
+  return static_cast<double>(covered) / static_cast<double>(volume);
+}
+
 /// Does buffer `t`'s box reach a face of the owned region?
 bool touches_face(const Function& f, int t) {
   const grid::ActivityBox box = f.activity(t);
@@ -241,6 +324,7 @@ TEST_P(ActivityModels, TrackedRunMatchesFullBoxRunBitForBit) {
   EXPECT_TRUE(bitwise_equal(tracked.snapshot(), reference.snapshot()));
   for (const Function* f : tracked.fields) {
     EXPECT_TRUE(boxes_hold(*f));
+    EXPECT_TRUE(rows_hold(*f));
   }
   if (info.activity) {
     const TimeFunction& w = tracked.model->wavefield();
@@ -267,6 +351,50 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelCase{Model::Viscoelastic, {}},
                       ModelCase{Model::Viscoelastic, {8, 4}}),
     case_name);
+
+/// Rows long enough to matter: 96 points along z (six 16-float vectors),
+/// SO 8, and an off-centre Ricker source as the only source. On the 20^3
+/// grids above every row's span rounds out to the whole box. The front's
+/// nonzero bits run about 4 points a step ahead until they underflow, so
+/// the box fills x and y within 20 steps; the grid is as wide as it is
+/// long so that the rows still cover about half of the box at the end.
+const ShotShape kLongRows{.extent = {96, 96, 96},
+                          .order = 8,
+                          .impulse = false,
+                          .source = {44.5, 51.25, 40.0}};
+constexpr std::int64_t kLongSteps = 40;
+
+class ActivityLongRows
+    : public ::testing::TestWithParam<std::vector<std::int64_t>> {};
+
+TEST_P(ActivityLongRows, TrackedRunMatchesFullBoxRunAndRowsStayNarrow) {
+  Shot tracked(Model::Acoustic, GetParam(), /*full_box=*/false,
+               /*with_injection=*/true, kLongRows);
+  Shot reference(Model::Acoustic, GetParam(), /*full_box=*/true,
+                 /*with_injection=*/true, kLongRows);
+  ASSERT_TRUE(tracked.op->info().activity);
+  tracked.step(1, kLongSteps);
+  reference.step(1, kLongSteps);
+  EXPECT_TRUE(bitwise_equal(tracked.snapshot(), reference.snapshot()));
+  for (const Function* f : tracked.fields) {
+    EXPECT_TRUE(boxes_hold(*f));
+    EXPECT_TRUE(rows_hold(*f));
+  }
+  // The rows must stay narrower than the box, or this case tests nothing
+  // the box does not.
+  const TimeFunction& w = tracked.model->wavefield();
+  const double share = row_coverage(w, w.buffer_index(1, kLongSteps));
+  EXPECT_GT(share, 0.0);
+  EXPECT_LT(share, 0.6);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SerialGrids, ActivityLongRows,
+    ::testing::Values(std::vector<std::int64_t>{},
+                      std::vector<std::int64_t>{16, 8}),
+    [](const auto& p) {
+      return std::string(p.param.empty() ? "Untiled" : "Tiled");
+    });
 
 TEST(Activity, TtiWithNegativeDirectionCosinesWritesMinusZero) {
   // Why the TTI proof refuses: with every product of direction cosines
@@ -331,6 +459,7 @@ TEST(Activity, ZeroPinWritesPlusZeroUnderANegativeReciprocal) {
     EXPECT_TRUE(bitwise_equal(tracked.snapshot(), reference.snapshot()))
         << "after step " << last;
     EXPECT_TRUE(boxes_hold(tracked.model->wavefield()));
+    EXPECT_TRUE(rows_hold(tracked.model->wavefield()));
   }
 }
 
@@ -351,6 +480,7 @@ TEST_P(ActivityMutators, MutationBetweenStepsMatchesFullBoxRun) {
       mutate(*s, s->model->wavefield().buffer_index(offset, 4));
       for (const Function* f : s->fields) {
         EXPECT_TRUE(boxes_hold(*f)) << "right after the mutation";
+        EXPECT_TRUE(rows_hold(*f)) << "right after the mutation";
       }
       s->step(4, 4);
     }
@@ -364,6 +494,7 @@ TEST_P(ActivityMutators, MutationBetweenStepsMatchesFullBoxRun) {
         << "time offset " << offset;
     for (const Function* f : tracked.fields) {
       EXPECT_TRUE(boxes_hold(*f));
+      EXPECT_TRUE(rows_hold(*f));
     }
   }
 }
@@ -410,6 +541,14 @@ INSTANTIATE_TEST_SUITE_P(
               s.model->wavefield().at_local(t, idx) = 0.75F;
             }},
         std::pair<const char*, Mutator>{
+            "AtLocalRowGhost",
+            [](Shot& s, int t) {
+              // A ghost of an owned row: its entry reaches below the
+              // row's first owned point.
+              const std::vector<std::int64_t> idx{9, 11, -2};
+              s.model->wavefield().at_local(t, idx) = 0.75F;
+            }},
+        std::pair<const char*, Mutator>{
             "Init",
             [](Shot& s, int) {
               s.model->wavefield().init(
@@ -445,13 +584,59 @@ INSTANTIATE_TEST_SUITE_P(
             }}),
     [](const auto& p) { return std::string(p.param.first); });
 
+/// Every row entry of every buffer, as (lo, hi) pairs.
+std::vector<std::pair<std::int32_t, std::int32_t>> row_entries(
+    const Function& f) {
+  std::vector<std::pair<std::int32_t, std::int32_t>> out;
+  for (int t = 0; t < f.time_buffers(); ++t) {
+    for (std::int64_t r = 0; r < f.activity_rows(); ++r) {
+      const grid::ActivityRow e = f.activity_row(t, r);
+      out.emplace_back(e.lo, e.hi);
+    }
+  }
+  return out;
+}
+
+/// How many row entries differ between two row_entries snapshots.
+std::int64_t rows_changed(
+    const std::vector<std::pair<std::int32_t, std::int32_t>>& a,
+    const std::vector<std::pair<std::int32_t, std::int32_t>>& b) {
+  std::int64_t n = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    n += a[i] != b[i] ? 1 : 0;
+  }
+  return n;
+}
+
+/// Do the rows of buffer `t` (every buffer when `t` < 0) all count as
+/// whole: the padded row, ghosts included, in loop coordinates?
+bool rows_full(const Function& f, int t = -1) {
+  const auto lo = static_cast<std::int32_t>(-f.lpad());
+  const auto hi =
+      static_cast<std::int32_t>(f.padded_shape().back() - f.lpad());
+  for (int b = 0; b < f.time_buffers(); ++b) {
+    if (t >= 0 && b != t) {
+      continue;
+    }
+    for (std::int64_t r = 0; r < f.activity_rows(); ++r) {
+      const grid::ActivityRow e = f.activity_row(b, r);
+      if (e.lo != lo || e.hi != hi) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 TEST(Activity, MutatorsKeepBoxesTrue) {
   const Grid g({6, 5}, {5.0, 4.0});
   TimeFunction u("u", g, 2, /*time_order=*/2);
   const int nd = 2;
+  ASSERT_EQ(u.activity_rows(), u.padded_shape()[0]);
   for (int t = 0; t < u.time_buffers(); ++t) {
     EXPECT_TRUE(u.activity(t).empty(nd)) << "fresh storage is +0";
   }
+  auto rows = row_entries(u);
   const std::vector<std::int64_t> p{4, 1};
   u.set_global(1, p, 2.0F);
   grid::ActivityBox b = u.activity(1);
@@ -460,14 +645,47 @@ TEST(Activity, MutatorsKeepBoxesTrue) {
   EXPECT_EQ(b.lo[1], 1 + u.lpad());
   EXPECT_EQ(b.hi[1], 2 + u.lpad());
   EXPECT_TRUE(u.activity(0).empty(nd));
+  EXPECT_EQ(rows_changed(rows, row_entries(u)), 1) << "set_global";
+  grid::ActivityRow e = u.activity_row(1, 4 + u.lpad());
+  EXPECT_EQ(e.lo, 1);
+  EXPECT_EQ(e.hi, 2);
+  rows = row_entries(u);
   const std::vector<std::int64_t> q{-2, 3};
   u.at_local(1, q) = 1.0F;
   b = u.activity(1);
   EXPECT_EQ(b.lo[0], u.lpad() - 2);
   EXPECT_EQ(b.hi[0], 5 + u.lpad());
   EXPECT_EQ(b.hi[1], 4 + u.lpad());
+  EXPECT_EQ(rows_changed(rows, row_entries(u)), 1) << "at_local";
+  e = u.activity_row(1, u.lpad() - 2);
+  EXPECT_EQ(e.lo, 3);
+  EXPECT_EQ(e.hi, 4);
+  // A second point in a live row widens its entry.
+  u.set_global(1, std::vector<std::int64_t>{4, 4}, 3.0F);
+  e = u.activity_row(1, 4 + u.lpad());
+  EXPECT_EQ(e.lo, 1);
+  EXPECT_EQ(e.hi, 5);
+  EXPECT_TRUE(rows_hold(u));
+  // fill(+0) empties the boxes and leaves the rows stale: the next point,
+  // far from the old one in a row whose stale entry misses it, restarts
+  // its entry.
+  rows = row_entries(u);
   u.fill(0.0F);
   EXPECT_TRUE(u.activity(1).empty(nd));
+  EXPECT_EQ(rows_changed(rows, row_entries(u)), 0) << "fill(+0) is O(1)";
+  u.set_global(1, std::vector<std::int64_t>{4, 0}, 0.5F);
+  e = u.activity_row(1, 4 + u.lpad());
+  EXPECT_EQ(e.lo, 0);
+  EXPECT_EQ(e.hi, 1);
+  EXPECT_TRUE(boxes_hold(u));
+  EXPECT_TRUE(rows_hold(u));
+  // A row the box did not cover restarts too.
+  u.set_global(1, std::vector<std::int64_t>{0, 4}, 0.25F);
+  e = u.activity_row(1, u.lpad());
+  EXPECT_EQ(e.lo, 4);
+  EXPECT_EQ(e.hi, 5);
+  EXPECT_TRUE(boxes_hold(u));
+  EXPECT_TRUE(rows_hold(u));
   u.fill(-0.0F);
   for (int t = 0; t < u.time_buffers(); ++t) {
     b = u.activity(t);
@@ -475,23 +693,54 @@ TEST(Activity, MutatorsKeepBoxesTrue) {
     EXPECT_EQ(b.hi[0], u.padded_shape()[0]);
     EXPECT_EQ(b.hi[1], u.padded_shape()[1]);
   }
+  EXPECT_TRUE(rows_full(u)) << "fill(-0)";
+  u.fill(0.0F);
+  u.fill_global_box(2, std::vector<std::int64_t>{1, 1},
+                    std::vector<std::int64_t>{2, 2}, 1.0F);
+  EXPECT_TRUE(rows_full(u, 2)) << "fill_global_box";
+  u.fill(0.0F);
+  u.init([](std::span<const std::int64_t>) { return 0.0F; });
+  EXPECT_TRUE(rows_full(u)) << "init";
   u.fill(0.0F);
   (void)std::as_const(u).buffer(0);
   (void)std::as_const(u).raw_storage();
   EXPECT_TRUE(u.activity(0).empty(nd)) << "const views leave boxes alone";
   (void)u.kernel_buffer(0);
   EXPECT_TRUE(u.activity(0).empty(nd)) << "kernel binding leaves boxes alone";
+  rows = row_entries(u);
   (void)u.buffer(2);
   EXPECT_FALSE(u.activity(0).empty(nd)) << "a raw pointer marks every buffer";
-  // The table lives in the 64-byte-aligned header below buffer(0).
+  EXPECT_TRUE(rows_full(u)) << "buffer()";
+  u.fill(0.0F);
+  u.set_global(2, std::vector<std::int64_t>{1, 3}, 1.0F);
+  // The tables live in the 64-byte-aligned header below buffer(0): the
+  // box table first, then the row table.
   const auto* table =
       reinterpret_cast<const std::int64_t*>(u.kernel_buffer(0)) -
       u.activity_table_offset();
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(table) %
                 grid::AlignedAlloc::kAlignment,
             0U);
-  EXPECT_EQ(table[(2 * nd + 1) * 2 + 1], u.padded_shape()[1]);
+  EXPECT_EQ(table[(2 * nd + 1) * 2 + 1], 4 + u.lpad());
+  const auto* row_table =
+      reinterpret_cast<const std::int32_t*>(u.kernel_buffer(0)) -
+      u.row_table_offset();
+  EXPECT_EQ(reinterpret_cast<const char*>(row_table),
+            reinterpret_cast<const char*>(table + 2 * nd * u.time_buffers()));
+  EXPECT_EQ(row_table[(2 * u.activity_rows() + 1 + u.lpad()) * 2], 3);
+  EXPECT_EQ(row_table[(2 * u.activity_rows() + 1 + u.lpad()) * 2 + 1], 4);
+  (void)u.raw_storage();
+  EXPECT_TRUE(rows_full(u)) << "raw_storage()";
+  EXPECT_EQ(row_table[(2 * u.activity_rows() + 1 + u.lpad()) * 2 + 1], 4)
+      << "marking full leaves the entries: the box makes them whole";
+  // A box that reaches an innermost ghost counts every row whole, even
+  // rows whose entry is stale.
+  u.fill(0.0F);
+  u.at_local(0, std::vector<std::int64_t>{2, -1}) = 1.0F;
+  EXPECT_TRUE(rows_full(u, 0));
+  EXPECT_TRUE(rows_hold(u));
 }
+
 
 // --- The ledger's path: JitKernel::run with its own callback table ------------
 
@@ -548,6 +797,7 @@ TEST(Activity, DirectKernelRunsAlternatingWithApplyMatchOneApply) {
   EXPECT_TRUE(bitwise_equal(mixed.snapshot(), once.snapshot()));
   EXPECT_TRUE(bitwise_equal(once.snapshot(), reference.snapshot()));
   EXPECT_TRUE(boxes_hold(w));
+  EXPECT_TRUE(rows_hold(w));
 }
 
 TEST(Activity, InterpreterThenJitStepsMatchFullBoxRun) {
@@ -567,6 +817,7 @@ TEST(Activity, InterpreterThenJitStepsMatchFullBoxRun) {
   }
   EXPECT_TRUE(bitwise_equal(tracked.snapshot(), reference.snapshot()));
   EXPECT_TRUE(boxes_hold(w));
+  EXPECT_TRUE(rows_hold(w));
 }
 
 TEST(Activity, OneAndTwoDimensionalGridsMatchFullBoxRun) {
@@ -601,6 +852,7 @@ TEST(Activity, OneAndTwoDimensionalGridsMatchFullBoxRun) {
       runs[full ? 1 : 0].emplace_back(raw.begin(), raw.end());
       if (!full) {
         EXPECT_TRUE(boxes_hold(u));
+        EXPECT_TRUE(rows_hold(u));
       }
     }
     EXPECT_TRUE(bitwise_equal(runs[0], runs[1]))
@@ -659,7 +911,10 @@ TEST(Activity, DistributedGridsKeepFullSweepKernels) {
                  const std::string& c = op->ccode();
                  EXPECT_EQ(c.find("jitfd_box"), std::string::npos);
                  EXPECT_EQ(c.find("jitfd_ab_"), std::string::npos);
+                 EXPECT_EQ(c.find("jitfd_ar_"), std::string::npos);
+                 EXPECT_EQ(c.find("jitfd_row"), std::string::npos);
                  EXPECT_EQ(c.find("jitfd_bits"), std::string::npos);
+                 EXPECT_EQ(model.wavefield().activity_rows(), 0);
                });
 }
 

@@ -229,14 +229,18 @@ TEST(Codegen, ThreeDimensionalEmissionIndexesAllDims) {
   TimeFunction u("u", g, 2, 1);
   Operator op = diffusion_operator(g, u);
   const std::string& code = op.ccode();
-  // The stencil nest sweeps z over the active box, clamped to the
-  // 8-point extent (the health sweep, absent under JITFD_OBS=OFF, is not
-  // what this checks).
+  // The stencil nest sweeps each row's span of z inside the active box,
+  // clamped to the 8-point extent (the health sweep, absent under
+  // JITFD_OBS=OFF, is not what this checks).
   EXPECT_NE(code.find("const long jitfd_zhi = jitfd_cb[5] < 8 ? "
                       "jitfd_cb[5] : 8;"),
             std::string::npos)
       << code;
-  EXPECT_NE(code.find("for (long z = jitfd_zlo; z < jitfd_zhi; z += 1)"),
+  EXPECT_NE(code.find("jitfd_row_span(jitfd_rr, jitfd_zlo, jitfd_zhi, "
+                      "&jitfd_rlo, &jitfd_rhi);"),
+            std::string::npos)
+      << code;
+  EXPECT_NE(code.find("for (long z = jitfd_rlo; z < jitfd_rhi; z += 1)"),
             std::string::npos)
       << code;
   EXPECT_NE(code.find("[x + 2][y + 2][z + 2] ="), std::string::npos);
