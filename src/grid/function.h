@@ -172,8 +172,8 @@ class Function {
   // the non-const at_local widen the box and the one row by the point;
   // every other mutator (fill with any other bit pattern,
   // fill_global_box, init, init_rows, the non-const buffer() and
-  // raw_storage()) marks the boxes full, and a full box (any box that
-  // reaches an innermost ghost) makes every row count as whole.
+  // raw_storage()) marks the boxes full. While a box reaches an innermost
+  // ghost, as a full one does, every row of it counts as whole.
 
   /// The box of time buffer `t`.
   ActivityBox activity(int t) const;
