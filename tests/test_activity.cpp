@@ -267,9 +267,9 @@ double row_coverage(const Function& f, int t) {
     for (std::int64_t y = box.lo[1]; y < box.hi[1]; ++y) {
       const grid::ActivityRow e = f.activity_row(t, x * ny + y);
       const std::int64_t lo =
-          std::max<std::int64_t>(e.lo + f.lpad(), box.lo[2]);
+          std::max<std::int64_t>(std::int64_t{e.lo} + f.lpad(), box.lo[2]);
       const std::int64_t hi =
-          std::min<std::int64_t>(e.hi + f.lpad(), box.hi[2]);
+          std::min<std::int64_t>(std::int64_t{e.hi} + f.lpad(), box.hi[2]);
       covered += std::max<std::int64_t>(hi - lo, 0);
     }
   }
