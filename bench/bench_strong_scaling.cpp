@@ -12,10 +12,14 @@
 //                        [--target=cpu|gpu] [--so=4|8|12|16]
 //                        [--topology=x,y,z]
 //
-// --topology pins the unit grid per dimension (0 = free). A bad
-// kernel, target, order or number exits 2 with the usage line. The
+// --topology pins the unit grid per dimension (0 = free). A unit
+// count the pins cannot hold prints "-" in its column; pins that hold no
+// column exit 2, as does a bad kernel, target, order or number. The
 // acoustic SDO-8 tables are pinned at 6 significant digits by
 // ScalingModelGolden.StrongScalingSeries (tests/test_perfmodel.cpp).
+#include <algorithm>
+#include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "bench_util.h"
@@ -38,6 +42,31 @@ void run_table(const KernelSpec& spec, Target target, int so,
   if (!topology.empty()) {
     model.set_topology(topology);
   }
+  const std::vector<ir::MpiMode> modes =
+      target == Target::Cpu
+          ? std::vector<ir::MpiMode>{ir::MpiMode::Basic, ir::MpiMode::Diagonal,
+                                     ir::MpiMode::Full}
+          : std::vector<ir::MpiMode>{ir::MpiMode::Basic};
+  // Every point first: a column the pins cannot hold stays unset and
+  // prints "-"; pins that hold no column fail before any output.
+  std::vector<std::vector<std::optional<ScalingPoint>>> rows;
+  std::string why;
+  for (const ir::MpiMode mode : modes) {
+    rows.emplace_back();
+    for (const int u : kUnitColumns) {
+      try {
+        rows.back().push_back(model.strong(u, so, mode));
+      } catch (const std::invalid_argument& e) {
+        rows.back().emplace_back();
+        why = e.what();
+      }
+    }
+  }
+  if (std::none_of(rows.front().begin(), rows.front().end(),
+                   [](const auto& pt) { return pt.has_value(); })) {
+    throw std::invalid_argument(why);
+  }
+
   std::printf("%s so-%02d strong scaling, %s, domain %lld^3 (GPts/s)\n",
               spec.name.c_str(), so, benchutil::target_name(target),
               static_cast<long long>(spec.strong_domain.at(target)));
@@ -46,24 +75,21 @@ void run_table(const KernelSpec& spec, Target target, int so,
     std::printf(" %8d", u);
   }
   std::printf("\n");
-
-  const std::vector<ir::MpiMode> modes =
-      target == Target::Cpu
-          ? std::vector<ir::MpiMode>{ir::MpiMode::Basic, ir::MpiMode::Diagonal,
-                                     ir::MpiMode::Full}
-          : std::vector<ir::MpiMode>{ir::MpiMode::Basic};
-  for (const ir::MpiMode mode : modes) {
+  for (std::size_t m = 0; m < modes.size(); ++m) {
     std::vector<double> row;
-    for (const int u : kUnitColumns) {
-      row.push_back(model.strong(u, so, mode).gpts);
+    for (const auto& pt : rows[m]) {
+      row.push_back(pt ? pt->gpts : std::nan(""));
     }
-    benchutil::print_row_pair(ir::to_string(mode), row,
-                              paper_strong(spec.name, target, so, mode));
-    const auto last = model.strong(kUnitColumns.back(), so, mode);
-    std::printf("  %-10s eff@128 = %.0f%%  (comp %.2f ms, net %.2f ms, "
-                "pack %.2f ms/step)\n",
-                "", 100.0 * last.efficiency, last.t_comp * 1e3,
-                last.t_net * 1e3, last.t_pack * 1e3);
+    benchutil::print_row_pair(ir::to_string(modes[m]), row,
+                              paper_strong(spec.name, target, so, modes[m]));
+    if (const auto& last = rows[m].back()) {
+      std::printf("  %-10s eff@128 = %.0f%%  (comp %.2f ms, net %.2f ms, "
+                  "pack %.2f ms/step)\n",
+                  "", 100.0 * last->efficiency, last->t_comp * 1e3,
+                  last->t_net * 1e3, last->t_pack * 1e3);
+    } else {
+      std::printf("  %-10s eff@128 = -\n", "");
+    }
   }
   std::printf("\n");
 }
@@ -113,7 +139,7 @@ int main(int argc, char** argv) {
         try {
           run_table(spec, target, so, topology);
         } catch (const std::invalid_argument& e) {
-          // The unit grid cannot hold the --topology pins.
+          // No unit column can hold the --topology pins.
           args.fail(std::string("--topology=") + topo_s + ": " + e.what());
         }
       }

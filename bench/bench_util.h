@@ -107,18 +107,15 @@ inline std::vector<std::string> kernel_choices() {
 inline const std::vector<std::string> kOrderChoices{"all", "4", "8", "12",
                                                     "16"};
 
-/// Print one model row and, if available, the paper's published values.
+/// Print one model row and, if available, the paper's published values;
+/// a NaN on either prints "-".
 inline void print_row_pair(const char* label,
                            const std::vector<double>& model,
                            const jitfd::perf::PaperRow& paper) {
-  std::printf("  %-10s model:", label);
-  for (const double v : model) {
-    std::printf(" %8.1f", v);
-  }
-  std::printf("\n");
-  if (paper.available()) {
-    std::printf("  %-10s paper:", "");
-    for (const double v : paper.gpts) {
+  const auto print = [](const char* head, const char* kind,
+                        const auto& values) {
+    std::printf("  %-10s %s:", head, kind);
+    for (const double v : values) {
       if (std::isnan(v)) {
         std::printf(" %8s", "-");
       } else {
@@ -126,6 +123,10 @@ inline void print_row_pair(const char* label,
       }
     }
     std::printf("\n");
+  };
+  print(label, "model", model);
+  if (paper.available()) {
+    print("", "paper", paper.gpts);
   }
 }
 

@@ -97,6 +97,51 @@ void for_each_row(std::span<const std::int64_t> ext, bool parallel,
   }
 }
 
+// Calls body(row, lo, hi) for every padded row of buffer `t` of `f` that
+// can hold anything but +0 inside the padded-index region [from, to):
+// `row` counts padded rows in row-major order, and [lo, hi) is the part
+// of the row inside the region, the buffer's box and, where `f` keeps a
+// row table, the row's entry (which may count the whole row). By the
+// box/row invariant every other value of the region is +0. Rows come in
+// row-major order, or split across the OpenMP team as for_each_row does
+// when `parallel` and the clipped box holds at least kParallelCopyBytes.
+template <typename Body>
+void for_each_active_span(const Function& f, int t,
+                          std::span<const std::int64_t> from,
+                          std::span<const std::int64_t> to, bool parallel,
+                          const Body& body) {
+  const ActivityBox box = f.activity(t);
+  const std::size_t nd = from.size();
+  const std::size_t last = nd - 1;
+  std::array<std::int64_t, kMaxDims> lo{};
+  std::array<std::int64_t, kMaxDims> ext{};
+  std::int64_t bytes = sizeof(float);
+  for (std::size_t d = 0; d < nd; ++d) {
+    lo[d] = std::max(from[d], box.lo[d]);
+    ext[d] = std::max<std::int64_t>(std::min(to[d], box.hi[d]) - lo[d], 0);
+    bytes *= ext[d];
+  }
+  const auto& ps = f.padded_shape();
+  for_each_row(
+      {ext.data(), nd}, parallel && bytes >= kParallelCopyBytes,
+      [&](std::span<const std::int64_t> outer, std::int64_t) {
+        std::int64_t row = 0;
+        for (std::size_t d = 0; d < last; ++d) {
+          row = row * ps[d] + lo[d] + outer[d];
+        }
+        std::int64_t first = lo[last];
+        std::int64_t end = lo[last] + ext[last];
+        if (f.activity_rows() > 0) {
+          const ActivityRow e = f.activity_row(t, row);
+          first = std::max(first, std::int64_t{e.lo} + f.lpad());
+          end = std::min(end, std::int64_t{e.hi} + f.lpad());
+        }
+        if (first < end) {
+          body(row, first, end);
+        }
+      });
+}
+
 // This rank's process coordinate along `d` (0 on serial grids).
 int my_coord(const Grid& grid, std::size_t d) {
   return grid.distributed() ? grid.cart()->my_coords()[d] : 0;
@@ -384,14 +429,29 @@ void Function::widen_box(int t, std::size_t linear) {
 
 void Function::fill(float v) {
   const std::int64_t row = padded_shape_.back();
-  for_each_row(padded_shape_,
-               storage_size_ * sizeof(float) >= kParallelCopyBytes,
-               [&](std::span<const std::int64_t>, std::int64_t r) {
-                 for (int t = 0; t < buffers_; ++t) {
-                   std::fill_n(kernel_buffer(t) + r * row, row, v);
-                 }
-               });
-  set_all_boxes(/*full=*/std::bit_cast<std::uint32_t>(v) != 0);
+  if (std::bit_cast<std::uint32_t>(v) != 0) {
+    for_each_row(padded_shape_,
+                 storage_size_ * sizeof(float) >= kParallelCopyBytes,
+                 [&](std::span<const std::int64_t>, std::int64_t r) {
+                   for (int t = 0; t < buffers_; ++t) {
+                     std::fill_n(kernel_buffer(t) + r * row, row, v);
+                   }
+                 });
+    set_all_boxes(/*full=*/true);
+    return;
+  }
+  // +0: only box ∩ entry can hold anything else, so clear just that. A
+  // page no value ever reached is never written, and stays unfaulted.
+  const std::array<std::int64_t, kMaxDims> origin{};
+  for (int t = 0; t < buffers_; ++t) {
+    float* base = kernel_buffer(t);
+    for_each_active_span(*this, t, {origin.data(), padded_shape_.size()},
+                         padded_shape_, /*parallel=*/true,
+                         [&](std::int64_t r, std::int64_t lo, std::int64_t hi) {
+                           std::fill_n(base + r * row + lo, hi - lo, 0.0F);
+                         });
+  }
+  set_all_boxes(/*full=*/false);
 }
 
 void Function::fill_global_box(int t, std::span<const std::int64_t> lo,
@@ -554,17 +614,28 @@ std::vector<float> Function::gather(int t) const {
 }
 
 double Function::norm2(int t) const {
-  // Serial row-major order keeps the double sum bitwise reproducible.
-  const auto& shape = grid_->local_shape();
+  // Serial row-major order keeps the double sum bitwise reproducible. Only
+  // owned ∩ box ∩ entry is visited: every skipped point is +0, and adding
+  // its square (+0) to a sum that starts at +0 changes no bit.
+  const std::size_t nd = padded_shape_.size();
+  std::array<std::int64_t, kMaxDims> from{};
+  std::array<std::int64_t, kMaxDims> to{};
+  for (std::size_t d = 0; d < nd; ++d) {
+    from[d] = lpad();
+    to[d] = lpad() + grid_->local_shape()[d];
+  }
+  const std::int64_t row = padded_shape_.back();
+  const float* base = buffer(t);
   double sum = 0.0;
-  for_each_row(shape, /*parallel=*/false,
-               [&](std::span<const std::int64_t> outer, std::int64_t) {
-                 const float* p = &storage_[row_offset(t, outer)];
-                 for (std::int64_t i = 0; i < shape.back(); ++i) {
-                   const double v = p[i];
-                   sum += v * v;
-                 }
-               });
+  for_each_active_span(*this, t, {from.data(), nd}, {to.data(), nd},
+                       /*parallel=*/false,
+                       [&](std::int64_t r, std::int64_t lo, std::int64_t hi) {
+                         for (std::int64_t i = r * row + lo; i < r * row + hi;
+                              ++i) {
+                           const double v = base[i];
+                           sum += v * v;
+                         }
+                       });
   if (grid_->distributed()) {
     std::vector<double> acc{sum};
     grid_->cart()->comm().allreduce(std::span<double>(acc),

@@ -33,8 +33,10 @@ namespace jitfd::grid {
 /// each field's storage start as its base pointer, so the alignment is
 /// what makes the emitter's `aligned(field:64)` simd clauses provable.
 /// The memory comes from calloc, so allocating writes nothing: a large
-/// block is fresh anonymous pages, which the first parallel writer
-/// (fill/init) touches. Used as the deleter of the owning unique_ptr.
+/// block is fresh anonymous pages, which the first writer touches
+/// (init, fill with a nonzero pattern, or a step that reaches them;
+/// fill(+0) writes none of them). Used as the deleter of the owning
+/// unique_ptr.
 ///
 /// Below the returned pointer sits a zeroed header of `header` bytes (a
 /// multiple of kAlignment, so it starts 64-byte aligned). Its last word
@@ -135,6 +137,10 @@ class Function {
   // every buffer's activity box full. The mark covers writes made before
   // the next tracked step or fill(0): those may shrink the boxes again,
   // and writing through an old pointer after them needs a fresh call.
+  // That includes a generated kernel without box code run directly
+  // (JitKernel::run) on pointers bound before a fill(0): fill(0) clears
+  // only what the boxes and rows cover, so what such a run writes outside
+  // them would survive the next fill(0).
 
   /// Pointer to time buffer `t` (0 for plain Functions). The non-const
   /// overload marks every activity box full (see the raw-pointer rule).
@@ -168,9 +174,10 @@ class Function {
   // The kernel sweeps each row only where its reads can be nonzero and
   // stores the extent and box of what it wrote (DESIGN.md, "Active-box
   // stepping"). The mutators keep both true: construction and fill(+0)
-  // empty the boxes (stale rows then count for nothing); set_global and
-  // the non-const at_local widen the box and the one row by the point;
-  // every other mutator (fill with any other bit pattern,
+  // empty the boxes (stale rows then count for nothing; fill(+0) first
+  // zeroes each box row over its entry, all that can be nonzero);
+  // set_global and the non-const at_local widen the box and the one row
+  // by the point; every other mutator (fill with any other bit pattern,
   // fill_global_box, init, init_rows, the non-const buffer() and
   // raw_storage()) marks the boxes full. While a box reaches an innermost
   // ghost, as a full one does, every row of it counts as whole.
@@ -206,8 +213,12 @@ class Function {
 
   /// Set every owned point (and ghost point) of every buffer to `v`.
   /// Fields of at least kParallelCopyBytes split their rows across the
-  /// OpenMP team, as does init. Empties the activity boxes when `v` is +0
-  /// and marks them full for any other bit pattern (-0 included).
+  /// OpenMP team, as does init. For any bit pattern but +0 (-0 included)
+  /// it writes every point and marks the activity boxes full. For +0 it
+  /// writes only each box row over its entry (the whole box row where the
+  /// rows count whole or there is no row table), since every other value
+  /// is +0 already, then empties the boxes; the row entries stay as they
+  /// are. So storage no value has reached is never written.
   void fill(float v);
 
   /// Assign `v` over the global half-open box [lo, hi) — each rank writes
@@ -250,7 +261,9 @@ class Function {
 
   /// Sum of squares over owned points of buffer `t`, reduced across ranks
   /// when distributed (collective in that case). Summed serially in
-  /// row-major order, so the result is reproducible bit for bit.
+  /// row-major order, so the result is reproducible bit for bit. Reads
+  /// only owned ∩ box ∩ row entry: every other point is +0 and would add
+  /// +0, which changes no bit of the sum.
   double norm2(int t) const;
 
   // --- Symbolic accessors ------------------------------------------------------

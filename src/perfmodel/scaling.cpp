@@ -77,17 +77,18 @@ Local decompose(const std::vector<std::int64_t>& domain, int parts,
 
 ScalingPoint ScalingModel::evaluate(const std::vector<std::int64_t>& domain,
                                     int units, int so, ir::MpiMode mode,
+                                    const std::vector<int>& topology,
                                     bool weak_regime) const {
   ScalingPoint pt;
   pt.units = units;
 
   const int ranks = units * machine_.ranks_per_unit;
-  const Local unit = decompose(domain, units, topology_);
+  const Local unit = decompose(domain, units, topology);
   // Rank-level decomposition: free except where the custom topology pins
   // a dimension to stay undecomposed (the Section IV-F tuning case).
   std::vector<int> rank_topo;
-  if (!topology_.empty()) {
-    for (const int d : topology_) {
+  if (!topology.empty()) {
+    for (const int d : topology) {
       rank_topo.push_back(d == 1 ? 1 : 0);
     }
   }
@@ -234,9 +235,9 @@ ScalingPoint ScalingModel::strong(int units, int so, ir::MpiMode mode,
   const std::int64_t edge =
       domain_edge > 0 ? domain_edge : kernel_.strong_domain.at(target_);
   const std::vector<std::int64_t> domain{edge, edge, edge};
-  ScalingPoint pt = evaluate(domain, units, so, mode);
-  const ScalingPoint base =
-      evaluate(domain, 1, so, ir::MpiMode::None);
+  ScalingPoint pt = evaluate(domain, units, so, mode, topology_);
+  // One unit is never split: pins that do not divide 1 still give a base.
+  const ScalingPoint base = evaluate(domain, 1, so, ir::MpiMode::None, {});
   pt.efficiency = pt.gpts / (base.gpts * units);
   return pt;
 }
@@ -248,11 +249,12 @@ ScalingPoint ScalingModel::weak(int units, int so, ir::MpiMode mode,
   for (const int d : udims) {
     domain.push_back(per_unit_edge * d);
   }
-  ScalingPoint pt = evaluate(domain, units, so, mode, /*weak_regime=*/true);
+  ScalingPoint pt =
+      evaluate(domain, units, so, mode, topology_, /*weak_regime=*/true);
   const std::vector<std::int64_t> one{per_unit_edge, per_unit_edge,
                                       per_unit_edge};
   const ScalingPoint base =
-      evaluate(one, 1, so, ir::MpiMode::None, /*weak_regime=*/true);
+      evaluate(one, 1, so, ir::MpiMode::None, {}, /*weak_regime=*/true);
   pt.efficiency = pt.gpts / (base.gpts * units);
   return pt;
 }

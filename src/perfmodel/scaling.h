@@ -61,7 +61,10 @@ class ScalingModel {
                     std::int64_t per_unit_edge = 256) const;
 
   /// Custom unit-level topology for the full-mode tuning experiment of
-  /// Section IV-F (empty = dims_create default).
+  /// Section IV-F (empty = dims_create default). It pins the evaluated
+  /// point only: the 1-unit base of the efficiency is never split, so it
+  /// is evaluated unpinned. A unit count the pins cannot hold throws
+  /// std::invalid_argument (from smpi::dims_create).
   void set_topology(std::vector<int> topology) {
     topology_ = std::move(topology);
   }
@@ -72,6 +75,7 @@ class ScalingModel {
  private:
   ScalingPoint evaluate(const std::vector<std::int64_t>& domain, int units,
                         int so, ir::MpiMode mode,
+                        const std::vector<int>& topology,
                         bool weak_regime = false) const;
 
   MachineSpec machine_;

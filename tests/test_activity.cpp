@@ -9,7 +9,10 @@
 // of every buffer a step writes with NaN first: a step that skipped any
 // of them would leave a NaN the tracked run does not have.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -290,6 +293,76 @@ bool touches_face(const Function& f, int t) {
   return false;
 }
 
+/// Every data byte of every buffer of `f` (ghosts included, the header
+/// tables left out) is zero.
+::testing::AssertionResult all_plus_zero(const Function& f) {
+  const auto raw = f.raw_storage();
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    if (bits(raw[i]) != 0) {
+      return ::testing::AssertionFailure()
+             << f.name() << " holds bits " << std::hex << bits(raw[i])
+             << std::dec << " at raw index " << i << " (buffer "
+             << static_cast<std::int64_t>(i) / f.buffer_points() << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// fill(+0) writes only each box row over its entry: afterwards every
+/// data byte must be zero anyway, and every box empty.
+::testing::AssertionResult fill_zero_clears(Function& f) {
+  f.fill(0.0F);
+  for (int t = 0; t < f.time_buffers(); ++t) {
+    if (!f.activity(t).empty(static_cast<int>(f.padded_shape().size()))) {
+      return ::testing::AssertionFailure()
+             << f.name() << " buffer " << t << " keeps a box after fill(+0)";
+    }
+  }
+  return all_plus_zero(f);
+}
+
+/// Sum of squares over every owned point of buffer `t`, in row-major
+/// order, reading every point (what norm2 must equal bit for bit).
+double naive_norm2(const Function& f, int t) {
+  const auto& ls = f.local_shape();
+  const auto& ps = f.padded_shape();
+  const float* base = f.buffer(t);
+  std::int64_t points = 1;
+  for (const std::int64_t e : ls) {
+    points *= e;
+  }
+  double sum = 0.0;
+  for (std::int64_t i = 0; i < points; ++i) {
+    std::int64_t rest = i;
+    std::int64_t linear = 0;
+    std::int64_t stride = 1;
+    for (std::size_t d = ls.size(); d-- > 0;) {
+      linear += (rest % ls[d] + f.lpad()) * stride;
+      rest /= ls[d];
+      stride *= ps[d];
+    }
+    const double v = base[linear];
+    sum += v * v;
+  }
+  return sum;
+}
+
+/// norm2 of every buffer of `f` (serial grid) is bit-equal to the naive
+/// sum over every owned point.
+::testing::AssertionResult norm2_is_naive(const Function& f) {
+  for (int t = 0; t < f.time_buffers(); ++t) {
+    const double got = f.norm2(t);
+    const double want = naive_norm2(f, t);
+    if (std::bit_cast<std::uint64_t>(got) !=
+        std::bit_cast<std::uint64_t>(want)) {
+      return ::testing::AssertionFailure()
+             << f.name() << " buffer " << t << ": norm2 " << got
+             << " but the sum over every owned point is " << want;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 struct ModelCase {
   Model model;
   std::vector<std::int64_t> tile;
@@ -330,6 +403,10 @@ TEST_P(ActivityModels, TrackedRunMatchesFullBoxRunBitForBit) {
     const TimeFunction& w = tracked.model->wavefield();
     EXPECT_TRUE(touches_face(w, w.buffer_index(1, kSteps)))
         << "the front never reached a face in " << kSteps << " steps";
+  }
+  for (Function* f : tracked.fields) {
+    EXPECT_TRUE(norm2_is_naive(*f));
+    EXPECT_TRUE(fill_zero_clears(*f));
   }
 }
 
@@ -386,6 +463,10 @@ TEST_P(ActivityLongRows, TrackedRunMatchesFullBoxRunAndRowsStayNarrow) {
   const double share = row_coverage(w, w.buffer_index(1, kLongSteps));
   EXPECT_GT(share, 0.0);
   EXPECT_LT(share, 0.6);
+  for (Function* f : tracked.fields) {
+    EXPECT_TRUE(norm2_is_naive(*f));
+    EXPECT_TRUE(fill_zero_clears(*f));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -481,6 +562,7 @@ TEST_P(ActivityMutators, MutationBetweenStepsMatchesFullBoxRun) {
       for (const Function* f : s->fields) {
         EXPECT_TRUE(boxes_hold(*f)) << "right after the mutation";
         EXPECT_TRUE(rows_hold(*f)) << "right after the mutation";
+        EXPECT_TRUE(norm2_is_naive(*f)) << "right after the mutation";
       }
       s->step(4, 4);
     }
@@ -492,9 +574,11 @@ TEST_P(ActivityMutators, MutationBetweenStepsMatchesFullBoxRun) {
     }
     EXPECT_TRUE(bitwise_equal(tracked.snapshot(), reference.snapshot()))
         << "time offset " << offset;
-    for (const Function* f : tracked.fields) {
+    for (Function* f : tracked.fields) {
       EXPECT_TRUE(boxes_hold(*f));
       EXPECT_TRUE(rows_hold(*f));
+      EXPECT_TRUE(norm2_is_naive(*f));
+      EXPECT_TRUE(fill_zero_clears(*f)) << "time offset " << offset;
     }
   }
 }
@@ -672,7 +756,9 @@ TEST(Activity, MutatorsKeepBoxesTrue) {
   rows = row_entries(u);
   u.fill(0.0F);
   EXPECT_TRUE(u.activity(1).empty(nd));
-  EXPECT_EQ(rows_changed(rows, row_entries(u)), 0) << "fill(+0) is O(1)";
+  EXPECT_EQ(rows_changed(rows, row_entries(u)), 0)
+      << "fill(+0) clears data, not entries";
+  EXPECT_TRUE(all_plus_zero(u));
   u.set_global(1, std::vector<std::int64_t>{4, 0}, 0.5F);
   e = u.activity_row(1, 4 + u.lpad());
   EXPECT_EQ(e.lo, 0);
@@ -741,6 +827,228 @@ TEST(Activity, MutatorsKeepBoxesTrue) {
   EXPECT_TRUE(rows_hold(u));
 }
 
+// --- fill(+0) and norm2 read and write only what can be nonzero ---------------
+
+/// On 2 ranks of `transport`: an acoustic model on a 16^3 grid, started
+/// from +0 plus one point on rank 0, then stepped by a full-pattern JIT
+/// apply. `check` runs on every rank before and after the apply and
+/// throws on a failure: forked ranks report nothing else.
+void on_two_ranks(
+    smpi::TransportKind transport,
+    const std::function<void(TimeFunction&, smpi::Communicator&,
+                             const std::string& stage)>& check) {
+  smpi::launch({.nranks = 2, .transport = transport},
+               [&](smpi::Communicator& comm) {
+                 const Grid g(std::vector<std::int64_t>(3, 16),
+                              std::vector<double>(3, 15.0), comm);
+                 models::AcousticModel model(g, kOrder, 1.5, 4);
+                 ir::CompileOptions opts;
+                 opts.mode = ir::MpiMode::Full;
+                 const auto op = model.make_operator(opts);
+                 op->set_default_backend(core::Backend::Jit);
+                 TimeFunction& w = model.wavefield();
+                 w.fill(0.0F);
+                 w.set_global(w.buffer_index(0, 1),
+                              std::vector<std::int64_t>{5, 8, 8}, 1.0F);
+                 check(w, comm, "before the apply");
+                 op->apply({.time_m = 1, .time_M = 4,
+                            .scalars = model.scalars(model.critical_dt())});
+                 check(w, comm, "after a full-pattern apply");
+               });
+}
+
+void throw_unless(const ::testing::AssertionResult& r, int rank,
+                  const std::string& stage) {
+  if (!r) {
+    throw std::runtime_error("rank " + std::to_string(rank) + ", " + stage +
+                             ": " + r.message());
+  }
+}
+
+std::string transport_name(smpi::TransportKind t) {
+  return t == smpi::TransportKind::Threads ? "threads" : "process_shm";
+}
+
+TEST(Activity, FillZeroClearsEveryBit) {
+  const Grid g({7, 6, 40}, {6.0, 5.0, 39.0});
+  TimeFunction u("u", g, kOrder, /*time_order=*/2);
+  // Exact entries, two points apart in one row of the last buffer, so a
+  // span one point short leaves the far one.
+  u.set_global(2, std::vector<std::int64_t>{1, 2, 3}, 1.0F);
+  u.set_global(2, std::vector<std::int64_t>{1, 2, 30}, 2.0F);
+  u.set_global(0, std::vector<std::int64_t>{5, 4, 17}, -3.0F);
+  EXPECT_TRUE(fill_zero_clears(u)) << "exact entries";
+  // Row (1, 2) keeps its stale [3, 31) outside the new box.
+  u.set_global(2, std::vector<std::int64_t>{4, 0, 39}, 0.5F);
+  u.set_global(2, std::vector<std::int64_t>{4, 0, 0}, 0.5F);
+  EXPECT_TRUE(fill_zero_clears(u)) << "stale entries outside the box";
+  // A box reaching an innermost ghost on both ends counts its rows whole.
+  u.set_global(1, std::vector<std::int64_t>{3, 3, 10}, 1.0F);
+  u.at_local(1, std::vector<std::int64_t>{3, 4, -2}) = 0.25F;
+  u.at_local(1, std::vector<std::int64_t>{2, 3, 41}) = 0.75F;
+  EXPECT_TRUE(fill_zero_clears(u)) << "box reaching innermost ghosts";
+  // Marked full: the entries are stale or empty, and only the whole-rows
+  // rule covers what was written.
+  u.fill(1e-3F);
+  EXPECT_TRUE(fill_zero_clears(u)) << "after fill(1e-3)";
+  u.fill(-0.0F);
+  EXPECT_TRUE(fill_zero_clears(u)) << "after fill(-0)";
+  u.set_global(0, std::vector<std::int64_t>{2, 2, 2}, 1.0F);
+  u.fill(0.0F);
+  for (int t = 0; t < u.time_buffers(); ++t) {
+    u.raw_storage()[raw_index(u, t, {t, 5 - t, 20 + t})] = 4.0F;
+  }
+  EXPECT_TRUE(fill_zero_clears(u)) << "after writes through raw_storage()";
+  u.fill_global_box(2, std::vector<std::int64_t>{0, 0, 5},
+                    std::vector<std::int64_t>{7, 6, 9}, 0.5F);
+  EXPECT_TRUE(fill_zero_clears(u)) << "after fill_global_box";
+  u.init([](std::span<const std::int64_t> p) {
+    return static_cast<float>(p[0] + p[1] + p[2]);
+  });
+  EXPECT_TRUE(fill_zero_clears(u)) << "after init";
+
+  // Distributed grids keep no rows: whole box rows are cleared. The
+  // full-pattern apply marks what its kernel writes full, and halo unpack
+  // (the non-const buffer()) marks the ghosts it fills.
+  for (const smpi::TransportKind transport :
+       {smpi::TransportKind::Threads, smpi::TransportKind::ProcessShm}) {
+    try {
+      on_two_ranks(transport, [](TimeFunction& w, smpi::Communicator& comm,
+                                 const std::string& stage) {
+        if (stage == "before the apply") {
+          return;
+        }
+        std::int64_t nonzero = 0;
+        for (const float v : std::as_const(w).raw_storage()) {
+          nonzero += bits(v) != 0 ? 1 : 0;
+        }
+        if (nonzero == 0) {
+          throw std::runtime_error("rank " + std::to_string(comm.rank()) +
+                                   ": the apply wrote nothing to clear");
+        }
+        throw_unless(fill_zero_clears(w), comm.rank(), stage);
+      });
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << transport_name(transport) << ": " << e.what();
+    }
+  }
+}
+
+TEST(Activity, Norm2ReadsOnlyWhatCanBeNonzero) {
+  // Serial: points inside, ghosts outside the owned region (which norm2
+  // must not count), stale entries and rows counted whole.
+  const Grid g({7, 6, 40}, {6.0, 5.0, 39.0});
+  TimeFunction u("u", g, kOrder, /*time_order=*/2);
+  EXPECT_TRUE(norm2_is_naive(u)) << "fresh storage";
+  u.set_global(1, std::vector<std::int64_t>{1, 2, 3}, 1.5F);
+  u.set_global(1, std::vector<std::int64_t>{1, 2, 33}, -2.5F);
+  u.set_global(1, std::vector<std::int64_t>{6, 5, 39}, 1e-40F);
+  EXPECT_TRUE(norm2_is_naive(u)) << "points";
+  u.at_local(1, std::vector<std::int64_t>{-1, 2, 3}) = 8.0F;
+  u.at_local(1, std::vector<std::int64_t>{1, 2, -3}) = 16.0F;
+  EXPECT_TRUE(norm2_is_naive(u)) << "ghost values";
+  u.fill(0.0F);
+  u.set_global(1, std::vector<std::int64_t>{4, 4, 8}, 3.0F);
+  EXPECT_TRUE(norm2_is_naive(u)) << "stale entries";
+  u.fill(0.375F);
+  u.set_global(2, std::vector<std::int64_t>{4, 4, 8}, 3.0F);
+  EXPECT_TRUE(norm2_is_naive(u)) << "full boxes";
+
+  // Two ranks, both transports: rank 0's box is one point before the
+  // apply and the kernel writes without tracking after it.
+  for (const smpi::TransportKind transport :
+       {smpi::TransportKind::Threads, smpi::TransportKind::ProcessShm}) {
+    try {
+      on_two_ranks(transport, [](TimeFunction& w, smpi::Communicator& comm,
+                                 const std::string& stage) {
+        for (int t = 0; t < w.time_buffers(); ++t) {
+          std::vector<double> want{naive_norm2(w, t)};
+          comm.allreduce(std::span<double>(want), smpi::ReduceOp::Sum);
+          const double got = w.norm2(t);
+          if (std::bit_cast<std::uint64_t>(got) !=
+              std::bit_cast<std::uint64_t>(want[0])) {
+            throw std::runtime_error(
+                "rank " + std::to_string(comm.rank()) + ", " + stage +
+                ", buffer " + std::to_string(t) + ": norm2 " +
+                std::to_string(got) + " against " + std::to_string(want[0]));
+          }
+        }
+      });
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << transport_name(transport) << ": " << e.what();
+    }
+  }
+}
+
+/// Resident pages among the pages wholly inside buffer `t` of `f` (every
+/// buffer when `t` < 0), and how many such pages there are. A page that
+/// shares the header's last line is left out.
+std::pair<std::int64_t, std::int64_t> resident_pages(const Function& f,
+                                                     int t = -1) {
+  const float* begin = f.buffer(t < 0 ? 0 : t);
+  const float* end = t < 0 ? begin + f.raw_storage().size()
+                           : begin + f.buffer_points();
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const std::uintptr_t lo =
+      (reinterpret_cast<std::uintptr_t>(begin) + page - 1) / page * page;
+  const std::uintptr_t hi = reinterpret_cast<std::uintptr_t>(end) / page * page;
+  std::vector<unsigned char> vec((hi - lo) / page);
+  if (::mincore(reinterpret_cast<void*>(lo), hi - lo, vec.data()) != 0) {
+    return {-1, 0};
+  }
+  std::int64_t resident = 0;
+  for (const unsigned char v : vec) {
+    resident += v & 1;
+  }
+  return {resident, static_cast<std::int64_t>(vec.size())};
+}
+
+/// Keeps `f`'s data on base pages, so a fault brings in one 4 KiB page
+/// and not a 2 MiB one on hosts whose transparent huge pages are
+/// "always". Advice for this process's own mapping only.
+void without_huge_pages(const Function& f) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(f.buffer(0));
+  const std::uintptr_t lo = (begin + page - 1) / page * page;
+  const std::uintptr_t hi =
+      (begin + f.raw_storage().size_bytes()) / page * page;
+  (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_NOHUGEPAGE);
+}
+
+TEST(Activity, FillZeroLeavesUntouchedPagesAlone) {
+  // Nothing here reads a data page before mincore looks: a read maps the
+  // zero page, and mincore counts it.
+  const Grid g(std::vector<std::int64_t>(3, 200),
+               std::vector<double>(3, 199.0));
+  TimeFunction u("u", g, 8, /*time_order=*/2);
+  ASSERT_GE(std::as_const(u).raw_storage().size_bytes(),
+            std::size_t{100} << 20);
+  without_huge_pages(u);
+  u.fill(0.0F);
+  const auto [fresh, pages] = resident_pages(u);
+  EXPECT_EQ(fresh, 0) << "of " << pages << " pages after construction and "
+                      << "fill(+0)";
+  u.set_global(1, std::vector<std::int64_t>{150, 20, 100}, 1.0F);
+  u.fill(0.0F);
+  EXPECT_LE(resident_pages(u).first, 1) << "after set_global and fill(+0)";
+
+  // A short tracked shot from a zero start: each buffer keeps only the
+  // pages the front reached resident, and fill(+0) adds none.
+  Shot shot(Model::Acoustic, {}, /*full_box=*/false, /*with_injection=*/false,
+            ShotShape{.extent = {200, 200, 200}, .order = 8});
+  ASSERT_TRUE(shot.op->info().activity);
+  TimeFunction& w = shot.model->wavefield();
+  without_huge_pages(w);
+  shot.step(1, kSteps);
+  for (int t = 0; t < w.time_buffers(); ++t) {
+    const auto [resident, of] = resident_pages(w, t);
+    EXPECT_LT(resident, of / 4)
+        << "buffer " << t << ": " << resident << " of " << of << " pages";
+  }
+  const std::int64_t before = resident_pages(w).first;
+  w.fill(0.0F);
+  EXPECT_EQ(resident_pages(w).first, before) << "fill(+0) faulted pages in";
+}
 
 // --- The ledger's path: JitKernel::run with its own callback table ------------
 
@@ -853,6 +1161,8 @@ TEST(Activity, OneAndTwoDimensionalGridsMatchFullBoxRun) {
       if (!full) {
         EXPECT_TRUE(boxes_hold(u));
         EXPECT_TRUE(rows_hold(u));
+        EXPECT_TRUE(norm2_is_naive(u));
+        EXPECT_TRUE(fill_zero_clears(u));
       }
     }
     EXPECT_TRUE(bitwise_equal(runs[0], runs[1]))
