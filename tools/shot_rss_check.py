@@ -37,10 +37,11 @@ def main():
         print("shot_rss_check: cannot read inputs: %r" % e, file=sys.stderr)
         sys.exit(2)
     bound = BOUND * buffer_mib
-    verdict = "ok" if rss_mib < bound else "FAIL"
+    ok = rss_mib < bound
     print("shot_rss_check: peak_rss_mib %.1f, bound %.1f (%g x %.1f MiB "
-          "buffers): %s" % (rss_mib, bound, BOUND, buffer_mib, verdict))
-    sys.exit(0 if rss_mib < bound else 1)
+          "buffers): %s" % (rss_mib, bound, BOUND, buffer_mib,
+                            "ok" if ok else "FAIL"))
+    sys.exit(0 if ok else 1)
 
 
 if __name__ == "__main__":
