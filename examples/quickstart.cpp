@@ -33,24 +33,14 @@
 //                                       # slowest rank ran fastest, write
 //                                       # the report (with the "why"
 //                                       # decision trail) to the file
-//   ./quickstart 4 --rebalance          # closed loop: traced uniform
-//                                       # run -> measured per-rank load
-//                                       # -> biased dimension-0 split ->
-//                                       # rerun, asserting the rebalanced
-//                                       # model is bitwise identical.
-//                                       # --expect-rebalance[=RANK] exits
-//                                       # nonzero unless a rebalance was
-//                                       # recommended (pinning RANK);
-//                                       # inject load with
-//                                       # JITFD_DELAY_RANK/JITFD_DELAY_US
 //
-// RANKS, N and RANK are whole non-negative decimals; anything else, and
-// any unknown --flag, prints the usage line and exits 2.
+// RANKS and N are whole non-negative decimals and FILE must not be
+// empty; --analysis= needs --trace=. Anything else, including an
+// unknown MODE or KIND and any unknown --flag, prints why and exits 2.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -62,7 +52,6 @@
 #include "obs/flight.h"
 #include "obs/health.h"
 #include "obs/report.h"
-#include "obs/trace.h"
 #include "smpi/runtime.h"
 #include "symbolic/manip.h"
 
@@ -180,133 +169,11 @@ int run_autotune(int nranks, smpi::LaunchOptions launch_opts,
   return status;
 }
 
-// --rebalance: the closed loop. A traced uniform run measures per-rank
-// compute; the loads are allreduced (rank-uniform under both
-// transports, where live traces may only cover the own rank), fed to
-// Grid::plan_rebalance, and — when a biased split is recommended — the
-// same simulation reruns on the biased grid. The gathered wavefields
-// must be bitwise identical: decomposition placement must never change
-// the model.
-int run_rebalance(int nranks, smpi::LaunchOptions launch_opts,
-                  bool expect_rebalance, int expect_rank) {
-  constexpr std::int64_t kEdge = 32;
-  constexpr int kSteps = 6;
-  if (nranks < 2) {
-    std::fprintf(stderr, "--rebalance needs >= 2 ranks\n");
-    return 2;
-  }
-  jitfd::grid::RebalancePlan plan;
-  std::string clamp_reason;
-  bool bitwise_equal = false;
-  launch_opts.nranks = nranks;
-  smpi::launch(launch_opts, [&](smpi::Communicator& comm) {
-    // Pin a 1-D dimension-0 topology so process rows map 1:1 to ranks.
-    const std::vector<int> topo{comm.size(), 1};
-    const auto diffuse = [&](const Grid& grid, bool trace) {
-      TimeFunction u("u", grid, /*space_order=*/2, /*time_order=*/1);
-      u.fill_global_box(0, std::vector<std::int64_t>{kEdge / 4, kEdge / 4},
-                        std::vector<std::int64_t>{kEdge / 2, kEdge / 2},
-                        1.0F);
-      const sym::Ex pde = u.dt() - 0.5 * u.laplace();
-      Operator op({ir::Eq(u.forward(),
-                          sym::solve(pde, sym::Ex(0), u.forward()))});
-      op.apply({.time_m = 0,
-                .time_M = kSteps - 1,
-                .scalars = {{"dt", 1e-4}},
-                .trace = trace});
-      return u.gather(kSteps % 2);
-    };
-
-    obs::reset();
-    comm.barrier();
-    std::vector<float> base;
-    jitfd::grid::RebalancePlan local_plan;
-    {
-      const Grid grid({kEdge, kEdge}, {2.0, 2.0}, comm, topo);
-      base = diffuse(grid, /*trace=*/true);
-
-      // Own compute seconds from the trace; every transport sees at
-      // least its own rank's events live.
-      const obs::RunProfile profile = obs::profile_from(obs::collect());
-      std::vector<double> loads(static_cast<std::size_t>(comm.size()), 0.0);
-      for (const obs::RankProfile& r : profile.ranks) {
-        if (r.rank == comm.rank()) {
-          loads[static_cast<std::size_t>(r.rank)] = r.compute_s;
-        }
-      }
-      comm.allreduce(std::span<double>(loads), smpi::ReduceOp::Sum);
-      obs::AnalysisReport report;
-      for (int r = 0; r < comm.size(); ++r) {
-        report.rank_loads.push_back(
-            {r, loads[static_cast<std::size_t>(r)]});
-      }
-      jitfd::grid::RebalanceOptions ropts;
-      ropts.threshold =
-          jitfd::env::get_float("JITFD_REBALANCE_THRESHOLD", 1.25);
-      local_plan = grid.plan_rebalance(report, ropts);
-    }
-    obs::reset();
-    comm.barrier();
-
-    std::vector<float> biased;
-    std::string local_clamp;
-    if (local_plan.changed) {
-      const Grid grid({kEdge, kEdge}, {2.0, 2.0}, comm, topo,
-                      local_plan.sizes);
-      local_clamp = grid.rebalance_clamp_reason();
-      biased = diffuse(grid, /*trace=*/false);
-    }
-    if (comm.rank() == 0) {
-      plan = local_plan;
-      clamp_reason = local_clamp;
-      bitwise_equal =
-          local_plan.changed && base.size() == biased.size() &&
-          std::memcmp(base.data(), biased.data(),
-                      base.size() * sizeof(float)) == 0;
-    }
-  });
-
-  std::printf("rebalance plan: %s (measured ratio %.3f, critical part "
-              "%d)\n",
-              plan.reason.c_str(), plan.measured_ratio, plan.critical_part);
-  if (plan.changed) {
-    std::printf("  biased dimension-0 split:");
-    for (const std::int64_t s : plan.sizes) {
-      std::printf(" %lld", static_cast<long long>(s));
-    }
-    std::printf("\n");
-    if (!clamp_reason.empty()) {
-      std::fprintf(stderr, "  split rejected by grid: %s\n",
-                   clamp_reason.c_str());
-      return 5;
-    }
-    if (!bitwise_equal) {
-      std::fprintf(stderr,
-                   "  FAIL: rebalanced wavefield differs from uniform\n");
-      return 5;
-    }
-    std::printf("  rebalanced wavefield bitwise identical to uniform "
-                "split\n");
-  }
-  if (expect_rebalance && !plan.changed) {
-    std::fprintf(stderr, "expected a rebalance recommendation, got: %s\n",
-                 plan.reason.c_str());
-    return 4;
-  }
-  if (expect_rank >= 0 && plan.critical_part != expect_rank) {
-    std::fprintf(stderr, "expected critical part %d, plan names %d\n",
-                 expect_rank, plan.critical_part);
-    return 4;
-  }
-  return 0;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: quickstart [RANKS] [--transport=KIND] [--trace=FILE] "
                "[--analysis=FILE] [--health[=N]] [--on-nan=MODE] "
-               "[--autotune=FILE] [--rebalance] "
-               "[--expect-rebalance[=RANK]] [--env]\n");
+               "[--autotune=FILE] [--env]\n");
   return 2;
 }
 
@@ -325,6 +192,17 @@ bool parse_count(const char* what, const char* text, T& out) {
   return true;
 }
 
+/// Takes the FILE of a `--flag=FILE` argument; an empty FILE prints why
+/// and returns false.
+bool parse_path(const char* flag, const char* text, std::string& out) {
+  if (*text == '\0') {
+    std::fprintf(stderr, "quickstart: %s needs a FILE\n", flag);
+    return false;
+  }
+  out = text;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -332,25 +210,19 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string analysis_path;
   std::string autotune_path;
-  bool rebalance = false;
-  bool expect_rebalance = false;
-  int expect_rank = -1;
   smpi::LaunchOptions launch_opts;
   HealthArgs health;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
+      if (!parse_path("--trace", argv[i] + 8, trace_path)) {
+        return usage();
+      }
     } else if (std::strncmp(argv[i], "--analysis=", 11) == 0) {
-      analysis_path = argv[i] + 11;
+      if (!parse_path("--analysis", argv[i] + 11, analysis_path)) {
+        return usage();
+      }
     } else if (std::strncmp(argv[i], "--autotune=", 11) == 0) {
-      autotune_path = argv[i] + 11;
-    } else if (std::strcmp(argv[i], "--rebalance") == 0) {
-      rebalance = true;
-    } else if (std::strcmp(argv[i], "--expect-rebalance") == 0) {
-      expect_rebalance = true;
-    } else if (std::strncmp(argv[i], "--expect-rebalance=", 19) == 0) {
-      expect_rebalance = true;
-      if (!parse_count("--expect-rebalance", argv[i] + 19, expect_rank)) {
+      if (!parse_path("--autotune", argv[i] + 11, autotune_path)) {
         return usage();
       }
     } else if (std::strcmp(argv[i], "--env") == 0) {
@@ -370,7 +242,12 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (std::strncmp(argv[i], "--on-nan=", 9) == 0) {
-      health.on_nan = obs::health::on_nan_from_string(argv[i] + 9);
+      try {
+        health.on_nan = obs::health::on_nan_from_string(argv[i] + 9);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "quickstart: --on-nan: %s\n", e.what());
+        return usage();
+      }
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown argument %s\n", argv[i]);
       return usage();
@@ -378,11 +255,12 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
+  if (!analysis_path.empty() && trace_path.empty()) {
+    std::fprintf(stderr, "quickstart: --analysis needs --trace=FILE\n");
+    return usage();
+  }
   if (!autotune_path.empty()) {
     return run_autotune(nranks, launch_opts, autotune_path);
-  }
-  if (rebalance) {
-    return run_rebalance(nranks, launch_opts, expect_rebalance, expect_rank);
   }
   const bool trace = !trace_path.empty();
   // Post-mortem bundles for fatal signals / uncaught exceptions too,

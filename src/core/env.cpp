@@ -20,11 +20,6 @@ const Var kVars[] = {
      "(unset: per-process scratch dir under $TMPDIR, removed at exit)"},
     {"JITFD_CC", "string", "cc",
      "C compiler used for JIT builds of generated kernels"},
-    {"JITFD_DELAY_RANK", "int", "unset",
-     "Constructed-imbalance hook: rank whose interpreter steps are padded "
-     "by JITFD_DELAY_US microseconds (wait-state analyzer tests)"},
-    {"JITFD_DELAY_US", "int", "unset",
-     "Per-step compute padding in microseconds on JITFD_DELAY_RANK"},
     {"JITFD_FLIGHT_DIR", "string", ".",
      "Directory receiving flight-recorder post-mortem bundles "
      "(jitfd_flight.json)"},
@@ -36,9 +31,6 @@ const Var kVars[] = {
     {"JITFD_MPI", "enum(none|basic|diagonal|full)", "basic",
      "Halo-exchange pattern for distributed Operators that leave "
      "CompileOptions::mode unset (DEVITO_MPI analogue)"},
-    {"JITFD_REBALANCE_THRESHOLD", "float", "1.25",
-     "Imbalance ratio (max/mean compute) above which quickstart --rebalance "
-     "plans a biased domain split (Grid::plan_rebalance)"},
     {"JITFD_TILE", "int-list", "unset",
      "Default per-dimension cache-block shape \"tz,ty,tx\" for Operators "
      "that leave CompileOptions::tile empty (0 entries stay untiled)"},
@@ -100,8 +92,6 @@ std::string describe() {
   return os.str();
 }
 
-bool is_set(const char* name) { return raw(name).has_value(); }
-
 std::optional<std::string> raw(const char* name) {
   checked(name);
   // A set JITFD_* name the table does not declare is a stale or
@@ -144,24 +134,6 @@ std::int64_t get_int(const char* name, std::int64_t def) {
   } catch (const std::exception&) {
     throw std::invalid_argument(std::string(name) + "='" + *v +
                                 "': expected an integer");
-  }
-}
-
-double get_float(const char* name, double def) {
-  const auto v = raw(name);
-  if (!v.has_value()) {
-    return def;
-  }
-  try {
-    std::size_t end = 0;
-    const double out = std::stod(*v, &end);
-    if (end != v->size()) {
-      throw std::invalid_argument("");
-    }
-    return out;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(name) + "='" + *v +
-                                "': expected a floating-point number");
   }
 }
 

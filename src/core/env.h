@@ -26,7 +26,7 @@ namespace jitfd::env {
 /// One declared environment variable (the registry row).
 struct Var {
   const char* name;  ///< "JITFD_TRANSPORT"
-  const char* type;  ///< "bool"|"int"|"float"|"string"|"int-list"|"enum(..)"
+  const char* type;  ///< "bool"|"int"|"string"|"int-list"|"enum(..)"
   const char* def;   ///< Default, as documented ("threads", "1", "unset").
   const char* help;  ///< One-line description.
 };
@@ -45,18 +45,12 @@ std::string describe();
 /// is missing from it.
 std::optional<std::string> raw(const char* name);
 
-/// Whether `name` is set (possibly empty): raw(name).has_value().
-bool is_set(const char* name);
-
 /// Truthy parse: unset -> def; "" and "0" -> false; anything else ->
 /// true (mirrors the historical JITFD_TRACE semantics).
 bool get_bool(const char* name, bool def);
 
 /// Integer parse; unset -> def; non-integer text -> hard error.
 std::int64_t get_int(const char* name, std::int64_t def);
-
-/// Floating-point parse; unset -> def; non-numeric text -> hard error.
-double get_float(const char* name, double def);
 
 /// String value; unset -> def. No validation beyond registry membership.
 std::string get_string(const char* name, const std::string& def);

@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <numeric>
-#include <sstream>
 #include <stdexcept>
-
-#include "obs/analysis.h"
 
 namespace jitfd::grid {
 
@@ -20,75 +15,19 @@ Decomposition::Decomposition(std::int64_t global_size, int parts)
   extra_ = global_ % parts_;
 }
 
-Decomposition::Decomposition(std::int64_t global_size,
-                             std::vector<std::int64_t> sizes)
-    : Decomposition(global_size, sizes.empty() ? 1
-                                               : static_cast<int>(sizes.size())) {
-  if (sizes.empty()) {
-    throw std::invalid_argument("Decomposition: empty explicit sizes");
-  }
-  std::int64_t sum = 0;
-  for (const std::int64_t s : sizes) {
-    if (s < 1) {
-      throw std::invalid_argument(
-          "Decomposition: explicit part size below 1");
-    }
-    sum += s;
-  }
-  if (sum != global_size) {
-    throw std::invalid_argument(
-        "Decomposition: explicit sizes do not sum to the global extent");
-  }
-  // Degenerate explicit splits that match the uniform one stay uniform,
-  // so uniform() keeps meaning "no bias applied".
-  bool matches_uniform = true;
-  for (int p = 0; p < parts_; ++p) {
-    if (sizes[p] != base_ + (p < extra_ ? 1 : 0)) {
-      matches_uniform = false;
-      break;
-    }
-  }
-  if (matches_uniform) {
-    return;
-  }
-  starts_.resize(parts_ + 1);
-  starts_[0] = 0;
-  for (int p = 0; p < parts_; ++p) {
-    starts_[p + 1] = starts_[p] + sizes[p];
-  }
-}
-
-std::vector<std::int64_t> Decomposition::sizes() const {
-  std::vector<std::int64_t> out(parts_);
-  for (int p = 0; p < parts_; ++p) {
-    out[p] = size_of(p);
-  }
-  return out;
-}
-
 std::int64_t Decomposition::start_of(int part) const {
   assert(part >= 0 && part < parts_);
-  if (!starts_.empty()) {
-    return starts_[part];
-  }
   const std::int64_t p = part;
   return p * base_ + std::min<std::int64_t>(p, extra_);
 }
 
 std::int64_t Decomposition::size_of(int part) const {
   assert(part >= 0 && part < parts_);
-  if (!starts_.empty()) {
-    return starts_[part + 1] - starts_[part];
-  }
   return base_ + (part < extra_ ? 1 : 0);
 }
 
 int Decomposition::owner_of(std::int64_t g) const {
   assert(g >= 0 && g < global_);
-  if (!starts_.empty()) {
-    const auto it = std::upper_bound(starts_.begin(), starts_.end(), g);
-    return static_cast<int>(it - starts_.begin()) - 1;
-  }
   // Chunks with an extra point occupy the first extra_*(base_+1) indices.
   const std::int64_t boundary = extra_ * (base_ + 1);
   if (g < boundary) {
@@ -117,144 +56,6 @@ std::pair<std::int64_t, std::int64_t> Decomposition::localize_slice(
   const std::int64_t l = std::max<std::int64_t>(lo - start, 0);
   const std::int64_t h = std::min<std::int64_t>(hi - start, size);
   return {l, std::max(l, h)};
-}
-
-RebalancePlan Decomposition::rebalance(const std::vector<double>& part_seconds,
-                                       const RebalanceOptions& opts) const {
-  RebalancePlan plan;
-  plan.sizes = sizes();
-  if (static_cast<int>(part_seconds.size()) != parts_) {
-    plan.reason = "rebalance clamped: expected " + std::to_string(parts_) +
-                  " per-part measurements, got " +
-                  std::to_string(part_seconds.size());
-    return plan;
-  }
-  double total = 0.0;
-  double max_s = 0.0;
-  for (int p = 0; p < parts_; ++p) {
-    const double s = part_seconds[p];
-    if (!(s > 0.0) || !std::isfinite(s)) {
-      plan.reason = "rebalance clamped: part " + std::to_string(p) +
-                    " has no measured compute";
-      return plan;
-    }
-    total += s;
-    if (s > max_s) {
-      max_s = s;
-      plan.critical_part = p;
-    }
-  }
-  plan.measured_ratio = max_s / (total / parts_);
-  if (plan.measured_ratio < opts.threshold) {
-    std::ostringstream os;
-    os << "balanced: measured ratio " << plan.measured_ratio
-       << " below threshold " << opts.threshold;
-    plan.reason = os.str();
-    return plan;
-  }
-
-  // Ideal extents are proportional to each part's measured rate
-  // (points per second): slow parts shrink by exactly their compute
-  // excess, fast parts absorb the difference.
-  std::vector<double> rate(parts_);
-  double rate_sum = 0.0;
-  for (int p = 0; p < parts_; ++p) {
-    rate[p] = static_cast<double>(size_of(p)) / part_seconds[p];
-    rate_sum += rate[p];
-  }
-  std::vector<double> ideal(parts_);
-  std::vector<std::int64_t> floor_v(parts_);
-  std::vector<std::int64_t> lo(parts_);
-  std::ostringstream clamps;
-  for (int p = 0; p < parts_; ++p) {
-    ideal[p] = static_cast<double>(global_) * rate[p] / rate_sum;
-    lo[p] = std::max<std::int64_t>(
-        opts.min_points,
-        static_cast<std::int64_t>(
-            std::floor(opts.max_shrink * static_cast<double>(size_of(p)))));
-    if (ideal[p] < static_cast<double>(lo[p])) {
-      clamps << (clamps.tellp() > 0 ? "; " : "") << "part " << p
-             << " clamped to minimum extent " << lo[p];
-      ideal[p] = static_cast<double>(lo[p]);
-    }
-  }
-  // Deterministic largest-remainder rounding: floor everything (not
-  // below the per-part minimum), then hand out the remaining points by
-  // descending fractional part, ties broken by part index — every rank
-  // runs this on identical allreduced inputs and lands on one split.
-  std::int64_t assigned = 0;
-  for (int p = 0; p < parts_; ++p) {
-    floor_v[p] = std::max(lo[p], static_cast<std::int64_t>(
-                                     std::floor(ideal[p])));
-    assigned += floor_v[p];
-  }
-  std::vector<int> order(parts_);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double fa = ideal[a] - std::floor(ideal[a]);
-    const double fb = ideal[b] - std::floor(ideal[b]);
-    return fa != fb ? fa > fb : a < b;
-  });
-  std::size_t cursor = 0;
-  while (assigned < global_) {
-    ++floor_v[order[cursor % order.size()]];
-    ++assigned;
-    ++cursor;
-  }
-  // Clamps can over-assign; shave the excess from the largest parts.
-  while (assigned > global_) {
-    const int big = static_cast<int>(
-        std::max_element(floor_v.begin(), floor_v.end()) - floor_v.begin());
-    if (floor_v[big] <= lo[big]) {
-      plan.reason = "rebalance clamped: minimum extents exceed the domain";
-      plan.sizes = sizes();
-      return plan;
-    }
-    --floor_v[big];
-    --assigned;
-  }
-
-  if (floor_v == plan.sizes) {
-    plan.reason = "balanced: rounding left the split unchanged";
-    return plan;
-  }
-  plan.changed = true;
-  std::ostringstream os;
-  os << "rebalanced: ratio " << plan.measured_ratio << " >= threshold "
-     << opts.threshold << ", critical part " << plan.critical_part
-     << " shrunk from " << size_of(plan.critical_part) << " to "
-     << floor_v[plan.critical_part] << " points";
-  if (clamps.tellp() > 0) {
-    os << " (" << clamps.str() << ")";
-  }
-  plan.reason = os.str();
-  plan.sizes = std::move(floor_v);
-  return plan;
-}
-
-RebalancePlan Decomposition::rebalance(const obs::AnalysisReport& report,
-                                       const RebalanceOptions& opts) const {
-  std::vector<double> seconds(parts_, 0.0);
-  if (static_cast<int>(report.rank_loads.size()) != parts_) {
-    RebalancePlan plan;
-    plan.sizes = sizes();
-    plan.reason = "rebalance clamped: analysis covers " +
-                  std::to_string(report.rank_loads.size()) +
-                  " ranks, decomposition has " + std::to_string(parts_) +
-                  " parts";
-    return plan;
-  }
-  for (const obs::RankLoad& load : report.rank_loads) {
-    if (load.rank < 0 || load.rank >= parts_) {
-      RebalancePlan plan;
-      plan.sizes = sizes();
-      plan.reason = "rebalance clamped: analysis rank " +
-                    std::to_string(load.rank) + " outside the decomposition";
-      return plan;
-    }
-    seconds[load.rank] = load.compute_s;
-  }
-  return rebalance(seconds, opts);
 }
 
 }  // namespace jitfd::grid

@@ -1,48 +1,12 @@
 // One-dimensional block decomposition of a global index range over a
 // number of parts, plus the global<->local index conversion routines that
 // back the distributed-array abstraction (paper Section III-b).
-//
-/// Two split shapes exist: the uniform block split (chunk sizes differ by
-// at most one, the MPI convention) and an explicit-sizes split produced
-// by rebalance(), which biases chunk extents against measured per-part
-// compute so the critical-path rank owns fewer points. Both are plain
-// index arithmetic; the solver semantics are split-independent, which is
-// what the bitwise-equality tests in tests/test_rebalance.cpp pin down.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
-#include <vector>
-
-namespace jitfd::obs {
-struct AnalysisReport;
-}  // namespace jitfd::obs
 
 namespace jitfd::grid {
-
-/// Tunables for Decomposition::rebalance.
-struct RebalanceOptions {
-  /// Minimum measured max/mean compute ratio before a bias is proposed
-  /// (below this the plan reports "balanced" and keeps the split).
-  double threshold = 1.25;
-  /// No part may shrink below this fraction of its uniform size — a
-  /// pathological measurement must not starve a rank of points.
-  double max_shrink = 0.5;
-  /// Absolute floor on any part's extent.
-  std::int64_t min_points = 1;
-};
-
-/// Outcome of Decomposition::rebalance: a proposed per-part size vector
-/// plus the decision trail (why the split changed, or why it did not —
-/// the clamp-reason convention tile_clamp_reason established).
-struct RebalancePlan {
-  bool changed = false;
-  std::vector<std::int64_t> sizes;  ///< Proposed sizes (current when !changed).
-  std::string reason;               ///< Decision / clamp trail, never empty.
-  double measured_ratio = 0.0;      ///< max/mean of the input seconds.
-  int critical_part = -1;           ///< Slowest part (argmax seconds).
-};
 
 /// Block decomposition of [0, global_size) into `parts` contiguous chunks.
 /// The first global_size % parts chunks carry one extra point (the MPI
@@ -51,16 +15,9 @@ class Decomposition {
  public:
   Decomposition() : Decomposition(0, 1) {}
   Decomposition(std::int64_t global_size, int parts);
-  /// Explicit-sizes split (rebalance output). Every size must be >= 1
-  /// and the sizes must sum to global_size.
-  Decomposition(std::int64_t global_size, std::vector<std::int64_t> sizes);
 
   std::int64_t global_size() const { return global_; }
   int parts() const { return parts_; }
-  /// False for explicit-sizes splits that differ from the uniform one.
-  bool uniform() const { return starts_.empty(); }
-  /// Owned extent of every part, in part order.
-  std::vector<std::int64_t> sizes() const;
 
   /// First global index owned by `part`.
   std::int64_t start_of(int part) const;
@@ -85,28 +42,11 @@ class Decomposition {
                                                        std::int64_t lo,
                                                        std::int64_t hi) const;
 
-  /// Propose a biased split from measured per-part compute seconds (one
-  /// entry per part, rank-uniform on every caller — Grid allreduces the
-  /// loads first). Parts get extents proportional to their measured
-  /// points-per-second rate, clamped by opts and rounded with a
-  /// deterministic largest-remainder scheme so every rank derives the
-  /// identical plan. Does not mutate this decomposition.
-  RebalancePlan rebalance(const std::vector<double>& part_seconds,
-                          const RebalanceOptions& opts = {}) const;
-
-  /// Convenience overload: read per-part seconds from an analysis
-  /// report's per-rank compute loads (rank i = part i; requires the
-  /// report to cover exactly parts() ranks).
-  RebalancePlan rebalance(const obs::AnalysisReport& report,
-                          const RebalanceOptions& opts = {}) const;
-
  private:
   std::int64_t global_;
   int parts_;
   std::int64_t base_;   ///< global / parts.
   std::int64_t extra_;  ///< global % parts (chunks with one extra point).
-  /// Explicit splits only: parts_+1 prefix starts (empty when uniform).
-  std::vector<std::int64_t> starts_;
 };
 
 }  // namespace jitfd::grid

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <span>
 #include <stdexcept>
-
-#include "obs/analysis.h"
 
 namespace jitfd::grid {
 
@@ -47,37 +44,6 @@ Grid::Grid(std::vector<std::int64_t> shape, std::vector<double> extent,
   topology_ = smpi::dims_create(comm.size(), ndims(), std::move(topology));
   cart_ = std::make_unique<smpi::CartComm>(comm, topology_);
   init_decomposition();
-}
-
-Grid::Grid(std::vector<std::int64_t> shape, std::vector<double> extent,
-           smpi::Communicator comm, std::vector<int> topology,
-           std::vector<std::int64_t> dim0_sizes)
-    : shape_(std::move(shape)), extent_(std::move(extent)) {
-  validate(shape_, extent_);
-  topology_ = smpi::dims_create(comm.size(), ndims(), std::move(topology));
-  if (static_cast<int>(dim0_sizes.size()) != topology_[0]) {
-    throw std::invalid_argument(
-        "Grid: dim0_sizes must have one entry per dimension-0 process row");
-  }
-  // Rank-uniformity gate before the sizes influence anything: if any
-  // peer requested a different split, EVERY rank sees min != max and
-  // every rank takes the uniform-fallback branch together.
-  std::vector<std::int64_t> mn = dim0_sizes;
-  std::vector<std::int64_t> mx = dim0_sizes;
-  comm.allreduce(std::span<std::int64_t>(mn), smpi::ReduceOp::Min);
-  comm.allreduce(std::span<std::int64_t>(mx), smpi::ReduceOp::Max);
-  cart_ = std::make_unique<smpi::CartComm>(comm, topology_);
-  init_decomposition();
-  if (mn != mx) {
-    rebalance_clamp_reason_ =
-        "rebalance clamped: requested dimension-0 sizes diverge across "
-        "ranks; keeping the uniform split";
-    return;
-  }
-  // The request is identical everywhere, so a value error (bad sum,
-  // empty part) throws uniformly too.
-  decomp_[0] = Decomposition(shape_[0], std::move(dim0_sizes));
-  local_shape_[0] = decomp_[0].size_of(cart_->my_coords()[0]);
 }
 
 void Grid::init_decomposition() {
@@ -124,36 +90,6 @@ std::int64_t Grid::min_local_size(int d) const {
     mn = std::min(mn, dec.size_of(p));
   }
   return mn;
-}
-
-RebalancePlan Grid::plan_rebalance(const obs::AnalysisReport& report,
-                                   const RebalanceOptions& opts) const {
-  RebalancePlan plan;
-  plan.sizes = decomposition(0).sizes();
-  if (!distributed()) {
-    plan.reason = "rebalance clamped: serial grid has nothing to split";
-    return plan;
-  }
-  const int nranks = cart_->comm().size();
-  if (static_cast<int>(report.rank_loads.size()) != nranks) {
-    plan.reason = "rebalance clamped: analysis covers " +
-                  std::to_string(report.rank_loads.size()) +
-                  " ranks, communicator has " + std::to_string(nranks);
-    return plan;
-  }
-  // Collapse per-rank compute onto dimension-0 slabs: ranks sharing a
-  // dimension-0 coordinate own the same index range along the split.
-  std::vector<double> slab(static_cast<std::size_t>(topology_[0]), 0.0);
-  for (const obs::RankLoad& load : report.rank_loads) {
-    if (load.rank < 0 || load.rank >= nranks) {
-      plan.reason = "rebalance clamped: analysis rank " +
-                    std::to_string(load.rank) + " outside the communicator";
-      return plan;
-    }
-    slab[static_cast<std::size_t>(cart_->coords(load.rank)[0])] +=
-        load.compute_s;
-  }
-  return decomposition(0).rebalance(slab, opts);
 }
 
 std::int64_t Grid::local_start(int d) const {

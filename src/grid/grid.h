@@ -31,17 +31,6 @@ class Grid {
   Grid(std::vector<std::int64_t> shape, std::vector<double> extent,
        smpi::Communicator comm, std::vector<int> topology = {});
 
-  /// Distributed grid with an explicit (biased) dimension-0 split: one
-  /// owned extent per dimension-0 process row, as produced by
-  /// plan_rebalance(). The request must be rank-uniform: every rank
-  /// allreduce-checks the sizes against its peers, and a divergent
-  /// request is rejected on ALL ranks — the grid falls back to the
-  /// uniform split and records the clamp reason (collectives stay
-  /// deadlock-free because every rank takes the same branch).
-  Grid(std::vector<std::int64_t> shape, std::vector<double> extent,
-       smpi::Communicator comm, std::vector<int> topology,
-       std::vector<std::int64_t> dim0_sizes);
-
   int ndims() const { return static_cast<int>(shape_.size()); }
   const std::vector<std::int64_t>& shape() const { return shape_; }
   const std::vector<double>& extent() const { return extent_; }
@@ -58,21 +47,9 @@ class Grid {
   const std::vector<int>& topology() const { return topology_; }
 
   const Decomposition& decomposition(int d) const;
-  /// Smallest owned extent along `d` over all process rows — the
-  /// feasibility bound tiling must respect under biased splits (uniform
-  /// splits make this shape/topology rounded down, the historical bound).
+  /// Smallest owned extent along `d` over all process rows (shape /
+  /// topology rounded down): the feasibility bound tiling must respect.
   std::int64_t min_local_size(int d) const;
-  /// Why a requested biased split was rejected (empty when none was
-  /// requested or the request was applied).
-  const std::string& rebalance_clamp_reason() const {
-    return rebalance_clamp_reason_;
-  }
-  /// Plan a biased dimension-0 split from measured per-rank compute:
-  /// aggregates the report's rank loads onto dimension-0 slabs of the
-  /// process grid and delegates to Decomposition::rebalance. The report
-  /// must be rank-uniform (merge traces or allreduce loads first).
-  RebalancePlan plan_rebalance(const obs::AnalysisReport& report,
-                               const RebalanceOptions& opts = {}) const;
   /// Sizes of this rank's owned block (the whole grid when serial).
   const std::vector<std::int64_t>& local_shape() const { return local_shape_; }
   /// Global index of this rank's first owned point along `d`.
@@ -90,7 +67,6 @@ class Grid {
   std::vector<int> topology_;
   std::vector<Decomposition> decomp_;
   std::vector<std::int64_t> local_shape_;
-  std::string rebalance_clamp_reason_;
 };
 
 }  // namespace jitfd::grid

@@ -39,8 +39,8 @@ struct RankWaitStats {
   double blamed_s = 0.0;  ///< Late-sender wait *other* ranks spent on us.
 };
 
-/// Per-rank compute load, the raw material for imbalance-aware
-/// decomposition (Grid::plan_rebalance consumes these).
+/// Per-rank compute load, exported as the analysis report's
+/// imbalance.ranks member.
 struct RankLoad {
   int rank = 0;
   double compute_s = 0.0;  ///< Total compute seconds on this rank.

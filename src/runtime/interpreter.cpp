@@ -1,15 +1,12 @@
 #include "runtime/interpreter.h"
 
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
-#include "core/env.h"
 #include "obs/trace.h"
 
 namespace jitfd::runtime {
@@ -510,19 +507,6 @@ void Interpreter::run(std::int64_t time_m, std::int64_t time_M,
     scalar_values_[static_cast<std::size_t>(slot)] = it->second;
   }
 
-  // Constructed-imbalance hook for the wait-state analyzer: when
-  // JITFD_DELAY_RANK names this rank, every timestep's compute is
-  // padded by JITFD_DELAY_US microseconds. Re-read per run (not cached)
-  // so tests can retarget the slow rank between runs.
-  std::int64_t delay_us = 0;
-  if (env::is_set("JITFD_DELAY_RANK") && env::is_set("JITFD_DELAY_US")) {
-    const grid::Grid& g = fields_->all().front()->grid();
-    const int rank = g.distributed() ? g.cart()->comm().rank() : 0;
-    if (env::get_int("JITFD_DELAY_RANK", -1) == rank) {
-      delay_us = env::get_int("JITFD_DELAY_US", 0);
-    }
-  }
-
   // Execute: prologue statements and hoisted exchanges, then the time loop.
   time_ = time_m;
   for (const ir::NodePtr& top : root_->body) {
@@ -536,10 +520,6 @@ void Interpreter::run(std::int64_t time_m, std::int64_t time_M,
         health_sink_->on_step(t);
       }
       const obs::Span step("step", obs::Cat::Run, t);
-      if (delay_us > 0) {
-        const obs::Span span("compute.delay", obs::Cat::Compute, t);
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-      }
       // Halo and sparse nodes trace themselves; everything else in a step
       // body is stencil computation.
       for (const ir::NodePtr& child : top->body) {

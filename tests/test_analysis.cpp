@@ -3,13 +3,14 @@
 // The analyzer tests run on hand-built TraceData snapshots with exact
 // nanosecond timestamps, so the wait-state split and overlap pairing are
 // asserted to the nanosecond rather than within noise bands; the
-// constructed-imbalance tests then drive the real interpreter with the
-// env-gated per-rank delay hook and check the analyzer pins the slow
-// rank across all three patterns.
+// constructed-imbalance tests then drive the real interpreter with a
+// sparse operation that sleeps on one rank every step and check the
+// analyzer pins the slow rank across all three patterns.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "core/operator.h"
 #include "grid/function.h"
@@ -171,8 +172,7 @@ TEST(Analysis, ImbalanceFindsCriticalRankPerStepAndOverall) {
 
 TEST(Analysis, RankLoadsExportedPerRankAndSorted) {
   // Three ranks with distinct compute: the report must carry one load
-  // per rank, sorted by rank, with exact seconds — this is the feed for
-  // Grid::plan_rebalance and the quickstart --rebalance loop.
+  // per rank, sorted by rank, with exact seconds.
   obs::TraceData data;
   data.events.push_back(rec("compute", obs::Cat::Compute, 2, 0, 900, 0));
   data.events.push_back(rec("compute", obs::Cat::Compute, 0, 0, 300, 0));
@@ -240,28 +240,34 @@ TEST(Analysis, JsonExportValidatesAndCarriesSections) {
 }
 
 // ---------------------------------------------------------------------
-// Constructed imbalance on real runs: the env-gated per-rank delay hook
-// makes one rank measurably slow; the analyzer must pin it.
+// Constructed imbalance on real runs: a sparse operation pads one rank's
+// every step with traced compute; the analyzer must pin that rank.
 // ---------------------------------------------------------------------
 
-// setenv/unsetenv wrapper that restores on scope exit.
-class ScopedEnv {
+// Runs at the end of each step; on the slow rank it sleeps 6 ms inside a
+// compute span, so the delay counts as that rank's compute.
+class SlowRank : public jitfd::runtime::SparseOp {
  public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    ::setenv(name, value.c_str(), 1);
+  explicit SlowRank(bool slow) : slow_(slow) {}
+  void apply(std::int64_t time) override {
+    if (slow_) {
+      const obs::Span span("compute.delay", obs::Cat::Compute, time);
+      std::this_thread::sleep_for(std::chrono::milliseconds(6));
+    }
   }
-  ~ScopedEnv() { ::unsetenv(name_); }
 
  private:
-  const char* name_;
+  bool slow_;
 };
 
 jitfd::core::RunSummary traced_diffusion(int nranks, ir::MpiMode mode,
-                                         std::int64_t n, int steps) {
+                                         std::int64_t n, int steps,
+                                         int slow_rank) {
   jitfd::core::RunSummary rank0;
   obs::reset();
   smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
+    SlowRank delay(comm.rank() == slow_rank);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{1, 1},
                       std::vector<std::int64_t>{n - 1, n - 1}, 1.0F);
@@ -269,7 +275,7 @@ jitfd::core::RunSummary traced_diffusion(int nranks, ir::MpiMode mode,
     opts.mode = mode;
     Operator op({ir::Eq(u.forward(), sym::solve(u.dt() - u.laplace(),
                                                 sym::Ex(0), u.forward()))},
-                opts);
+                opts, {&delay});
     const auto run = op.apply({.time_m = 0,
                                .time_M = steps - 1,
                                .scalars = {{"dt", 1e-3}},
@@ -294,11 +300,8 @@ TEST_P(ConstructedImbalance, AnalyzerPinsTheSlowRank) {
   // above an OS timeslice, so the verdicts below are noise-proof even
   // on an oversubscribed one-core CI box (the binary also runs
   // RUN_SERIAL so sibling test processes don't add load).
-  ScopedEnv delay_rank("JITFD_DELAY_RANK", std::to_string(kSlowRank));
-  ScopedEnv delay_us("JITFD_DELAY_US", "6000");
-
   const int steps = 4;
-  const auto run = traced_diffusion(4, mode, 12, steps);
+  const auto run = traced_diffusion(4, mode, 12, steps, kSlowRank);
   ASSERT_TRUE(run.trace.active());
   const obs::AnalysisReport rep = run.trace.analysis();
 

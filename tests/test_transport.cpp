@@ -100,16 +100,17 @@ TEST(TransportSelect, DefaultFollowsEnvStrictly) {
     const ScopedEnv env("JITFD_TRANSPORT", "forks");
     EXPECT_THROW(smpi::default_transport(), std::invalid_argument);
   }
-  {
-    // A set JITFD_* name the registry does not declare (here one whose
-    // feature is gone) is refused by name, not silently ignored.
-    const ScopedEnv stale("JITFD_METRICS", "1");
+  // A set JITFD_* name the registry does not declare (here ones whose
+  // feature is gone) is refused by name, not silently ignored.
+  for (const char* name :
+       {"JITFD_METRICS", "JITFD_DELAY_RANK", "JITFD_DELAY_US",
+        "JITFD_REBALANCE_THRESHOLD"}) {
+    const ScopedEnv stale(name, "1");
     try {
       smpi::default_transport();
-      FAIL() << "expected invalid_argument";
+      ADD_FAILURE() << name << ": expected invalid_argument";
     } catch (const std::invalid_argument& ex) {
-      EXPECT_NE(std::string(ex.what()).find("JITFD_METRICS"),
-                std::string::npos)
+      EXPECT_NE(std::string(ex.what()).find(name), std::string::npos)
           << ex.what();
     }
   }
