@@ -35,8 +35,9 @@
 //                                       # decision trail) to the file
 //
 // RANKS and N are whole non-negative decimals and FILE must not be
-// empty; --analysis= needs --trace=. Anything else, including an
-// unknown MODE or KIND and any unknown --flag, prints why and exits 2.
+// empty; --analysis= needs --trace=, and --autotune= takes neither
+// --trace= nor --health. Anything else, including an unknown MODE or
+// KIND and any unknown --flag, prints why and exits 2.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -257,6 +258,13 @@ int main(int argc, char** argv) {
   }
   if (!analysis_path.empty() && trace_path.empty()) {
     std::fprintf(stderr, "quickstart: --analysis needs --trace=FILE\n");
+    return usage();
+  }
+  if (!autotune_path.empty() &&
+      (!trace_path.empty() || health.interval > 0)) {
+    std::fprintf(stderr,
+                 "quickstart: --autotune runs no traced or health-checked "
+                 "simulation; drop --trace= and --health\n");
     return usage();
   }
   if (!autotune_path.empty()) {

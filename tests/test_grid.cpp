@@ -130,6 +130,37 @@ TEST(Grid, CustomTopologyMatchesPaperFigure2) {
   });
 }
 
+TEST(Grid, MinLocalSizeIsTheSmallestBlockOnEveryRank) {
+  // Tiling's clamp and autotune size tiles by the smallest owned extent,
+  // so every rank must read the same value, also where its own block
+  // holds one of the front-loaded extra points.
+  const Grid serial({23, 21}, {1.0, 1.0});
+  EXPECT_EQ(serial.min_local_size(0), 23);
+  EXPECT_EQ(serial.min_local_size(1), 21);
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
+    const Grid rows({23, 21}, {1.0, 1.0}, comm, {4, 1});  // 6+6+6+5.
+    EXPECT_EQ(rows.local_shape()[0], comm.rank() < 3 ? 6 : 5);
+    EXPECT_EQ(rows.min_local_size(0), 5);
+    EXPECT_EQ(rows.min_local_size(1), 21);
+    const Grid both({23, 21}, {1.0, 1.0}, comm, {2, 2});  // 12+11, 11+10.
+    EXPECT_EQ(both.min_local_size(0), 11);
+    EXPECT_EQ(both.min_local_size(1), 10);
+  });
+}
+
+TEST(Grid, RejectsTopologyThatLeavesARankEmpty) {
+  // 3 rows over 4 process rows: the last rank would own no points.
+  try {
+    smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
+      const Grid g({3, 8}, {1.0, 1.0}, comm, {4, 1});
+    });
+    ADD_FAILURE() << "a rank with an empty block was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("empty block"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Function, StorageLayoutIncludesHaloAndPadding) {
   const Grid g({8, 6}, {1.0, 1.0});
   const Function f("f", g, /*space_order=*/4, /*padding=*/2);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/operator.h"
 #include "grid/function.h"
@@ -457,6 +458,70 @@ INSTANTIATE_TEST_SUITE_P(
                                                             : "interpret") +
              "_" + std::to_string(topology[0]) + "x" +
              std::to_string(topology[1]);
+    });
+
+// Uneven blocks: the split front-loads the remainder, so on 23 x 21 every
+// topology below leaves neighbours of different sizes ({4, 1}: rows
+// 6+6+6+5; {1, 4}: columns 6+5+5+5; {2, 2}: 12+11 by 11+10). Where the
+// block boundaries fall must not change the model: rank 0's gathered
+// field is bit-for-bit the serial run's, for every pattern, halo width
+// and transport.
+class UnevenSplitEquality
+    : public ::testing::TestWithParam<
+          std::tuple<ir::MpiMode, int, std::vector<int>>> {};
+
+TEST_P(UnevenSplitEquality, BitwiseEqualToSerialOnBothTransports) {
+  const auto& [mode, so, topology] = GetParam();
+  const std::int64_t n0 = 23;
+  const std::int64_t n1 = 21;
+  const int steps = 4;
+  const double dt = 0.1;  // Unit spacing: stable for SO 2 and SO 4.
+  const std::vector<double> extent{22.0, 20.0};
+
+  const Grid serial({n0, n1}, extent);
+  const auto expected = run_diffusion(serial, {}, steps, dt,
+                                      core::Backend::Interpret, nullptr, so);
+  ASSERT_EQ(expected.size(), static_cast<std::size_t>(n0 * n1));
+
+  for (const smpi::TransportKind transport :
+       {smpi::TransportKind::Threads, smpi::TransportKind::ProcessShm}) {
+    std::vector<float> got;
+    std::vector<int> used_topology;
+    smpi::launch({.nranks = 4, .transport = transport},
+                 [&](smpi::Communicator& comm) {
+      const Grid g({n0, n1}, extent, comm, topology);
+      ir::CompileOptions opts;
+      opts.mode = mode;
+      const auto data = run_diffusion(g, opts, steps, dt,
+                                      core::Backend::Interpret, nullptr, so);
+      // Rank 0 runs in the calling process on both transports.
+      if (comm.rank() == 0) {
+        got = data;
+        used_topology = g.topology();
+      }
+    });
+    EXPECT_EQ(used_topology, topology);
+    ASSERT_EQ(got.size(), expected.size());
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                          got.size() * sizeof(float)),
+              0)
+        << "transport " << smpi::to_string(transport);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PatternsOrdersTopologies, UnevenSplitEquality,
+    ::testing::Combine(
+        ::testing::Values(ir::MpiMode::Basic, ir::MpiMode::Diagonal,
+                          ir::MpiMode::Full),
+        ::testing::Values(2, 4),
+        ::testing::Values(std::vector<int>{4, 1}, std::vector<int>{1, 4},
+                          std::vector<int>{2, 2})),
+    [](const auto& info) {
+      const std::vector<int>& topology = std::get<2>(info.param);
+      return std::string(ir::to_string(std::get<0>(info.param))) + "_so" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             std::to_string(topology[0]) + "x" + std::to_string(topology[1]);
     });
 
 }  // namespace
