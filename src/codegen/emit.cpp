@@ -1,5 +1,6 @@
 #include "codegen/emit.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -73,11 +74,138 @@ class Emitter {
          << ']';
     }
     for (int d = 0; d < n.field.ndims; ++d) {
-      os << '['
-         << shifted(d, n.space_offsets[static_cast<std::size_t>(d)] + fn.lpad())
+      const auto ud = static_cast<std::size_t>(d);
+      os << '[' << shifted(n.field.dims[ud], n.space_offsets[ud] + fn.lpad())
          << ']';
     }
     return os.str();
+  }
+
+  // --- max ---------------------------------------------------------------
+  //
+  // A max Call prints as nested jitfd_max calls (the ternary `a > b ? a :
+  // b`, which GCC vectorizes to vmaxps where fmaxf stays a scalar libm
+  // call in the simd loop). An innermost loop computes each max of its
+  // body once per point, as the loop's first statement, and the arguments
+  // that read only outer dimensions once per row, before the loop (GCC
+  // hoists neither). The ternary is a branch in the scalar remainder
+  // loop; at the top of the body it leaves every other statement in one
+  // basic block, so GCC contracts them into FMAs there exactly as in the
+  // vector loop, and as it would around a load.
+
+  /// Is `e` a max the innermost loop being emitted computes per point?
+  const std::string* point_max(const sym::Ex& e) const {
+    for (const auto& [key, name] : point_maxes_) {
+      if (key == e) {
+        return &name;
+      }
+    }
+    return nullptr;
+  }
+
+  /// `n` (a max) as jitfd_max calls, its row-invariant arguments read
+  /// from their row temp.
+  std::string max_call(const sym::ExprNode& n) const {
+    std::vector<std::string> args;
+    std::vector<sym::Ex> row;
+    for (const sym::Ex& a : n.args) {
+      if (row_invariant(a)) {
+        row.push_back(a);
+      } else {
+        args.push_back(expr(a, 1));
+      }
+    }
+    if (!row.empty()) {
+      const sym::Ex key = sym::max(row);
+      const auto temp =
+          std::find_if(row_maxes_.begin(), row_maxes_.end(),
+                       [&](const auto& t) { return t.first == key; });
+      args.insert(args.begin(), temp->second);
+    }
+    return fold_max(args);
+  }
+
+  /// jitfd_max(jitfd_max(a, b), c)...
+  static std::string fold_max(const std::vector<std::string>& args) {
+    std::string out = args.front();
+    for (std::size_t i = 1; i < args.size(); ++i) {
+      out = "jitfd_max(" + out + ", " + args[i] + ")";
+    }
+    return out;
+  }
+
+  /// Does `e` read only what the innermost loop's body does not define:
+  /// no temp of the body (`reads_point_temp`) or, with `row`, also no
+  /// field on the innermost dimension?
+  bool loop_invariant(const sym::Ex& e, bool row) const {
+    const int inner = grid_->ndims() - 1;
+    bool invariant = true;
+    sym::walk(e, [&](const sym::Ex& sub) {
+      const sym::ExprNode& n = sub.node();
+      if (n.kind == sym::Kind::FieldAccess) {
+        invariant = invariant &&
+                    !(row && n.field.dims[static_cast<std::size_t>(
+                                 n.field.ndims - 1)] == inner);
+      } else if (n.kind == sym::Kind::Symbol) {
+        invariant = invariant && body_temps_.count(n.name) == 0;
+      }
+    });
+    return invariant;
+  }
+  bool row_invariant(const sym::Ex& e) const {
+    return rows_hoisted_ && loop_invariant(e, /*row=*/true);
+  }
+
+  /// Before innermost loop `loop`: plan its per-point maxes (every max of
+  /// its body that reads no temp of the body) and, with `rows`, emit one
+  /// temp per distinct row-invariant part of a max.
+  void plan_maxes(const ir::Node& loop, bool rows) {
+    body_temps_.clear();
+    for (const ir::NodePtr& s : loop.body) {
+      if (s->target.kind() == sym::Kind::Symbol) {
+        body_temps_.insert(s->target.node().name);
+      }
+    }
+    rows_hoisted_ = rows;
+    for (const ir::NodePtr& s : loop.body) {
+      sym::walk(s->value, [&](const sym::Ex& sub) {
+        if (sub.kind() != sym::Kind::Call || sub.node().name != "max") {
+          return;
+        }
+        if (loop_invariant(sub, /*row=*/false) && point_max(sub) == nullptr) {
+          point_maxes_.emplace_back(
+              sub, "jitfd_pmax" + std::to_string(point_maxes_.size()));
+        }
+        std::vector<sym::Ex> row;
+        for (const sym::Ex& a : sub.node().args) {
+          if (row_invariant(a)) {
+            row.push_back(a);
+          }
+        }
+        if (row.empty()) {
+          return;
+        }
+        const sym::Ex key = sym::max(row);
+        if (std::none_of(row_maxes_.begin(), row_maxes_.end(),
+                         [&](const auto& t) { return t.first == key; })) {
+          const std::string name =
+              "jitfd_rmax" + std::to_string(row_maxes_.size());
+          std::vector<std::string> args;
+          for (const sym::Ex& a : row) {
+            args.push_back(expr(a, 1));
+          }
+          line("const float " + name + " = " + fold_max(args) + ";");
+          row_maxes_.emplace_back(key, name);
+        }
+      });
+    }
+  }
+
+  /// The first statements of the innermost loop's body: its maxes.
+  void emit_point_maxes() {
+    for (const auto& [key, name] : point_maxes_) {
+      line("const float " + name + " = " + max_call(key.node()) + ";");
+    }
   }
 
   // Precedence: Add=1, Mul=2, unary/pow-as-call=3, leaf=4.
@@ -151,6 +279,10 @@ class Emitter {
         return "powf(" + expr(base, 1) + ", " + expr(e2, 1) + ")";
       }
       case sym::Kind::Call:
+        if (n.name == "max") {
+          const std::string* temp = point_max(e);
+          return temp != nullptr ? *temp : max_call(n);
+        }
         return n.name + "f(" + expr(n.args[0], 1) + ")";
     }
     return "0.0F";
@@ -607,7 +739,11 @@ class Emitter {
              ")");
       }
     } else if (n.props.vector && opts_->lang == ir::Lang::OpenMP) {
+      plan_maxes(n, /*rows=*/true);
       line("#pragma omp simd" + simd_clauses(n) + row_reduction);
+    }
+    if (n.props.vector && point_maxes_.empty()) {
+      plan_maxes(n, /*rows=*/false);
     }
 
     // Inside an enclosing tile loop over the same dimension, execute the
@@ -631,11 +767,15 @@ class Emitter {
          v + " += 1)");
     line("{");
     ++indent_;
+    emit_point_maxes();
     for (const ir::NodePtr& child : n.body) {
       emit_node(*child, in_core);
     }
     --indent_;
     line("}");
+    rows_hoisted_ = false;
+    point_maxes_.clear();
+    row_maxes_.clear();
     if (row) {
       emit_row_fold(n);
       --indent_;
@@ -857,6 +997,13 @@ class Emitter {
   std::map<int, std::pair<std::string, std::int64_t>> block_win_;
   /// The cluster whose nest is being emitted with active-box stepping.
   const ir::ClusterActivity* active_ = nullptr;
+  /// While an innermost loop is emitted: the temps its body defines, its
+  /// per-point maxes, and (rows_hoisted_) the row temps of their
+  /// row-invariant arguments.
+  std::set<std::string> body_temps_;
+  std::vector<std::pair<sym::Ex, std::string>> point_maxes_;
+  bool rows_hoisted_ = false;
+  std::vector<std::pair<sym::Ex, std::string>> row_maxes_;
 };
 
 /// Helpers of kernels with active-box stepping (DESIGN.md). A buffer's box
@@ -973,7 +1120,41 @@ static void jitfd_box_store(long* b, int nd, long pad, const long* n,
 
 )";
 
+/// The max of two floats as a ternary: one vmaxps per vector in a simd
+/// loop, where fmaxf stays a scalar libm call (DESIGN.md).
+constexpr const char* kMaxHelper = R"(static inline float jitfd_max(float a, float b)
+{
+  return a > b ? a : b;
+}
+
+)";
+
 std::string Emitter::run(const ir::NodePtr& iet) {
+  // Which (nb, k, saved) time indices are needed anywhere in the tree,
+  // and whether any statement takes a max.
+  std::set<std::tuple<int, int, bool>> tvars;
+  bool uses_max = false;
+  const std::function<void(const ir::Node&)> scan = [&](const ir::Node& n) {
+    if (n.type == ir::NodeType::Expression) {
+      for (const sym::Ex& e : {n.target, n.value}) {
+        sym::walk(e, [&](const sym::Ex& sub) {
+          if (sub.kind() == sym::Kind::FieldAccess &&
+              sub.node().field.time_varying) {
+            const grid::Function& fn = fields_->at(sub.node().field.id);
+            tvars.emplace(fn.time_buffers(), sub.node().time_offset,
+                          fn.saved());
+          }
+          uses_max = uses_max || (sub.kind() == sym::Kind::Call &&
+                                  sub.node().name == "max");
+        });
+      }
+    }
+    for (const ir::NodePtr& c : n.body) {
+      scan(*c);
+    }
+  };
+  scan(*iet);
+
   out_ << "/* Generated by jitfd (" << to_string(opts_->mode)
        << " mode). Do not edit. */\n";
   out_ << "#include <math.h>\n";
@@ -992,6 +1173,9 @@ std::string Emitter::run(const ir::NodePtr& iet) {
           "                 long inf_count, double min, double max,\n"
           "                 double l2sq);\n"
           "} jitfd_halo_ops;\n\n";
+  if (uses_max) {
+    out_ << kMaxHelper;
+  }
   if (info_->activity) {
     out_ << kActivityHelpers;
   }
@@ -1073,27 +1257,6 @@ std::string Emitter::run(const ir::NodePtr& iet) {
     }
   }
   out_ << '\n';
-
-  // Which (nb, k, saved) time indices are needed anywhere in the tree.
-  std::set<std::tuple<int, int, bool>> tvars;
-  const std::function<void(const ir::Node&)> scan = [&](const ir::Node& n) {
-    if (n.type == ir::NodeType::Expression) {
-      for (const sym::Ex& e : {n.target, n.value}) {
-        sym::walk(e, [&](const sym::Ex& sub) {
-          if (sub.kind() == sym::Kind::FieldAccess &&
-              sub.node().field.time_varying) {
-            const grid::Function& fn = fields_->at(sub.node().field.id);
-            tvars.emplace(fn.time_buffers(), sub.node().time_offset,
-                          fn.saved());
-          }
-        });
-      }
-    }
-    for (const ir::NodePtr& c : n.body) {
-      scan(*c);
-    }
-  };
-  scan(*iet);
 
   // Prologue (invariants + hoisted exchanges), then the time loop.
   for (const ir::NodePtr& top : iet->body) {

@@ -34,12 +34,8 @@ std::vector<grid::Function*> fields_of(const std::vector<ir::Eq>& eqs) {
   return out;
 }
 
-/// Tile-shape candidates: untiled, plus outer-dimension blocks sized so
-/// one block's working set (block rows x the per-row footprint of every
-/// live buffer) fits a nominal last-level-cache share, plus a halved
-/// variant. Candidates not strictly smaller than the minimum rank-local
-/// extent are dropped here — the lowering pass would clamp them to
-/// untiled anyway, duplicating the untiled trial.
+}  // namespace
+
 std::vector<std::vector<std::int64_t>> tile_candidates(
     const std::vector<grid::Function*>& fields, const grid::Grid& grid) {
   std::vector<std::vector<std::int64_t>> cands;
@@ -48,9 +44,14 @@ std::vector<std::vector<std::int64_t>> tile_candidates(
   if (nd < 2) {
     return cands;  // 1-D: the only dimension stays contiguous for SIMD
   }
-  // Bytes one grid row (innermost extent) of every live buffer touches.
+  // Bytes one grid row (innermost extent) of every live buffer touches. A
+  // subset-dimension Function holds no row per grid row: a profile's few
+  // values stay in cache.
   std::int64_t row_bytes = 0;
   for (const grid::Function* f : fields) {
+    if (f->dimensions().size() < static_cast<std::size_t>(nd)) {
+      continue;
+    }
     row_bytes += static_cast<std::int64_t>(sizeof(float)) *
                  f->padded_shape().back() * f->time_buffers();
   }
@@ -77,6 +78,8 @@ std::vector<std::vector<std::int64_t>> tile_candidates(
   }
   return cands;
 }
+
+namespace {
 
 std::string tile_text(const std::vector<std::int64_t>& tile) {
   if (tile.empty() ||

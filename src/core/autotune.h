@@ -50,6 +50,17 @@ std::string autotune_report_json(const AutotuneReport& report);
 bool write_autotune_file(const std::string& path,
                          const AutotuneReport& report);
 
+/// Tile-shape candidates of autotune_operator for the fields of an
+/// operator: untiled, plus outer-dimension blocks sized so one block's
+/// working set (block rows x the per-row footprint of every buffer of
+/// every field on all grid dimensions) fits a nominal last-level-cache
+/// share, plus a halved variant. Candidates not strictly smaller than
+/// half the minimum rank-local extent are capped there, and any below 2
+/// dropped: the lowering pass would clamp them to untiled anyway,
+/// duplicating the untiled trial.
+std::vector<std::vector<std::int64_t>> tile_candidates(
+    const std::vector<grid::Function*>& fields, const grid::Grid& grid);
+
 /// Build an Operator for `eqs` with the fastest communication pattern and
 /// cache-tile shape.
 ///

@@ -147,14 +147,16 @@ int my_coord(const Grid& grid, std::size_t d) {
   return grid.distributed() ? grid.cart()->my_coords()[d] : 0;
 }
 
-// Data-region-relative local indices of global point `g`; false when
-// this rank does not own it.
-bool localize(const Grid& grid, std::span<const std::int64_t> g,
+// Data-region-relative local indices of global point `g` of a function
+// on the grid dimensions `dims`; false when this rank does not own it.
+bool localize(const Grid& grid, std::span<const int> dims,
+              std::span<const std::int64_t> g,
               std::array<std::int64_t, kMaxDims>& local) {
-  assert(static_cast<int>(g.size()) == grid.ndims());
+  assert(g.size() == dims.size());
   for (std::size_t d = 0; d < g.size(); ++d) {
-    local[d] = grid.decomposition(static_cast<int>(d))
-                   .global_to_local(my_coord(grid, d), g[d]);
+    const auto gd = static_cast<std::size_t>(dims[d]);
+    local[d] = grid.decomposition(dims[d]).global_to_local(
+        my_coord(grid, gd), g[d]);
     if (local[d] < 0) {
       return false;
     }
@@ -208,10 +210,17 @@ bool ActivityBox::empty(int ndims) const {
 Function::Function(std::string name, const Grid& grid, int space_order,
                    int padding)
     : Function(std::move(name), grid, space_order, padding,
-               /*time_varying=*/false, /*buffers=*/1) {}
+               /*time_varying=*/false, /*buffers=*/1, /*saved=*/false, {}) {}
 
 Function::Function(std::string name, const Grid& grid, int space_order,
-                   int padding, bool time_varying, int buffers, bool saved)
+                   std::initializer_list<int> dims, int padding)
+    : Function(std::move(name), grid, space_order, padding,
+               /*time_varying=*/false, /*buffers=*/1, /*saved=*/false,
+               std::vector<int>(dims)) {}
+
+Function::Function(std::string name, const Grid& grid, int space_order,
+                   int padding, bool time_varying, int buffers, bool saved,
+                   std::vector<int> dims)
     : grid_(&grid),
       space_order_(space_order),
       padding_(padding),
@@ -223,19 +232,33 @@ Function::Function(std::string name, const Grid& grid, int space_order,
   if (padding < 0 || buffers < 1) {
     throw std::invalid_argument("Function: invalid padding or buffer count");
   }
+  if (dims.empty()) {
+    for (int d = 0; d < grid.ndims(); ++d) {
+      dims.push_back(d);
+    }
+  }
+  for (std::size_t k = 0; k < dims.size(); ++k) {
+    if (dims[k] < 0 || dims[k] >= grid.ndims() ||
+        (k > 0 && dims[k] <= dims[k - 1])) {
+      throw std::invalid_argument(
+          "Function: dimensions must be increasing grid dimensions");
+    }
+    id_.dims[k] = dims[k];
+  }
   id_.id = next_field_id();
   id_.name = std::move(name);
-  id_.ndims = grid.ndims();
+  id_.ndims = static_cast<int>(dims.size());
   id_.time_varying = time_varying;
 
   const std::int64_t ghost = 2 * static_cast<std::int64_t>(lpad());
   buffer_points_ = 1;
-  for (const std::int64_t s : grid.local_shape()) {
-    padded_shape_.push_back(s + ghost);
+  for (const int d : dims) {
+    local_shape_.push_back(grid.local_shape()[static_cast<std::size_t>(d)]);
+    padded_shape_.push_back(local_shape_.back() + ghost);
     buffer_points_ *= padded_shape_.back();
   }
   strides_.assign(padded_shape_.size(), 1);
-  for (int d = grid.ndims() - 2; d >= 0; --d) {
+  for (int d = id_.ndims - 2; d >= 0; --d) {
     const auto ud = static_cast<std::size_t>(d);
     strides_[ud] = strides_[ud + 1] * padded_shape_[ud + 1];
   }
@@ -305,7 +328,7 @@ const float* Function::buffer(int t) const {
 
 std::size_t Function::local_linear(int t,
                                    std::span<const std::int64_t> idx) const {
-  assert(static_cast<int>(idx.size()) == grid_->ndims());
+  assert(idx.size() == padded_shape_.size());
   assert(t >= 0 && t < buffers_);
   std::int64_t linear = static_cast<std::int64_t>(t) * buffer_points_;
   for (std::size_t d = 0; d < idx.size(); ++d) {
@@ -456,14 +479,15 @@ void Function::fill(float v) {
 
 void Function::fill_global_box(int t, std::span<const std::int64_t> lo,
                                std::span<const std::int64_t> hi, float v) {
-  assert(static_cast<int>(lo.size()) == grid_->ndims());
+  assert(lo.size() == padded_shape_.size());
   // Convert the global box to this rank's owned local box, then write.
   const std::size_t nd = lo.size();
   std::array<std::int64_t, kMaxDims> llo{};
   std::array<std::int64_t, kMaxDims> ext{};
   for (std::size_t d = 0; d < nd; ++d) {
-    const auto [l, h] = grid_->decomposition(static_cast<int>(d))
-                            .localize_slice(my_coord(*grid_, d), lo[d], hi[d]);
+    const auto [l, h] =
+        grid_->decomposition(dim(d)).localize_slice(
+            my_coord(*grid_, static_cast<std::size_t>(dim(d))), lo[d], hi[d]);
     llo[d] = l;
     ext[d] = h - l;
   }
@@ -481,7 +505,7 @@ void Function::fill_global_box(int t, std::span<const std::int64_t> lo,
 
 bool Function::set_global(int t, std::span<const std::int64_t> g, float v) {
   std::array<std::int64_t, kMaxDims> local{};
-  if (!localize(*grid_, g, local)) {
+  if (!localize(*grid_, dimensions(), g, local)) {
     return false;
   }
   const std::size_t linear = local_linear(t, {local.data(), g.size()});
@@ -493,7 +517,7 @@ bool Function::set_global(int t, std::span<const std::int64_t> g, float v) {
 float Function::get_global_or(int t, std::span<const std::int64_t> g,
                               float fallback) const {
   std::array<std::int64_t, kMaxDims> local{};
-  if (!localize(*grid_, g, local)) {
+  if (!localize(*grid_, dimensions(), g, local)) {
     return fallback;
   }
   return storage_[local_linear(t, {local.data(), g.size()})];
@@ -522,8 +546,8 @@ void Function::init_rows(
   const std::size_t nd = padded_shape_.size();
   const auto clamped = [&](std::size_t d, std::int64_t raw) {
     return std::clamp<std::int64_t>(
-        grid_->local_start(static_cast<int>(d)) + raw - lpad(), 0,
-        grid_->shape()[d] - 1);
+        grid_->local_start(dim(d)) + raw - lpad(), 0,
+        grid_->shape()[static_cast<std::size_t>(dim(d))] - 1);
   };
   const std::int64_t row = padded_shape_.back();
   std::vector<std::int64_t> inner(static_cast<std::size_t>(row));
@@ -548,9 +572,9 @@ void Function::init_rows(
 }
 
 std::vector<float> Function::gather(int t) const {
-  const int nd = grid_->ndims();
+  const int nd = id_.ndims;
   // Pack this rank's owned block contiguously.
-  const auto& mine = grid_->local_shape();
+  const auto& mine = local_shape_;
   std::vector<float> block(static_cast<std::size_t>(
       std::accumulate(mine.begin(), mine.end(), std::int64_t{1},
                       std::multiplies<>())));
@@ -571,14 +595,16 @@ std::vector<float> Function::gather(int t) const {
     return {};
   }
 
-  std::vector<float> global(
-      static_cast<std::size_t>(grid_->points()));
-  // Global row-major strides.
+  // Global row-major strides; a subset-dimension Function's slices arrive
+  // from every rank that holds them, each a copy of the same values.
   std::vector<std::int64_t> gstrides(static_cast<std::size_t>(nd), 1);
   for (int d = nd - 2; d >= 0; --d) {
     const auto ud = static_cast<std::size_t>(d);
-    gstrides[ud] = gstrides[ud + 1] * grid_->shape()[ud + 1];
+    gstrides[ud] = gstrides[ud + 1] *
+                   grid_->shape()[static_cast<std::size_t>(dim(ud + 1))];
   }
+  std::vector<float> global(static_cast<std::size_t>(
+      gstrides[0] * grid_->shape()[static_cast<std::size_t>(dim(0))]));
   for (int src = 0; src < comm.size(); ++src) {
     const std::vector<int> coords = cart.coords(src);
     std::vector<std::int64_t> starts(static_cast<std::size_t>(nd));
@@ -586,8 +612,10 @@ std::vector<float> Function::gather(int t) const {
     std::int64_t count = 1;
     for (int d = 0; d < nd; ++d) {
       const auto ud = static_cast<std::size_t>(d);
-      starts[ud] = grid_->decomposition(d).start_of(coords[ud]);
-      sizes[ud] = grid_->decomposition(d).size_of(coords[ud]);
+      const Decomposition& dec = grid_->decomposition(dim(ud));
+      const int c = coords[static_cast<std::size_t>(dim(ud))];
+      starts[ud] = dec.start_of(c);
+      sizes[ud] = dec.size_of(c);
       count *= sizes[ud];
     }
     std::vector<float> incoming;
@@ -617,12 +645,17 @@ double Function::norm2(int t) const {
   // Serial row-major order keeps the double sum bitwise reproducible. Only
   // owned ∩ box ∩ entry is visited: every skipped point is +0, and adding
   // its square (+0) to a sum that starts at +0 changes no bit.
+  if (grid_->distributed() && id_.ndims < grid_->ndims()) {
+    throw std::logic_error("norm2: '" + id_.name +
+                           "' lives on a subset of a distributed grid's "
+                           "dimensions, whose slices several ranks hold");
+  }
   const std::size_t nd = padded_shape_.size();
   std::array<std::int64_t, kMaxDims> from{};
   std::array<std::int64_t, kMaxDims> to{};
   for (std::size_t d = 0; d < nd; ++d) {
     from[d] = lpad();
-    to[d] = lpad() + grid_->local_shape()[d];
+    to[d] = lpad() + local_shape_[d];
   }
   const std::int64_t row = padded_shape_.back();
   const float* base = buffer(t);
@@ -648,12 +681,12 @@ double Function::norm2(int t) const {
 // --- Symbolic accessors -------------------------------------------------------
 
 sym::Ex Function::at(std::vector<int> offsets) const {
-  assert(static_cast<int>(offsets.size()) == grid_->ndims());
+  assert(static_cast<int>(offsets.size()) == id_.ndims);
   return sym::access(id_, std::move(offsets));
 }
 
 sym::Ex Function::operator()() const {
-  return at(std::vector<int>(static_cast<std::size_t>(grid_->ndims()), 0));
+  return at(std::vector<int>(static_cast<std::size_t>(id_.ndims), 0));
 }
 
 sym::Ex Function::at_time(int time_offset, std::vector<int> offsets) const {
@@ -689,7 +722,7 @@ TimeFunction::TimeFunction(std::string name, const Grid& grid, int space_order,
     : Function(std::move(name), grid, space_order, padding,
                /*time_varying=*/true,
                /*buffers=*/save > 0 ? save : time_order + 1,
-               /*saved=*/save > 0),
+               /*saved=*/save > 0, {}),
       time_order_(time_order),
       save_(save) {
   if (time_order < 1 || time_order > 2) {

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -88,6 +89,19 @@ class Function {
   Function(std::string name, const Grid& grid, int space_order,
            int padding = 0);
 
+  /// A time-invariant function on a subset of the grid's dimensions, as
+  /// Devito's `Function(..., dimensions=(x,))`: `dims` lists grid
+  /// dimensions in increasing order (`{2}` is a profile along z; `{}` is
+  /// every dimension), and
+  /// storage holds only their padded local extents, each rank its slice
+  /// of the decomposition along them. It is a coefficient such as one
+  /// damping profile: an Operator may read it only at offset 0 and never
+  /// writes it (lowering throws std::invalid_argument naming it), so it
+  /// needs no halo exchange. Coordinates and indices of the data
+  /// accessors (at_local, init, set_global, ...) run over `dims` only.
+  Function(std::string name, const Grid& grid, int space_order,
+           std::initializer_list<int> dims, int padding = 0);
+
   virtual ~Function();
   Function(const Function&) = delete;
   Function& operator=(const Function&) = delete;
@@ -105,6 +119,12 @@ class Function {
   /// Total left offset from the raw allocation to the data region.
   int lpad() const { return space_order_ + padding_; }
 
+  /// The grid dimensions it lives on, in increasing order: every one but
+  /// for a subset-dimension Function.
+  std::span<const int> dimensions() const {
+    return {id_.dims.data(), static_cast<std::size_t>(id_.ndims)};
+  }
+
   /// Number of time buffers (1 for plain Functions).
   virtual int time_buffers() const { return 1; }
 
@@ -119,9 +139,10 @@ class Function {
   /// and (in emitted form) the generated code.
   int buffer_index(int time_offset, std::int64_t time) const;
 
-  /// Rank-local owned sizes (the data region, no ghosts).
+  /// Rank-local owned sizes (the data region, no ghosts), one per
+  /// dimension it lives on.
   const std::vector<std::int64_t>& local_shape() const {
-    return grid_->local_shape();
+    return local_shape_;
   }
   /// Rank-local allocated sizes including halo and padding.
   const std::vector<std::int64_t>& padded_shape() const {
@@ -178,8 +199,8 @@ class Function {
   // zeroes each box row over its entry, all that can be nonzero);
   // set_global and the non-const at_local widen the box and the one row
   // by the point; every other mutator (fill with any other bit pattern,
-  // fill_global_box, init, init_rows, the non-const buffer() and
-  // raw_storage()) marks the boxes full. While a box reaches an innermost
+  // fill_global_box, init, the non-const buffer() and raw_storage())
+  // marks the boxes full. While a box reaches an innermost
   // ghost, as a full one does, every row of it counts as whole.
 
   /// The box of time buffer `t`.
@@ -240,19 +261,8 @@ class Function {
   /// Intended for parameter fields (velocity/density models). `fn` may
   /// run concurrently on several threads and in any point order, so it
   /// must be a pure function of its coordinates. Marks every activity
-  /// box full, as does init_rows.
+  /// box full.
   void init(const std::function<float(std::span<const std::int64_t>)>& fn);
-
-  /// Row-wise form of init, one call per innermost row instead of per
-  /// point: `fn(outer, inner, row)` gets the clamped global coordinates
-  /// of the row along all but the last dimension (`outer`), those of its
-  /// points along the last one (`inner`, the same for every row) and the
-  /// row to write (`row`, inner.size() floats), which is then copied to
-  /// every buffer. Calls may run concurrently, as with init.
-  void init_rows(
-      const std::function<void(std::span<const std::int64_t> outer,
-                               std::span<const std::int64_t> inner,
-                               std::span<float> row)>& fn);
 
   /// Collect the full global data region of buffer `t` on rank 0 (other
   /// ranks get an empty vector). Collective over the grid's communicator
@@ -263,12 +273,15 @@ class Function {
   /// when distributed (collective in that case). Summed serially in
   /// row-major order, so the result is reproducible bit for bit. Reads
   /// only owned ∩ box ∩ row entry: every other point is +0 and would add
-  /// +0, which changes no bit of the sum.
+  /// +0, which changes no bit of the sum. Throws std::logic_error for a
+  /// subset-dimension Function on a distributed grid, whose slices
+  /// several ranks hold.
   double norm2(int t) const;
 
   // --- Symbolic accessors ------------------------------------------------------
 
-  /// Access at the iteration point shifted by `offsets` (size == ndims).
+  /// Access at the iteration point shifted by `offsets` (one per
+  /// dimension it lives on).
   sym::Ex at(std::vector<int> offsets) const;
   /// Access at the iteration point.
   sym::Ex operator()() const;
@@ -284,8 +297,10 @@ class Function {
   sym::Ex dx_stag(int d, int side) const;
 
  protected:
+  /// `dims` empty: every dimension of the grid.
   Function(std::string name, const Grid& grid, int space_order, int padding,
-           bool time_varying, int buffers, bool saved = false);
+           bool time_varying, int buffers, bool saved,
+           std::vector<int> dims);
 
   /// Time offset used by symbolic accessors of subclasses.
   sym::Ex at_time(int time_offset, std::vector<int> offsets) const;
@@ -309,6 +324,17 @@ class Function {
   /// Widen buffer `t`'s box and row by the point at linear storage index
   /// `linear`.
   void widen_box(int t, std::size_t linear);
+  /// init's row-wise worker, one call per innermost row: `fn(outer,
+  /// inner, row)` gets the clamped global coordinates of the row along
+  /// all but the last dimension (`outer`), those of its points along the
+  /// last one (`inner`, the same for every row) and the row to write
+  /// (`row`, inner.size() floats), which is then copied to every buffer.
+  void init_rows(
+      const std::function<void(std::span<const std::int64_t> outer,
+                               std::span<const std::int64_t> inner,
+                               std::span<float> row)>& fn);
+  /// The grid dimension of its `k`-th index.
+  int dim(std::size_t k) const { return id_.dims[k]; }
 
   sym::FieldId id_;
   const Grid* grid_;
@@ -316,6 +342,7 @@ class Function {
   int padding_;
   int buffers_;
   bool saved_ = false;
+  std::vector<std::int64_t> local_shape_;
   std::vector<std::int64_t> padded_shape_;
   std::vector<std::int64_t> strides_;
   std::int64_t buffer_points_ = 0;

@@ -19,7 +19,8 @@ Eq::Eq(sym::Ex lhs_in, sym::Ex rhs_in)
   }
 }
 
-std::vector<ReadFootprint> read_footprints(const std::vector<sym::Ex>& rhss) {
+std::vector<ReadFootprint> read_footprints(const std::vector<sym::Ex>& rhss,
+                                           int ndims) {
   std::map<int, ReadFootprint> by_field;
   for (const sym::Ex& rhs : rhss) {
     for (const sym::Ex& a : sym::field_accesses(rhs)) {
@@ -29,10 +30,10 @@ std::vector<ReadFootprint> read_footprints(const std::vector<sym::Ex>& rhss) {
         it->second.field = n.field;
       }
       auto [wit, winserted] = it->second.widths_by_time.try_emplace(
-          n.time_offset,
-          std::vector<int>(static_cast<std::size_t>(n.field.ndims), 0));
-      for (std::size_t d = 0; d < n.space_offsets.size(); ++d) {
-        wit->second[d] = std::max(wit->second[d], std::abs(n.space_offsets[d]));
+          n.time_offset, std::vector<int>(static_cast<std::size_t>(ndims), 0));
+      for (std::size_t k = 0; k < n.space_offsets.size(); ++k) {
+        int& w = wit->second[static_cast<std::size_t>(n.field.dims[k])];
+        w = std::max(w, std::abs(n.space_offsets[k]));
       }
     }
   }

@@ -29,15 +29,18 @@ struct Eq {
 };
 
 /// Per-field read footprint: the maximum absolute space offset read along
-/// each dimension, split per time offset. Drives halo widths.
+/// each grid dimension, split per time offset. Drives halo widths.
 struct ReadFootprint {
   sym::FieldId field;
-  /// time offset -> per-dimension maximum |offset| over all reads.
+  /// time offset -> per-grid-dimension maximum |offset| over all reads (0
+  /// along a dimension the field does not live on).
   std::map<int, std::vector<int>> widths_by_time;
 };
 
-/// Harvest the read footprints of a set of right-hand sides.
-std::vector<ReadFootprint> read_footprints(const std::vector<sym::Ex>& rhss);
+/// Harvest the read footprints of a set of right-hand sides on an
+/// `ndims`-dimensional grid.
+std::vector<ReadFootprint> read_footprints(const std::vector<sym::Ex>& rhss,
+                                           int ndims);
 
 /// Registry mapping symbolic FieldIds back to the Function objects that
 /// own the data. The Operator populates it from the equations it is given.

@@ -171,7 +171,7 @@ std::vector<HaloNeed> analyze_halos(std::vector<Cluster>& clusters,
     for (const sym::Temp& t : c.point_temps) {
       rhss.push_back(t.value);
     }
-    for (const ReadFootprint& fp : read_footprints(rhss)) {
+    for (const ReadFootprint& fp : read_footprints(rhss, grid.ndims())) {
       for (const auto& [time_offset, widths] : fp.widths_by_time) {
         // Only decomposed dimensions need exchanging.
         std::vector<int> eff(widths.size(), 0);
@@ -586,9 +586,11 @@ class ZeroProof {
         return odd ? base : ZeroFact{base.kind, false, {}};
       }
       case sym::Kind::Call:
-        if (fact(n.args[0]).kind != Kind::Free) {
-          block("applies " + n.name + " to a tracked field");
-          return opaque(Kind::Unknown, "e:" + e.to_string());
+        for (const sym::Ex& a : n.args) {
+          if (fact(a).kind != Kind::Free) {
+            block("applies " + n.name + " to a tracked field");
+            return opaque(Kind::Unknown, "e:" + e.to_string());
+          }
         }
         return opaque(Kind::Free, "e:" + e.to_string());
     }
@@ -681,7 +683,7 @@ void plan_activity(const std::vector<Eq>& eqs,
         act.writes.push_back(w);
       }
     }
-    for (const ReadFootprint& fp : read_footprints(rhss)) {
+    for (const ReadFootprint& fp : read_footprints(rhss, grid.ndims())) {
       if (tracked.count(fp.field.id) == 0) {
         continue;
       }
@@ -754,6 +756,29 @@ bool is_reserved_temp_name(const std::string& name) {
                      [](char c) { return c >= '0' && c <= '9'; });
 }
 
+/// A subset-dimension Function (grid::Function) is a coefficient read in
+/// place: never written, never read at a neighbour, so it needs no halo.
+void check_subset_fields(const std::vector<Eq>& eqs, int ndims) {
+  const auto subset = [&](const sym::FieldId& f) { return f.ndims < ndims; };
+  for (const Eq& eq : eqs) {
+    if (subset(eq.write_field())) {
+      throw std::invalid_argument(
+          "lowering: '" + eq.write_field().name +
+          "' lives on a subset of the grid's dimensions and cannot be an "
+          "equation target");
+    }
+    for (const sym::Ex& a : sym::field_accesses(eq.rhs)) {
+      const sym::ExprNode& n = a.node();
+      if (subset(n.field) && has_nonzero_offset(n)) {
+        throw std::invalid_argument(
+            "lowering: '" + n.field.name +
+            "' lives on a subset of the grid's dimensions and may be read "
+            "only at offset 0");
+      }
+    }
+  }
+}
+
 void collect_arg_orders(const std::vector<Eq>& eqs, LoweringInfo& info) {
   std::set<int> fields;
   std::set<std::string> field_names;
@@ -807,6 +832,7 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
   {
     const obs::Span span("compile.collect_args", obs::Cat::Compile,
                          static_cast<std::int64_t>(merged.size()));
+    check_subset_fields(merged, nd);
     collect_arg_orders(merged, info);
   }
 

@@ -12,9 +12,8 @@ AcousticModel::AcousticModel(const grid::Grid& grid, int space_order,
       velocity_(velocity),
       u_("u", grid, space_order, /*time_order=*/2),
       m_("m", grid, space_order),
-      damp_("damp", grid, space_order) {
+      damp_(grid, space_order, nbl) {
   m_.fill(static_cast<float>(1.0 / (velocity * velocity)));
-  init_damp(damp_, nbl);
 }
 
 AcousticModel::AcousticModel(
@@ -25,12 +24,11 @@ AcousticModel::AcousticModel(
       velocity_(vmax),
       u_("u", grid, space_order, /*time_order=*/2),
       m_("m", grid, space_order),
-      damp_("damp", grid, space_order) {
+      damp_(grid, space_order, nbl) {
   m_.init([&](std::span<const std::int64_t> gi) {
     const double v = velocity_fn(gi);
     return static_cast<float>(1.0 / (v * v));
   });
-  init_damp(damp_, nbl);
 }
 
 std::unique_ptr<core::Operator> AcousticModel::make_operator(

@@ -3,42 +3,56 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "symbolic/manip.h"
 
 namespace jitfd::models {
 
-void init_damp(grid::Function& damp, int nbl, double peak) {
-  // The sponge is the max over dimensions of one 1-D profile each,
-  // tabulated once per global coordinate. Outside the layer a profile
-  // holds 0.0, which leaves the max unchanged.
-  const std::vector<std::int64_t>& shape = damp.grid().shape();
-  std::vector<std::vector<double>> profile(shape.size());
-  for (std::size_t d = 0; d < shape.size(); ++d) {
-    const std::int64_t n = shape[d];
-    profile[d].assign(static_cast<std::size_t>(n), 0.0);
-    for (std::int64_t i = 0; i < n; ++i) {
-      const std::int64_t dist = std::min<std::int64_t>(i, n - 1 - i);
+void init_damp(std::span<grid::Function* const> profiles, int nbl,
+               double peak) {
+  if (!(peak >= 0.0)) {
+    throw std::invalid_argument("init_damp: peak must be >= 0");
+  }
+  for (std::size_t d = 0; d < profiles.size(); ++d) {
+    grid::Function& profile = *profiles[d];
+    const std::span<const int> dims = profile.dimensions();
+    if (dims.size() != 1 || dims[0] != static_cast<int>(d)) {
+      throw std::invalid_argument("init_damp: '" + profile.name() +
+                                  "' must live on dimension " +
+                                  std::to_string(d) + " alone");
+    }
+    const std::int64_t n = profile.grid().shape()[d];
+    profile.init([&](std::span<const std::int64_t> g) {
+      const std::int64_t dist = std::min<std::int64_t>(g[0], n - 1 - g[0]);
+      double w = 0.0;
       if (dist < nbl) {
         const double s =
-            (static_cast<double>(nbl - dist)) / static_cast<double>(nbl);
-        profile[d][static_cast<std::size_t>(i)] = s * s;
+            static_cast<double>(nbl - dist) / static_cast<double>(nbl);
+        w = s * s;
       }
-    }
+      return static_cast<float>(peak * w);
+    });
   }
-  const std::vector<double>& last = profile.back();
-  damp.init_rows([&](std::span<const std::int64_t> outer,
-                     std::span<const std::int64_t> inner,
-                     std::span<float> row) {
-    double w = 0.0;
-    for (std::size_t d = 0; d < outer.size(); ++d) {
-      w = std::max(w, profile[d][static_cast<std::size_t>(outer[d])]);
-    }
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      row[i] = static_cast<float>(
-          peak * std::max(w, last[static_cast<std::size_t>(inner[i])]));
-    }
-  });
+}
+
+Damping::Damping(const grid::Grid& grid, int space_order, int nbl) {
+  std::vector<grid::Function*> raw;
+  for (int d = 0; d < grid.ndims(); ++d) {
+    profiles_.push_back(std::make_unique<grid::Function>(
+        "damp_" + grid::Grid::dim_name(d), grid, space_order,
+        std::initializer_list<int>{d}));
+    raw.push_back(profiles_.back().get());
+  }
+  init_damp(raw, nbl);
+}
+
+sym::Ex Damping::operator()() const {
+  std::vector<sym::Ex> reads;
+  for (const auto& p : profiles_) {
+    reads.push_back((*p)());
+  }
+  return sym::max(std::move(reads));
 }
 
 KernelFacts analyze(core::Operator& op, const std::string& name,

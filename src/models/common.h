@@ -1,10 +1,11 @@
 // Shared infrastructure of the four wave-propagator models evaluated in
-// the paper (Section IV-B): absorbing-boundary damping profile, CFL time
+// the paper (Section IV-B): absorbing-boundary damping profiles, CFL time
 // steps, and a common interface the examples and benchmarks drive.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,10 +15,32 @@
 
 namespace jitfd::models {
 
-/// Fill `damp` with a Devito-style absorbing sponge: zero in the
-/// interior, growing quadratically through the `nbl`-point boundary layer
-/// to `peak` at the outer edge (the paper's 40-point ABC layer).
-void init_damp(grid::Function& damp, int nbl, double peak = 1.0);
+/// Fill the 1-D profiles of a Devito-style absorbing sponge, `profiles[d]`
+/// a Function on grid dimension d alone: each is 0 in the interior and
+/// grows quadratically through the `nbl`-point boundary layer to `peak`
+/// (>= 0) at the outer edge (the paper's 40-point ABC layer), stored as
+/// float(peak * profile). The sponge at a point is the max of its
+/// profiles; x -> float(peak * x) is monotone, so that max is
+/// float(peak * the max of the exact profiles) bit for bit. Throws
+/// std::invalid_argument on a profile on other dimensions or a negative
+/// peak.
+void init_damp(std::span<grid::Function* const> profiles, int nbl,
+               double peak = 1.0);
+
+/// A model's absorbing sponge: one profile Function per grid dimension
+/// (damp_x, damp_y, damp_z), filled by init_damp. Three 1-D arrays
+/// replace the full field a sponge would otherwise stream at every point.
+class Damping {
+ public:
+  Damping(const grid::Grid& grid, int space_order, int nbl);
+
+  /// max(damp_x[x], damp_y[y], damp_z[z]): the sponge at the iteration
+  /// point.
+  sym::Ex operator()() const;
+
+ private:
+  std::vector<std::unique_ptr<grid::Function>> profiles_;
+};
 
 /// Properties the perfmodel extracts from a built operator.
 struct KernelFacts {

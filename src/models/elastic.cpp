@@ -25,7 +25,7 @@ ElasticModel::ElasticModel(const grid::Grid& grid, int space_order, double vp,
   lam_ = std::make_unique<grid::Function>("lam", grid, space_order);
   mu_ = std::make_unique<grid::Function>("mu", grid, space_order);
   b_ = std::make_unique<grid::Function>("b", grid, space_order);
-  damp_ = std::make_unique<grid::Function>("damp", grid, space_order);
+  damp_ = std::make_unique<Damping>(grid, space_order, nbl);
 
   const float mu_val = static_cast<float>(rho * vs * vs);
   const float lam_val = static_cast<float>(rho * vp * vp - 2.0 * rho * vs * vs);
@@ -33,7 +33,6 @@ ElasticModel::ElasticModel(const grid::Grid& grid, int space_order, double vp,
   lam_->fill(lam_val);
   mu_->fill(mu_val);
   b_->fill(b_val);
-  init_damp(*damp_, nbl);
 }
 
 int ElasticModel::tau_index(int i, int j) const {
@@ -134,6 +133,7 @@ double ElasticModel::field_energy(std::int64_t time) const {
 }
 
 int ElasticModel::field_count() const {
+  // The paper's count: {lam, mu, b, damp}, damp one field.
   return static_cast<int>(v_.size() + tau_.size()) * 2 + 4;
 }
 

@@ -4,8 +4,9 @@
 //   rho dv/dt = div(tau),    dtau/dt = lam tr(grad v) I + mu (grad v + grad v^T)
 //
 // First order in time (2 buffers per field), coupled vector (v) and
-// symmetric-tensor (tau) system. In 3D the working set is 22 fields:
-// 3 velocity + 6 stress components x2 buffers + {lam, mu, b, damp}.
+// symmetric-tensor (tau) system. In 3D the paper's working set is 22
+// fields: 3 velocity + 6 stress components x2 buffers + {lam, mu, b,
+// damp}, where damp here is the max of three 1-D profiles.
 #pragma once
 
 #include "models/common.h"
@@ -55,7 +56,7 @@ class ElasticModel : public WaveModel {
   std::unique_ptr<grid::Function> lam_;
   std::unique_ptr<grid::Function> mu_;
   std::unique_ptr<grid::Function> b_;
-  std::unique_ptr<grid::Function> damp_;
+  std::unique_ptr<Damping> damp_;
 
   /// Index of tau_ij within the packed upper triangle.
   int tau_index(int i, int j) const;

@@ -16,12 +16,11 @@ TtiModel::TtiModel(const grid::Grid& grid, int space_order, double velocity,
       p_("p", grid, space_order, 2),
       q_("q", grid, space_order, 2),
       m_("m", grid, space_order),
-      damp_("damp", grid, space_order),
+      damp_(grid, space_order, /*nbl=*/0),
       eps_("eps", grid, space_order),
       del_("del", grid, space_order) {
   const float m_val = static_cast<float>(1.0 / (velocity * velocity));
   m_.fill(m_val);
-  init_damp(damp_, /*nbl=*/0);
   eps_.fill(static_cast<float>(epsilon));
   del_.fill(static_cast<float>(delta));
 
@@ -110,8 +109,8 @@ double TtiModel::field_energy(std::int64_t time) const {
 }
 
 int TtiModel::field_count() const {
-  // {p, q} x3 buffers + {m, damp, eps, del} + direction cosines + the two
-  // CIRE temporaries.
+  // {p, q} x3 buffers + {m, damp, eps, del} (the paper's count, damp one
+  // field) + direction cosines + the two CIRE temporaries.
   return 6 + 4 + (grid_->ndims() == 3 ? 4 : 2) + 2;
 }
 

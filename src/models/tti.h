@@ -16,7 +16,8 @@
 //
 // This makes TTI by far the most flop-intensive of the four kernels (the
 // paper's 769-point stencil at SDO 16) with a 12-field working set:
-// {p, q} x3 buffers + {m, damp, eps, del} + 2-4 precomputed trig fields.
+// {p, q} x3 buffers + {m, damp, eps, del} + 2-4 precomputed trig fields,
+// where damp is the max of three 1-D profiles.
 // The trig fields are time-invariant but read at stencil offsets, so
 // their halo exchange is hoisted out of the time loop by the compiler.
 #pragma once
@@ -62,7 +63,7 @@ class TtiModel : public WaveModel {
   grid::TimeFunction p_;
   grid::TimeFunction q_;
   grid::Function m_;
-  grid::Function damp_;
+  Damping damp_;
   grid::Function eps_;
   grid::Function del_;
   // Precomputed direction cosines (cos/sin of theta and, in 3D, phi).

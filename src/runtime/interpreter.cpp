@@ -23,6 +23,7 @@ enum class OpCode : std::uint8_t {
   PowConst,  ///< pop base, push base^imm
   Pow,       ///< pop exponent then base, push base^exp
   Call,      ///< pop arg, apply builtin [a]
+  Max,       ///< pop a operands, push the largest
 };
 
 enum class Builtin : int { Sqrt, Sin, Cos, Exp, Fabs };
@@ -37,7 +38,10 @@ struct FieldRef {
   const grid::Function* fn = nullptr;
   grid::Function* mutable_fn = nullptr;
   int time_offset = 0;
-  std::vector<std::int64_t> addend_offsets;  ///< space offset + lpad per dim.
+  /// Per index of the field: the grid dimension it runs along, and its
+  /// space offset + lpad.
+  std::vector<int> dims;
+  std::vector<std::int64_t> addend_offsets;
   std::vector<std::int64_t> strides;
 };
 
@@ -60,6 +64,19 @@ std::vector<std::int64_t> strides_of(const grid::Function& fn) {
     s[d] = s[d + 1] * ps[d + 1];
   }
   return s;
+}
+
+FieldRef field_ref(grid::Function& fn, const sym::ExprNode& access) {
+  FieldRef ref;
+  ref.fn = &fn;
+  ref.mutable_fn = &fn;
+  ref.time_offset = access.time_offset;
+  ref.strides = strides_of(fn);
+  for (std::size_t k = 0; k < access.space_offsets.size(); ++k) {
+    ref.dims.push_back(access.field.dims[k]);
+    ref.addend_offsets.push_back(access.space_offsets[k] + fn.lpad());
+  }
+  return ref;
 }
 
 int builtin_id(const std::string& name) {
@@ -113,17 +130,7 @@ std::shared_ptr<Interpreter::Compiled> Interpreter::compile(
         return;
       }
       case sym::Kind::FieldAccess: {
-        FieldRef ref;
-        grid::Function& fn = fields_->at(n.field.id);
-        ref.fn = &fn;
-        ref.mutable_fn = &fn;
-        ref.time_offset = n.time_offset;
-        ref.strides = strides_of(fn);
-        ref.addend_offsets.resize(n.space_offsets.size());
-        for (std::size_t d = 0; d < n.space_offsets.size(); ++d) {
-          ref.addend_offsets[d] = n.space_offsets[d] + fn.lpad();
-        }
-        prog->field_refs.push_back(std::move(ref));
+        prog->field_refs.push_back(field_ref(fields_->at(n.field.id), n));
         prog->code.push_back(
             {OpCode::Field, static_cast<int>(prog->field_refs.size()) - 1,
              0.0});
@@ -150,8 +157,15 @@ std::shared_ptr<Interpreter::Compiled> Interpreter::compile(
         return;
       }
       case sym::Kind::Call:
-        emit(n.args[0]);
-        prog->code.push_back({OpCode::Call, builtin_id(n.name), 0.0});
+        for (const sym::Ex& a : n.args) {
+          emit(a);
+        }
+        if (n.name == "max") {
+          prog->code.push_back(
+              {OpCode::Max, static_cast<int>(n.args.size()), 0.0});
+        } else {
+          prog->code.push_back({OpCode::Call, builtin_id(n.name), 0.0});
+        }
         return;
     }
   };
@@ -169,17 +183,7 @@ std::shared_ptr<Interpreter::Compiled> Interpreter::compile(
     prog->store_temp_slot = t->second;
   } else {
     const sym::ExprNode& n = expr_node.target.node();
-    FieldRef ref;
-    grid::Function& fn = fields_->at(n.field.id);
-    ref.fn = &fn;
-    ref.mutable_fn = &fn;
-    ref.time_offset = n.time_offset;
-    ref.strides = strides_of(fn);
-    ref.addend_offsets.resize(n.space_offsets.size());
-    for (std::size_t d = 0; d < n.space_offsets.size(); ++d) {
-      ref.addend_offsets[d] = n.space_offsets[d] + fn.lpad();
-    }
-    prog->field_refs.push_back(std::move(ref));
+    prog->field_refs.push_back(field_ref(fields_->at(n.field.id), n));
     prog->store_field_ref = static_cast<int>(prog->field_refs.size()) - 1;
   }
 
@@ -192,8 +196,10 @@ namespace {
 std::int64_t field_linear(const FieldRef& ref,
                           std::span<const std::int64_t> idx) {
   std::int64_t lin = 0;
-  for (std::size_t d = 0; d < idx.size(); ++d) {
-    lin += (idx[d] + ref.addend_offsets[d]) * ref.strides[d];
+  for (std::size_t k = 0; k < ref.dims.size(); ++k) {
+    lin += (idx[static_cast<std::size_t>(ref.dims[k])] +
+            ref.addend_offsets[k]) *
+           ref.strides[k];
   }
   return lin;
 }
@@ -261,6 +267,15 @@ double Interpreter::eval(const Compiled& prog) const {
         const double e = stack[--sp];
         const double base = stack[--sp];
         stack[sp++] = std::pow(base, e);
+        break;
+      }
+      case OpCode::Max: {
+        double acc = stack[--sp];
+        for (int i = 1; i < ins.a; ++i) {
+          const double v = stack[--sp];
+          acc = v > acc ? v : acc;
+        }
+        stack[sp++] = acc;
         break;
       }
       case OpCode::Call: {

@@ -47,7 +47,12 @@ struct ExEq {
 using CountMap = std::unordered_map<Ex, int, ExHash, ExEq>;
 
 void count_subtrees(const Ex& e, CountMap& counts) {
-  if (count_flops(e) >= 1) {
+  // A max is never a temp of its own: it stands where a parameter access
+  // would (a sponge stored as profiles rather than a field), so every
+  // other temp keeps the number, and every sum of temps the order (temps
+  // sort by name), that it would have with the field.
+  const bool max = e.kind() == Kind::Call && e.node().name == "max";
+  if (!max && count_flops(e) >= 1) {
     ++counts[e];
   }
   for (const Ex& a : e.node().args) {
@@ -134,8 +139,13 @@ class InvariantExtractor {
       }
       case Kind::Pow:
         return make_pow(rewrite(n.args[0]), rewrite(n.args[1]));
-      case Kind::Call:
-        return rebuild(e, {rewrite(n.args[0])});
+      case Kind::Call: {
+        std::vector<Ex> args;
+        for (const Ex& a : n.args) {
+          args.push_back(rewrite(a));
+        }
+        return rebuild(e, std::move(args));
+      }
       default:
         return e;
     }
@@ -379,8 +389,13 @@ Ex factorize(const Ex& e, bool* zero_pin) {
     case Kind::Pow:
       return make_pow(factorize(n.args[0], zero_pin),
                       factorize(n.args[1], zero_pin));
-    case Kind::Call:
-      return rebuild(e, {factorize(n.args[0], zero_pin)});
+    case Kind::Call: {
+      std::vector<Ex> args;
+      for (const Ex& a : n.args) {
+        args.push_back(factorize(a, zero_pin));
+      }
+      return rebuild(e, std::move(args));
+    }
     default:
       return e;
   }

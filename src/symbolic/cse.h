@@ -28,7 +28,8 @@ struct CseResult {
 /// Eliminate common sub-expressions across `exprs`. Subtrees costing at
 /// least one flop that occur two or more times (within one expression or
 /// across expressions) are extracted into temporaries named
-/// `prefix0, prefix1, ...` starting at `first_index`.
+/// `prefix0, prefix1, ...` starting at `first_index`. A max alone is not
+/// extracted (a subtree around it may be).
 CseResult cse(std::vector<Ex> exprs, const std::string& prefix = "r",
               int first_index = 0);
 

@@ -391,6 +391,40 @@ Ex call(const std::string& fn, const Ex& arg) {
   return Ex(finalize(std::move(n)));
 }
 
+Ex max(std::vector<Ex> args) {
+  if (args.empty()) {
+    throw std::invalid_argument("max: no arguments");
+  }
+  std::vector<Ex> flat;
+  flat.reserve(args.size());
+  bool have_number = false;
+  double largest = 0.0;
+  for (Ex& a : args) {
+    const bool nested = a.kind() == Kind::Call && a.node().name == "max";
+    for (const Ex& b : nested ? a.node().args : std::vector<Ex>{a}) {
+      if (b.is_number()) {
+        largest = have_number ? std::max(largest, b.number()) : b.number();
+        have_number = true;
+      } else {
+        flat.push_back(b);
+      }
+    }
+  }
+  if (have_number) {
+    flat.push_back(number(largest));
+  }
+  std::sort(flat.begin(), flat.end(), ExLess{});
+  flat.erase(std::unique(flat.begin(), flat.end()), flat.end());
+  if (flat.size() == 1) {
+    return flat.front();
+  }
+  auto n = std::make_unique<ExprNode>();
+  n->kind = Kind::Call;
+  n->name = "max";
+  n->args = std::move(flat);
+  return Ex(finalize(std::move(n)));
+}
+
 Ex rebuild(const Ex& node, std::vector<Ex> new_args) {
   switch (node.kind()) {
     case Kind::Add:
@@ -401,6 +435,9 @@ Ex rebuild(const Ex& node, std::vector<Ex> new_args) {
       assert(new_args.size() == 2);
       return make_pow(new_args[0], new_args[1]);
     case Kind::Call:
+      if (node.node().name == "max") {
+        return max(std::move(new_args));
+      }
       assert(new_args.size() == 1);
       return call(node.node().name, new_args[0]);
     default:
@@ -491,12 +528,12 @@ void print(std::ostringstream& os, const Ex& e, int parent_prec) {
         }
         os << ", ";
       }
-      static constexpr const char* kDimNames[] = {"x", "y", "z", "w"};
+      static constexpr const char* kDimNames[] = {"x", "y", "z"};
       for (int d = 0; d < n.field.ndims; ++d) {
         if (d > 0) {
           os << ", ";
         }
-        os << (d < 4 ? kDimNames[d] : "d");
+        os << kDimNames[n.field.dims[static_cast<std::size_t>(d)]];
         const int o = n.space_offsets[static_cast<std::size_t>(d)];
         if (o > 0) {
           os << '+' << o;
@@ -530,7 +567,12 @@ void print(std::ostringstream& os, const Ex& e, int parent_prec) {
       break;
     case Kind::Call:
       os << n.name << '(';
-      print(os, n.args[0], 0);
+      for (std::size_t i = 0; i < n.args.size(); ++i) {
+        if (i > 0) {
+          os << ", ";
+        }
+        print(os, n.args[i], 0);
+      }
       os << ')';
       break;
   }

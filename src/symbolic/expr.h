@@ -15,6 +15,7 @@
 //     could be folded (0^-, x^0, x^1, number^number are all folded away).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -28,9 +29,13 @@ namespace jitfd::sym {
 /// enough to print, compare, and reason about accesses.
 struct FieldId {
   int id = -1;                ///< Unique per Function within a problem.
-  std::string name;           ///< For printing ("u", "m", "damp", ...).
-  int ndims = 0;              ///< Number of *space* dimensions.
+  std::string name;           ///< For printing ("u", "m", "damp_x", ...).
+  int ndims = 0;              ///< Number of *space* dimensions it lives on.
   bool time_varying = false;  ///< TimeFunction (has a time index)?
+  /// The grid dimension of each of its first `ndims` space indices, in
+  /// increasing order: 0, 1, 2 for a field on every dimension of its
+  /// grid, {2} for a profile along z (a subset-dimension Function).
+  std::array<int, 3> dims{0, 1, 2};
 
   friend bool operator==(const FieldId& a, const FieldId& b) {
     return a.id == b.id;
@@ -44,7 +49,7 @@ enum class Kind : std::uint8_t {
   Add,          ///< n-ary sum.
   Mul,          ///< n-ary product.
   Pow,          ///< base ^ exponent.
-  Call,         ///< Elementary function application: sqrt, sin, cos, exp.
+  Call,         ///< Function application: sqrt, sin, cos, exp, fabs, max.
 };
 
 class ExprNode;
@@ -94,7 +99,7 @@ class ExprNode {
   // FieldAccess:
   FieldId field;
   int time_offset = 0;            ///< Offset from the current time point.
-  std::vector<int> space_offsets; ///< One entry per space dimension.
+  std::vector<int> space_offsets; ///< One entry per field.ndims index.
   // Add / Mul / Pow:
   std::vector<Ex> args;
 
@@ -121,6 +126,12 @@ Ex make_pow(const Ex& base, const Ex& exponent);
 /// Elementary function application. Known single-argument functions
 /// (sqrt, sin, cos, exp, fabs) fold when the argument is a literal.
 Ex call(const std::string& fn, const Ex& arg);
+
+/// n-ary maximum, a Call named "max". Canonical: nested maxes flatten,
+/// the arguments take the canonical order with duplicates dropped, and
+/// the numbers fold into their largest, so max(a) is a and max of numbers
+/// is a number. Throws std::invalid_argument on an empty list.
+Ex max(std::vector<Ex> args);
 
 /// Rebuild a non-leaf node of the same kind (and, for Call, name) as
 /// `node` with replacement operands, re-canonicalizing. Leaves are

@@ -1,6 +1,8 @@
 #include "symbolic/fd_ops.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "symbolic/fd_weights.h"
 
@@ -12,11 +14,15 @@ Ex shift_space(const Ex& e, int dim, int k) {
   }
   const ExprNode& n = e.node();
   if (n.kind == Kind::FieldAccess) {
-    if (dim >= n.field.ndims) {
-      throw std::out_of_range("shift_space: dimension out of range");
+    const auto first = n.field.dims.begin();
+    const auto at = std::find(first, first + n.field.ndims, dim);
+    if (at == first + n.field.ndims) {
+      throw std::out_of_range("shift_space: '" + n.field.name +
+                              "' does not live on dimension " +
+                              std::to_string(dim));
     }
     std::vector<int> offsets = n.space_offsets;
-    offsets[static_cast<std::size_t>(dim)] += k;
+    offsets[static_cast<std::size_t>(at - first)] += k;
     return n.field.time_varying
                ? access(n.field, n.time_offset, std::move(offsets))
                : access(n.field, std::move(offsets));

@@ -1,5 +1,6 @@
 #include "symbolic/manip.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -146,8 +147,14 @@ Ex expand(const Ex& e) {
       }
       return make_add(std::move(sums));
     }
-    case Kind::Call:
-      return rebuild(e, {expand(n.args[0])});
+    case Kind::Call: {
+      std::vector<Ex> args;
+      args.reserve(n.args.size());
+      for (const Ex& a : n.args) {
+        args.push_back(expand(a));
+      }
+      return rebuild(e, std::move(args));
+    }
     default:
       return e;
   }
@@ -202,8 +209,13 @@ int count_flops(const Ex& e) {
       }
       return ops + count_flops(exp) + 1;
     }
-    case Kind::Call:
-      return 1 + count_flops(n.args[0]);
+    case Kind::Call: {
+      int ops = std::max(1, static_cast<int>(n.args.size()) - 1);
+      for (const Ex& a : n.args) {
+        ops += count_flops(a);
+      }
+      return ops;
+    }
   }
   return 0;
 }

@@ -49,7 +49,8 @@ std::vector<Ex> field_accesses(const Ex& e);
 /// Floating-point operation count of the *evaluated* expression:
 /// n-ary Add/Mul of k operands count k-1 ops; Pow counts 1 (division) for
 /// exponent -1, otherwise |exponent| - 1 multiplies for small integer
-/// exponents and 1 op for the general case.
+/// exponents and 1 op for the general case; a one-argument Call counts 1,
+/// max of k arguments k-1 (comparisons).
 int count_flops(const Ex& e);
 
 }  // namespace jitfd::sym

@@ -644,20 +644,6 @@ INSTANTIATE_TEST_SUITE_P(
                   });
             }},
         std::pair<const char*, Mutator>{
-            "InitRows",
-            [](Shot& s, int) {
-              s.model->wavefield().init_rows(
-                  [](std::span<const std::int64_t> outer,
-                     std::span<const std::int64_t> inner,
-                     std::span<float> row) {
-                    for (std::size_t i = 0; i < row.size(); ++i) {
-                      row[i] = outer[0] == 16 && outer[1] == 3 && inner[i] == 2
-                                   ? -0.5F
-                                   : 0.0F;
-                    }
-                  });
-            }},
-        std::pair<const char*, Mutator>{
             "BufferPointer",
             [](Shot& s, int t) {
               TimeFunction& w = s.model->wavefield();

@@ -153,8 +153,9 @@ TEST(Models, AcousticStencilPairsEveryMirroredTap) {
   // by access, pulls the reciprocal r = 1/(m/dt^2 + damp/(2*dt)) out of
   // the whole sum, and sums the six taps at each radius under one weight:
   // r*(jc*u[t] + sum c_k*(the six taps at radius k) + jm*u[t-1]) + 0.
+  // damp = max(damp_x[x], damp_y[y], damp_z[z]) counts 2 flops.
   const Grid g({8, 8, 8}, {1.0, 1.0, 1.0});
-  const std::map<int, int> flops{{4, 26}, {8, 40}, {12, 54}, {16, 68}};
+  const std::map<int, int> flops{{4, 28}, {8, 42}, {12, 56}, {16, 70}};
   for (const auto& [so, want] : flops) {
     AcousticModel model(g, so);
     auto op = model.make_operator({});
@@ -183,8 +184,8 @@ TEST(Models, AcousticMergesOnlyBitEqualSpacings) {
     int flops;
     std::vector<std::set<int>> axes;  ///< The groups at each radius.
     bool reads_h_y;
-  } cases[] = {{{24.0, 19.0, 34.0}, 44, {{0, 1}, {2}}, false},
-               {{24.0, 38.0, 51.0}, 48, {{0}, {1}, {2}}, true}};
+  } cases[] = {{{24.0, 19.0, 34.0}, 46, {{0, 1}, {2}}, false},
+               {{24.0, 38.0, 51.0}, 50, {{0}, {1}, {2}}, true}};
   for (const auto& c : cases) {
     const Grid g({25, 20, 18}, c.extent);
     AcousticModel model(g, 8);

@@ -33,7 +33,7 @@ TEST(KernelSpec, CheckedInFactsMatchLiveDerivation) {
 
 TEST(KernelSpec, FlopInterpolationIsMonotone) {
   const KernelSpec s = tti_spec();
-  EXPECT_DOUBLE_EQ(s.flops_per_point(8), 954.0);
+  EXPECT_DOUBLE_EQ(s.flops_per_point(8), 960.0);
   EXPECT_GT(s.flops_per_point(10), s.flops_per_point(8));
   EXPECT_LT(s.flops_per_point(10), s.flops_per_point(12));
 }
