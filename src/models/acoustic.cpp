@@ -31,15 +31,11 @@ AcousticModel::AcousticModel(
   });
 }
 
-std::unique_ptr<core::Operator> AcousticModel::make_operator(
-    ir::CompileOptions opts, std::vector<runtime::SparseOp*> sparse_ops) {
+std::vector<ir::Eq> AcousticModel::equations() const {
   // The paper's Listing 9: eq = m * u.dt2 - u.laplace (+ damping);
   // stencil = Eq(u.forward, solve(eq, u.forward)).
   const sym::Ex pde = m_() * u_.dt2() - u_.laplace() + damp_() * u_.dt();
-  const ir::Eq update(u_.forward(),
-                      sym::solve(pde, sym::Ex(0), u_.forward()));
-  return std::make_unique<core::Operator>(std::vector<ir::Eq>{update}, opts,
-                                          std::move(sparse_ops));
+  return {ir::Eq(u_.forward(), sym::solve(pde, sym::Ex(0), u_.forward()))};
 }
 
 double AcousticModel::critical_dt() const {

@@ -55,6 +55,12 @@ sym::Ex Damping::operator()() const {
   return sym::max(std::move(reads));
 }
 
+std::unique_ptr<core::Operator> WaveModel::make_operator(
+    ir::CompileOptions opts, std::vector<runtime::SparseOp*> sparse_ops) const {
+  return std::make_unique<core::Operator>(equations(), opts,
+                                          std::move(sparse_ops));
+}
+
 KernelFacts analyze(core::Operator& op, const std::string& name,
                     int space_order, int fields) {
   KernelFacts facts;

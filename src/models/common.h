@@ -61,10 +61,14 @@ class WaveModel {
   virtual const std::string& name() const = 0;
   virtual const grid::Grid& grid() const = 0;
 
-  /// Build the lowered operator (sparse ops appended each step).
-  virtual std::unique_ptr<core::Operator> make_operator(
+  /// The update equations, each solved for the field it writes.
+  virtual std::vector<ir::Eq> equations() const = 0;
+
+  /// Build the lowered operator of equations() (sparse ops appended each
+  /// step).
+  std::unique_ptr<core::Operator> make_operator(
       ir::CompileOptions opts,
-      std::vector<runtime::SparseOp*> sparse_ops = {}) = 0;
+      std::vector<runtime::SparseOp*> sparse_ops = {}) const;
 
   /// Stable time-step size for the model's wave speeds (CFL with margin).
   virtual double critical_dt() const = 0;

@@ -45,16 +45,15 @@ int ElasticModel::tau_index(int i, int j) const {
   return idx + (j - i);
 }
 
-grid::TimeFunction* ElasticModel::tau_diag(int i) {
+grid::TimeFunction* ElasticModel::tau_diag(int i) const {
   return tau_[static_cast<std::size_t>(tau_index(i, i))].get();
 }
 
-grid::TimeFunction* ElasticModel::tau_off(int i, int j) {
+grid::TimeFunction* ElasticModel::tau_off(int i, int j) const {
   return tau_[static_cast<std::size_t>(tau_index(i, j))].get();
 }
 
-std::unique_ptr<core::Operator> ElasticModel::make_operator(
-    ir::CompileOptions opts, std::vector<runtime::SparseOp*> sparse_ops) {
+std::vector<ir::Eq> ElasticModel::equations() const {
   const int nd = grid_->ndims();
   const int so = v_[0]->space_order();
   const sym::Ex dt = grid::dt_symbol();
@@ -104,8 +103,7 @@ std::unique_ptr<core::Operator> ElasticModel::make_operator(
     }
   }
 
-  return std::make_unique<core::Operator>(std::move(eqs), opts,
-                                          std::move(sparse_ops));
+  return eqs;
 }
 
 double ElasticModel::critical_dt() const {

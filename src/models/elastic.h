@@ -23,9 +23,7 @@ class ElasticModel : public WaveModel {
   const std::string& name() const override { return name_; }
   const grid::Grid& grid() const override { return *grid_; }
 
-  std::unique_ptr<core::Operator> make_operator(
-      ir::CompileOptions opts,
-      std::vector<runtime::SparseOp*> sparse_ops = {}) override;
+  std::vector<ir::Eq> equations() const override;
 
   double critical_dt() const override;
   std::map<std::string, double> scalars(double dt) const override;
@@ -36,9 +34,9 @@ class ElasticModel : public WaveModel {
 
   grid::TimeFunction* v(int i) { return v_[static_cast<std::size_t>(i)].get(); }
   /// Diagonal stress component tau_ii.
-  grid::TimeFunction* tau_diag(int i);
+  grid::TimeFunction* tau_diag(int i) const;
   /// Off-diagonal stress tau_ij (i < j).
-  grid::TimeFunction* tau_off(int i, int j);
+  grid::TimeFunction* tau_off(int i, int j) const;
 
   double field_energy(std::int64_t time) const override;
 

@@ -50,8 +50,7 @@ sym::Ex TtiModel::dzbar(const sym::Ex& f, int so) const {
          (*costh_)() * sym::diff(f, 2, 1, so);
 }
 
-std::unique_ptr<core::Operator> TtiModel::make_operator(
-    ir::CompileOptions opts, std::vector<runtime::SparseOp*> sparse_ops) {
+std::vector<ir::Eq> TtiModel::equations() const {
   const int so = p_.space_order();
 
   // Rotated operators through CIRE temporaries: the inner rotated first
@@ -85,8 +84,7 @@ std::unique_ptr<core::Operator> TtiModel::make_operator(
 
   eqs.emplace_back(p_.forward(), sym::solve(pde_p, sym::Ex(0), p_.forward()));
   eqs.emplace_back(q_.forward(), sym::solve(pde_q, sym::Ex(0), q_.forward()));
-  return std::make_unique<core::Operator>(std::move(eqs), opts,
-                                          std::move(sparse_ops));
+  return eqs;
 }
 
 double TtiModel::critical_dt() const {

@@ -53,8 +53,7 @@ int ViscoelasticModel::tau_index(int i, int j) const {
   return idx + (j - i);
 }
 
-std::unique_ptr<core::Operator> ViscoelasticModel::make_operator(
-    ir::CompileOptions opts, std::vector<runtime::SparseOp*> sparse_ops) {
+std::vector<ir::Eq> ViscoelasticModel::equations() const {
   const int nd = grid_->ndims();
   const int so = v_[0]->space_order();
   const sym::Ex dt = grid::dt_symbol();
@@ -135,8 +134,7 @@ std::unique_ptr<core::Operator> ViscoelasticModel::make_operator(
     }
   }
 
-  return std::make_unique<core::Operator>(std::move(eqs), opts,
-                                          std::move(sparse_ops));
+  return eqs;
 }
 
 double ViscoelasticModel::critical_dt() const {

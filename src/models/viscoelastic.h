@@ -24,9 +24,7 @@ class ViscoelasticModel : public WaveModel {
   const std::string& name() const override { return name_; }
   const grid::Grid& grid() const override { return *grid_; }
 
-  std::unique_ptr<core::Operator> make_operator(
-      ir::CompileOptions opts,
-      std::vector<runtime::SparseOp*> sparse_ops = {}) override;
+  std::vector<ir::Eq> equations() const override;
 
   double critical_dt() const override;
   std::map<std::string, double> scalars(double dt) const override;

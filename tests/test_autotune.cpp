@@ -9,6 +9,7 @@
 
 #include "core/autotune.h"
 #include "grid/function.h"
+#include "models/acoustic.h"
 #include "obs/json_check.h"
 #include "smpi/runtime.h"
 #include "symbolic/manip.h"
@@ -129,6 +130,25 @@ TEST(Autotune, UntiledTrialIgnoresTheTileDefault) {
     EXPECT_EQ(op->info().tile,
               report.best_tile.empty() ? untiled : report.best_tile);
   });
+}
+
+TEST(Autotune, TileCandidatesCountRowsOfFullFieldsOnly) {
+  // The SO-8 acoustic operator on 42 x 320 x 320: a grid row costs 4
+  // padded rows of 336 floats (u x3 and m; the damping profiles hold
+  // none), so 32 MiB fit 19 rows of 320 and the candidates are 19 and 9
+  // along x. Counting the profiles as rows (7) would give 11 and 5, and
+  // the full damp field of old (5 rows) 15 and 7.
+  const Grid g({42, 320, 320}, {41.0, 319.0, 319.0});
+  const jitfd::models::AcousticModel model(g, 8);
+  std::vector<jitfd::grid::Function*> fields;
+  const auto op = model.make_operator({});
+  for (const int id : op->info().field_order) {
+    fields.push_back(jitfd::grid::lookup_field(id));
+  }
+  ASSERT_EQ(fields.size(), 5U);
+  const std::vector<std::vector<std::int64_t>> want{
+      {}, {19, 0, 0}, {9, 0, 0}};
+  EXPECT_EQ(jitfd::core::tile_candidates(fields, g), want);
 }
 
 TEST(Autotune, ReportJsonRejectsMissingWhy) {

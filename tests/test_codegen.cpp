@@ -430,6 +430,68 @@ TEST(CodegenJit, TtiKernelWithSqrtCompilesAndRuns) {
   }
 }
 
+TEST(Codegen, SpongeMaxIsATernaryOncePerPointAndRow) {
+  // The sponge max(damp_x[x], damp_y[y], damp_z[z]) is jitfd_max (the
+  // ternary GCC vectorizes to vmaxps), never fmaxf: the outer profiles'
+  // max once per row before the simd loop, the whole max once per point
+  // as the loop's first statement.
+  const Grid g({12, 11, 10}, {1.0, 1.0, 1.0});
+  const jitfd::models::AcousticModel model(g, 8, 1.5, /*nbl=*/3);
+  const auto op = model.make_operator({});
+  const std::string& code = op->ccode();
+  EXPECT_EQ(code.find("fmaxf"), std::string::npos);
+  EXPECT_NE(code.find("return a > b ? a : b;"), std::string::npos) << code;
+  const std::string row =
+      "const float jitfd_rmax0 = jitfd_max(damp_x[x + 8], damp_y[y + 8]);";
+  const std::string point =
+      "const float jitfd_pmax0 = jitfd_max(jitfd_rmax0, damp_z[z + 8]);";
+  const auto row_at = code.find(row);
+  const auto simd_at = code.find("#pragma omp simd", row_at);
+  const auto loop_at = code.find("for (long z", simd_at);
+  ASSERT_NE(row_at, std::string::npos) << code;
+  ASSERT_NE(loop_at, std::string::npos) << code;
+  const auto body_at = code.find('{', loop_at) + 1;
+  ASSERT_NE(code.find(point), std::string::npos) << code;
+  EXPECT_EQ(code.substr(body_at, code.find(point) - body_at)
+                .find_first_not_of(" \n"),
+            std::string::npos)
+      << "the per-point max is not the loop's first statement";
+  EXPECT_EQ(code.find("damp_z[", code.find(point) + point.size()),
+            std::string::npos)
+      << "the loop reads damp_z beyond its per-point max";
+  // OpenACC nests collapse every loop: no row temp between them.
+  ir::CompileOptions acc;
+  acc.lang = ir::Lang::OpenAcc;
+  const std::string acc_code = model.make_operator(acc)->ccode();
+  EXPECT_EQ(acc_code.find("jitfd_rmax"), std::string::npos);
+  EXPECT_NE(acc_code.find("jitfd_pmax0 = jitfd_max(jitfd_max(damp_x[x + 8], "
+                          "damp_y[y + 8]), damp_z[z + 8]);"),
+            std::string::npos)
+      << acc_code;
+  // A kernel without a max carries no helper.
+  const jitfd::models::ViscoelasticModel visco(g, 4);
+  EXPECT_EQ(visco.make_operator({})->ccode().find("jitfd_max"),
+            std::string::npos);
+}
+
+TEST(Codegen, MaxFoldsNumbersIgnoresArgumentOrderAndCountsComparisons) {
+  const sym::Ex a = sym::symbol("a");
+  const sym::Ex b = sym::symbol("b");
+  const sym::Ex c = sym::symbol("c");
+  EXPECT_EQ(sym::max({a, b, c}), sym::max({c, a, b}));
+  EXPECT_EQ(sym::max({a, sym::max({b, c})}), sym::max({a, b, c}));
+  EXPECT_EQ(sym::max({a, a}), a);
+  EXPECT_EQ(sym::max({sym::Ex(2), sym::Ex(3.5), sym::Ex(-1)}), sym::Ex(3.5));
+  EXPECT_EQ(sym::max({a, sym::Ex(2), sym::Ex(5)}), sym::max({sym::Ex(5), a}));
+  EXPECT_EQ(sym::max({a, b}).to_string(), "max(a, b)");
+  EXPECT_EQ(sym::count_flops(sym::max({a, b})), 1);
+  EXPECT_EQ(sym::count_flops(sym::max({a, b, c})), 2);
+  EXPECT_EQ(sym::count_flops(sym::max({a + b, c})), 2);
+  EXPECT_EQ(sym::substitute(sym::max({a, b}), b, sym::Ex(7)),
+            sym::max({sym::Ex(7), a}));
+  EXPECT_THROW(sym::max({}), std::invalid_argument);
+}
+
 TEST(CodegenJit, OneDimensionalKernelCompiles) {
   if (!have_cc()) {
     GTEST_SKIP() << "no C compiler available";

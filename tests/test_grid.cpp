@@ -1,7 +1,7 @@
 // Tests for the grid layer: block decomposition, global<->local index
-// conversion, Grid topologies, Function storage layout, field
-// initialisation and the distributed NumPy-style data view (paper
-// Listings 1-2 semantics).
+// conversion, Grid topologies, Function storage layout (subset-dimension
+// Functions included), field initialisation, the separable sponge and the
+// distributed NumPy-style data view (paper Listings 1-2 semantics).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,10 +21,13 @@
 #endif
 
 #include "core/env.h"
+#include "core/operator.h"
 #include "grid/function.h"
 #include "grid/grid.h"
-#include "models/common.h"
+#include "models/acoustic.h"
+#include "models/elastic.h"
 #include "smpi/runtime.h"
+#include "sparse/sparse_function.h"
 #include "symbolic/fd_ops.h"
 #include "symbolic/manip.h"
 
@@ -658,6 +661,233 @@ TEST(Function, RowWiseAccessMatchesPointAccess) {
         }
       });
 }
+
+TEST(Function, SubsetDimensionsHoldTheirSliceOfEachRank) {
+  // A profile along y on an uneven 2x2x1 split (11 -> 6+5, 10 -> 5+5):
+  // storage is the padded local extent along y alone, and init sees the
+  // clamped global y of each padded point, ghosts included.
+  smpi::launch(
+      {.nranks = 4, .transport = smpi::TransportKind::Threads},
+      [](smpi::Communicator& comm) {
+        const Grid g({11, 10, 7}, {1.0, 1.0, 1.0}, comm, {2, 2, 1});
+        Function f("f_y", g, 4, {1}, /*padding=*/1);
+        ASSERT_EQ(f.dimensions().size(), 1U);
+        EXPECT_EQ(f.dimensions()[0], 1);
+        EXPECT_EQ(f.local_shape(), std::vector<std::int64_t>{g.local_shape()[1]});
+        EXPECT_EQ(f.padded_shape(),
+                  std::vector<std::int64_t>{g.local_shape()[1] + 10});
+        EXPECT_EQ(f.buffer_points(), f.padded_shape()[0]);
+        f.init([](std::span<const std::int64_t> p) {
+          EXPECT_EQ(p.size(), 1U);
+          return static_cast<float>(p[0]);
+        });
+        for (std::int64_t i = -5; i < g.local_shape()[1] + 5; ++i) {
+          const std::array<std::int64_t, 1> idx{i};
+          EXPECT_EQ(static_cast<const Function&>(f).at_local(0, idx),
+                    static_cast<float>(std::clamp<std::int64_t>(
+                        g.local_start(1) + i, 0, 9)))
+              << "rank " << comm.rank() << " index " << i;
+        }
+        const std::vector<float> all = f.gather(0);
+        if (comm.rank() == 0) {
+          ASSERT_EQ(all.size(), 10U);
+          for (std::size_t i = 0; i < all.size(); ++i) {
+            EXPECT_EQ(all[i], static_cast<float>(i));
+          }
+        }
+        EXPECT_THROW((void)f.norm2(0), std::logic_error);
+      });
+  const Grid g({5, 6, 7}, {1.0, 1.0, 1.0});
+  EXPECT_THROW(Function("f", g, 2, {2, 1}), std::invalid_argument);
+  EXPECT_THROW(Function("f", g, 2, {3}), std::invalid_argument);
+  EXPECT_EQ(Function("f", g, 2, {0, 1, 2}).padded_shape(),
+            Function("g", g, 2).padded_shape());
+}
+
+TEST(Function, SubsetDimensionFieldsAreReadOnlyAtOffsetZero) {
+  // A subset-dimension Function is a coefficient: writing it, or reading
+  // it at a neighbour, throws naming it.
+  const Grid g({8, 9, 10}, {1.0, 1.0, 1.0});
+  TimeFunction u("u", g, 2, /*time_order=*/1);
+  Function damp_y("damp_y", g, 2, {1});
+  const auto lowering_error = [](std::vector<jitfd::ir::Eq> eqs) {
+    try {
+      jitfd::core::Operator op(std::move(eqs));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string target =
+      lowering_error({jitfd::ir::Eq(damp_y(), u.now())});
+  EXPECT_NE(target.find("'damp_y'"), std::string::npos) << target;
+  EXPECT_NE(target.find("target"), std::string::npos) << target;
+  const std::string shifted = lowering_error(
+      {jitfd::ir::Eq(u.forward(), u.now() * damp_y.at({1}))});
+  EXPECT_NE(shifted.find("'damp_y'"), std::string::npos) << shifted;
+  EXPECT_NE(shifted.find("offset 0"), std::string::npos) << shifted;
+  EXPECT_EQ(lowering_error({jitfd::ir::Eq(u.forward(), u.now() * damp_y())}),
+            "no error");
+}
+
+// --- The sponge, end to end --------------------------------------------------
+//
+// The models read max(damp_x, damp_y, damp_z) where a full damp field
+// used to stand. A shot whose wave enters the layer, near the edge where
+// the x and y profiles overlap, must leave every buffer bit-equal to the
+// same PDE with a full damp Function filled point by point by
+// damp_formula.
+
+constexpr std::int64_t kSpongeSteps = 24;
+
+struct SpongeCase {
+  const char* name;
+  bool elastic;
+  int order;
+  int nbl;
+};
+
+// `eqs` with every read of a subset-dimension Function (a damping
+// profile) replaced by a read of the full field `damp`: the max of three
+// reads of one field is that read. Empty when nothing reads a profile.
+std::vector<jitfd::ir::Eq> with_full_damp(
+    const std::vector<jitfd::ir::Eq>& eqs, const Function& damp) {
+  std::vector<std::pair<sym::Ex, sym::Ex>> reads;
+  for (const jitfd::ir::Eq& eq : eqs) {
+    for (const sym::Ex& a : sym::field_accesses(eq.rhs)) {
+      if (a.node().field.ndims < damp.grid().ndims()) {
+        reads.emplace_back(a, damp());
+      }
+    }
+  }
+  if (reads.empty()) {
+    return {};
+  }
+  std::vector<jitfd::ir::Eq> out;
+  for (const jitfd::ir::Eq& eq : eqs) {
+    out.emplace_back(eq.lhs, sym::substitute(eq.rhs, reads));
+  }
+  return out;
+}
+
+// `eqs` from +0 with a Ricker source at the edge of the layer: every
+// buffer of every field it writes, ghosts included, back to back.
+std::vector<float> sponge_shot(jitfd::models::WaveModel& model,
+                               const std::vector<jitfd::ir::Eq>& eqs,
+                               jitfd::ir::MpiMode mode,
+                               jitfd::core::Backend backend) {
+  const Grid& g = model.grid();
+  const double dt = model.critical_dt();
+  const jitfd::sparse::SparseFunction src("src", g, {{3.5, 3.25, 8.5}});
+  jitfd::sparse::Injection source(
+      model.wavefield(), src,
+      [dt](std::int64_t t) {
+        return jitfd::sparse::ricker(static_cast<double>(t) * dt, 0.3, 3.0);
+      },
+      nullptr);
+  jitfd::ir::CompileOptions opts;
+  opts.mode = mode;
+  jitfd::core::Operator op(eqs, opts, {&source});
+  std::vector<Function*> written;
+  for (const jitfd::ir::Eq& eq : eqs) {
+    written.push_back(jitfd::grid::lookup_field(eq.write_field().id));
+    written.back()->fill(0.0F);
+  }
+  op.apply({.time_m = 0,
+            .time_M = kSpongeSteps,
+            .scalars = model.scalars(dt),
+            .backend = backend});
+  std::vector<float> out;
+  for (const Function* f : written) {
+    const auto raw = f->raw_storage();
+    out.insert(out.end(), raw.begin(), raw.end());
+  }
+  return out;
+}
+
+// The model's shot against the full-field oracle's; empty when every byte
+// matches.
+std::string check_sponge(const SpongeCase& c, const Grid& g,
+                         jitfd::ir::MpiMode mode,
+                         jitfd::core::Backend backend) {
+  std::unique_ptr<jitfd::models::WaveModel> model;
+  if (c.elastic) {
+    model = std::make_unique<jitfd::models::ElasticModel>(
+        g, c.order, 2.0, 1.0, 1.0, c.nbl);
+  } else {
+    model = std::make_unique<jitfd::models::AcousticModel>(g, c.order, 1.5,
+                                                           c.nbl);
+  }
+  // Made after the model's fields, as the full field used to be.
+  Function damp("damp", g, c.order);
+  damp.init([&](std::span<const std::int64_t> p) {
+    return damp_formula(g, p, c.nbl, 1.0);
+  });
+  const std::vector<jitfd::ir::Eq> eqs = model->equations();
+  const std::vector<jitfd::ir::Eq> full = with_full_damp(eqs, damp);
+  if (full.empty()) {
+    return "the model's equations read no damping profile";
+  }
+  const std::vector<float> got = sponge_shot(*model, eqs, mode, backend);
+  const std::vector<float> want = sponge_shot(*model, full, mode, backend);
+  if (got.size() != want.size() ||
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) != 0) {
+    std::size_t at = 0;
+    while (at < got.size() &&
+           std::memcmp(&got[at], &want[at], sizeof(float)) == 0) {
+      ++at;
+    }
+    return std::string(c.name) + ": differs from the full-field oracle at " +
+           "value " + std::to_string(at);
+  }
+  return {};
+}
+
+class Sponge : public ::testing::TestWithParam<SpongeCase> {};
+
+TEST_P(Sponge, SerialJitAndInterpreterMatchTheFullField) {
+  const Grid g({17, 15, 16}, {16.0, 14.0, 15.0});
+  for (const auto backend :
+       {jitfd::core::Backend::Jit, jitfd::core::Backend::Interpret}) {
+    EXPECT_EQ(check_sponge(GetParam(), g, jitfd::ir::MpiMode::None, backend),
+              "")
+        << jitfd::core::to_string(backend);
+  }
+}
+
+TEST_P(Sponge, TwoUnevenRanksMatchTheFullField) {
+  // 17 -> 9 + 8 along x; every pattern on both transports. Forked ranks
+  // report a mismatch by throwing.
+  for (const auto mode : {jitfd::ir::MpiMode::Basic,
+                          jitfd::ir::MpiMode::Diagonal,
+                          jitfd::ir::MpiMode::Full}) {
+    for (const auto transport :
+         {smpi::TransportKind::Threads, smpi::TransportKind::ProcessShm}) {
+      const SpongeCase c = GetParam();
+      EXPECT_NO_THROW(smpi::launch(
+          {.nranks = 2, .transport = transport},
+          [&](smpi::Communicator& comm) {
+            const Grid g({17, 15, 16}, {16.0, 14.0, 15.0}, comm, {2, 1, 1});
+            const std::string mismatch =
+                check_sponge(c, g, mode, jitfd::core::Backend::Jit);
+            if (!mismatch.empty()) {
+              throw std::runtime_error("rank " + std::to_string(comm.rank()) +
+                                       ": " + mismatch);
+            }
+          }))
+          << jitfd::ir::to_string(mode) << " "
+          << (transport == smpi::TransportKind::Threads ? "threads"
+                                                        : "process_shm");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, Sponge,
+    ::testing::Values(SpongeCase{"AcousticSo4", false, 4, 4},
+                      SpongeCase{"AcousticSo8", false, 8, 6},
+                      SpongeCase{"ElasticSo4", true, 4, 5}),
+    [](const auto& p) { return std::string(p.param.name); });
 
 TEST(Function, ParallelFillBeforeProcessLaunch) {
   // The parent fills a >= 1 MiB field on a 4-thread OpenMP team, then

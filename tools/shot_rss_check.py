@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fails a zero-start shot whose wavefield was resident in full.
+"""Fails a zero-start shot that holds more than its medium and its front.
 
     python3 tools/shot_rss_check.py CONTEXT_JSON RESULT_JSON
 
@@ -10,17 +10,19 @@ result (with metrics.peak_rss_mib).
 
 A shot starts from +0, and Function::fill(+0) writes only what the
 activity boxes and rows say can be nonzero, so a wavefield page is
-faulted in only once the front reaches it. The acoustic shot holds five
-buffer-sized arrays (three time buffers of u, plus m and damp), so a run
-that faults in every page peaks above 5 buffers; one that leaves u's
-untouched pages alone stays near 2. Exits 0 when peak_rss_mib < 4 x
-wavefield_buffer_mib, 1 when not, and 2 on an input it cannot read.
+faulted in only once the front reaches it. The acoustic shot holds four
+buffer-sized arrays (three time buffers of u, plus m); its sponge is
+three 1-D profiles. A run that faults in every page peaks above 4
+buffers, one that also keeps a full damp field resident near 2.3, and
+one that holds only m and the front's pages near 1.3. Exits 0 when
+peak_rss_mib < 2 x wavefield_buffer_mib, 1 when not, and 2 on an input
+it cannot read.
 """
 
 import json
 import sys
 
-BOUND = 4.0  # Buffers.
+BOUND = 2.0  # Buffers.
 USAGE = "usage: python3 tools/shot_rss_check.py CONTEXT_JSON RESULT_JSON"
 
 
