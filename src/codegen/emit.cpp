@@ -134,9 +134,8 @@ class Emitter {
     return out;
   }
 
-  /// Does `e` read only what the innermost loop's body does not define:
-  /// no temp of the body (`reads_point_temp`) or, with `row`, also no
-  /// field on the innermost dimension?
+  /// Does `e` read nothing the innermost loop's body defines (none of its
+  /// temps) and, with `row`, no field on the innermost dimension?
   bool loop_invariant(const sym::Ex& e, bool row) const {
     const int inner = grid_->ndims() - 1;
     bool invariant = true;
@@ -727,6 +726,12 @@ class Emitter {
       }
       row_reduction = " reduction(|:" + flags + ")";
     }
+    if (n.props.vector) {
+      // A row temp is a statement between this loop and the one around
+      // it: none in a one-dimensional nest, nor under OpenACC's collapse.
+      plan_maxes(n, /*rows=*/!n.props.parallel &&
+                        opts_->lang == ir::Lang::OpenMP);
+    }
     if (n.props.parallel) {
       if (opts_->lang == ir::Lang::OpenMP) {
         line(n.props.vector ? "#pragma omp parallel for simd schedule(static)" +
@@ -739,11 +744,7 @@ class Emitter {
              ")");
       }
     } else if (n.props.vector && opts_->lang == ir::Lang::OpenMP) {
-      plan_maxes(n, /*rows=*/true);
       line("#pragma omp simd" + simd_clauses(n) + row_reduction);
-    }
-    if (n.props.vector && point_maxes_.empty()) {
-      plan_maxes(n, /*rows=*/false);
     }
 
     // Inside an enclosing tile loop over the same dimension, execute the

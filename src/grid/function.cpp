@@ -525,24 +525,9 @@ float Function::get_global_or(int t, std::span<const std::int64_t> g,
 
 void Function::init(
     const std::function<float(std::span<const std::int64_t>)>& fn) {
-  init_rows([&](std::span<const std::int64_t> outer,
-                std::span<const std::int64_t> inner, std::span<float> row) {
-    std::array<std::int64_t, kMaxDims> g{};
-    std::copy(outer.begin(), outer.end(), g.begin());
-    const std::span<const std::int64_t> coords(g.data(), outer.size() + 1);
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      g[outer.size()] = inner[i];
-      row[i] = fn(coords);
-    }
-  });
-}
-
-void Function::init_rows(
-    const std::function<void(std::span<const std::int64_t>,
-                             std::span<const std::int64_t>,
-                             std::span<float>)>& fn) {
   // Fill the data region plus ghosts; ghost coordinates are clamped to the
   // physical domain so boundary halos carry sensible parameter values.
+  // Buffer 0 is written row by row and copied to the others.
   const std::size_t nd = padded_shape_.size();
   const auto clamped = [&](std::size_t d, std::int64_t raw) {
     return std::clamp<std::int64_t>(
@@ -561,9 +546,12 @@ void Function::init_rows(
         for (std::size_t d = 0; d < outer.size(); ++d) {
           g[d] = clamped(d, outer[d]);
         }
+        const std::span<const std::int64_t> coords(g.data(), nd);
         float* dst = kernel_buffer(0) + r * row;
-        fn({g.data(), outer.size()}, inner,
-           {dst, static_cast<std::size_t>(row)});
+        for (std::int64_t i = 0; i < row; ++i) {
+          g[nd - 1] = inner[static_cast<std::size_t>(i)];
+          dst[i] = fn(coords);
+        }
         for (int t = 1; t < buffers_; ++t) {
           std::copy_n(dst, row, kernel_buffer(t) + r * row);
         }

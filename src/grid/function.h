@@ -324,15 +324,6 @@ class Function {
   /// Widen buffer `t`'s box and row by the point at linear storage index
   /// `linear`.
   void widen_box(int t, std::size_t linear);
-  /// init's row-wise worker, one call per innermost row: `fn(outer,
-  /// inner, row)` gets the clamped global coordinates of the row along
-  /// all but the last dimension (`outer`), those of its points along the
-  /// last one (`inner`, the same for every row) and the row to write
-  /// (`row`, inner.size() floats), which is then copied to every buffer.
-  void init_rows(
-      const std::function<void(std::span<const std::int64_t> outer,
-                               std::span<const std::int64_t> inner,
-                               std::span<float> row)>& fn);
   /// The grid dimension of its `k`-th index.
   int dim(std::size_t k) const { return id_.dims[k]; }
 
