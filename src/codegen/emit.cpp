@@ -1,6 +1,7 @@
 #include "codegen/emit.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -120,6 +121,7 @@ class Emitter {
       const auto temp =
           std::find_if(row_maxes_.begin(), row_maxes_.end(),
                        [&](const auto& t) { return t.first == key; });
+      assert(temp != row_maxes_.end() && "plan_maxes saw every max");
       args.insert(args.begin(), temp->second);
     }
     return fold_max(args);
