@@ -1,6 +1,5 @@
 #include "codegen/emit.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -94,9 +93,11 @@ class Emitter {
   // basic block, so GCC contracts them into FMAs there exactly as in the
   // vector loop, and as it would around a load.
 
-  /// Is `e` a max the innermost loop being emitted computes per point?
-  const std::string* point_max(const sym::Ex& e) const {
-    for (const auto& [key, name] : point_maxes_) {
+  using Temps = std::vector<std::pair<sym::Ex, std::string>>;
+
+  /// The name of the temp holding `e`, or nullptr.
+  static const std::string* temp_of(const Temps& temps, const sym::Ex& e) {
+    for (const auto& [key, name] : temps) {
       if (key == e) {
         return &name;
       }
@@ -117,12 +118,9 @@ class Emitter {
       }
     }
     if (!row.empty()) {
-      const sym::Ex key = sym::max(row);
-      const auto temp =
-          std::find_if(row_maxes_.begin(), row_maxes_.end(),
-                       [&](const auto& t) { return t.first == key; });
-      assert(temp != row_maxes_.end() && "plan_maxes saw every max");
-      args.insert(args.begin(), temp->second);
+      const std::string* temp = temp_of(row_maxes_, sym::max(row));
+      assert(temp != nullptr && "plan_maxes saw every max");
+      args.insert(args.begin(), *temp);
     }
     return fold_max(args);
   }
@@ -173,7 +171,8 @@ class Emitter {
         if (sub.kind() != sym::Kind::Call || sub.node().name != "max") {
           return;
         }
-        if (loop_invariant(sub, /*row=*/false) && point_max(sub) == nullptr) {
+        if (loop_invariant(sub, /*row=*/false) &&
+            temp_of(point_maxes_, sub) == nullptr) {
           point_maxes_.emplace_back(
               sub, "jitfd_pmax" + std::to_string(point_maxes_.size()));
         }
@@ -187,8 +186,7 @@ class Emitter {
           return;
         }
         const sym::Ex key = sym::max(row);
-        if (std::none_of(row_maxes_.begin(), row_maxes_.end(),
-                         [&](const auto& t) { return t.first == key; })) {
+        if (temp_of(row_maxes_, key) == nullptr) {
           const std::string name =
               "jitfd_rmax" + std::to_string(row_maxes_.size());
           std::vector<std::string> args;
@@ -281,7 +279,7 @@ class Emitter {
       }
       case sym::Kind::Call:
         if (n.name == "max") {
-          const std::string* temp = point_max(e);
+          const std::string* temp = temp_of(point_maxes_, e);
           return temp != nullptr ? *temp : max_call(n);
         }
         return n.name + "f(" + expr(n.args[0], 1) + ")";
@@ -1004,9 +1002,9 @@ class Emitter {
   /// per-point maxes, and (rows_hoisted_) the row temps of their
   /// row-invariant arguments.
   std::set<std::string> body_temps_;
-  std::vector<std::pair<sym::Ex, std::string>> point_maxes_;
+  Temps point_maxes_;
   bool rows_hoisted_ = false;
-  std::vector<std::pair<sym::Ex, std::string>> row_maxes_;
+  Temps row_maxes_;
 };
 
 /// Helpers of kernels with active-box stepping (DESIGN.md). A buffer's box
